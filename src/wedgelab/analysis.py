@@ -16,6 +16,7 @@ from scipy.spatial import cKDTree
 
 from .exact_solutions import Barrier, barrier_eval_xy
 from .fem import FemSolution, ProblemSpec, solution_field
+from .geometry import edge_table
 from .norms import NormParams, SampledField, plain_norm, weighted_norm
 
 DEGENERATE_RHS = 1e-13
@@ -75,23 +76,6 @@ class ComparisonReport:
     n_interior: int
 
 
-def _triangle_neighbors(triangles: np.ndarray) -> np.ndarray:
-    """(nt, 3) neighbor indices; entry i is across the edge opposite vertex i."""
-    nt = triangles.shape[0]
-    nbrs = -np.ones((nt, 3), dtype=np.int64)
-    owner: dict[tuple[int, int], tuple[int, int]] = {}
-    for t, (a, b, c) in enumerate(triangles):
-        for i, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-            key = (u, v) if u < v else (v, u)
-            if key in owner:
-                t2, i2 = owner.pop(key)
-                nbrs[t, i] = t2
-                nbrs[t2, i2] = t
-            else:
-                owner[key] = (t, i)
-    return nbrs
-
-
 class P1Evaluator:
     """Point evaluation of a P1 finite-element field.
 
@@ -110,7 +94,7 @@ class P1Evaluator:
         )
         self.bary = fs.mesh.barycenters()
         self.tree = cKDTree(self.bary)
-        self.neighbors = _triangle_neighbors(fs.mesh.triangles)
+        self.neighbors = edge_table(fs.mesh.triangles)[3]
         self.corner_value = self._corner_value()
 
     def _corner_value(self) -> float:
@@ -275,56 +259,66 @@ def interface_flux_jump(
     deliberate mispairing used as a negative control.
     """
     mesh = fs.mesh
-    if mesh.interface_edges.shape[0] == 0:
+    edges, tri_edges, counts, _ = edge_table(mesh.triangles)
+    # the upper and the lower triangle on each edge, -1 where there is none
+    tris = np.arange(mesh.n_triangles)[:, None]
+    t_up = np.full(edges.shape[0], -1)
+    t_dn = np.full(edges.shape[0], -1)
+    up, dn = mesh.region > 0, mesh.region < 0
+    t_up[tri_edges[up]] = tris[up]
+    t_dn[tri_edges[dn]] = tris[dn]
+
+    shape = (mesh.n_vertices, mesh.n_vertices)
+    keys = np.ravel_multi_index(edges.T, shape)
+    wanted = np.ravel_multi_index(np.sort(mesh.interface_edges, axis=1).T, shape)
+    e = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    e = e[(keys[e] == wanted) & (counts[e] == 2) & (t_up[e] >= 0) & (t_dn[e] >= 0)]
+    if e.size == 0:
         return FluxJumpReport(0.0, 0.0, 0)
-    edge_tris: dict[tuple[int, int], list[int]] = {}
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            edge_tris.setdefault(key, []).append(t)
+    t_up, t_dn = t_up[e], t_dn[e]
+
     normal = np.array([0.0, 1.0])
     bary = mesh.barycenters()
-    jumps, lengths = [], []
-    for u, v in mesh.interface_edges:
-        key = (int(u), int(v)) if u < v else (int(v), int(u))
-        tris = edge_tris.get(key, [])
-        if len(tris) != 2:
-            continue
-        t_up = next((t for t in tris if mesh.region[t] > 0), None)
-        t_dn = next((t for t in tris if mesh.region[t] < 0), None)
-        if t_up is None or t_dn is None:
-            continue
-        side_up = -1 if weighting == "minus-both" else 1
-        a_up = coeff.evaluate(bary[t_up : t_up + 1, 0], bary[t_up : t_up + 1, 1], np.array([side_up]))[0]
-        a_dn = coeff.evaluate(bary[t_dn : t_dn + 1, 0], bary[t_dn : t_dn + 1, 1], np.array([-1]))[0]
-        flux_up = normal @ (a_up @ fs.element_gradients[t_up])
-        flux_dn = normal @ (a_dn @ fs.element_gradients[t_dn])
-        jumps.append(abs(flux_up - flux_dn))
-        lengths.append(float(np.linalg.norm(mesh.vertices[key[0]] - mesh.vertices[key[1]])))
-    if not jumps:
-        return FluxJumpReport(0.0, 0.0, 0)
-    arr = np.asarray(jumps)
-    wts = np.asarray(lengths)
-    return FluxJumpReport(float(arr.max()), float((arr * wts).sum() / wts.sum()), arr.size)
+    side_up = -1 if weighting == "minus-both" else 1
+    a_up = coeff.evaluate(bary[t_up, 0], bary[t_up, 1], np.full(e.size, side_up))
+    a_dn = coeff.evaluate(bary[t_dn, 0], bary[t_dn, 1], np.full(e.size, -1))
+    grads = fs.element_gradients
+    flux_up = np.einsum("nij,nj->ni", a_up, grads[t_up]) @ normal
+    flux_dn = np.einsum("nij,nj->ni", a_dn, grads[t_dn]) @ normal
+    jumps = np.abs(flux_up - flux_dn)
+    u, v = edges[e].T
+    lengths = np.linalg.norm(mesh.vertices[u] - mesh.vertices[v], axis=1)
+    return FluxJumpReport(
+        float(jumps.max()), float((jumps * lengths).sum() / lengths.sum()), jumps.size
+    )
 
 
-def _data_norm_fields(spec: ProblemSpec, points: np.ndarray, sides: np.ndarray):
-    """Per-side scalar fields of each component of g on the given samples."""
-    out = []
-    gvals = spec.g_at(points[:, 0], points[:, 1], sides)
+def _data_rhs(
+    spec: ProblemSpec,
+    fld: SampledField,
+    alpha: float,
+    seed: int,
+    sup_u: float,
+    traces: list[SampledField],
+) -> float:
+    """Estimate right-hand side on the samples of ``fld``.
+
+    Sums, in this order: sup_u, the largest trace norm of phi over
+    ``traces``, sup|h|, and the largest per-side Holder norm of a component
+    of g.
+    """
+    rhs = sup_u + max((plain_norm(f, k=1, alpha=alpha, seed=seed) for f in traces), default=0.0)
+    rhs += float(np.abs(spec.h_at(fld.points[:, 0], fld.points[:, 1])).max())
+    gvals = spec.g_at(fld.points[:, 0], fld.points[:, 1], fld.regions)
+    g_norm = 0.0
     for side in (1, -1):
-        mask = sides == side
+        mask = fld.regions == side
         if mask.sum() < 2:
             continue
         for comp in (0, 1):
-            out.append(
-                SampledField(points[mask], gvals[mask, comp], None, None)
-            )
-    return out
-
-
-def _holder0_norm(field: SampledField, alpha: float, seed: int = 0, pair_budget=None) -> float:
-    return plain_norm(field, k=0, alpha=alpha, seed=seed, pair_budget=pair_budget)
+            gf = SampledField(fld.points[mask], gvals[mask, comp], None, None)
+            g_norm = max(g_norm, plain_norm(gf, k=0, alpha=alpha, seed=seed))
+    return rhs + g_norm
 
 
 def estimate_ratio_interior(
@@ -355,37 +349,33 @@ def estimate_ratio_interior(
         if sub.n >= 2:
             lhs = max(lhs, plain_norm(sub, k=1, alpha=alpha, seed=seed, pair_budget=pair_budget))
 
-    sup_u = float(np.abs(outer.values).max())
-    sup_h = float(
-        np.abs(spec.h_at(outer.points[:, 0], outer.points[:, 1])).max()
-    )
-    g_norm = 0.0
-    for gf in _data_norm_fields(spec, outer.points, outer.regions):
-        g_norm = max(g_norm, _holder0_norm(gf, alpha, seed))
-    rhs = sup_u + sup_h + g_norm
+    rhs = _data_rhs(spec, outer, alpha, seed, float(np.abs(outer.values).max()), [])
     desc = f"interior ball r={r_inner:.3g} at ({center[0]:.3g},{center[1]:.3g})"
     if rhs <= DEGENERATE_RHS:
         return EstimateRatio(lhs, rhs, "interior", desc, status="degenerate")
     return EstimateRatio(lhs, rhs, "interior", desc)
 
 
-def _wall_trace_field(spec: ProblemSpec, theta: float, n: int = 60) -> SampledField:
-    """Boundary-trace samples along a wall ray with tangential derivative data."""
+def _wall_trace_fields(spec: ProblemSpec, n: int = 60) -> list[SampledField]:
+    """Boundary-trace samples along both wall rays with tangential derivative data."""
     R = spec.domain.radius
     r = np.linspace(R / n, R, n)
-    x, y = r * math.cos(theta), r * math.sin(theta)
-    vals = spec.phi_at(x, y)
-    tau = np.array([math.cos(theta), math.sin(theta)])
-    if spec.phi_grad is not None:
-        g = np.asarray(spec.phi_grad(x, y), dtype=float)
-        dtang = g[..., 0] * tau[0] + g[..., 1] * tau[1]
-    else:
-        dtang = np.gradient(vals, r)
-    grads = np.column_stack([dtang, np.zeros_like(dtang)])
-    return SampledField(np.column_stack([x, y]), vals, grads, None)
+    out = []
+    for theta in (spec.domain.wedge.theta_plus, spec.domain.wedge.theta_minus):
+        x, y = r * math.cos(theta), r * math.sin(theta)
+        vals = spec.phi_at(x, y)
+        tau = np.array([math.cos(theta), math.sin(theta)])
+        if spec.phi_grad is not None:
+            g = np.asarray(spec.phi_grad(x, y), dtype=float)
+            dtang = g[..., 0] * tau[0] + g[..., 1] * tau[1]
+        else:
+            dtang = np.gradient(vals, r)
+        grads = np.column_stack([dtang, np.zeros_like(dtang)])
+        out.append(SampledField(np.column_stack([x, y]), vals, grads, None))
+    return out
 
 
-def _arc_trace_field(spec: ProblemSpec, n: int = 120) -> list[SampledField]:
+def _arc_trace_fields(spec: ProblemSpec, n: int = 120) -> list[SampledField]:
     R = spec.domain.radius
     w = spec.domain.wedge
     out = []
@@ -397,10 +387,6 @@ def _arc_trace_field(spec: ProblemSpec, n: int = 120) -> list[SampledField]:
         grads = np.column_stack([dtang, np.zeros_like(dtang)])
         out.append(SampledField(np.column_stack([x, y]), vals, grads, None))
     return out
-
-
-def _trace_norm(field: SampledField, alpha: float, seed: int = 0) -> float:
-    return plain_norm(field, k=1, alpha=alpha, seed=seed)
 
 
 def estimate_ratio_corner(
@@ -432,15 +418,7 @@ def estimate_ratio_corner(
             lhs = max(lhs, weighted_norm(sub, params, pair_budget=pair_budget, seed=seed).total)
 
     sup_u = float(np.abs(fld.values).max())
-    sup_h = float(np.abs(spec.h_at(fld.points[:, 0], fld.points[:, 1])).max())
-    phi_norm = max(
-        _trace_norm(_wall_trace_field(spec, spec.domain.wedge.theta_plus), alpha, seed),
-        _trace_norm(_wall_trace_field(spec, spec.domain.wedge.theta_minus), alpha, seed),
-    )
-    g_norm = 0.0
-    for gf in _data_norm_fields(spec, fld.points, fld.regions):
-        g_norm = max(g_norm, _holder0_norm(gf, alpha, seed))
-    rhs = sup_u + phi_norm + sup_h + g_norm
+    rhs = _data_rhs(spec, fld, alpha, seed, sup_u, _wall_trace_fields(spec))
     desc = f"corner sectors {inner_fraction:.2g}R in R, beta={beta:.3g}"
     if rhs <= DEGENERATE_RHS:
         return EstimateRatio(lhs, rhs, "corner", desc, status="degenerate")
@@ -464,16 +442,8 @@ def estimate_ratio_global(
         sub = fld.restrict(fld.regions == side)
         if sub.n >= 2:
             lhs = max(lhs, weighted_norm(sub, params, pair_budget=pair_budget, seed=seed).total)
-    sup_h = float(np.abs(spec.h_at(fld.points[:, 0], fld.points[:, 1])).max())
-    phi_norm = max(
-        [_trace_norm(_wall_trace_field(spec, spec.domain.wedge.theta_plus), alpha, seed)]
-        + [_trace_norm(_wall_trace_field(spec, spec.domain.wedge.theta_minus), alpha, seed)]
-        + [_trace_norm(f, alpha, seed) for f in _arc_trace_field(spec)]
-    )
-    g_norm = 0.0
-    for gf in _data_norm_fields(spec, fld.points, fld.regions):
-        g_norm = max(g_norm, _holder0_norm(gf, alpha, seed))
-    rhs = phi_norm + sup_h + g_norm
+    traces = _wall_trace_fields(spec) + _arc_trace_fields(spec)
+    rhs = _data_rhs(spec, fld, alpha, seed, 0.0, traces)
     if rhs <= DEGENERATE_RHS:
         return EstimateRatio(lhs, rhs, "global", "full sector", status="degenerate")
     return EstimateRatio(lhs, rhs, "global", "full sector")

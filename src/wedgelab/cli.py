@@ -493,21 +493,11 @@ def _convergence_level(case: CaseSetup, h: float):
     return [h, fs.mesh.n_vertices, l2, bh1, linf, flux.mean_jump]
 
 
-def _convergence_rows(case: CaseSetup, levels: int, jobs: int = 1):
-    hs = [case.config.h * 0.5**k for k in range(levels)]
-    if jobs <= 1:
-        return [_convergence_level(case, h) for h in hs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda h: _convergence_level(case, h), hs))
-
-
 def cmd_convergence(args) -> int:
     cfg = load_case_config(args.config)
     case = build_case(cfg)
     guard = OutputGuard(Path(cfg.directory), args.force)
-    rows = _convergence_rows(case, args.levels, args.jobs)
+    rows = [_convergence_level(case, cfg.h * 0.5**k) for k in range(args.levels)]
     out = guard.path("convergence.csv")
     write_csv(out, ["h", "ndof", "L2", "brokenH1", "Linf", "flux_jump"], rows)
     steps = [("convergence", f"levels={args.levels}")]
@@ -630,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="refinement sweep with CSV/SVG artifacts")
     p.add_argument("config")
     p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1, help="solve levels concurrently")
     p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_convergence)
 

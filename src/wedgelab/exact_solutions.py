@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolarPoint, Wedge
+from .geometry import PolarPoint, Wedge, wedge_angles
 
 _DEGENERACY_TOL = 1e-14
 
@@ -314,7 +314,7 @@ def eval_separable_xy(s: SeparableSolution, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r = np.hypot(x, y)
-    theta = _wedge_angles(s.wedge, x, y)
+    theta = wedge_angles(s.wedge, x, y)
     return r**s.gamma * _theta_profile(s, theta)
 
 
@@ -329,7 +329,7 @@ def grad_separable_xy(s: SeparableSolution, x, y, side=None):
     r = np.hypot(x, y)
     if np.any((r == 0.0) & (s.gamma < 1.0)):
         raise ValueError("gradient is unbounded at the corner for gamma < 1")
-    theta = _wedge_angles(s.wedge, x, y)
+    theta = wedge_angles(s.wedge, x, y)
     T = _theta_profile(s, theta, side)
     dT = _theta_profile_deriv(s, theta, side)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -338,16 +338,6 @@ def grad_separable_xy(s: SeparableSolution, x, y, side=None):
     ur = s.gamma * rg1 * T
     ut = rg1 * dT
     return ur * ct - ut * st, ur * st + ut * ct
-
-
-def _wedge_angles(w: Wedge, x, y):
-    theta = np.arctan2(y, x)
-    theta = np.where((x == 0.0) & (y == 0.0), 0.0, theta)
-    if w.theta_plus > math.pi:
-        theta = np.where(theta < w.theta_minus, theta + 2.0 * math.pi, theta)
-    elif w.theta_minus < -math.pi:
-        theta = np.where(theta > w.theta_plus, theta - 2.0 * math.pi, theta)
-    return theta
 
 
 def corrector_determinant(a0: float, wedge: Wedge) -> float:
@@ -398,6 +388,6 @@ def barrier_eval_xy(b: Barrier, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r = np.hypot(x, y)
-    theta = _wedge_angles(b.wedge, x, y)
+    theta = wedge_angles(b.wedge, x, y)
     nu = 1.0 + b.alpha + b.tau0
     return b.amplitude * r ** (1.0 + b.alpha) * np.cos(nu * theta)

@@ -98,28 +98,33 @@ def from_polar(pp: PolarPoint) -> tuple[float, float]:
     return (pp.r * math.cos(pp.theta), pp.r * math.sin(pp.theta))
 
 
-def wedge_angle(w: Wedge, x: float, y: float) -> float:
-    """Angle of (x, y) mapped into the branch closest to [theta_minus, theta_plus].
+def wedge_angles(w: Wedge, x, y):
+    """Angles of the points (x, y) mapped into the branch closest to [theta_minus, theta_plus].
 
-    atan2 returns values in (-pi, pi]; wedges may extend beyond pi, so shift
-    by 2*pi when that lands the angle inside (or closer to) the wedge range.
+    arctan2 returns values in (-pi, pi]; wedges may extend beyond pi, so an
+    angle moves to theta - 2*pi or theta + 2*pi (tried in that order) only
+    when that is strictly closer to the wedge range.  The origin has angle 0.
     """
-    theta = math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0
-    best = theta
-    for cand in (theta - _TWO_PI, theta + _TWO_PI):
-        if _interval_dist(cand, w.theta_minus, w.theta_plus) < _interval_dist(
-            best, w.theta_minus, w.theta_plus
-        ):
-            best = cand
-    return best
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    theta = np.where((x == 0.0) & (y == 0.0), 0.0, np.arctan2(y, x))
+    dist = _interval_dist(theta, w.theta_minus, w.theta_plus)
+    for shift in (-_TWO_PI, _TWO_PI):
+        cand = theta + shift
+        cand_dist = _interval_dist(cand, w.theta_minus, w.theta_plus)
+        closer = cand_dist < dist
+        theta = np.where(closer, cand, theta)
+        dist = np.where(closer, cand_dist, dist)
+    return theta
 
 
-def _interval_dist(t: float, lo: float, hi: float) -> float:
-    if t < lo:
-        return lo - t
-    if t > hi:
-        return t - hi
-    return 0.0
+def wedge_angle(w: Wedge, x: float, y: float) -> float:
+    """Scalar ``wedge_angles``."""
+    return float(wedge_angles(w, x, y))
+
+
+def _interval_dist(t, lo: float, hi: float):
+    return np.maximum(np.maximum(lo - t, t - hi), 0.0)
 
 
 def _ray_segment_dist(x: float, y: float, angle: float, length: float) -> float:
@@ -162,7 +167,7 @@ def classify_point(d: DomainSpec, p, tol: float | None = None) -> Region:
 
 def delta_dist(p, edge_point=(0.0, 0.0)) -> float:
     """Distance to the edge point, capped at 1."""
-    return min(math.hypot(p[0] - edge_point[0], p[1] - edge_point[1]), 1.0)
+    return float(delta_dist_arr(np.asarray([p], dtype=float), edge_point)[0])
 
 
 def delta_dist_arr(points: np.ndarray, edge_point=(0.0, 0.0)) -> np.ndarray:
@@ -214,17 +219,38 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def _edge_counts(triangles: np.ndarray) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def edge_table(triangles: np.ndarray):
+    """Unique edges of a triangulation and the triangles on each.
 
+    Returns ``(edges, tri_edges, counts, neighbors)``:
 
-def boundary_edges(mesh: Mesh) -> list[tuple[int, int]]:
-    return [e for e, n in _edge_counts(mesh.triangles).items() if n == 1]
+    - ``edges`` (ne, 2): vertex pairs ``lo < hi`` in lexicographic order;
+    - ``tri_edges`` (nt, 3): edge ids, entry i being the edge opposite vertex i;
+    - ``counts`` (ne,): number of triangles on each edge (1 on the boundary,
+      2 inside a conforming mesh);
+    - ``neighbors`` (nt, 3): the triangle across edge i, or -1 when that edge
+      does not have exactly two triangles.
+    """
+    tri = np.asarray(triangles, dtype=np.int64)
+    nt = tri.shape[0]
+    nv = int(tri.max()) + 1
+    u, v = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
+    keys, first, inverse, counts = np.unique(
+        (np.minimum(u, v) * nv + np.maximum(u, v)).ravel(),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    edges = np.column_stack([keys // nv, keys % nv])
+    # slot 3t + i holds edge i of triangle t; pair each slot with the other
+    # slot of its edge
+    slot = np.arange(3 * nt)
+    later = slot != first[inverse]
+    second = first.copy()
+    second[inverse[later]] = slot[later]
+    other = np.where(later, first[inverse], second[inverse])
+    neighbors = np.where(counts[inverse] == 2, other // 3, -1).reshape(nt, 3)
+    return edges, inverse.reshape(nt, 3), counts, neighbors
 
 
 def validate_mesh(mesh: Mesh, domain: DomainSpec | None = None) -> None:
@@ -233,13 +259,17 @@ def validate_mesh(mesh: Mesh, domain: DomainSpec | None = None) -> None:
     if not np.all(areas > 0.0):
         raise GeometryError("mesh contains non-positively-oriented or degenerate triangles")
 
-    counts = _edge_counts(mesh.triangles)
-    bad = [e for e, n in counts.items() if n > 2]
-    if bad:
-        raise GeometryError(f"non-conforming mesh: edges shared by >2 triangles: {bad[:5]}")
-    for (u, v), n in counts.items():
-        if n == 1 and not (mesh.boundary[u] and mesh.boundary[v]):
-            raise GeometryError(f"boundary edge ({u},{v}) has unflagged endpoint")
+    edges, _, counts, _ = edge_table(mesh.triangles)
+    if np.any(counts > 2):
+        raise GeometryError(
+            "non-conforming mesh: edges shared by >2 triangles: "
+            f"{edges[counts > 2][:5].tolist()}"
+        )
+    outer = edges[counts == 1]
+    unflagged = outer[~(mesh.boundary[outer[:, 0]] & mesh.boundary[outer[:, 1]])]
+    if unflagged.size:
+        u, v = unflagged[0]
+        raise GeometryError(f"boundary edge ({u},{v}) has unflagged endpoint")
 
     # interface fit: no triangle straddles theta = 0 (the positive x-axis)
     scale = float(np.max(np.abs(mesh.vertices))) or 1.0
@@ -252,14 +282,10 @@ def validate_mesh(mesh: Mesh, domain: DomainSpec | None = None) -> None:
         raise GeometryError(f"{int(straddles.sum())} triangles straddle the interface")
 
     bary = mesh.barycenters()
-    sign = np.where(bary[:, 1] >= 0.0, 1, -1)
     # reflex wedges put part of the upper subdomain below the x-axis; compare
     # by angle instead of raw y-sign when a domain is supplied
-    if domain is not None:
-        ang = np.array(
-            [wedge_angle(domain.wedge, bx, by) for bx, by in bary], dtype=float
-        )
-        sign = np.where(ang >= 0.0, 1, -1)
+    side = bary[:, 1] if domain is None else wedge_angles(domain.wedge, bary[:, 0], bary[:, 1])
+    sign = np.where(side >= 0.0, 1, -1)
     if not np.array_equal(sign.astype(np.int8), mesh.region):
         raise GeometryError("region tags disagree with barycenter side")
 
@@ -300,117 +326,89 @@ def generate_mesh(domain: DomainSpec, h: float, mu: float = 1.0) -> Mesh:
         raise GeometryError("h too coarse to resolve the sector (fewer than 2 layers)")
     n_minus = max(1, math.ceil(-w.theta_minus * R / h))
     n_plus = max(1, math.ceil(w.theta_plus * R / h))
+    layers = R * (np.arange(1, n_layers + 1) / n_layers) ** (1.0 / mu)
+    mesh = _polar_mesh(w, layers, n_minus, n_plus, mu)
+    validate_mesh(mesh, domain)
+    return mesh
+
+
+def _polar_mesh(w: Wedge, layers: np.ndarray, n_minus: int, n_plus: int, mu: float) -> Mesh:
+    """Tensor mesh on circular layers and on n_minus + n_plus + 1 rays.
+
+    The rays split [theta_minus, 0] and [0, theta_plus] evenly.  Vertex 0 is
+    the corner and vertex 1 + i * n_rays + j lies on layer i, ray j; the
+    first layer is a fan about the corner, each further layer a band of
+    quadrilaterals, each cut along the diagonal from its inner vertex on
+    ray j to its outer vertex on ray j + 1.
+    """
     thetas = np.concatenate(
         [
             np.linspace(w.theta_minus, 0.0, n_minus + 1)[:-1],
             np.linspace(0.0, w.theta_plus, n_plus + 1),
         ]
     )
-    iface_col = n_minus
     n_rays = thetas.size
-
-    layers = R * (np.arange(1, n_layers + 1) / n_layers) ** (1.0 / mu)
     rr = np.repeat(layers, n_rays)
-    tt = np.tile(thetas, n_layers)
+    tt = np.tile(thetas, layers.size)
     ring = np.column_stack([rr * np.cos(tt), rr * np.sin(tt)])
     vertices = np.vstack([[0.0, 0.0], ring])
+    ids = 1 + np.arange(layers.size * n_rays).reshape(layers.size, n_rays)
 
-    def vid(i: int, j: int) -> int:  # layer i >= 1, ray j
-        return 1 + (i - 1) * n_rays + j
-
-    tris: list[tuple[int, int, int]] = []
-    tags: list[int] = []
-    for j in range(n_rays - 1):
-        tris.append((0, vid(1, j), vid(1, j + 1)))
-        tags.append(1 if j >= iface_col else -1)
-    for i in range(1, n_layers):
-        for j in range(n_rays - 1):
-            a, b = vid(i, j), vid(i, j + 1)
-            c, dd = vid(i + 1, j), vid(i + 1, j + 1)
-            tris.append((a, c, dd))
-            tris.append((a, dd, b))
-            tag = 1 if j >= iface_col else -1
-            tags.extend((tag, tag))
+    fan = np.column_stack([np.zeros(n_rays - 1, dtype=np.int64), ids[0, :-1], ids[0, 1:]])
+    a, b = ids[:-1, :-1], ids[:-1, 1:]
+    c, d = ids[1:, :-1], ids[1:, 1:]
+    bands = np.stack([a, c, d, a, d, b], axis=-1).reshape(-1, 3)
+    tag = np.where(np.arange(n_rays - 1) >= n_minus, 1, -1).astype(np.int8)
 
     boundary = np.zeros(vertices.shape[0], dtype=bool)
     boundary[0] = True
-    for i in range(1, n_layers + 1):
-        boundary[vid(i, 0)] = True
-        boundary[vid(i, n_rays - 1)] = True
-    for j in range(n_rays):
-        boundary[vid(n_layers, j)] = True
+    boundary[ids[:, [0, -1]]] = True
+    boundary[ids[-1]] = True
+    ray = np.concatenate([[0], ids[:, n_minus]])
 
-    iface = [(0, vid(1, iface_col))]
-    iface.extend(
-        (vid(i, iface_col), vid(i + 1, iface_col)) for i in range(1, n_layers)
-    )
-
-    mesh = Mesh(
+    return Mesh(
         vertices=vertices,
-        triangles=np.asarray(tris, dtype=np.int64),
-        region=np.asarray(tags, dtype=np.int8),
-        interface_edges=np.asarray(iface, dtype=np.int64),
+        triangles=np.vstack([fan, bands]),
+        region=np.concatenate([tag, np.tile(np.repeat(tag, 2), layers.size - 1)]),
+        interface_edges=np.column_stack([ray[:-1], ray[1:]]),
         boundary=boundary,
         grading_mu=float(mu),
     )
-    validate_mesh(mesh, domain)
-    return mesh
-
-
-def _interface_edges_from_scratch(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.abs(vertices))) or 1.0
-    eps = 1e-12 * scale
-    on_ray = (np.abs(vertices[:, 1]) <= eps) & (vertices[:, 0] >= -eps)
-    edges = set()
-    for a, b, c in triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            if on_ray[u] and on_ray[v]:
-                edges.add((u, v) if u < v else (v, u))
-    if not edges:
-        return np.zeros((0, 2), dtype=np.int64)
-    arr = np.asarray(sorted(edges), dtype=np.int64)
-    return arr
 
 
 def refine_regular(mesh: Mesh) -> Mesh:
-    """Split every triangle into four congruent children via edge midpoints."""
-    verts = [mesh.vertices]
-    midpoint: dict[tuple[int, int], int] = {}
-    next_id = mesh.n_vertices
-    new_pts: list[np.ndarray] = []
+    """Split every triangle into four congruent children via edge midpoints.
 
-    def mid(u: int, v: int) -> int:
-        nonlocal next_id
-        key = (u, v) if u < v else (v, u)
-        idx = midpoint.get(key)
-        if idx is None:
-            idx = next_id
-            midpoint[key] = idx
-            new_pts.append(0.5 * (mesh.vertices[u] + mesh.vertices[v]))
-            next_id += 1
-        return idx
+    Midpoints are numbered after the parent's vertices, in the order in
+    which a sweep over the triangles and their edges ab, bc, ca first meets
+    each edge.
+    """
+    nv = mesh.n_vertices
+    edges, tri_edges, counts, _ = edge_table(mesh.triangles)
+    _, first_touch = np.unique(tri_edges[:, [2, 0, 1]], return_index=True)
+    order = np.argsort(first_touch)
+    mid = np.empty(edges.shape[0], dtype=np.int64)
+    mid[order] = np.arange(nv, nv + edges.shape[0])
+    new_pts = 0.5 * (mesh.vertices[edges[order, 0]] + mesh.vertices[edges[order, 1]])
+    vertices = np.vstack([mesh.vertices, new_pts])
 
-    tris: list[tuple[int, int, int]] = []
-    tags: list[int] = []
-    for (a, b, c), tag in zip(mesh.triangles, mesh.region):
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-        tags.extend([tag] * 4)
+    a, b, c = mesh.triangles.T
+    mbc, mca, mab = mid[tri_edges].T
+    children = [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca]
+    triangles = np.stack(children, axis=1).reshape(-1, 3)
 
-    vertices = np.vstack([mesh.vertices] + new_pts) if new_pts else mesh.vertices
-    boundary = np.zeros(vertices.shape[0], dtype=bool)
-    boundary[: mesh.n_vertices] = mesh.boundary
-    bedges = set(boundary_edges(mesh))
-    for (u, v), idx in midpoint.items():
-        if (u, v) in bedges:
-            boundary[idx] = True
+    boundary = np.concatenate([mesh.boundary, np.zeros(edges.shape[0], dtype=bool)])
+    boundary[mid[counts == 1]] = True
 
-    triangles = np.asarray(tris, dtype=np.int64)
+    scale = float(np.max(np.abs(vertices))) or 1.0
+    eps = 1e-12 * scale
+    on_ray = (np.abs(vertices[:, 1]) <= eps) & (vertices[:, 0] >= -eps)
+    child_edges = edge_table(triangles)[0]
     return Mesh(
         vertices=vertices,
         triangles=triangles,
-        region=np.asarray(tags, dtype=np.int8),
-        interface_edges=_interface_edges_from_scratch(vertices, triangles),
+        region=np.repeat(mesh.region, 4),
+        interface_edges=child_edges[on_ray[child_edges[:, 0]] & on_ray[child_edges[:, 1]]],
         boundary=boundary,
         grading_mu=mesh.grading_mu,
     )
@@ -426,31 +424,10 @@ def generate_nonobtuse_mesh(domain: DomainSpec, levels: int = 3) -> Mesh:
     """
     if levels < 0:
         raise GeometryError("refinement level count must be nonnegative")
-    R = domain.radius
     w = domain.wedge
     n_minus = max(1, math.ceil(-w.theta_minus / (0.5 * math.pi)))
     n_plus = max(1, math.ceil(w.theta_plus / (0.5 * math.pi)))
-    thetas = np.concatenate(
-        [
-            np.linspace(w.theta_minus, 0.0, n_minus + 1)[:-1],
-            np.linspace(0.0, w.theta_plus, n_plus + 1),
-        ]
-    )
-    vertices = np.vstack(
-        [[0.0, 0.0], np.column_stack([R * np.cos(thetas), R * np.sin(thetas)])]
-    )
-    tris = [(0, j + 1, j + 2) for j in range(thetas.size - 1)]
-    tags = [1 if j >= n_minus else -1 for j in range(thetas.size - 1)]
-    boundary = np.ones(vertices.shape[0], dtype=bool)
-    triangles = np.asarray(tris, dtype=np.int64)
-    mesh = Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        region=np.asarray(tags, dtype=np.int8),
-        interface_edges=_interface_edges_from_scratch(vertices, triangles),
-        boundary=boundary,
-        grading_mu=1.0,
-    )
+    mesh = _polar_mesh(w, np.array([domain.radius]), n_minus, n_plus, 1.0)
     for _ in range(levels):
         mesh = refine_regular(mesh)
     validate_mesh(mesh, domain)

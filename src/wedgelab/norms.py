@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import delta_dist_arr
+
 EXACT_PAIR_POINT_LIMIT = 3000
 DEFAULT_RANDOM_PAIR_BUDGET = 4_500_000
 PAIR_DIST_FLOOR = 1e-9
@@ -122,13 +124,6 @@ class NormReport:
         return lines
 
 
-def _deltas(field: SampledField, edge_point) -> np.ndarray:
-    d = np.hypot(
-        field.points[:, 0] - edge_point[0], field.points[:, 1] - edge_point[1]
-    )
-    return np.minimum(d, 1.0)
-
-
 def _order_data(field: SampledField, order: int) -> np.ndarray:
     if order == 0:
         return field.values[:, None]
@@ -147,7 +142,7 @@ def weighted_seminorm_k0(field: SampledField, params: NormParams, order: int | N
     w_exp = max(i + params.tau, 0.0)
     if w_exp == 0.0:
         return float(mags.max())
-    return float((_deltas(field, params.edge_point) ** w_exp * mags).max())
+    return float((delta_dist_arr(field.points, params.edge_point) ** w_exp * mags).max())
 
 
 def _pair_scan(
@@ -252,7 +247,7 @@ def weighted_seminorm_kalpha(
     value, info = _pair_scan(
         field.points,
         data,
-        _deltas(field, params.edge_point),
+        delta_dist_arr(field.points, params.edge_point),
         w_exp,
         params.alpha,
         pair_budget,

@@ -203,14 +203,6 @@ class TestConvergenceCommand:
         rate = float(next(l for l in out.splitlines() if l.startswith("L2_rate")).split("=")[1])
         assert 1.5 < rate < 2.5
 
-    def test_parallel_levels_match_serial(self, tmp_path, capsys):
-        cfg, outdir = write_config(tmp_path)
-        assert main(["convergence", str(cfg), "--levels", "2"]) == EXIT_OK
-        serial = (outdir / "convergence.csv").read_bytes()
-        cfg2, outdir2 = write_config(tmp_path, name="case2.cfg", outdir=tmp_path / "out2")
-        assert main(["convergence", str(cfg2), "--levels", "2", "--jobs", "2"]) == EXIT_OK
-        assert (outdir2 / "convergence.csv").read_bytes() == serial
-
 
 class TestFitCommand:
     def test_fit_outputs(self, tmp_path, capsys):

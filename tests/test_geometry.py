@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgelab.geometry import (
     GeometryError,
@@ -9,6 +11,7 @@ from wedgelab.geometry import (
     Region,
     classify_point,
     delta_dist,
+    edge_table,
     export_mesh,
     from_polar,
     generate_mesh,
@@ -20,9 +23,138 @@ from wedgelab.geometry import (
     to_polar,
     triangle_areas,
     validate_mesh,
+    wedge_angles,
 )
 
 PI = math.pi
+
+
+# Reference implementations: the per-element loops the vectorized code replaced.
+
+
+def ref_wedge_angle(w, x, y):
+    theta = math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0
+    best = theta
+    for cand in (theta - 2 * PI, theta + 2 * PI):
+        if ref_interval_dist(cand, w.theta_minus, w.theta_plus) < ref_interval_dist(
+            best, w.theta_minus, w.theta_plus
+        ):
+            best = cand
+    return best
+
+
+def ref_interval_dist(t, lo, hi):
+    if t < lo:
+        return lo - t
+    if t > hi:
+        return t - hi
+    return 0.0
+
+
+def ref_edge_counts(triangles):
+    counts = {}
+    for a, b, c in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = (u, v) if u < v else (v, u)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def ref_boundary_edges(triangles):
+    return [e for e, n in ref_edge_counts(triangles).items() if n == 1]
+
+
+def ref_interface_edges(vertices, triangles):
+    scale = float(np.max(np.abs(vertices))) or 1.0
+    eps = 1e-12 * scale
+    on_ray = (np.abs(vertices[:, 1]) <= eps) & (vertices[:, 0] >= -eps)
+    edges = set()
+    for a, b, c in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            if on_ray[u] and on_ray[v]:
+                edges.add((u, v) if u < v else (v, u))
+    if not edges:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.asarray(sorted(edges), dtype=np.int64)
+
+
+def ref_neighbors(triangles):
+    nbrs = -np.ones((triangles.shape[0], 3), dtype=np.int64)
+    owner = {}
+    for t, (a, b, c) in enumerate(triangles):
+        for i, (u, v) in enumerate(((b, c), (c, a), (a, b))):
+            key = (u, v) if u < v else (v, u)
+            if key in owner:
+                t2, i2 = owner.pop(key)
+                nbrs[t, i] = t2
+                nbrs[t2, i2] = t
+            else:
+                owner[key] = (t, i)
+    return nbrs
+
+
+def ref_refine_regular(mesh):
+    midpoint = {}
+    new_pts = []
+
+    def mid(u, v):
+        key = (u, v) if u < v else (v, u)
+        if key not in midpoint:
+            midpoint[key] = mesh.n_vertices + len(new_pts)
+            new_pts.append(0.5 * (mesh.vertices[u] + mesh.vertices[v]))
+        return midpoint[key]
+
+    tris, tags = [], []
+    for (a, b, c), tag in zip(mesh.triangles, mesh.region):
+        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+        tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+        tags.extend([tag] * 4)
+    vertices = np.vstack([mesh.vertices] + new_pts)
+    boundary = np.zeros(vertices.shape[0], dtype=bool)
+    boundary[: mesh.n_vertices] = mesh.boundary
+    bedges = set(ref_boundary_edges(mesh.triangles))
+    for key, idx in midpoint.items():
+        boundary[idx] = key in bedges
+    triangles = np.asarray(tris, dtype=np.int64)
+    return vertices, triangles, np.asarray(tags, dtype=np.int8), boundary
+
+
+def ref_polar_topology(n_layers, n_rays, iface_col):
+    """Triangles, tags, boundary flags and interface edges of generate_mesh."""
+
+    def vid(i, j):
+        return 1 + (i - 1) * n_rays + j
+
+    tris, tags = [], []
+    for j in range(n_rays - 1):
+        tris.append((0, vid(1, j), vid(1, j + 1)))
+        tags.append(1 if j >= iface_col else -1)
+    for i in range(1, n_layers):
+        for j in range(n_rays - 1):
+            a, b = vid(i, j), vid(i, j + 1)
+            c, d = vid(i + 1, j), vid(i + 1, j + 1)
+            tris.extend([(a, c, d), (a, d, b)])
+            tags.extend([1 if j >= iface_col else -1] * 2)
+    boundary = np.zeros(1 + n_layers * n_rays, dtype=bool)
+    boundary[0] = True
+    for i in range(1, n_layers + 1):
+        boundary[vid(i, 0)] = boundary[vid(i, n_rays - 1)] = True
+    for j in range(n_rays):
+        boundary[vid(n_layers, j)] = True
+    iface = [(0, vid(1, iface_col))]
+    iface.extend((vid(i, iface_col), vid(i + 1, iface_col)) for i in range(1, n_layers))
+    return np.asarray(tris), np.asarray(tags), boundary, np.asarray(iface)
+
+
+REFLEX = sector(-3 * PI / 4, 2 * PI / 3, 1.0)
+TOPOLOGY_MESHES = [
+    ("straight", lambda: generate_mesh(sector(-PI / 4, 3 * PI / 4, 1.0), 0.1, 1.0)),
+    ("reflex", lambda: generate_mesh(REFLEX, 0.1, 1.0)),
+    ("graded", lambda: generate_mesh(sector(-PI / 4, 3 * PI / 4, 1.0), 0.07, 0.6)),
+] + [
+    (f"nonobtuse{lev}", lambda lev=lev: generate_nonobtuse_mesh(REFLEX, lev))
+    for lev in range(5)
+]
 
 
 class TestWedge:
@@ -162,13 +294,24 @@ class TestGenerateMesh:
 
     def test_conformity_interior_edges_shared_twice(self, dom):
         mesh = generate_mesh(dom, 0.2, 1.0)
-        from wedgelab.geometry import _edge_counts
-
-        counts = _edge_counts(mesh.triangles)
-        assert set(counts.values()) <= {1, 2}
-        for (u, v), c in counts.items():
+        edges, _, counts, _ = edge_table(mesh.triangles)
+        assert set(counts.tolist()) <= {1, 2}
+        for (u, v), c in zip(edges, counts):
             if c == 1:
                 assert mesh.boundary[u] and mesh.boundary[v]
+
+    @pytest.mark.parametrize(
+        "tm,tp,h,mu", [(-PI / 4, 3 * PI / 4, 0.05, 0.8), (-3 * PI / 4, 2 * PI / 3, 0.1, 0.6)]
+    )
+    def test_topology_matches_loop_reference(self, tm, tp, h, mu):
+        mesh = generate_mesh(sector(tm, tp, 1.0), h, mu)
+        n_minus, n_plus = math.ceil(-tm / h), math.ceil(tp / h)
+        n_layers, n_rays = math.ceil(1 / h), n_minus + n_plus + 1
+        tris, tags, boundary, iface = ref_polar_topology(n_layers, n_rays, n_minus)
+        assert np.array_equal(mesh.triangles, tris)
+        assert np.array_equal(mesh.region, tags)
+        assert np.array_equal(mesh.boundary, boundary)
+        assert np.array_equal(mesh.interface_edges, iface)
 
     def test_interface_fit(self, dom):
         mesh = generate_mesh(dom, 0.15, 0.7)
@@ -211,6 +354,81 @@ class TestNonObtuse:
         fine = refine_regular(coarse)
         assert fine.n_triangles == 4 * coarse.n_triangles
         validate_mesh(fine, dom)
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("name,build", TOPOLOGY_MESHES, ids=[m[0] for m in TOPOLOGY_MESHES])
+    def test_matches_loop_references(self, name, build):
+        mesh = build()
+        edges, tri_edges, counts, neighbors = edge_table(mesh.triangles)
+        ref = ref_edge_counts(mesh.triangles)
+        assert edges.tolist() == sorted(map(list, ref))
+        assert counts.tolist() == [ref[k] for k in sorted(ref)]
+        assert edges[counts == 1].tolist() == sorted(map(list, ref_boundary_edges(mesh.triangles)))
+        assert np.array_equal(neighbors, ref_neighbors(mesh.triangles))
+        assert np.array_equal(mesh.interface_edges, ref_interface_edges(mesh.vertices, mesh.triangles))
+        # local edge i is the one opposite vertex i
+        for i in range(3):
+            ends = np.sort(mesh.triangles[:, [(i + 1) % 3, (i + 2) % 3]], axis=1)
+            assert np.array_equal(edges[tri_edges[:, i]], ends)
+
+    @pytest.mark.parametrize("lev", range(4))
+    def test_refine_regular_matches_loop_reference(self, lev):
+        coarse = generate_nonobtuse_mesh(REFLEX, lev)
+        fine = refine_regular(coarse)
+        vertices, triangles, region, boundary = ref_refine_regular(coarse)
+        assert np.array_equal(fine.vertices, vertices)
+        assert np.array_equal(fine.triangles, triangles)
+        assert np.array_equal(fine.region, region)
+        assert np.array_equal(fine.boundary, boundary)
+        assert np.array_equal(fine.interface_edges, ref_interface_edges(vertices, triangles))
+
+
+_NEAR_AXIS = st.floats(-1e-9, 1e-9)
+ANGLES = st.one_of(
+    st.floats(-PI, PI),
+    _NEAR_AXIS,
+    _NEAR_AXIS.map(lambda t: PI - abs(t)),
+    _NEAR_AXIS.map(lambda t: -PI + abs(t)),
+)
+POINTS = st.one_of(
+    st.tuples(st.floats(1e-6, 10.0), ANGLES).map(
+        lambda p: (p[0] * math.cos(p[1]), p[0] * math.sin(p[1]))
+    ),
+    # the origin (with signed zeros) and points on the axes
+    st.sampled_from(
+        [(0.0, 0.0), (-0.0, -0.0), (1.0, 0.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (0.0, -1.0)]
+    ),
+)
+
+
+@st.composite
+def wedges(draw):
+    tm = draw(st.floats(-2 * PI + 1e-5, -1e-6))
+    tp = draw(st.floats(1e-6, 2 * PI + tm - 1e-9))
+    return make_wedge(tm, tp)
+
+
+WEDGES = st.one_of(
+    wedges(),
+    st.sampled_from([
+        (-PI / 4, 3 * PI / 4),
+        (-3 * PI / 4, 2 * PI / 3),  # reflex
+        (-1e-3, 2 * PI - 2e-3),  # openings near 2 pi
+        (-(2 * PI - 2e-3), 1e-3),
+        (-PI, PI - 1e-9),
+    ]).map(lambda t: make_wedge(*t)),
+)
+
+
+class TestWedgeAngles:
+    @settings(max_examples=300, deadline=None)
+    @given(w=WEDGES, pts=st.lists(POINTS, min_size=1, max_size=20))
+    def test_matches_scalar_closest_branch(self, w, pts):
+        x = np.array([p[0] for p in pts])
+        y = np.array([p[1] for p in pts])
+        ref = np.array([ref_wedge_angle(w, a, b) for a, b in pts])
+        np.testing.assert_allclose(wedge_angles(w, x, y), ref, rtol=0.0, atol=4e-15)
 
 
 class TestExport:
