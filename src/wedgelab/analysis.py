@@ -297,7 +297,6 @@ def _data_rhs(
     spec: ProblemSpec,
     fld: SampledField,
     alpha: float,
-    seed: int,
     sup_u: float,
     traces: list[SampledField],
 ) -> float:
@@ -307,7 +306,7 @@ def _data_rhs(
     ``traces``, sup|h|, and the largest per-side Holder norm of a component
     of g.
     """
-    rhs = sup_u + max((plain_norm(f, k=1, alpha=alpha, seed=seed) for f in traces), default=0.0)
+    rhs = sup_u + max((plain_norm(f, k=1, alpha=alpha) for f in traces), default=0.0)
     rhs += float(np.abs(spec.h_at(fld.points[:, 0], fld.points[:, 1])).max())
     gvals = spec.g_at(fld.points[:, 0], fld.points[:, 1], fld.regions)
     g_norm = 0.0
@@ -317,7 +316,7 @@ def _data_rhs(
             continue
         for comp in (0, 1):
             gf = SampledField(fld.points[mask], gvals[mask, comp], None, None)
-            g_norm = max(g_norm, plain_norm(gf, k=0, alpha=alpha, seed=seed))
+            g_norm = max(g_norm, plain_norm(gf, k=0, alpha=alpha))
     return rhs + g_norm
 
 
@@ -327,14 +326,14 @@ def estimate_ratio_interior(
     center: tuple[float, float],
     r_inner: float,
     alpha: float,
-    seed: int = 0,
     pair_budget: int | None = None,
 ) -> EstimateRatio:
     """Measured interior-estimate ratio on the ball pair B(c, r) in B(c, 2r).
 
     lhs: max over sides of the unweighted ||u||_{1,alpha} estimate on the
     inner ball; rhs: sup|u| on the outer ball + sup|h| + the per-component
-    Holder norms of g.  The solve must cover the outer ball.
+    Holder norms of g.  The solve must cover the outer ball.  ``pair_budget``
+    is ignored: every pair scan is exact.
     """
     fld = solution_field(fs)
     d = np.hypot(fld.points[:, 0] - center[0], fld.points[:, 1] - center[1])
@@ -347,9 +346,9 @@ def estimate_ratio_interior(
     for side in (1, -1):
         sub = inner.restrict(inner.regions == side)
         if sub.n >= 2:
-            lhs = max(lhs, plain_norm(sub, k=1, alpha=alpha, seed=seed, pair_budget=pair_budget))
+            lhs = max(lhs, plain_norm(sub, k=1, alpha=alpha))
 
-    rhs = _data_rhs(spec, outer, alpha, seed, float(np.abs(outer.values).max()), [])
+    rhs = _data_rhs(spec, outer, alpha, float(np.abs(outer.values).max()), [])
     desc = f"interior ball r={r_inner:.3g} at ({center[0]:.3g},{center[1]:.3g})"
     if rhs <= DEGENERATE_RHS:
         return EstimateRatio(lhs, rhs, "interior", desc, status="degenerate")
@@ -395,7 +394,6 @@ def estimate_ratio_corner(
     beta: float,
     alpha: float,
     inner_fraction: float = 0.5,
-    seed: int = 0,
     pair_budget: int | None = None,
 ) -> EstimateRatio:
     """Measured corner-estimate ratio on nested sectors W_(fR) in W_R.
@@ -403,6 +401,7 @@ def estimate_ratio_corner(
     lhs: max over sides of the edge-weighted ||u||_{1,alpha} with weight
     exponent tau = -beta on the inner sector; rhs: sup|u| + the wall trace
     norms of phi + sup|h| + the Holder norms of g over the full sector.
+    ``pair_budget`` is ignored: every pair scan is exact.
     """
     fld = solution_field(fs)
     R = spec.domain.radius
@@ -415,10 +414,10 @@ def estimate_ratio_corner(
     for side in (1, -1):
         sub = inner.restrict(inner.regions == side)
         if sub.n >= 2:
-            lhs = max(lhs, weighted_norm(sub, params, pair_budget=pair_budget, seed=seed).total)
+            lhs = max(lhs, weighted_norm(sub, params).total)
 
     sup_u = float(np.abs(fld.values).max())
-    rhs = _data_rhs(spec, fld, alpha, seed, sup_u, _wall_trace_fields(spec))
+    rhs = _data_rhs(spec, fld, alpha, sup_u, _wall_trace_fields(spec))
     desc = f"corner sectors {inner_fraction:.2g}R in R, beta={beta:.3g}"
     if rhs <= DEGENERATE_RHS:
         return EstimateRatio(lhs, rhs, "corner", desc, status="degenerate")
@@ -430,20 +429,20 @@ def estimate_ratio_global(
     spec: ProblemSpec,
     beta: float,
     alpha: float,
-    seed: int = 0,
     pair_budget: int | None = None,
 ) -> EstimateRatio:
     """Global-estimate ratio: weighted norm over the whole sector against
-    the data-only aggregate (trace, h, and g norms; no solution term)."""
+    the data-only aggregate (trace, h, and g norms; no solution term).
+    ``pair_budget`` is ignored: every pair scan is exact."""
     fld = solution_field(fs)
     params = NormParams(k=1, alpha=alpha, tau=-beta)
     lhs = 0.0
     for side in (1, -1):
         sub = fld.restrict(fld.regions == side)
         if sub.n >= 2:
-            lhs = max(lhs, weighted_norm(sub, params, pair_budget=pair_budget, seed=seed).total)
+            lhs = max(lhs, weighted_norm(sub, params).total)
     traces = _wall_trace_fields(spec) + _arc_trace_fields(spec)
-    rhs = _data_rhs(spec, fld, alpha, seed, 0.0, traces)
+    rhs = _data_rhs(spec, fld, alpha, 0.0, traces)
     if rhs <= DEGENERATE_RHS:
         return EstimateRatio(lhs, rhs, "global", "full sector", status="degenerate")
     return EstimateRatio(lhs, rhs, "global", "full sector")

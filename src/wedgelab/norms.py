@@ -9,9 +9,11 @@ With delta(x) = min(|x - E|, 1) the estimated quantities are
                          * |D^k f(x) - D^k f(y)| / |x - y|^a,
     ||f||_{k,a} = sum_{i<=k} [f]_{i,0} + [f]_{k,a},
 
-with |.| the Euclidean norm of the gradient when k = 1.  Pair scans run
-exhaustively up to ``EXACT_PAIR_POINT_LIMIT`` points and switch to a seeded
-randomized subsample above that (the evaluated pair count is reported).
+with |.| the Euclidean norm of the gradient when k = 1.  The pair max is
+exact over all pairs: a dual-tree branch and bound (Gray & Moore, "N-body
+problems in statistical learning", NIPS 2000) brute-forces only the node
+pairs whose quotient bound can beat the best pair found so far, and reports
+the quotients it evaluated and the argmax pair.
 Also provided: the diameter-scaled ("primed") norm and the dilation-decay
 norm  sup_r r^(1-s) (mean_{rD} |f|^p)^(1/p)  over a dyadic radius set.
 """
@@ -23,13 +25,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .geometry import delta_dist_arr
 
-EXACT_PAIR_POINT_LIMIT = 3000
-DEFAULT_RANDOM_PAIR_BUDGET = 4_500_000
 PAIR_DIST_FLOOR = 1e-9
-_BLOCK = 256
+_BLOCK = 256  # rows per step of the all-pairs reference scan
+_LEAF = 32  # most points in a kd-tree leaf
+_CHUNK = 8192  # most node pairs bounded per step of the tree walk
+_LEAF_BATCH = 64  # leaf pairs brute-forced between re-prunings
+_SEED_NEIGHBOURS = 8  # nearest neighbours per point that seed the incumbent
+_SLACK = 1.0 + 1e-12  # bounds are inflated by this against rounding before pruning
 
 
 class NormEstimateError(ValueError):
@@ -96,8 +102,7 @@ class NormParams:
 
 @dataclass
 class PairScanInfo:
-    mode: str  # "exact" or "random"
-    n_pairs: int
+    n_pairs: int  # quotients evaluated
     argmax: tuple[int, int]
 
 
@@ -108,7 +113,6 @@ class NormReport:
     total: float
     argmax_pair: tuple[int, int]
     argmax_points: tuple[tuple[float, float], tuple[float, float]]
-    pair_mode: str
     n_pairs: int
 
     def as_lines(self) -> list[str]:
@@ -119,7 +123,6 @@ class NormReport:
         lines.append(f"total = {self.total:.17g}")
         (xa, ya), (xb, yb) = self.argmax_points
         lines.append(f"argmax_pair = ({xa:.17g}, {ya:.17g}) ({xb:.17g}, {yb:.17g})")
-        lines.append(f"pair_mode = {self.pair_mode}")
         lines.append(f"pairs_evaluated = {self.n_pairs}")
         return lines
 
@@ -145,130 +148,157 @@ def weighted_seminorm_k0(field: SampledField, params: NormParams, order: int | N
     return float((delta_dist_arr(field.points, params.edge_point) ** w_exp * mags).max())
 
 
-def _pair_scan(
-    points: np.ndarray,
-    data: np.ndarray,
-    deltas: np.ndarray,
-    weight_exp: float,
-    alpha: float,
-    pair_budget: int | None,
-    exact_limit: int,
-    seed: int,
-) -> tuple[float, PairScanInfo]:
+def _scan_args(field: SampledField, params: NormParams):
+    """Pair-scan inputs for [f]_{k,alpha}: points, data, deltas, weight exponent, alpha."""
+    deltas = delta_dist_arr(field.points, params.edge_point)
+    w_exp = max(params.k + params.alpha + params.tau, 0.0)
+    return field.points, _order_data(field, params.k), deltas, w_exp, params.alpha
+
+
+def _quotients(points, data, deltas, weight_exp, alpha, i, j):
+    """Quotients of the index pairs (i, j), 0 below the floor, and the mask of those above it."""
+    diff = points[i] - points[j]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    dvec = data[i] - data[j]
+    num = np.linalg.norm(dvec, axis=-1) if data.shape[1] > 1 else np.abs(dvec[..., 0])
+    w = np.minimum(deltas[i], deltas[j]) ** weight_exp if weight_exp > 0.0 else 1.0
+    valid = dist >= PAIR_DIST_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(valid, w * num / dist**alpha, 0.0), valid
+
+
+def _all_pairs_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScanInfo]:
+    """Reference scan: every pair i < j, in blocks of rows."""
+    n = points.shape[0]
+    best, best_pair, evaluated = 0.0, (0, 1), 0
+    for i0 in range(0, n - 1, _BLOCK):
+        rows = np.arange(i0, min(i0 + _BLOCK, n - 1))[:, None]
+        cols = np.arange(i0 + 1, n)[None, :]
+        q, valid = _quotients(points, data, deltas, weight_exp, alpha, rows, cols)
+        upper = cols > rows
+        q = np.where(upper, q, 0.0)
+        evaluated += int((valid & upper).sum())
+        ri, ci = np.unravel_index(int(np.argmax(q)), q.shape)
+        if float(q[ri, ci]) > best:
+            best, best_pair = float(q[ri, ci]), (i0 + int(ri), i0 + 1 + int(ci))
+    return best, PairScanInfo(evaluated, best_pair)
+
+
+def _kd_tree(points: np.ndarray):
+    """Median kd-split tree, split along the wider side, leaves of at most ``_LEAF`` points.
+
+    Returns a permutation of the points in which every node is a contiguous
+    range, each node's (start, end) and its two children (-1 for a leaf).
+    """
+    perm = np.arange(points.shape[0])
+    ranges, children = [(0, points.shape[0])], []
+    for s, e in ranges:  # breadth first: the list grows while it is walked
+        if e - s <= _LEAF:
+            children.append((-1, -1))
+            continue
+        idx = perm[s:e]
+        axis = int(np.argmax(np.ptp(points[idx], axis=0)))
+        m = (e - s) // 2
+        perm[s:e] = idx[np.argpartition(points[idx, axis], m)]
+        children.append((len(ranges), len(ranges) + 1))
+        ranges += [(s, s + m), (s + m, e)]
+    return perm, np.array(ranges), np.array(children)
+
+
+def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScanInfo]:
+    """Exact max of the weighted pair quotient by dual-tree branch and bound.
+
+    Every node of a kd tree carries its point box, its data box and its
+    largest weight.  A node pair (A, B) is pruned when
+        min(max_A w, max_B w) * |data span of A u B| / max(gap(A, B), floor)^alpha,
+    an upper bound on every quotient in it (weight exponent >= 0, and pairs
+    below the floor are excluded), is no larger than the incumbent.  The
+    incumbent starts from each point's nearest neighbours; node pairs are
+    walked depth first in chunks, and surviving leaf pairs are brute-forced
+    highest bound first.  Values equal ``_all_pairs_scan``'s bit for bit.
+    """
     n = points.shape[0]
     if n < 2:
         raise NormEstimateError("at least two distinct samples required for a pair scan")
-    total_pairs = n * (n - 1) // 2
-    best = 0.0
-    best_pair = (0, 1)
+    best, best_pair, evaluated = 0.0, (0, 1), 0
 
-    if pair_budget is None and n <= exact_limit:
-        evaluated = 0
-        for i0 in range(0, n - 1, _BLOCK):
-            i1 = min(i0 + _BLOCK, n - 1)
-            rows = np.arange(i0, i1)
-            diff = points[rows][:, None, :] - points[None, i0 + 1 :, :]
-            dist = np.hypot(diff[..., 0], diff[..., 1])
-            dmat = data[rows][:, None, :] - data[None, i0 + 1 :, :]
-            num = np.linalg.norm(dmat, axis=2) if data.shape[1] > 1 else np.abs(dmat[..., 0])
-            cols = np.arange(i0 + 1, n)
-            valid = (cols[None, :] > rows[:, None]) & (dist >= PAIR_DIST_FLOOR)
-            if weight_exp > 0.0:
-                w = np.minimum(deltas[rows][:, None], deltas[None, i0 + 1 :]) ** weight_exp
-            else:
-                w = 1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.where(valid, w * num / dist**alpha, 0.0)
-            evaluated += int(valid.sum())
-            flat = int(np.argmax(q))
-            val = float(q.flat[flat])
-            if val > best:
-                best = val
-                ri, ci = np.unravel_index(flat, q.shape)
-                best_pair = (int(rows[ri]), int(cols[ci]))
-        return best, PairScanInfo("exact", evaluated, best_pair)
-
-    budget = (
-        min(DEFAULT_RANDOM_PAIR_BUDGET, total_pairs)
-        if pair_budget is None
-        else min(int(pair_budget), 4 * total_pairs)
-    )
-    budget = max(budget, 1)
-    rng = np.random.default_rng(seed)
-    evaluated = 0
-    chunk = 1 << 20
-    remaining = budget
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        ii = rng.integers(0, n, size=m)
-        jj = rng.integers(0, n, size=m)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-        diff = points[ii] - points[jj]
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        keep = dist >= PAIR_DIST_FLOOR
-        ii, jj, dist = ii[keep], jj[keep], dist[keep]
-        if ii.size == 0:
-            continue
-        dvec = data[ii] - data[jj]
-        num = np.linalg.norm(dvec, axis=1) if data.shape[1] > 1 else np.abs(dvec[:, 0])
-        if weight_exp > 0.0:
-            w = np.minimum(deltas[ii], deltas[jj]) ** weight_exp
-        else:
-            w = 1.0
-        q = w * num / dist**alpha
-        evaluated += ii.size
-        k = int(np.argmax(q))
+    def consider(i, j, keep=True):
+        nonlocal best, best_pair, evaluated
+        q, valid = _quotients(points, data, deltas, weight_exp, alpha, i, j)
+        q = np.where(keep, q, 0.0)
+        evaluated += int((valid & keep).sum())
+        k = np.unravel_index(int(np.argmax(q)), q.shape)
         if float(q[k]) > best:
-            best = float(q[k])
-            best_pair = (int(ii[k]), int(jj[k]))
-    return best, PairScanInfo("random", evaluated, best_pair)
+            i, j = np.broadcast_arrays(i, j)
+            best, best_pair = float(q[k]), (int(min(i[k], j[k])), int(max(i[k], j[k])))
+
+    perm, ranges, children = _kd_tree(points)
+    # reduceat reads one row past each range end, hence the extra row
+    cols = np.column_stack([points, data, deltas])[np.append(perm, 0)]
+    lo = np.minimum.reduceat(cols, ranges.ravel())[::2]
+    hi = np.maximum.reduceat(cols, ranges.ravel())[::2]
+    wmax = hi[:, -1] ** weight_exp if weight_exp > 0.0 else np.ones(len(ranges))
+    size = ranges[:, 1] - ranges[:, 0]
+    width = int(size[children[:, 0] < 0].max())  # the largest leaf
+    slot = ranges[:, :1] + np.arange(width)
+    slots = np.where(slot < ranges[:, 1:], perm[np.minimum(slot, n - 1)], -1)
+    upper = np.triu(np.ones((width, width), dtype=bool), 1)
+
+    def bound(a, b):
+        gap = np.maximum(np.maximum(lo[b, :2] - hi[a, :2], lo[a, :2] - hi[b, :2]), 0.0)
+        span = np.maximum(hi[a, 2:-1], hi[b, 2:-1]) - np.minimum(lo[a, 2:-1], lo[b, 2:-1])
+        dist = np.maximum(np.hypot(gap[:, 0], gap[:, 1]), PAIR_DIST_FLOOR)
+        return np.minimum(wmax[a], wmax[b]) * np.sqrt((span * span).sum(axis=1)) / dist**alpha
+
+    _, nbrs = cKDTree(points).query(points, k=min(_SEED_NEIGHBOURS + 1, n))
+    consider(np.repeat(np.arange(n), nbrs.shape[1]), nbrs.ravel())
+    stack = np.zeros((1, 2), dtype=np.intp)  # node pairs to visit: the root with itself
+    while stack.size:
+        pairs, stack = stack[-_CHUNK:], stack[:-_CHUNK]
+        bnd = bound(pairs[:, 0], pairs[:, 1])
+        order = np.argsort(bnd)
+        order = order[bnd[order] * _SLACK > best]
+        a, b, bnd = pairs[order, 0], pairs[order, 1], bnd[order]
+        leaf = (children[a, 0] < 0) & (children[b, 0] < 0)
+        la, lb, lbnd = a[leaf][::-1], b[leaf][::-1], bnd[leaf][::-1]
+        for s in range(0, la.size, _LEAF_BATCH):
+            keep = lbnd[s : s + _LEAF_BATCH] * _SLACK > best
+            if not keep.any():
+                break
+            ia, ib = la[s : s + _LEAF_BATCH][keep], lb[s : s + _LEAF_BATCH][keep]
+            i, j = slots[ia][:, :, None], slots[ib][:, None, :]
+            consider(i, j, (i >= 0) & (j >= 0) & ((ia != ib)[:, None, None] | upper))
+        # split the larger node of each pair (a node paired with itself gives
+        # three pairs); the highest bounds go on top of the stack
+        a, b = a[~leaf], b[~leaf]
+        big = np.where(size[a] >= size[b], a, b)
+        small = a + b - big
+        c0, c1 = children[big].T
+        same = a == b
+        kids = np.column_stack(
+            [c0, np.where(same, c0, small), c1, np.where(same, c1, small), c0, c1]
+        ).reshape(-1, 3, 2)
+        every = np.ones_like(same)
+        stack = np.concatenate([stack, kids[np.column_stack([every, every, same])]])
+    return best, PairScanInfo(evaluated, best_pair)
 
 
-def weighted_seminorm_kalpha(
-    field: SampledField,
-    params: NormParams,
-    pair_budget: int | None = None,
-    exact_limit: int = EXACT_PAIR_POINT_LIMIT,
-    seed: int = 0,
-    return_info: bool = False,
-):
-    """Two-point Holder seminorm estimate with min-delta weighting.
+def weighted_seminorm_kalpha(field: SampledField, params: NormParams, return_info: bool = False):
+    """Two-point Holder seminorm with min-delta weighting, exact over all pairs.
 
-    Exhaustive over all pairs up to ``exact_limit`` points; a seeded random
-    pair subsample otherwise (or when ``pair_budget`` forces it).  Pairs
-    closer than ``PAIR_DIST_FLOOR`` are excluded.
+    Pairs closer than ``PAIR_DIST_FLOOR`` are excluded.  With ``return_info``
+    the ``PairScanInfo`` (quotients evaluated, argmax pair) comes along.
     """
     if field.n < 2:
         raise NormEstimateError("at least two samples required")
-    data = _order_data(field, params.k)
-    w_exp = max(params.k + params.alpha + params.tau, 0.0)
-    value, info = _pair_scan(
-        field.points,
-        data,
-        delta_dist_arr(field.points, params.edge_point),
-        w_exp,
-        params.alpha,
-        pair_budget,
-        exact_limit,
-        seed,
-    )
+    value, info = _pair_scan(*_scan_args(field, params))
     return (value, info) if return_info else value
 
 
-def weighted_norm(
-    field: SampledField,
-    params: NormParams,
-    pair_budget: int | None = None,
-    exact_limit: int = EXACT_PAIR_POINT_LIMIT,
-    seed: int = 0,
-) -> NormReport:
+def weighted_norm(field: SampledField, params: NormParams) -> NormReport:
     """Full weighted-norm estimate: sum of k0 seminorms plus the Holder part."""
     k0 = [weighted_seminorm_k0(field, params, order=i) for i in range(params.k + 1)]
-    kalpha, info = weighted_seminorm_kalpha(
-        field, params, pair_budget, exact_limit, seed, return_info=True
-    )
+    kalpha, info = weighted_seminorm_kalpha(field, params, return_info=True)
     i, j = info.argmax
     return NormReport(
         seminorms_k0=k0,
@@ -279,24 +309,13 @@ def weighted_norm(
             (float(field.points[i, 0]), float(field.points[i, 1])),
             (float(field.points[j, 0]), float(field.points[j, 1])),
         ),
-        pair_mode=info.mode,
         n_pairs=info.n_pairs,
     )
 
 
-def plain_norm(
-    field: SampledField,
-    k: int,
-    alpha: float,
-    pair_budget: int | None = None,
-    exact_limit: int = EXACT_PAIR_POINT_LIMIT,
-    seed: int = 0,
-) -> float:
+def plain_norm(field: SampledField, k: int, alpha: float) -> float:
     """Unweighted Holder norm estimate (weight exponents forced to zero)."""
-    params = NormParams(k=k, alpha=alpha, tau=-(k + 1.0))
-    k0 = [weighted_seminorm_k0(field, params, order=i) for i in range(k + 1)]
-    kalpha = weighted_seminorm_kalpha(field, params, pair_budget, exact_limit, seed)
-    return float(sum(k0) + kalpha)
+    return weighted_norm(field, NormParams(k=k, alpha=alpha, tau=-(k + 1.0))).total
 
 
 def cloud_diameter(points: np.ndarray) -> float:
@@ -304,22 +323,20 @@ def cloud_diameter(points: np.ndarray) -> float:
     if pts.shape[0] < 2:
         return 0.0
     try:
-        from scipy.spatial import ConvexHull
-
         hull_pts = pts[ConvexHull(pts).vertices]
-    except Exception:  # degenerate (collinear) clouds
-        hull_pts = pts if pts.shape[0] <= 4000 else pts[:: pts.shape[0] // 4000 + 1]
+    except QhullError:  # collinear: the spread along the line through pts[0]
+        off = pts - pts[0]
+        far = off[int(np.argmax(np.hypot(off[:, 0], off[:, 1])))]
+        length = float(np.hypot(far[0], far[1]))
+        if length == 0.0:
+            return 0.0
+        proj = off @ (far / length)
+        return float(proj.max() - proj.min())
     diff = hull_pts[:, None, :] - hull_pts[None, :, :]
     return float(np.hypot(diff[..., 0], diff[..., 1]).max())
 
 
-def primed_norm(
-    field: SampledField,
-    k: int,
-    alpha: float,
-    pair_budget: int | None = None,
-    seed: int = 0,
-) -> float:
+def primed_norm(field: SampledField, k: int, alpha: float) -> float:
     """Diameter-scaled norm  sum_j d^j [u]_{j,0} + d^(k+alpha) [u]_{k,alpha}."""
     if field.n == 0:
         raise NormEstimateError("empty sample set")
@@ -328,9 +345,7 @@ def primed_norm(
     total = 0.0
     for j in range(k + 1):
         total += d**j * weighted_seminorm_k0(field, params, order=j)
-    total += d ** (k + alpha) * weighted_seminorm_kalpha(
-        field, params, pair_budget=pair_budget, seed=seed
-    )
+    total += d ** (k + alpha) * weighted_seminorm_kalpha(field, params)
     return float(total)
 
 

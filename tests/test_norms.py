@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgelab.exact_solutions import build_dirichlet_example, eval_separable_xy, grad_separable_xy
 from wedgelab.geometry import make_wedge
 from wedgelab.norms import (
+    PAIR_DIST_FLOOR,
     NormEstimateError,
     NormParams,
     SampledField,
@@ -18,6 +21,9 @@ from wedgelab.norms import (
     weighted_seminorm_kalpha,
     write_sampled_field_csv,
     y_norm,
+    _all_pairs_scan,
+    _pair_scan,
+    _scan_args,
 )
 
 PI = math.pi
@@ -44,6 +50,44 @@ def disk_cloud(n, seed=0, radius=1.0):
     r = radius * np.sqrt(rng.uniform(0, 1, n))
     th = rng.uniform(-PI, PI, n)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def quotient_at(field, params, pair):
+    """The weighted quotient of one sample pair, written out from the definition."""
+    i, j = pair
+    data = field.values[:, None] if params.k == 0 else field.gradients
+    delta = np.minimum(np.hypot(*(field.points - params.edge_point).T), 1.0)
+    w = min(delta[i], delta[j]) ** max(params.k + params.alpha + params.tau, 0.0)
+    dist = math.dist(field.points[i], field.points[j])
+    assert dist >= PAIR_DIST_FLOOR
+    return w * math.dist(data[i], data[j]) / dist**params.alpha
+
+
+@st.composite
+def scan_cases(draw):
+    """Clouds and norm parameters for the pair-scan equivalence property."""
+    n = draw(st.integers(2, 400))
+    shape = draw(st.sampled_from(["uniform", "collinear", "strip", "near_floor"]))
+    k = draw(st.integers(0, 1))
+    alpha = draw(st.floats(0.05, 0.95))
+    # weight exponent k + alpha + tau: clamped to 0, or drawn from [0, 1.5]
+    weighted = draw(st.booleans())
+    tau = draw(st.floats(0.0, 1.5)) - k - alpha if weighted else -(k + 1.0)
+    edge = draw(st.sampled_from([(0.0, 0.0), (0.4, -0.3)]))
+    constant = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+    if shape == "collinear":
+        pts = 0.1 + pts[:, :1] * np.array([[1.0, 0.5]])
+    elif shape == "strip":
+        pts[:, 1] *= 1e-6
+    elif shape == "near_floor":
+        m = n // 2
+        pts[m : 2 * m] = pts[:m] + rng.uniform(0.1, 3.0, size=(m, 2)) * PAIR_DIST_FLOOR
+    kvec = rng.uniform(-4.0, 4.0, size=2)
+    vals = np.full(n, 1.7) if constant else np.sin(pts @ kvec) + np.hypot(*pts.T) ** 0.8
+    grads = np.full((n, 2), -0.3) if constant else np.cos(pts @ kvec)[:, None] * kvec
+    return SampledField(pts, vals, grads), NormParams(k, alpha, tau, edge)
 
 
 class TestSeminormK0:
@@ -129,22 +173,27 @@ class TestSeminormKAlpha:
         with pytest.raises(NormEstimateError):
             weighted_seminorm_kalpha(f, NormParams(0, 0.5))
 
-    def test_randomized_mode_reported_and_close(self):
-        rng = np.random.default_rng(4)
+    def test_branch_and_bound_equals_all_pairs(self):
         pts = disk_cloud(1200, seed=4)
         vals = np.sin(2 * pts[:, 0]) * pts[:, 1]
         f = SampledField(pts, vals)
         p = NormParams(0, 0.5, tau=-0.2)
-        exact, info_e = weighted_seminorm_kalpha(f, p, return_info=True)
-        assert info_e.mode == "exact"
-        budget = int(0.3 * 1200 * 1199 / 2)
-        rand, info_r = weighted_seminorm_kalpha(
-            f, p, pair_budget=budget, return_info=True
-        )
-        assert info_r.mode == "random"
-        assert info_r.n_pairs > 0
-        assert abs(rand - exact) / exact < 0.02
-        assert rand <= exact * (1 + 1e-12)  # subsample of a max
+        value, info = weighted_seminorm_kalpha(f, p, return_info=True)
+        ref, ref_info = _all_pairs_scan(*_scan_args(f, p))
+        assert value == ref
+        assert 0 < info.n_pairs < ref_info.n_pairs == 1200 * 1199 // 2
+        assert quotient_at(f, p, info.argmax) == pytest.approx(value, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=scan_cases())
+    def test_branch_and_bound_matches_all_pairs_property(self, case):
+        f, p = case
+        args = _scan_args(f, p)
+        value, info = _pair_scan(*args)
+        ref, _ = _all_pairs_scan(*args)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        if value > 0.0:
+            assert quotient_at(f, p, info.argmax) == pytest.approx(value, rel=1e-12)
 
     def test_monotone_under_refinement(self):
         # exact-mode estimate over a superset never decreases
@@ -255,6 +304,17 @@ class TestPrimedNorm:
         assert primed_norm(f2, 1, 0.5) == pytest.approx(
             k0 + (d / 2) * k1 + (d / 2) ** 1.5 * q2, rel=1e-12
         )
+
+
+class TestCloudDiameter:
+    @pytest.mark.parametrize("n", [5002, 10001])
+    def test_collinear_cloud_exact(self, n):
+        t = np.linspace(0.0, 1.0, n)
+        pts = np.column_stack([0.2 + t, -0.1 + 0.5 * t])
+        assert cloud_diameter(pts) == pytest.approx(math.hypot(1.0, 0.5), rel=1e-12)
+
+    def test_coincident_points(self):
+        assert cloud_diameter(np.full((3, 2), 0.25)) == 0.0
 
 
 class TestYNorm:
