@@ -20,6 +20,12 @@ from .geometry import edge_table
 from .norms import NormParams, SampledField, plain_norm, weighted_norm
 
 DEGENERATE_RHS = 1e-13
+RAY_INSET = 0.02  # fraction of the opening kept clear of each wall by default_rays
+CORNER_INNER_FRACTION = 0.5  # inner sector radius of the corner estimate, in units of R
+WALL_SAMPLES = 60  # trace samples per wall ray
+ARC_SAMPLES = 120  # trace samples per arc branch
+INTERIOR_SLACK = 1e-8  # relative slack of the interior comparison check
+BOUNDARY_SLACK = 1e-12  # relative slack of the boundary hypothesis |v| <= w
 
 
 class FitError(ValueError):
@@ -95,11 +101,8 @@ class P1Evaluator:
         self.bary = fs.mesh.barycenters()
         self.tree = cKDTree(self.bary)
         self.neighbors = edge_table(fs.mesh.triangles)[3]
-        self.corner_value = self._corner_value()
-
-    def _corner_value(self) -> float:
-        i = int(np.argmin(np.hypot(self.mesh.vertices[:, 0], self.mesh.vertices[:, 1])))
-        return float(self.values[i])
+        corner = np.argmin(np.hypot(self.mesh.vertices[:, 0], self.mesh.vertices[:, 1]))
+        self.corner_value = float(self.values[corner])
 
     def _lam(self, t: int, p: np.ndarray) -> np.ndarray:
         # lambda_i(p) = 1/3 + grad(lambda_i) . (p - barycenter)
@@ -145,32 +148,16 @@ class P1Evaluator:
 
 
 def _field_evaluator(field):
+    """Point evaluator of ``field`` and its value at the corner."""
     if isinstance(field, FemSolution):
         ev = P1Evaluator(field)
         return ev, ev.corner_value
-    if isinstance(field, SampledField):
-        from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
-
-        lin = LinearNDInterpolator(field.points, field.values)
-        near = NearestNDInterpolator(field.points, field.values)
-
-        def ev(x, y):
-            out = lin(np.column_stack([np.atleast_1d(x), np.atleast_1d(y)]))
-            mask = np.isnan(out)
-            if np.any(mask):
-                out[mask] = near(
-                    np.column_stack([np.atleast_1d(x)[mask], np.atleast_1d(y)[mask]])
-                )
-            return out
-
-        i = int(np.argmin(np.hypot(field.points[:, 0], field.points[:, 1])))
-        return ev, float(field.values[i])
     if callable(field):
         def ev(x, y):
             return np.asarray(field(np.atleast_1d(x), np.atleast_1d(y)), dtype=float)
 
         return ev, float(ev(np.array([0.0]), np.array([0.0]))[0])
-    raise TypeError("field must be a FemSolution, SampledField, or callable")
+    raise TypeError("field must be a FemSolution or a callable")
 
 
 def default_fit_radii(h: float, radius: float, count: int = 9) -> np.ndarray:
@@ -181,19 +168,14 @@ def default_fit_radii(h: float, radius: float, count: int = 9) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
-def default_rays(wedge, n: int = 32, inset: float = 0.02) -> np.ndarray:
-    """Interior ray angles, inset from the walls by a fixed angular fraction."""
-    lo = wedge.theta_minus + inset * wedge.opening
-    hi = wedge.theta_plus - inset * wedge.opening
+def default_rays(wedge, n: int = 32) -> np.ndarray:
+    """Interior ray angles, inset from the walls by RAY_INSET of the opening."""
+    lo = wedge.theta_minus + RAY_INSET * wedge.opening
+    hi = wedge.theta_plus - RAY_INSET * wedge.opening
     return np.linspace(lo, hi, n)
 
 
-def fit_corner_exponent(
-    field,
-    rays,
-    radii,
-    corner_value: float | None = None,
-) -> ExponentFit:
+def fit_corner_exponent(field, rays, radii) -> ExponentFit:
     """Least-squares slope of log sup_theta |u(r, theta) - u(corner)| vs log r.
 
     Requires at least 4 radii spanning a decade; a field with no variation
@@ -209,8 +191,7 @@ def fit_corner_exponent(
         )
     if rays.size < 1:
         raise FitError("need at least one ray")
-    ev, auto_corner = _field_evaluator(field)
-    u0 = auto_corner if corner_value is None else float(corner_value)
+    ev, u0 = _field_evaluator(field)
 
     rr, tt = np.meshgrid(radii, rays, indexing="ij")
     vals = ev((rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()).reshape(rr.shape)
@@ -293,31 +274,64 @@ def interface_flux_jump(
     )
 
 
-def _data_rhs(
-    spec: ProblemSpec,
-    fld: SampledField,
-    alpha: float,
-    sup_u: float,
-    traces: list[SampledField],
-) -> float:
-    """Estimate right-hand side on the samples of ``fld``.
+def _side_max(cloud: SampledField, norm) -> float:
+    """Largest ``norm`` over the sides of ``cloud`` with at least 2 samples, 0 if none has."""
+    best = 0.0
+    for side in (1, -1):
+        sub = cloud.restrict(cloud.regions == side)
+        if sub.n >= 2:
+            best = max(best, norm(sub))
+    return best
 
-    Sums, in this order: sup_u, the largest trace norm of phi over
-    ``traces``, sup|h|, and the largest per-side Holder norm of a component
-    of g.
+
+def _ratio(kind, desc, lhs, spec, cloud, alpha, sup_u, traces) -> EstimateRatio:
+    """``lhs`` against the data right-hand side measured on the samples of ``cloud``.
+
+    The right-hand side sums, in this order: sup_u, the largest trace norm
+    of phi over ``traces``, sup|h|, and the largest per-side Holder norm of
+    a component of g.  At or below DEGENERATE_RHS the ratio is degenerate.
     """
     rhs = sup_u + max((plain_norm(f, k=1, alpha=alpha) for f in traces), default=0.0)
-    rhs += float(np.abs(spec.h_at(fld.points[:, 0], fld.points[:, 1])).max())
-    gvals = spec.g_at(fld.points[:, 0], fld.points[:, 1], fld.regions)
+    rhs += float(np.abs(spec.h_at(cloud.points[:, 0], cloud.points[:, 1])).max())
+    gvals = spec.g_at(cloud.points[:, 0], cloud.points[:, 1], cloud.regions)
     g_norm = 0.0
     for side in (1, -1):
-        mask = fld.regions == side
+        mask = cloud.regions == side
         if mask.sum() < 2:
             continue
         for comp in (0, 1):
-            gf = SampledField(fld.points[mask], gvals[mask, comp], None, None)
+            gf = SampledField(cloud.points[mask], gvals[mask, comp], None, None)
             g_norm = max(g_norm, plain_norm(gf, k=0, alpha=alpha))
-    return rhs + g_norm
+    rhs += g_norm
+    status = "degenerate" if rhs <= DEGENERATE_RHS else "ok"
+    return EstimateRatio(lhs, rhs, kind, desc, status=status)
+
+
+def _trace(spec: ProblemSpec, x, y, s) -> SampledField:
+    """phi at boundary points, with its tangential derivative over the arclength ``s``."""
+    vals = spec.phi_at(x, y)
+    dtang = np.gradient(vals, s)
+    grads = np.column_stack([dtang, np.zeros_like(dtang)])
+    return SampledField(np.column_stack([x, y]), vals, grads, None)
+
+
+def _wall_traces(spec: ProblemSpec) -> list[SampledField]:
+    R = spec.domain.radius
+    r = np.linspace(R / WALL_SAMPLES, R, WALL_SAMPLES)
+    w = spec.domain.wedge
+    return [
+        _trace(spec, r * math.cos(t), r * math.sin(t), r) for t in (w.theta_plus, w.theta_minus)
+    ]
+
+
+def _arc_traces(spec: ProblemSpec) -> list[SampledField]:
+    R = spec.domain.radius
+    w = spec.domain.wedge
+    out = []
+    for lo, hi in ((0.0, w.theta_plus), (w.theta_minus, 0.0)):
+        th = np.linspace(lo + 1e-9, hi - 1e-9, ARC_SAMPLES)
+        out.append(_trace(spec, R * np.cos(th), R * np.sin(th), R * th))
+    return out
 
 
 def estimate_ratio_interior(
@@ -341,51 +355,9 @@ def estimate_ratio_interior(
     outer = fld.restrict(d <= 2.0 * r_inner)
     if inner.n < 4 or outer.n < 4:
         raise FitError("too few samples in the ball pair; refine the mesh")
-
-    lhs = 0.0
-    for side in (1, -1):
-        sub = inner.restrict(inner.regions == side)
-        if sub.n >= 2:
-            lhs = max(lhs, plain_norm(sub, k=1, alpha=alpha))
-
-    rhs = _data_rhs(spec, outer, alpha, float(np.abs(outer.values).max()), [])
+    lhs = _side_max(inner, lambda f: plain_norm(f, k=1, alpha=alpha))
     desc = f"interior ball r={r_inner:.3g} at ({center[0]:.3g},{center[1]:.3g})"
-    if rhs <= DEGENERATE_RHS:
-        return EstimateRatio(lhs, rhs, "interior", desc, status="degenerate")
-    return EstimateRatio(lhs, rhs, "interior", desc)
-
-
-def _wall_trace_fields(spec: ProblemSpec, n: int = 60) -> list[SampledField]:
-    """Boundary-trace samples along both wall rays with tangential derivative data."""
-    R = spec.domain.radius
-    r = np.linspace(R / n, R, n)
-    out = []
-    for theta in (spec.domain.wedge.theta_plus, spec.domain.wedge.theta_minus):
-        x, y = r * math.cos(theta), r * math.sin(theta)
-        vals = spec.phi_at(x, y)
-        tau = np.array([math.cos(theta), math.sin(theta)])
-        if spec.phi_grad is not None:
-            g = np.asarray(spec.phi_grad(x, y), dtype=float)
-            dtang = g[..., 0] * tau[0] + g[..., 1] * tau[1]
-        else:
-            dtang = np.gradient(vals, r)
-        grads = np.column_stack([dtang, np.zeros_like(dtang)])
-        out.append(SampledField(np.column_stack([x, y]), vals, grads, None))
-    return out
-
-
-def _arc_trace_fields(spec: ProblemSpec, n: int = 120) -> list[SampledField]:
-    R = spec.domain.radius
-    w = spec.domain.wedge
-    out = []
-    for lo, hi in ((0.0, w.theta_plus), (w.theta_minus, 0.0)):
-        th = np.linspace(lo + 1e-9, hi - 1e-9, n)
-        x, y = R * np.cos(th), R * np.sin(th)
-        vals = spec.phi_at(x, y)
-        dtang = np.gradient(vals, R * th)
-        grads = np.column_stack([dtang, np.zeros_like(dtang)])
-        out.append(SampledField(np.column_stack([x, y]), vals, grads, None))
-    return out
+    return _ratio("interior", desc, lhs, spec, outer, alpha, float(np.abs(outer.values).max()), [])
 
 
 def estimate_ratio_corner(
@@ -393,10 +365,9 @@ def estimate_ratio_corner(
     spec: ProblemSpec,
     beta: float,
     alpha: float,
-    inner_fraction: float = 0.5,
     pair_budget: int | None = None,
 ) -> EstimateRatio:
-    """Measured corner-estimate ratio on nested sectors W_(fR) in W_R.
+    """Measured corner-estimate ratio on nested sectors W_(fR) in W_R, f = CORNER_INNER_FRACTION.
 
     lhs: max over sides of the edge-weighted ||u||_{1,alpha} with weight
     exponent tau = -beta on the inner sector; rhs: sup|u| + the wall trace
@@ -404,24 +375,15 @@ def estimate_ratio_corner(
     ``pair_budget`` is ignored: every pair scan is exact.
     """
     fld = solution_field(fs)
-    R = spec.domain.radius
     rho = np.hypot(fld.points[:, 0], fld.points[:, 1])
-    inner = fld.restrict(rho <= inner_fraction * R)
+    inner = fld.restrict(rho <= CORNER_INNER_FRACTION * spec.domain.radius)
     if inner.n < 4:
         raise FitError("too few samples in the inner sector; refine the mesh")
     params = NormParams(k=1, alpha=alpha, tau=-beta)
-    lhs = 0.0
-    for side in (1, -1):
-        sub = inner.restrict(inner.regions == side)
-        if sub.n >= 2:
-            lhs = max(lhs, weighted_norm(sub, params).total)
-
+    lhs = _side_max(inner, lambda f: weighted_norm(f, params).total)
+    desc = f"corner sectors {CORNER_INNER_FRACTION:.2g}R in R, beta={beta:.3g}"
     sup_u = float(np.abs(fld.values).max())
-    rhs = _data_rhs(spec, fld, alpha, sup_u, _wall_trace_fields(spec))
-    desc = f"corner sectors {inner_fraction:.2g}R in R, beta={beta:.3g}"
-    if rhs <= DEGENERATE_RHS:
-        return EstimateRatio(lhs, rhs, "corner", desc, status="degenerate")
-    return EstimateRatio(lhs, rhs, "corner", desc)
+    return _ratio("corner", desc, lhs, spec, fld, alpha, sup_u, _wall_traces(spec))
 
 
 def estimate_ratio_global(
@@ -436,39 +398,9 @@ def estimate_ratio_global(
     ``pair_budget`` is ignored: every pair scan is exact."""
     fld = solution_field(fs)
     params = NormParams(k=1, alpha=alpha, tau=-beta)
-    lhs = 0.0
-    for side in (1, -1):
-        sub = fld.restrict(fld.regions == side)
-        if sub.n >= 2:
-            lhs = max(lhs, weighted_norm(sub, params).total)
-    traces = _wall_trace_fields(spec) + _arc_trace_fields(spec)
-    rhs = _data_rhs(spec, fld, alpha, 0.0, traces)
-    if rhs <= DEGENERATE_RHS:
-        return EstimateRatio(lhs, rhs, "global", "full sector", status="degenerate")
-    return EstimateRatio(lhs, rhs, "global", "full sector")
-
-
-def write_ratio_csv(path, rows) -> None:
-    """Ratio table: columns instance,h,lhs,rhs,ratio.
-
-    ``rows`` holds (instance, h, EstimateRatio) triples; degenerate ratios
-    are written as the status word, never as a number.
-    """
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "h", "lhs", "rhs", "ratio"])
-        for instance, h, ratio in rows:
-            writer.writerow(
-                [
-                    instance,
-                    f"{h:.17g}",
-                    f"{ratio.lhs:.17g}",
-                    f"{ratio.rhs:.17g}",
-                    f"{ratio.ratio:.17g}" if ratio.status == "ok" else ratio.status,
-                ]
-            )
+    lhs = _side_max(fld, lambda f: weighted_norm(f, params).total)
+    traces = _wall_traces(spec) + _arc_traces(spec)
+    return _ratio("global", "full sector", lhs, spec, fld, alpha, 0.0, traces)
 
 
 def calibrate_barrier(
@@ -494,14 +426,12 @@ def comparison_check(
     barrier: Barrier,
     boundary_points: np.ndarray,
     interior_points: np.ndarray,
-    interior_slack: float = 1e-8,
-    boundary_slack: float = 1e-12,
 ) -> ComparisonReport:
     """Verify |v| <= w on the boundary, then check it on interior samples.
 
     A boundary violation raises ``BoundaryHypothesisError`` (the interior
     conclusion would be vacuous); the interior check passes when
-    |v| <= w * (1 + interior_slack) everywhere, and the worst ratios are
+    |v| <= w * (1 + INTERIOR_SLACK) everywhere, and the worst ratios are
     reported either way.
     """
     bpts = np.asarray(boundary_points, dtype=float)
@@ -512,7 +442,7 @@ def comparison_check(
         raise BoundaryHypothesisError("barrier not positive at a boundary sample")
     rb = vb / wb
     worst_b = float(rb.max())
-    if worst_b > 1.0 + boundary_slack:
+    if worst_b > 1.0 + BOUNDARY_SLACK:
         raise BoundaryHypothesisError(
             f"|v| <= w fails on the boundary: worst ratio {worst_b:.6g}"
         )
@@ -523,7 +453,7 @@ def comparison_check(
     ri = vi / wi
     worst_i = float(ri.max())
     return ComparisonReport(
-        passed=bool(worst_i <= 1.0 + interior_slack),
+        passed=bool(worst_i <= 1.0 + INTERIOR_SLACK),
         worst_boundary_ratio=worst_b,
         worst_interior_ratio=worst_i,
         n_boundary=bpts.shape[0],

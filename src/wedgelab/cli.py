@@ -24,18 +24,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    FitError,
     default_fit_radii,
     default_rays,
     fit_corner_exponent,
     interface_flux_jump,
 )
 from .exact_solutions import (
-    DegenerateAngleError,
     NoSignChangeError,
     RootConvergenceError,
-    SingularSystemError,
-    TransmissionSignError,
     build_dirichlet_example,
     corrector_solve,
     eval_separable_xy,
@@ -53,7 +49,7 @@ from .fem import (
     solution_field,
     solve_problem,
 )
-from .geometry import GeometryError, make_wedge, sector
+from .geometry import make_wedge, sector
 from .norms import (
     NormEstimateError,
     NormParams,
@@ -435,7 +431,9 @@ def cmd_exact(args) -> int:
 
 def cmd_gamma(args) -> int:
     wedge = make_wedge(args.theta_minus, args.theta_plus)
-    bracket = (args.bracket_lo, args.bracket_hi) if args.bracket_lo else None
+    if (args.bracket_lo is None) != (args.bracket_hi is None):
+        raise ConfigError("--bracket-lo and --bracket-hi must be given together")
+    bracket = None if args.bracket_lo is None else (args.bracket_lo, args.bracket_hi)
     roots = singular_exponents(args.a0, wedge, bracket=bracket)
     if not roots:
         raise NoSignChangeError("no root in bracket")
@@ -657,17 +655,7 @@ def main(argv=None) -> int:
     except (ConfigError, NormEstimateError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        GeometryError,
-        DegenerateAngleError,
-        TransmissionSignError,
-        NoSignChangeError,
-        RootConvergenceError,
-        SingularSystemError,
-        SolverError,
-        FitError,
-        ValueError,
-    ) as exc:
+    except (RootConvergenceError, SolverError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

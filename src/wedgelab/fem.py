@@ -24,6 +24,7 @@ from .geometry import DomainSpec, Mesh, generate_mesh
 from .norms import SampledField
 
 DEGENERATE_AREA = 1e-14
+ELLIPTICITY_SLACK = 1e-10
 
 
 class AssemblyError(ValueError):
@@ -42,72 +43,46 @@ class SolverError(RuntimeError):
         self.history = history if history is not None else []
 
 
-def _as_matrix_fn(a):
-    """Wrap a scalar, 2x2 array, or callable into pts -> (m, 2, 2)."""
-    if callable(a):
+def _as_field(f, shape: tuple):
+    """Wrap ``f`` into (x, y) -> values of shape x.shape + ``shape``.
+
+    ``shape`` is (), (2,) or (2, 2).  ``None`` gives zeros, a constant of
+    ``shape`` is broadcast, a callable is wrapped.  For (2, 2) a scalar
+    constant, or a callable returning one value per point, is isotropic.
+    """
+    if callable(f):
 
         def fn(x, y):
-            out = np.asarray(a(x, y), dtype=float)
-            x = np.asarray(x, dtype=float)
-            if out.shape == x.shape:  # scalar field -> isotropic matrix
-                eye = np.eye(2)
-                return out[..., None, None] * eye
+            out = np.asarray(f(x, y), dtype=float)
+            if shape == (2, 2) and out.shape == np.shape(x):
+                return out[..., None, None] * np.eye(2)
             return out
 
         return fn
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 0:
-        mat = float(arr) * np.eye(2)
-    elif arr.shape == (2, 2):
-        mat = arr
-    else:
-        raise AssemblyError("coefficient must be a scalar, a 2x2 matrix, or a callable")
+    val = np.zeros(shape) if f is None else np.asarray(f, dtype=float)
+    if shape == (2, 2) and val.ndim == 0:
+        val = val * np.eye(2)
+    if val.shape != shape:
+        raise AssemblyError(f"constant data of shape {val.shape} where {shape} is expected")
 
     def const_fn(x, y):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(mat, x.shape + (2, 2))
+        return np.broadcast_to(val, np.shape(x) + shape)
 
     return const_fn
 
 
-def _as_vector_fn(g):
-    if g is None:
-        def zero(x, y):
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape + (2,))
-
-        return zero
-    if callable(g):
-        def fn(x, y):
-            return np.asarray(g(x, y), dtype=float)
-
-        return fn
-    arr = np.asarray(g, dtype=float).reshape(2)
-
-    def const_fn(x, y):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(arr, x.shape + (2,))
-
-    return const_fn
-
-
-def _as_scalar_fn(h):
-    if h is None:
-        def zero(x, y):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        return zero
-    if callable(h):
-        def fn(x, y):
-            return np.asarray(h(x, y), dtype=float)
-
-        return fn
-    val = float(h)
-
-    def const_fn(x, y):
-        return np.full_like(np.asarray(x, dtype=float), val)
-
-    return const_fn
+def _by_side(fn_plus, fn_minus, x, y, side, shape: tuple) -> np.ndarray:
+    """``fn_plus`` at points with side > 0, ``fn_minus`` elsewhere."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    side = np.broadcast_to(np.asarray(side), x.shape)
+    out = np.empty(x.shape + shape)
+    up = side > 0
+    if np.any(up):
+        out[up] = fn_plus(x[up], y[up])
+    if np.any(~up):
+        out[~up] = fn_minus(x[~up], y[~up])
+    return out
 
 
 @dataclass
@@ -120,21 +95,12 @@ class PiecewiseCoefficient:
     Lam: float = math.inf
 
     def __post_init__(self):
-        self._fn_plus = _as_matrix_fn(self.a_plus)
-        self._fn_minus = _as_matrix_fn(self.a_minus)
+        self._fn_plus = _as_field(self.a_plus, (2, 2))
+        self._fn_minus = _as_field(self.a_minus, (2, 2))
 
     def evaluate(self, x, y, side):
         """Coefficient matrices at points, side = +1/-1 per point."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        side = np.broadcast_to(np.asarray(side), x.shape)
-        out = np.empty(x.shape + (2, 2))
-        up = side > 0
-        if np.any(up):
-            out[up] = self._fn_plus(x[up], y[up])
-        if np.any(~up):
-            out[~up] = self._fn_minus(x[~up], y[~up])
-        return out
+        return _by_side(self._fn_plus, self._fn_minus, x, y, side, (2, 2))
 
 
 def coefficient_jump(a0: float, lam: float | None = None, Lam: float | None = None) -> PiecewiseCoefficient:
@@ -149,19 +115,22 @@ def coefficient_jump(a0: float, lam: float | None = None, Lam: float | None = No
     )
 
 
-def validate_ellipticity(coeff: PiecewiseCoefficient, x, y, side, slack: float = 1e-10) -> None:
-    """Check lam |xi|^2 <= xi . a xi <= Lam |xi|^2 on sample points and directions."""
+def validate_ellipticity(coeff: PiecewiseCoefficient, x, y, side) -> None:
+    """Check lam |xi|^2 <= xi . a xi <= Lam |xi|^2 on sample points and directions.
+
+    Both bounds allow ELLIPTICITY_SLACK for rounding.
+    """
     mats = coeff.evaluate(x, y, side)
     if not np.allclose(mats, np.swapaxes(mats, -1, -2), atol=1e-12):
         raise EllipticityError("coefficient matrices must be symmetric")
     angles = np.linspace(0.0, math.pi, 8, endpoint=False)
     xi = np.column_stack([np.cos(angles), np.sin(angles)])
     quad = np.einsum("id,mde,ie->mi", xi, mats, xi)
-    if coeff.lam > 0.0 and np.any(quad < coeff.lam - slack):
+    if coeff.lam > 0.0 and np.any(quad < coeff.lam - ELLIPTICITY_SLACK):
         raise EllipticityError(
             f"coefficient dips below lambda = {coeff.lam}: min quad {quad.min():.6g}"
         )
-    if math.isfinite(coeff.Lam) and np.any(quad > coeff.Lam + slack):
+    if math.isfinite(coeff.Lam) and np.any(quad > coeff.Lam + ELLIPTICITY_SLACK):
         raise EllipticityError(
             f"coefficient exceeds Lambda = {coeff.Lam}: max quad {quad.max():.6g}"
         )
@@ -173,8 +142,7 @@ class ProblemSpec:
 
     ``g_plus``/``g_minus`` are the vector field branches per side, ``h`` the
     scalar right-hand side, ``phi`` the boundary data (continuous on the
-    closed boundary).  ``phi_grad`` is optional and only used by norm
-    estimators that need tangential derivatives of the trace.
+    closed boundary).
     """
 
     domain: DomainSpec
@@ -183,13 +151,12 @@ class ProblemSpec:
     g_plus: object = None
     g_minus: object = None
     h: object = None
-    phi_grad: object = None
 
     def __post_init__(self):
-        self._phi = _as_scalar_fn(self.phi)
-        self._g_plus = _as_vector_fn(self.g_plus)
-        self._g_minus = _as_vector_fn(self.g_minus)
-        self._h = _as_scalar_fn(self.h)
+        self._phi = _as_field(self.phi, ())
+        self._g_plus = _as_field(self.g_plus, (2,))
+        self._g_minus = _as_field(self.g_minus, (2,))
+        self._h = _as_field(self.h, ())
 
     def phi_at(self, x, y):
         return self._phi(x, y)
@@ -198,16 +165,7 @@ class ProblemSpec:
         return self._h(x, y)
 
     def g_at(self, x, y, side):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        side = np.broadcast_to(np.asarray(side), x.shape)
-        out = np.empty(x.shape + (2,))
-        up = side > 0
-        if np.any(up):
-            out[up] = self._g_plus(x[up], y[up])
-        if np.any(~up):
-            out[~up] = self._g_minus(x[~up], y[~up])
-        return out
+        return _by_side(self._g_plus, self._g_minus, x, y, side, (2,))
 
 
 @dataclass

@@ -58,7 +58,7 @@ class TestFitCornerExponent:
             return np.hypot(np.asarray(x), np.asarray(y)) ** s
 
         radii = [2.0**-k for k in range(3, 11)]
-        fit = fit_corner_exponent(field, default_rays(STRAIGHT, 16), radii, corner_value=0.0)
+        fit = fit_corner_exponent(field, default_rays(STRAIGHT, 16), radii)
         assert fit.beta == pytest.approx(s, abs=1e-6)
         assert fit.r_squared > 0.999999
 
@@ -67,7 +67,7 @@ class TestFitCornerExponent:
             return np.asarray(x, dtype=float)
 
         radii = [2.0**-k for k in range(3, 11)]
-        fit = fit_corner_exponent(field, default_rays(STRAIGHT, 16), radii, corner_value=0.0)
+        fit = fit_corner_exponent(field, default_rays(STRAIGHT, 16), radii)
         assert fit.beta == pytest.approx(1.0, abs=1e-3)
 
     def test_separable_example_exact_samples(self):
@@ -77,7 +77,7 @@ class TestFitCornerExponent:
             return eval_separable_xy(sol, x, y)
 
         radii = [2.0**-k for k in range(3, 11)]
-        fit = fit_corner_exponent(field, default_rays(STRAIGHT, 24), radii, corner_value=0.0)
+        fit = fit_corner_exponent(field, default_rays(STRAIGHT, 24), radii)
         assert fit.beta == pytest.approx(0.8, abs=1e-3)
         assert fit.r_squared > 0.9999
         # per-ray slopes agree away from the walls
@@ -122,7 +122,7 @@ class TestFitCornerExponent:
     def test_decade_span_required(self):
         with pytest.raises(FitError):
             fit_corner_exponent(
-                lambda x, y: np.hypot(x, y), [0.1], [0.1, 0.2, 0.4, 0.8], corner_value=0.0
+                lambda x, y: np.hypot(x, y), [0.1], [0.1, 0.2, 0.4, 0.8]
             )
 
     def test_zero_variation_is_error(self):
@@ -131,7 +131,6 @@ class TestFitCornerExponent:
                 lambda x, y: np.ones_like(np.asarray(x)),
                 [0.1, 0.3],
                 [0.01, 0.05, 0.1, 0.2],
-                corner_value=1.0,
             )
 
     def test_default_fit_radii_window(self):
@@ -270,20 +269,79 @@ class TestEstimateRatios:
         assert r.status == "degenerate"
         assert r.ratio is None
 
-    def test_ratio_csv_marks_degenerate(self, tmp_path, singular_solve):
-        from wedgelab.analysis import write_ratio_csv
 
-        spec, fs = singular_solve
-        ok = estimate_ratio_corner(fs, spec, beta=0.8, alpha=0.5)
-        spec0 = ProblemSpec(domain=DOM, coeff=coefficient_jump(2.0), phi=0.0)
-        fs0 = solve_problem(spec0, 0.1, 1.0)
-        deg = estimate_ratio_corner(fs0, spec0, beta=0.5, alpha=0.5)
-        path = tmp_path / "ratios.csv"
-        write_ratio_csv(path, [("case-a", 0.05, ok), ("case-b", 0.1, deg)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "instance,h,lhs,rhs,ratio"
-        assert lines[1].split(",")[-1] == f"{ok.ratio:.17g}"
-        assert lines[2].split(",")[-1] == "degenerate"
+# (instance, kind, lhs, rhs, status, descriptor) of criterion 8's estimates
+# at h = 0.12, recorded from the per-kind implementation they replace
+GOLDEN_RATIOS = [
+    (0, "interior", 2.0592337162479817, 3.2241854540273613, "ok", "interior ball r=0.18 at (0.55,0)"),
+    (0, "interior", 2.266085293592676, 3.297955511583223, "ok", "interior ball r=0.1 at (0.5,0.3)"),
+    (0, "corner", 1.6910383894771845, 8.381418697147488, "ok", "corner sectors 0.5R in R, beta=0.5"),
+    (0, "global", 3.499736748699982, 7.5551828003199075, "ok", "full sector"),
+    (1, "interior", 5.195775458676399, 3.47550902335973, "ok", "interior ball r=0.18 at (0.55,0)"),
+    (1, "interior", 3.8564306352509075, 1.4441531111261727, "ok", "interior ball r=0.1 at (0.5,0.3)"),
+    (1, "corner", 2.8331838424800044, 9.287196896227568, "ok", "corner sectors 0.5R in R, beta=0.5"),
+    (1, "global", 7.055183354784258, 9.757654907024868, "ok", "full sector"),
+    (2, "interior", 2.784176316238967, 3.402264399871259, "ok", "interior ball r=0.18 at (0.55,0)"),
+    (2, "interior", 2.2345586720344266, 2.757344339361631, "ok", "interior ball r=0.1 at (0.5,0.3)"),
+    (2, "corner", 1.622674921688417, 5.555463858093276, "ok", "corner sectors 0.5R in R, beta=0.5"),
+    (2, "global", 3.91884949780549, 7.762310617543295, "ok", "full sector"),
+    ("zero-0", "corner", 0.0, 0.0, "degenerate", "corner sectors 0.5R in R, beta=0.5"),
+    ("zero-1", "corner", 0.0, 0.0, "degenerate", "corner sectors 0.5R in R, beta=0.5"),
+]
+
+
+def test_ratios_match_golden_values():
+    from wedgelab.acceptance import _BATTERY_WEDGES, _random_instance
+
+    got = []
+    for i in range(3):
+        spec = _random_instance(i)[2]
+        fs = solve_problem(spec, 0.12, 1.0)
+        rs = [
+            estimate_ratio_interior(fs, spec, center=(0.55, 0.0), r_inner=0.18, alpha=0.4),
+            # the outer ball B((0.5, 0.3), 0.2) lies above the interface: one side only
+            estimate_ratio_interior(fs, spec, center=(0.5, 0.3), r_inner=0.1, alpha=0.4),
+            estimate_ratio_corner(fs, spec, beta=0.5, alpha=0.4),
+            estimate_ratio_global(fs, spec, beta=0.5, alpha=0.4),
+        ]
+        got += [(i, r) for r in rs]
+    for j, (tp, tm) in enumerate(_BATTERY_WEDGES[:2]):
+        spec0 = ProblemSpec(domain=sector(tm, tp, 1.0), coeff=coefficient_jump(2.0), phi=0.0)
+        fs0 = solve_problem(spec0, 0.12, 1.0)
+        got.append((f"zero-{j}", estimate_ratio_corner(fs0, spec0, beta=0.5, alpha=0.4)))
+    assert len(got) == len(GOLDEN_RATIOS)
+    for (i, r), (gi, kind, lhs, rhs, status, desc) in zip(got, GOLDEN_RATIOS):
+        assert (i, r.kind, r.status, r.descriptor) == (gi, kind, status, desc)
+        assert r.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert r.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
+def test_interior_rhs_sums_its_terms_in_order():
+    # rhs = ((sup|u| + trace term) + sup|h|) + g term, bit for bit; the
+    # interior estimate has no trace term
+    from wedgelab.acceptance import _random_instance
+    from wedgelab.fem import solution_field
+    from wedgelab.norms import SampledField, plain_norm
+
+    spec = _random_instance(2)[2]
+    fs = solve_problem(spec, 0.12, 1.0)
+    fld = solution_field(fs)
+    for center, r in (((0.55, 0.0), 0.18), ((0.5, 0.3), 0.1)):
+        d = np.hypot(fld.points[:, 0] - center[0], fld.points[:, 1] - center[1])
+        outer = fld.restrict(d <= 2.0 * r)
+        x, y = outer.points[:, 0], outer.points[:, 1]
+        g = spec.g_at(x, y, outer.regions)
+        g_norm = 0.0
+        for side in (1, -1):
+            m = outer.regions == side
+            if m.sum() >= 2:
+                for comp in (0, 1):
+                    gf = SampledField(outer.points[m], g[m, comp])
+                    g_norm = max(g_norm, plain_norm(gf, k=0, alpha=0.4))
+        sup_u = float(np.abs(outer.values).max())
+        expected = ((sup_u + 0.0) + float(np.abs(spec.h_at(x, y)).max())) + g_norm
+        got = estimate_ratio_interior(fs, spec, center=center, r_inner=r, alpha=0.4)
+        assert got.rhs == expected
 
 
 class TestComparisonCheck:

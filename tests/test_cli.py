@@ -125,6 +125,25 @@ class TestGammaCommand:
         )
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("flag", ["--bracket-lo", "--bracket-hi"])
+    def test_half_bracket_is_usage_error(self, flag, capsys):
+        code = main(
+            ["gamma", "--a0", "4.236", "--theta-plus", "2.3561944901923448",
+             "--theta-minus", "-0.7853981633974483", flag, "0.05"]
+        )
+        assert code == EXIT_USAGE
+        assert "gamma = " not in capsys.readouterr().out
+
+    def test_zero_bracket_end_reaches_root_finder(self, capsys):
+        # (0, 0.1) is a given bracket, rejected by the 0 < lo < hi check
+        code = main(
+            ["gamma", "--a0", "4.236", "--theta-plus", "2.3561944901923448",
+             "--theta-minus", "-0.7853981633974483", "--bracket-lo", "0",
+             "--bracket-hi", "0.1"]
+        )
+        assert code == EXIT_NUMERICAL
+        assert "gamma = " not in capsys.readouterr().out
+
 
 class TestCorrectorCommand:
     def test_hand_solved_case(self, capsys):

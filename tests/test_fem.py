@@ -157,6 +157,93 @@ class TestAssemble:
             validate_ellipticity(asym, np.array([0.1]), np.array([0.1]), np.array([1]))
 
 
+class TestDataWrappers:
+    X = np.array([0.3, -0.2, 0.5, 0.1])
+    Y = np.array([0.4, -0.3, -0.1, 0.2])
+    SIDE = np.array([1, -1, -1, 1])
+    UP = SIDE > 0
+    ANISO = np.array([[2.0, 0.3], [0.3, 1.0]])
+
+    @staticmethod
+    def matrix_field(x, y):
+        x = np.asarray(x)
+        return np.stack(
+            [np.stack([2.0 + x, 0.1 * y], -1), np.stack([0.1 * y, 1.0 + y * y], -1)], -2
+        )
+
+    def test_coefficient_constants_by_side(self):
+        out = PiecewiseCoefficient(2.5, self.ANISO).evaluate(self.X, self.Y, self.SIDE)
+        assert out.shape == (4, 2, 2)
+        assert np.array_equal(out[self.UP], np.broadcast_to(2.5 * np.eye(2), (2, 2, 2)))
+        assert np.array_equal(out[~self.UP], np.broadcast_to(self.ANISO, (2, 2, 2)))
+
+    def test_coefficient_callables_by_side(self):
+        # one value per point is isotropic; a matrix per point is used as is
+        coeff = PiecewiseCoefficient(lambda x, y: 1.0 + x * x, self.matrix_field)
+        out = coeff.evaluate(self.X, self.Y, self.SIDE)
+        xu = self.X[self.UP]
+        assert np.array_equal(out[self.UP], (1.0 + xu * xu)[:, None, None] * np.eye(2))
+        assert np.array_equal(
+            out[~self.UP], self.matrix_field(self.X[~self.UP], self.Y[~self.UP])
+        )
+
+    def test_coefficient_single_side(self):
+        out = PiecewiseCoefficient(3.0, self.matrix_field).evaluate(self.X, self.Y, 1)
+        assert np.array_equal(out, np.broadcast_to(3.0 * np.eye(2), (4, 2, 2)))
+
+    def test_none_gives_zeros(self):
+        spec = ProblemSpec(domain=sector(-PI / 4, PI / 2, 1.0), coeff=IDENTITY, phi=None)
+        assert np.array_equal(spec.phi_at(self.X, self.Y), np.zeros(4))
+        assert np.array_equal(spec.h_at(self.X, self.Y), np.zeros(4))
+        assert np.array_equal(spec.g_at(self.X, self.Y, self.SIDE), np.zeros((4, 2)))
+
+    def test_constants_keep_the_point_shape(self):
+        spec = ProblemSpec(
+            domain=sector(-PI / 4, PI / 2, 1.0), coeff=IDENTITY, phi=1.5,
+            g_plus=(0.3, -0.2), g_minus=np.array([-0.1, 0.5]), h=-0.7,
+        )
+        x, y = self.X.reshape(2, 2), self.Y.reshape(2, 2)
+        assert np.array_equal(spec.phi_at(x, y), np.full((2, 2), 1.5))
+        assert np.array_equal(spec.h_at(x, y), np.full((2, 2), -0.7))
+        assert np.shape(spec.h_at(0.1, 0.2)) == ()
+        g = spec.g_at(self.X, self.Y, self.SIDE)
+        assert np.array_equal(g[self.UP], [[0.3, -0.2]] * 2)
+        assert np.array_equal(g[~self.UP], [[-0.1, 0.5]] * 2)
+
+    def test_callables_with_mixed_sides(self):
+        def g_minus(x, y):
+            return np.stack([x * y, x - y], axis=-1)
+
+        spec = ProblemSpec(
+            domain=sector(-PI / 4, PI / 2, 1.0), coeff=IDENTITY,
+            phi=lambda x, y: x + 2.0 * y, g_plus=None, g_minus=g_minus,
+            h=lambda x, y: x * x,
+        )
+        assert np.array_equal(spec.phi_at(self.X, self.Y), self.X + 2.0 * self.Y)
+        assert np.array_equal(spec.h_at(self.X, self.Y), self.X * self.X)
+        g = spec.g_at(self.X, self.Y, self.SIDE)
+        assert np.array_equal(g[self.UP], np.zeros((2, 2)))
+        assert np.array_equal(g[~self.UP], g_minus(self.X[~self.UP], self.Y[~self.UP]))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(phi=np.ones(2)),
+            dict(phi=0.0, h=np.ones((2, 2))),
+            dict(phi=0.0, g_plus=1.0),
+            dict(phi=0.0, g_minus=(1.0, 2.0, 3.0)),
+        ],
+    )
+    def test_wrong_shape_constant_rejected(self, kwargs):
+        with pytest.raises(AssemblyError):
+            ProblemSpec(domain=sector(-PI / 4, PI / 2, 1.0), coeff=IDENTITY, **kwargs)
+
+    @pytest.mark.parametrize("a", [np.ones(2), np.ones((2, 3)), np.ones((1, 2, 2))])
+    def test_wrong_shape_coefficient_rejected(self, a):
+        with pytest.raises(AssemblyError):
+            PiecewiseCoefficient(a, 1.0)
+
+
 class TestSolveCg:
     def test_identity_converges_in_one_iteration(self):
         n = 40
