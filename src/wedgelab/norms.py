@@ -13,7 +13,12 @@ with |.| the Euclidean norm of the gradient when k = 1.  The pair max is
 exact over all pairs: a dual-tree branch and bound (Gray & Moore, "N-body
 problems in statistical learning", NIPS 2000) brute-forces only the node
 pairs whose quotient bound can beat the best pair found so far, and reports
-the quotients it evaluated and the argmax pair.
+the quotients it evaluated, the node pairs it pruned and the argmax pair.
+The best pair starts from seeds: each point with its nearest neighbours and
+with the extreme points of every data column.  A pair that no neighbour seed
+covered is at least as long as either point's farthest seeded neighbour, so
+that distance floors the bound of every node pair, including a node paired
+with itself or with a touching node.
 Also provided: the diameter-scaled ("primed") norm and the dilation-decay
 norm  sup_r r^(1-s) (mean_{rD} |f|^p)^(1/p)  over a dyadic radius set.
 """
@@ -34,7 +39,7 @@ _BLOCK = 256  # rows per step of the all-pairs reference scan
 _LEAF = 32  # most points in a kd-tree leaf
 _CHUNK = 8192  # most node pairs bounded per step of the tree walk
 _LEAF_BATCH = 64  # leaf pairs brute-forced between re-prunings
-_SEED_NEIGHBOURS = 8  # nearest neighbours per point that seed the incumbent
+_SEED_NEIGHBOURS = 8  # neighbours per point that seed the incumbent and set the distance floor
 _SLACK = 1.0 + 1e-12  # bounds are inflated by this against rounding before pruning
 
 
@@ -104,6 +109,7 @@ class NormParams:
 class PairScanInfo:
     n_pairs: int  # quotients evaluated
     argmax: tuple[int, int]
+    pruned: int  # node pairs the bound discarded, leaf pairs included
 
 
 @dataclass
@@ -114,6 +120,7 @@ class NormReport:
     argmax_pair: tuple[int, int]
     argmax_points: tuple[tuple[float, float], tuple[float, float]]
     n_pairs: int
+    pruned: int
 
     def as_lines(self) -> list[str]:
         lines = [
@@ -124,6 +131,7 @@ class NormReport:
         (xa, ya), (xb, yb) = self.argmax_points
         lines.append(f"argmax_pair = ({xa:.17g}, {ya:.17g}) ({xb:.17g}, {yb:.17g})")
         lines.append(f"pairs_evaluated = {self.n_pairs}")
+        lines.append(f"node_pairs_pruned = {self.pruned}")
         return lines
 
 
@@ -181,7 +189,7 @@ def _all_pairs_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, Pai
         ri, ci = np.unravel_index(int(np.argmax(q)), q.shape)
         if float(q[ri, ci]) > best:
             best, best_pair = float(q[ri, ci]), (i0 + int(ri), i0 + 1 + int(ci))
-    return best, PairScanInfo(evaluated, best_pair)
+    return best, PairScanInfo(evaluated, best_pair, 0)
 
 
 def _kd_tree(points: np.ndarray):
@@ -208,19 +216,28 @@ def _kd_tree(points: np.ndarray):
 def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScanInfo]:
     """Exact max of the weighted pair quotient by dual-tree branch and bound.
 
-    Every node of a kd tree carries its point box, its data box and its
-    largest weight.  A node pair (A, B) is pruned when
-        min(max_A w, max_B w) * |data span of A u B| / max(gap(A, B), floor)^alpha,
-    an upper bound on every quotient in it (weight exponent >= 0, and pairs
-    below the floor are excluded), is no larger than the incumbent.  The
-    incumbent starts from each point's nearest neighbours; node pairs are
-    walked depth first in chunks, and surviving leaf pairs are brute-forced
-    highest bound first.  Values equal ``_all_pairs_scan``'s bit for bit.
+    Every node of a kd tree carries its point box, its data box, its largest
+    weight and its distance floor ``near``.  The incumbent starts from seeds:
+    each point with its ``_SEED_NEIGHBOURS`` nearest neighbours, then each
+    point with the argmin and the argmax point of every data column, which
+    finds the far pairs where smooth data peaks.  A node pair (A, B) is pruned
+    when
+        min(max_A w, max_B w) * |data span of A u B|
+            / max(gap(A, B), near_A, near_B, floor)^alpha
+    is no larger than the incumbent.  ``near`` is the smallest distance from a
+    point of the node to its farthest seeded neighbour.  The bound covers every
+    pair that no neighbour seed evaluated: were such a pair (i, j) shorter than
+    that distance for i, then j would be one of i's nearest neighbours.  Pairs
+    that a seed evaluated are already no larger than the incumbent, and pairs
+    below the floor are excluded.  The weight exponent is >= 0.  Node pairs
+    are walked depth first in chunks, and surviving leaf pairs are
+    brute-forced highest bound first.  Values equal ``_all_pairs_scan``'s bit
+    for bit.
     """
     n = points.shape[0]
     if n < 2:
         raise NormEstimateError("at least two distinct samples required for a pair scan")
-    best, best_pair, evaluated = 0.0, (0, 1), 0
+    best, best_pair, evaluated, pruned = 0.0, (0, 1), 0, 0
 
     def consider(i, j, keep=True):
         nonlocal best, best_pair, evaluated
@@ -232,12 +249,19 @@ def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScan
             i, j = np.broadcast_arrays(i, j)
             best, best_pair = float(q[k]), (int(min(i[k], j[k])), int(max(i[k], j[k])))
 
+    seed_dist, nbrs = cKDTree(points).query(points, k=min(_SEED_NEIGHBOURS + 1, n))
+    consider(np.repeat(np.arange(n), nbrs.shape[1]), nbrs.ravel())
+    ends = np.unique(np.concatenate([data.argmin(axis=0), data.argmax(axis=0)]))
+    i, j = np.arange(n)[:, None], ends[None, :]
+    consider(i, j, i != j)
+
     perm, ranges, children = _kd_tree(points)
     # reduceat reads one row past each range end, hence the extra row
-    cols = np.column_stack([points, data, deltas])[np.append(perm, 0)]
+    cols = np.column_stack([points, data, deltas, seed_dist[:, -1]])[np.append(perm, 0)]
     lo = np.minimum.reduceat(cols, ranges.ravel())[::2]
     hi = np.maximum.reduceat(cols, ranges.ravel())[::2]
-    wmax = hi[:, -1] ** weight_exp if weight_exp > 0.0 else np.ones(len(ranges))
+    near = np.maximum(lo[:, -1], PAIR_DIST_FLOOR)
+    wmax = hi[:, -2] ** weight_exp if weight_exp > 0.0 else np.ones(len(ranges))
     size = ranges[:, 1] - ranges[:, 0]
     width = int(size[children[:, 0] < 0].max())  # the largest leaf
     slot = ranges[:, :1] + np.arange(width)
@@ -246,25 +270,26 @@ def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScan
 
     def bound(a, b):
         gap = np.maximum(np.maximum(lo[b, :2] - hi[a, :2], lo[a, :2] - hi[b, :2]), 0.0)
-        span = np.maximum(hi[a, 2:-1], hi[b, 2:-1]) - np.minimum(lo[a, 2:-1], lo[b, 2:-1])
-        dist = np.maximum(np.hypot(gap[:, 0], gap[:, 1]), PAIR_DIST_FLOOR)
+        span = np.maximum(hi[a, 2:-2], hi[b, 2:-2]) - np.minimum(lo[a, 2:-2], lo[b, 2:-2])
+        dist = np.maximum(np.hypot(gap[:, 0], gap[:, 1]), np.maximum(near[a], near[b]))
         return np.minimum(wmax[a], wmax[b]) * np.sqrt((span * span).sum(axis=1)) / dist**alpha
 
-    _, nbrs = cKDTree(points).query(points, k=min(_SEED_NEIGHBOURS + 1, n))
-    consider(np.repeat(np.arange(n), nbrs.shape[1]), nbrs.ravel())
     stack = np.zeros((1, 2), dtype=np.intp)  # node pairs to visit: the root with itself
     while stack.size:
         pairs, stack = stack[-_CHUNK:], stack[:-_CHUNK]
         bnd = bound(pairs[:, 0], pairs[:, 1])
         order = np.argsort(bnd)
         order = order[bnd[order] * _SLACK > best]
+        pruned += len(pairs) - order.size
         a, b, bnd = pairs[order, 0], pairs[order, 1], bnd[order]
         leaf = (children[a, 0] < 0) & (children[b, 0] < 0)
         la, lb, lbnd = a[leaf][::-1], b[leaf][::-1], bnd[leaf][::-1]
+        pruned += la.size  # taken back for the leaf pairs a batch brute-forces
         for s in range(0, la.size, _LEAF_BATCH):
             keep = lbnd[s : s + _LEAF_BATCH] * _SLACK > best
             if not keep.any():
                 break
+            pruned -= int(keep.sum())
             ia, ib = la[s : s + _LEAF_BATCH][keep], lb[s : s + _LEAF_BATCH][keep]
             i, j = slots[ia][:, :, None], slots[ib][:, None, :]
             consider(i, j, (i >= 0) & (j >= 0) & ((ia != ib)[:, None, None] | upper))
@@ -280,7 +305,7 @@ def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScan
         ).reshape(-1, 3, 2)
         every = np.ones_like(same)
         stack = np.concatenate([stack, kids[np.column_stack([every, every, same])]])
-    return best, PairScanInfo(evaluated, best_pair)
+    return best, PairScanInfo(evaluated, best_pair, pruned)
 
 
 def weighted_seminorm_kalpha(field: SampledField, params: NormParams, return_info: bool = False):
@@ -310,6 +335,7 @@ def weighted_norm(field: SampledField, params: NormParams) -> NormReport:
             (float(field.points[j, 0]), float(field.points[j, 1])),
         ),
         n_pairs=info.n_pairs,
+        pruned=info.pruned,
     )
 
 

@@ -249,7 +249,10 @@ class TestNormsCommand:
         )
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert any(l.startswith("total = ") for l in out.splitlines())
+        lines = out.splitlines()
+        assert any(l.startswith("total = ") for l in lines)
+        at = next(i for i, l in enumerate(lines) if l.startswith("pairs_evaluated = "))
+        assert lines[at + 1].startswith("node_pairs_pruned = ")
         assert out_csv.exists()
 
 

@@ -21,6 +21,7 @@ from wedgelab.norms import (
     weighted_seminorm_kalpha,
     write_sampled_field_csv,
     y_norm,
+    _SEED_NEIGHBOURS,
     _all_pairs_scan,
     _pair_scan,
     _scan_args,
@@ -67,17 +68,22 @@ def quotient_at(field, params, pair):
 def scan_cases(draw):
     """Clouds and norm parameters for the pair-scan equivalence property."""
     n = draw(st.integers(2, 400))
-    shape = draw(st.sampled_from(["uniform", "collinear", "strip", "near_floor"]))
+    shape = draw(st.sampled_from(["uniform", "collinear", "strip", "near_floor", "lattice"]))
     k = draw(st.integers(0, 1))
     alpha = draw(st.floats(0.05, 0.95))
     # weight exponent k + alpha + tau: clamped to 0, or drawn from [0, 1.5]
     weighted = draw(st.booleans())
     tau = draw(st.floats(0.0, 1.5)) - k - alpha if weighted else -(k + 1.0)
     edge = draw(st.sampled_from([(0.0, 0.0), (0.4, -0.3)]))
-    constant = draw(st.booleans())
+    mode = draw(st.sampled_from(["smooth", "constant", "linear"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.uniform(-1.0, 1.0, size=(n, 2))
-    if shape == "collinear":
+    if shape == "lattice":
+        # a grid of 2:1 cells: most points have neighbours tied at their
+        # farthest seeded neighbour's distance (a square grid has few such ties)
+        m = math.isqrt(n - 1) + 1
+        pts = np.column_stack(np.divmod(np.arange(n), m)) * [2.0 / m, 1.0 / m] - 0.5
+    elif shape == "collinear":
         pts = 0.1 + pts[:, :1] * np.array([[1.0, 0.5]])
     elif shape == "strip":
         pts[:, 1] *= 1e-6
@@ -85,8 +91,13 @@ def scan_cases(draw):
         m = n // 2
         pts[m : 2 * m] = pts[:m] + rng.uniform(0.1, 3.0, size=(m, 2)) * PAIR_DIST_FLOOR
     kvec = rng.uniform(-4.0, 4.0, size=2)
-    vals = np.full(n, 1.7) if constant else np.sin(pts @ kvec) + np.hypot(*pts.T) ** 0.8
-    grads = np.full((n, 2), -0.3) if constant else np.cos(pts @ kvec)[:, None] * kvec
+    if mode == "constant":
+        vals, grads = np.full(n, 1.7), np.full((n, 2), -0.3)
+    elif mode == "linear":
+        vals, grads = pts @ kvec + 0.2, pts @ rng.uniform(-4.0, 4.0, size=(2, 2)) - 0.3
+    else:
+        vals = np.sin(pts @ kvec) + np.hypot(*pts.T) ** 0.8
+        grads = np.cos(pts @ kvec)[:, None] * kvec
     return SampledField(pts, vals, grads), NormParams(k, alpha, tau, edge)
 
 
@@ -191,9 +202,51 @@ class TestSeminormKAlpha:
         args = _scan_args(f, p)
         value, info = _pair_scan(*args)
         ref, _ = _all_pairs_scan(*args)
-        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert value == ref
         if value > 0.0:
             assert quotient_at(f, p, info.argmax) == pytest.approx(value, rel=1e-12)
+
+    def test_unseeded_pair_just_beyond_seed_distances(self):
+        # P = (3, 0) and Q = (4, 0) each have their 8 nearest neighbours on a
+        # radius-0.9 arc facing away from the other, so the maximum pair (P, Q)
+        # at distance 1 is no neighbour seed and lies just beyond both points'
+        # farthest seeded neighbour.  The data extremes sit at and next to the
+        # edge point, with weights 0 and 1e-3, so no far-pair seed finds it.  The
+        # arc ends (3, -+0.9) and (4, -+0.9) are seeded decoys with quotient
+        # 0.99: a distance floor 1.25 times too large would prune (P, Q).
+        fan = np.linspace(-PI / 2, PI / 2, 8)
+        arc = 0.9 * np.column_stack([np.cos(fan), np.sin(fan)])
+        ring_th = np.arange(16) * PI / 8
+        ring = 0.2 * np.column_stack([np.cos(ring_th), np.sin(ring_th)])
+        pts = np.vstack([[3.0, 0.0], [4.0, 0.0], [3.0, 0.0] - arc * [1, -1], [4.0, 0.0] + arc])
+        pts = np.vstack([pts, [[0.0, 0.0], [1e-3, 0.0]], ring])
+        vals = np.concatenate([[1.0, 0.0], np.ones(8), np.zeros(8), [-5.0, 5.0], np.full(16, 0.5)])
+        vals[[2, 9]] = 0.99
+        f = SampledField(pts, vals)
+        p = NormParams(0, 0.5, tau=0.5)
+        value, info = _pair_scan(*_scan_args(f, p))
+        assert value == _all_pairs_scan(*_scan_args(f, p))[0] == 1.0
+        assert info.argmax == (0, 1)
+
+    def test_constant_field_prunes_the_root(self):
+        n = 500
+        f = SampledField(disk_cloud(n, seed=2), np.full(n, 1.7))
+        value, info = weighted_seminorm_kalpha(f, NormParams(0, 0.4, tau=-1.0), return_info=True)
+        assert value == 0.0
+        assert info.pruned == 1
+        # only the seeds: 8 neighbours per point, then every point with the one
+        # extreme point of the constant data column
+        assert info.n_pairs == n * _SEED_NEIGHBOURS + n - 1
+
+    def test_linear_disk_evaluates_few_pairs(self):
+        n = 2000
+        pts = disk_cloud(n, seed=3)
+        f = SampledField(pts, 0.7 * pts[:, 0] - 0.3 * pts[:, 1] + 0.2)
+        p = NormParams(0, 0.4, tau=-1.0)
+        value, info = weighted_seminorm_kalpha(f, p, return_info=True)
+        assert value == _all_pairs_scan(*_scan_args(f, p))[0]
+        assert info.n_pairs <= 0.15 * n * (n - 1) / 2
+        assert info.pruned > 0
 
     def test_monotone_under_refinement(self):
         # exact-mode estimate over a superset never decreases
@@ -266,6 +319,10 @@ class TestWeightedNorm:
         assert all(v >= 0 for v in rep.seminorms_k0)
         lines = rep.as_lines()
         assert any(line.startswith("total = ") for line in lines)
+        assert lines[-2:] == [
+            f"pairs_evaluated = {rep.n_pairs}",
+            f"node_pairs_pruned = {rep.pruned}",
+        ]
 
 
 class TestPrimedNorm:
