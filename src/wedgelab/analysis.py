@@ -284,15 +284,21 @@ def _side_max(cloud: SampledField, norm) -> float:
     return best
 
 
-def _ratio(kind, desc, lhs, spec, cloud, alpha, sup_u, traces) -> EstimateRatio:
+def _ratio(kind, desc, lhs, spec, cloud, sup_u, trace_norms, g_norm) -> EstimateRatio:
     """``lhs`` against the data right-hand side measured on the samples of ``cloud``.
 
-    The right-hand side sums, in this order: sup_u, the largest trace norm
-    of phi over ``traces``, sup|h|, and the largest per-side Holder norm of
-    a component of g.  At or below DEGENERATE_RHS the ratio is degenerate.
+    The right-hand side sums, in this order: sup_u, the largest of
+    ``trace_norms``, sup|h| over ``cloud``, and ``g_norm`` (see ``_g_norm``).
+    At or below DEGENERATE_RHS the ratio is degenerate.
     """
-    rhs = sup_u + max((plain_norm(f, k=1, alpha=alpha) for f in traces), default=0.0)
-    rhs += float(np.abs(spec.h_at(cloud.points[:, 0], cloud.points[:, 1])).max())
+    sup_h = float(np.abs(spec.h_at(cloud.points[:, 0], cloud.points[:, 1])).max())
+    rhs = sup_u + max(trace_norms, default=0.0) + sup_h + g_norm
+    status = "degenerate" if rhs <= DEGENERATE_RHS else "ok"
+    return EstimateRatio(lhs, rhs, kind, desc, status=status)
+
+
+def _g_norm(spec: ProblemSpec, alpha: float, cloud: SampledField) -> float:
+    """Largest per-side Holder norm of a component of g over the samples of ``cloud``, 0 if none."""
     gvals = spec.g_at(cloud.points[:, 0], cloud.points[:, 1], cloud.regions)
     g_norm = 0.0
     for side in (1, -1):
@@ -300,37 +306,42 @@ def _ratio(kind, desc, lhs, spec, cloud, alpha, sup_u, traces) -> EstimateRatio:
         if mask.sum() < 2:
             continue
         for comp in (0, 1):
-            gf = SampledField(cloud.points[mask], gvals[mask, comp], None, None)
+            gf = SampledField._subset(cloud.points[mask], gvals[mask, comp])
             g_norm = max(g_norm, plain_norm(gf, k=0, alpha=alpha))
-    rhs += g_norm
-    status = "degenerate" if rhs <= DEGENERATE_RHS else "ok"
-    return EstimateRatio(lhs, rhs, kind, desc, status=status)
+    return g_norm
 
 
-def _trace(spec: ProblemSpec, x, y, s) -> SampledField:
-    """phi at boundary points, with its tangential derivative over the arclength ``s``."""
+def _per_solve(fs: FemSolution, spec: ProblemSpec, alpha: float, term, *args):
+    """``term(spec, alpha, *args)``, once per solve, spec object and alpha; ``args`` may not vary."""
+    key = (term.__name__, id(spec), alpha)
+    if key not in fs._memo or fs._memo[key][0] is not spec:
+        fs._memo[key] = (spec, term(spec, alpha, *args))
+    return fs._memo[key][1]
+
+
+def _trace_norm(spec: ProblemSpec, alpha: float, x, y, s) -> float:
+    """Holder norm of phi at boundary points, with its tangential derivative over the arclength ``s``."""
     vals = spec.phi_at(x, y)
     dtang = np.gradient(vals, s)
     grads = np.column_stack([dtang, np.zeros_like(dtang)])
-    return SampledField(np.column_stack([x, y]), vals, grads, None)
+    return plain_norm(SampledField(np.column_stack([x, y]), vals, grads, None), k=1, alpha=alpha)
 
 
-def _wall_traces(spec: ProblemSpec) -> list[SampledField]:
+def _wall_norms(spec: ProblemSpec, alpha: float) -> list[float]:
     R = spec.domain.radius
     r = np.linspace(R / WALL_SAMPLES, R, WALL_SAMPLES)
     w = spec.domain.wedge
-    return [
-        _trace(spec, r * math.cos(t), r * math.sin(t), r) for t in (w.theta_plus, w.theta_minus)
-    ]
+    walls = (w.theta_plus, w.theta_minus)
+    return [_trace_norm(spec, alpha, r * math.cos(t), r * math.sin(t), r) for t in walls]
 
 
-def _arc_traces(spec: ProblemSpec) -> list[SampledField]:
+def _arc_norms(spec: ProblemSpec, alpha: float) -> list[float]:
     R = spec.domain.radius
     w = spec.domain.wedge
     out = []
     for lo, hi in ((0.0, w.theta_plus), (w.theta_minus, 0.0)):
         th = np.linspace(lo + 1e-9, hi - 1e-9, ARC_SAMPLES)
-        out.append(_trace(spec, R * np.cos(th), R * np.sin(th), R * th))
+        out.append(_trace_norm(spec, alpha, R * np.cos(th), R * np.sin(th), R * th))
     return out
 
 
@@ -357,7 +368,8 @@ def estimate_ratio_interior(
         raise FitError("too few samples in the ball pair; refine the mesh")
     lhs = _side_max(inner, lambda f: plain_norm(f, k=1, alpha=alpha))
     desc = f"interior ball r={r_inner:.3g} at ({center[0]:.3g},{center[1]:.3g})"
-    return _ratio("interior", desc, lhs, spec, outer, alpha, float(np.abs(outer.values).max()), [])
+    sup_u = float(np.abs(outer.values).max())
+    return _ratio("interior", desc, lhs, spec, outer, sup_u, [], _g_norm(spec, alpha, outer))
 
 
 def estimate_ratio_corner(
@@ -383,7 +395,8 @@ def estimate_ratio_corner(
     lhs = _side_max(inner, lambda f: weighted_norm(f, params).total)
     desc = f"corner sectors {CORNER_INNER_FRACTION:.2g}R in R, beta={beta:.3g}"
     sup_u = float(np.abs(fld.values).max())
-    return _ratio("corner", desc, lhs, spec, fld, alpha, sup_u, _wall_traces(spec))
+    walls, g_norm = _per_solve(fs, spec, alpha, _wall_norms), _per_solve(fs, spec, alpha, _g_norm, fld)
+    return _ratio("corner", desc, lhs, spec, fld, sup_u, walls, g_norm)
 
 
 def estimate_ratio_global(
@@ -399,8 +412,9 @@ def estimate_ratio_global(
     fld = solution_field(fs)
     params = NormParams(k=1, alpha=alpha, tau=-beta)
     lhs = _side_max(fld, lambda f: weighted_norm(f, params).total)
-    traces = _wall_traces(spec) + _arc_traces(spec)
-    return _ratio("global", "full sector", lhs, spec, fld, alpha, 0.0, traces)
+    traces = _per_solve(fs, spec, alpha, _wall_norms) + _per_solve(fs, spec, alpha, _arc_norms)
+    g_norm = _per_solve(fs, spec, alpha, _g_norm, fld)
+    return _ratio("global", "full sector", lhs, spec, fld, 0.0, traces, g_norm)
 
 
 def calibrate_barrier(

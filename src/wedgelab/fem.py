@@ -15,7 +15,7 @@ definite for the Jacobi-preconditioned conjugate-gradient solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -201,6 +201,8 @@ class FemSolution:
     values: np.ndarray  # (nv,)
     element_gradients: np.ndarray  # (nt, 2)
     diagnostics: CgDiagnostics
+    # what this solve's diagnostics compute once: the solution cloud, data-side norms
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def element_basis_gradients(vertices: np.ndarray, triangles: np.ndarray):
@@ -389,15 +391,14 @@ def solve_problem(
 
 
 def solution_field(fs: FemSolution) -> SampledField:
-    """Barycenter samples with per-element gradients, tagged by side."""
-    bary = fs.mesh.barycenters()
-    vals = fs.values[fs.mesh.triangles].mean(axis=1)
-    return SampledField(
-        points=bary,
-        values=vals,
-        gradients=fs.element_gradients,
-        regions=fs.mesh.region.astype(np.int8),
-    )
+    """Barycenter samples with per-element gradients, tagged by side: one read-only field per solve."""
+    if "cloud" not in fs._memo:
+        bary, vals = fs.mesh.barycenters(), fs.values[fs.mesh.triangles].mean(axis=1)
+        arrays = (bary, vals, fs.element_gradients.view(), fs.mesh.region.astype(np.int8))
+        for a in arrays:
+            a.setflags(write=False)
+        fs._memo["cloud"] = SampledField(*arrays)
+    return fs._memo["cloud"]
 
 
 @dataclass

@@ -82,10 +82,19 @@ class SampledField:
     def n(self) -> int:
         return self.points.shape[0]
 
+    @classmethod
+    def _subset(cls, points, values, gradients=None, regions=None) -> "SampledField":
+        """Samples cut from a checked field: a subset of distinct points is distinct, so no check runs."""
+        field = object.__new__(cls)
+        field.points, field.values, field.gradients, field.regions = points, values, gradients, regions
+        return field
+
     def restrict(self, mask: np.ndarray) -> "SampledField":
-        return SampledField(
-            self.points[mask],
-            self.values[mask],
+        """The samples where the boolean ``mask`` is true."""
+        if np.asarray(mask).dtype != bool:
+            raise NormEstimateError("restrict takes a boolean mask")
+        return SampledField._subset(
+            self.points[mask], self.values[mask],
             None if self.gradients is None else self.gradients[mask],
             None if self.regions is None else self.regions[mask],
         )

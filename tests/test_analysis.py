@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgelab.analysis import (
     BoundaryHypothesisError,
@@ -342,6 +345,90 @@ def test_interior_rhs_sums_its_terms_in_order():
         expected = ((sup_u + 0.0) + float(np.abs(spec.h_at(x, y)).max())) + g_norm
         got = estimate_ratio_interior(fs, spec, center=center, r_inner=r, alpha=0.4)
         assert got.rhs == expected
+
+
+# criterion 8's three ratios, as the battery calls them
+RATIOS = {
+    "interior": lambda fs, spec, alpha: estimate_ratio_interior(
+        fs, spec, center=(0.55, 0.0), r_inner=0.18, alpha=alpha
+    ),
+    "corner": lambda fs, spec, alpha: estimate_ratio_corner(fs, spec, beta=0.5, alpha=alpha),
+    "global": lambda fs, spec, alpha: estimate_ratio_global(fs, spec, beta=0.5, alpha=alpha),
+}
+
+
+def _bits(r):
+    return r.lhs.hex(), r.rhs.hex(), r.status
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    instance=st.integers(0, 49),
+    calls=st.lists(
+        st.tuples(st.sampled_from(sorted(RATIOS)), st.sampled_from([0.3, 0.4])), min_size=1, max_size=5
+    ),
+)
+def test_ratios_sharing_a_solve_equal_ratios_alone(instance, calls):
+    # data-side norms computed once per solve serve every later ratio of that
+    # solve, in any order and for either alpha, without changing one bit
+    from wedgelab.acceptance import _random_instance
+
+    spec = _random_instance(instance)[2]
+    fs = solve_problem(spec, 0.12, 1.0)
+    for kind, alpha in calls:
+        shared = RATIOS[kind](fs, spec, alpha)
+        alone = RATIOS[kind](solve_problem(spec, 0.12, 1.0), spec, alpha)
+        assert _bits(shared) == _bits(alone)
+
+
+def test_specs_sharing_a_solve_get_their_own_data_norms():
+    # two specs that differ only in g, measured against the same solution:
+    # a data norm stored for one spec must not serve the other
+    from wedgelab.acceptance import _random_instance
+
+    spec_a = _random_instance(3)[2]
+    spec_b = dataclasses.replace(spec_a, g_plus=(0.3, -0.2), g_minus=lambda x, y: np.stack([x, y], axis=-1))
+    fs = solve_problem(spec_a, 0.12, 1.0)
+    for kind in ("corner", "global"):
+        got = [RATIOS[kind](fs, spec, 0.4) for spec in (spec_a, spec_b, spec_a, spec_b)]
+        for spec, r in zip((spec_a, spec_b), got[:2]):
+            fresh = FemSolution(fs.mesh, fs.values, fs.element_gradients, fs.diagnostics)
+            assert _bits(r) == _bits(RATIOS[kind](fresh, spec, 0.4))
+        assert got[0].rhs != got[1].rhs
+        assert [_bits(r) for r in got[2:]] == [_bits(r) for r in got[:2]]
+
+
+def test_corner_then_global_scan_each_data_norm_once(monkeypatch):
+    # data-side scans on one solve: the corner and the global ratio share the
+    # g-component norms on the full cloud (2 sides x 2 components) and the two
+    # wall-trace norms; the interior ratio's own scans are unchanged
+    import wedgelab.analysis as analysis
+    from wedgelab.acceptance import _random_instance
+
+    calls = []
+    real = analysis.plain_norm
+
+    traces = {analysis.WALL_SAMPLES: "wall", analysis.ARC_SAMPLES: "arc"}
+
+    def counted(field, k, alpha):
+        calls.append("g" if k == 0 else traces.get(field.n, "lhs"))
+        return real(field, k, alpha)
+
+    monkeypatch.setattr(analysis, "plain_norm", counted)
+
+    def scans(kinds, fs):
+        calls.clear()
+        for kind in kinds:
+            RATIOS[kind](fs, spec, 0.4)
+        return {name: calls.count(name) for name in ("g", "wall", "arc", "lhs")}
+
+    spec = _random_instance(0)[2]
+    interior_alone = scans(["interior"], solve_problem(spec, 0.12, 1.0))
+    assert interior_alone == {"g": 4, "wall": 0, "arc": 0, "lhs": 2}
+    fs = solve_problem(spec, 0.12, 1.0)
+    assert scans(["corner", "global"], fs) == {"g": 4, "wall": 2, "arc": 2, "lhs": 0}
+    assert scans(["corner", "global"], fs) == {"g": 0, "wall": 0, "arc": 0, "lhs": 0}
+    assert scans(["interior"], fs) == interior_alone
 
 
 class TestComparisonCheck:

@@ -475,3 +475,20 @@ class TestSolutionField:
         assert fld.n == fs.mesh.n_triangles
         assert np.array_equal(fld.regions, fs.mesh.region)
         assert fld.gradients.shape == (fs.mesh.n_triangles, 2)
+
+    def test_one_read_only_field_per_solve(self):
+        # later calls share the field, so no caller may change what the next one sees
+        dom = sector(-PI / 4, PI / 2, 1.0)
+        spec = ProblemSpec(domain=dom, coeff=coefficient_jump(2.0), phi=lambda x, y: x)
+        fs = solve_problem(spec, 0.3)
+        fld = solution_field(fs)
+        assert solution_field(fs) is fld
+        assert np.array_equal(fld.gradients, fs.element_gradients)
+        for arr in (fld.points, fld.values, fld.gradients, fld.regions):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        fs.element_gradients[0, 0] += 1.0
+        fs.values[0] += 1.0
+        assert "_memo" not in repr(fs)
+        other = solve_problem(spec, 0.3)
+        assert solution_field(other) is not fld

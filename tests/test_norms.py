@@ -462,6 +462,43 @@ class TestSampledFieldValidation:
         with pytest.raises(NormEstimateError):
             SampledField(np.zeros((3, 2)), np.zeros(2))
 
+    def test_duplicate_csv_row_rejected(self, tmp_path):
+        # the CSV reader is a door for outside data: it keeps the distinctness check
+        path = tmp_path / "dup.csv"
+        path.write_text("x,y,region,value\n0.1,0.2,+,1\n0.3,0.2,-,2\n0.1,0.2,+,3\n")
+        with pytest.raises(NormEstimateError, match="distinct"):
+            read_sampled_field_csv(path)
+
+    @pytest.mark.parametrize("with_grad", [True, False])
+    def test_restrict_keeps_shapes_dtypes_and_tags(self, with_grad):
+        pts = disk_cloud(60, seed=5)
+        grads = np.column_stack([pts[:, 1], -pts[:, 0]]) if with_grad else None
+        regions = np.where(pts[:, 1] > 0, 1, -1).astype(np.int8)
+        f = SampledField(pts, pts[:, 0] ** 2, grads, regions)
+        for mask in (pts[:, 1] > 0, pts[:, 0] > 0.3, np.ones(60, dtype=bool), np.zeros(60, dtype=bool)):
+            sub = f.restrict(mask)
+            m = int(mask.sum())
+            assert sub.n == m
+            assert sub.points.shape == (m, 2) and sub.points.dtype == np.float64
+            assert sub.values.shape == (m,) and sub.values.dtype == np.float64
+            assert np.array_equal(sub.points, pts[mask])
+            assert np.array_equal(sub.values, pts[mask, 0] ** 2)
+            assert sub.regions.dtype == np.int8
+            assert np.array_equal(sub.regions, regions[mask])
+            if with_grad:
+                assert sub.gradients.shape == (m, 2) and sub.gradients.dtype == np.float64
+                assert np.array_equal(sub.gradients, grads[mask])
+            else:
+                assert sub.gradients is None
+        empty = f.restrict(np.zeros(60, dtype=bool))
+        assert empty.n == 0 and empty.regions.shape == (0,)
+
+    def test_restrict_takes_only_a_boolean_mask(self):
+        # an index array could repeat a point, and restrict does not re-check distinctness
+        f = SampledField(disk_cloud(10, seed=1), np.ones(10))
+        with pytest.raises(NormEstimateError, match="boolean"):
+            f.restrict(np.array([0, 0]))
+
     def test_alpha_range(self):
         with pytest.raises(NormEstimateError):
             NormParams(0, 1.0)
