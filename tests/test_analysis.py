@@ -407,7 +407,6 @@ def test_corner_then_global_scan_each_data_norm_once(monkeypatch):
 
     calls = []
     real = analysis.plain_norm
-
     traces = {analysis.WALL_SAMPLES: "wall", analysis.ARC_SAMPLES: "arc"}
 
     def counted(field, k, alpha):
