@@ -314,7 +314,8 @@ def _g_norm(spec: ProblemSpec, alpha: float, cloud: SampledField) -> float:
 def _per_solve(fs: FemSolution, spec: ProblemSpec, alpha: float, term, *args):
     """``term(spec, alpha, *args)``, once per solve, spec object and alpha; ``args`` may not vary."""
     key = (term.__name__, id(spec), alpha)
-    if key not in fs._memo or fs._memo[key][0] is not spec:
+    # the entry holds the spec itself, so its id cannot be reused while the entry lives
+    if key not in fs._memo:
         fs._memo[key] = (spec, term(spec, alpha, *args))
     return fs._memo[key][1]
 

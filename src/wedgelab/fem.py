@@ -394,7 +394,7 @@ def solution_field(fs: FemSolution) -> SampledField:
     """Barycenter samples with per-element gradients, tagged by side: one read-only field per solve."""
     if "cloud" not in fs._memo:
         bary, vals = fs.mesh.barycenters(), fs.values[fs.mesh.triangles].mean(axis=1)
-        arrays = (bary, vals, fs.element_gradients.view(), fs.mesh.region.astype(np.int8))
+        arrays = (bary, vals, fs.element_gradients.copy(), fs.mesh.region.astype(np.int8))
         for a in arrays:
             a.setflags(write=False)
         fs._memo["cloud"] = SampledField(*arrays)

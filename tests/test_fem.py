@@ -487,8 +487,12 @@ class TestSolutionField:
         for arr in (fld.points, fld.values, fld.gradients, fld.regions):
             with pytest.raises(ValueError):
                 arr[0] = 0
+        grad00, val0 = fld.gradients[0, 0], fld.values[0]
         fs.element_gradients[0, 0] += 1.0
         fs.values[0] += 1.0
+        # the field holds its own copies: a changed solve is not re-read
+        assert solution_field(fs) is fld
+        assert fld.gradients[0, 0] == grad00 and fld.values[0] == val0
         assert "_memo" not in repr(fs)
         other = solve_problem(spec, 0.3)
         assert solution_field(other) is not fld

@@ -5,10 +5,11 @@
 Each ``WORKLOAD:PAIRS:FIRST_SEED`` runs ``PAIRS`` pairs on seeds
 ``FIRST_SEED .. FIRST_SEED + PAIRS - 1``; pair k runs the base first when k is
 even and the working tree first when k is odd.  Every run is the command of
-``BENCHMARK.json`` with ``--workload W --seed S --seconds T --trace 0``, from
-the root of its checkout.  The base is exported with ``git archive`` into a
-temporary directory (honours ``TMPDIR``); its ``perfbench/cache`` links to the
-working tree's, whose entries are keyed by a hash of their inputs.
+``BENCHMARK.json`` with ``--workload W --seed S --seconds T --trace 0``, where
+``T`` is its ``run_seconds``, from the root of its checkout.  The base is
+exported with ``git archive`` into a temporary directory (honours ``TMPDIR``);
+its ``perfbench/cache`` links to the working tree's, whose entries are keyed
+by a hash of their inputs.
 
 ``BENCH_<label>.json`` gets, per workload and end-to-end metric, each side's
 raw values, median, quartiles and IQR, and the pairs the change won; plus the
@@ -80,7 +81,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repository root")
     p.add_argument("--base", required=True, help="git revision to compare the working tree against")
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
     p.add_argument("plan", nargs="+", help="WORKLOAD:PAIRS:FIRST_SEED")
     args = p.parse_args(argv)
     plan = parse_plan(args.plan, {w["name"] for w in bench["workloads"]})
@@ -92,7 +92,7 @@ def main(argv=None) -> int:
         change_sha=git("rev-parse", "HEAD"),
         change_dirty=bool(git("status", "--porcelain", "--", "src", "perfbench")),
         command=bench["command"],
-        seconds=args.seconds,
+        seconds=bench["run_seconds"],
         workloads={},
     )
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 for side in order:
                     t0 = time.perf_counter()
-                    run = run_once(sides[side], bench["command"], name, seed, args.seconds)
+                    run = run_once(sides[side], bench["command"], name, seed, bench["run_seconds"])
                     runs[side].append(run)
                     run_s = run["result"]["metrics"]["run_s"]["value"]
                     took = time.perf_counter() - t0
