@@ -6,29 +6,20 @@ from .geometry import (
     DomainSpec,
     GeometryError,
     Mesh,
-    PolarPoint,
-    Region,
     Wedge,
-    classify_point,
-    delta_dist,
     export_mesh,
-    from_polar,
     generate_mesh,
     generate_nonobtuse_mesh,
     make_wedge,
     sector,
-    to_polar,
 )
 from .exact_solutions import (
     Barrier,
     CoefficientJump,
     Corrector,
     SeparableSolution,
-    barrier_eval,
     build_dirichlet_example,
     corrector_solve,
-    eval_separable,
-    grad_separable,
     singular_exponent,
     singular_exponents,
     transmission_coeffs,

@@ -49,7 +49,7 @@ from .fem import (
     solution_field,
     solve_problem,
 )
-from .geometry import make_wedge, sector
+from .geometry import make_wedge, sector, wedge_angles
 from .norms import (
     NormEstimateError,
     NormParams,
@@ -422,7 +422,7 @@ def cmd_exact(args) -> int:
             np.column_stack([x, y]),
             eval_separable_xy(sol, x, y),
             np.column_stack([gx, gy]),
-            np.where(y >= 0, 1, -1).astype(np.int8),
+            np.where(wedge_angles(wedge, x, y) >= 0, 1, -1).astype(np.int8),
         )
         write_sampled_field_csv(field, args.field_csv)
         print(f"field_csv = {args.field_csv}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolarPoint, Wedge, wedge_angles
+from .geometry import Wedge, wedge_angles
 
 _DEGENERACY_TOL = 1e-14
 
@@ -99,11 +99,12 @@ class Corrector:
     a_star: float
     b_plus: float
     b_minus: float
+    wedge: Wedge
 
     def eval_xy(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        b = np.where(y >= 0.0, self.b_plus, self.b_minus)
+        b = np.where(wedge_angles(self.wedge, x, y) >= 0.0, self.b_plus, self.b_minus)
         return self.a_star * x + b * y
 
 
@@ -293,24 +294,8 @@ def _theta_profile_deriv(s: SeparableSolution, theta, side=None):
     return np.where(_branch_masks(th, side), upper, lower)
 
 
-def eval_separable(s: SeparableSolution, p: PolarPoint) -> float:
-    """Value r^gamma * Theta(theta); continuous across theta = 0 when B = D."""
-    return float(p.r**s.gamma * _theta_profile(s, p.theta))
-
-
-def grad_separable(s: SeparableSolution, p: PolarPoint) -> tuple[float, float]:
-    """Cartesian gradient from the polar partials (d_r, r^-1 d_theta).
-
-    Unbounded at the corner when gamma < 1; requesting it there is an error.
-    """
-    if p.r == 0.0 and s.gamma < 1.0:
-        raise ValueError("gradient is unbounded at the corner for gamma < 1")
-    gx, gy = grad_separable_xy(s, np.array([p.r * math.cos(p.theta)]), np.array([p.r * math.sin(p.theta)]))
-    return (float(gx[0]), float(gy[0]))
-
-
 def eval_separable_xy(s: SeparableSolution, x, y):
-    """Vectorized value at Cartesian points; the side is chosen by sign(theta)."""
+    """Vectorized value at Cartesian points; points with theta >= 0 use the upper branch."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     r = np.hypot(x, y)
@@ -375,13 +360,9 @@ def corrector_solve(c_plus: float, c_minus: float, a0, wedge: Wedge) -> Correcto
     residual = np.linalg.norm(M @ sol - rhs) / max(np.linalg.norm(rhs), 1.0)
     if residual > 1e-12:
         raise SingularSystemError(f"corrector solve residual {residual:.3g} exceeds 1e-12")
-    return Corrector(a_star=float(sol[0]), b_plus=float(sol[1]), b_minus=float(sol[2]))
-
-
-def barrier_eval(b: Barrier, p: PolarPoint) -> float:
-    """Barrier value; strictly positive inside the wedge by the angle bound."""
-    nu = 1.0 + b.alpha + b.tau0
-    return float(b.amplitude * p.r ** (1.0 + b.alpha) * math.cos(nu * p.theta))
+    return Corrector(
+        a_star=float(sol[0]), b_plus=float(sol[1]), b_minus=float(sol[2]), wedge=wedge
+    )
 
 
 def barrier_eval_xy(b: Barrier, x, y):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import DomainSpec, Mesh, generate_mesh
+from .geometry import DomainSpec, Mesh, generate_mesh, triangle_areas
 from .norms import SampledField
 
 DEGENERATE_AREA = 1e-14
@@ -211,14 +211,12 @@ def element_basis_gradients(vertices: np.ndarray, triangles: np.ndarray):
     Returns (areas, grads) with grads of shape (m, 3, 2).
     """
     pts = vertices[triangles]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]  # 2 * signed area
+    areas = triangle_areas(vertices, triangles)
     g0 = np.stack([pts[:, 1, 1] - pts[:, 2, 1], pts[:, 2, 0] - pts[:, 1, 0]], axis=1)
     g1 = np.stack([pts[:, 2, 1] - pts[:, 0, 1], pts[:, 0, 0] - pts[:, 2, 0]], axis=1)
     g2 = np.stack([pts[:, 0, 1] - pts[:, 1, 1], pts[:, 1, 0] - pts[:, 0, 0]], axis=1)
-    grads = np.stack([g0, g1, g2], axis=1) / det[:, None, None]
-    return 0.5 * det, grads
+    grads = np.stack([g0, g1, g2], axis=1) / (2 * areas)[:, None, None]
+    return areas, grads
 
 
 def assemble(mesh: Mesh, spec: ProblemSpec) -> SparseSystem:

@@ -3,12 +3,13 @@
 The domain is the sector ``theta_minus < theta < theta_plus`` of radius R
 about a corner at the origin.  The ray ``theta = 0`` divides it into an
 upper subdomain (tagged ``+1``) and a lower one (tagged ``-1``); the corner
-is the single edge point where interface and boundary meet.
+is the single edge point where interface and boundary meet.  A point is
+upper when ``wedge_angles(w, x, y) >= 0``; on wedges that reach past +-pi
+some upper points lie below the x-axis.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -67,37 +68,6 @@ def sector(theta_minus: float, theta_plus: float, radius: float = 1.0) -> Domain
     return DomainSpec(make_wedge(theta_minus, theta_plus), float(radius))
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if self.r < 0.0:
-            raise GeometryError(f"polar radius must be nonnegative, got {self.r}")
-
-
-class Region(str, enum.Enum):
-    OMEGA_PLUS = "omega_plus"
-    OMEGA_MINUS = "omega_minus"
-    INTERFACE = "interface"
-    WALL = "wall"
-    EDGE = "edge"
-    OUTSIDE = "outside"
-
-
-def to_polar(p) -> PolarPoint:
-    """Cartesian -> polar; at the origin the angle is 0 by convention."""
-    x, y = float(p[0]), float(p[1])
-    r = math.hypot(x, y)
-    theta = 0.0 if r == 0.0 else math.atan2(y, x)
-    return PolarPoint(r, theta)
-
-
-def from_polar(pp: PolarPoint) -> tuple[float, float]:
-    return (pp.r * math.cos(pp.theta), pp.r * math.sin(pp.theta))
-
-
 def wedge_angles(w: Wedge, x, y):
     """Angles of the points (x, y) mapped into the branch closest to [theta_minus, theta_plus].
 
@@ -118,60 +88,12 @@ def wedge_angles(w: Wedge, x, y):
     return theta
 
 
-def wedge_angle(w: Wedge, x: float, y: float) -> float:
-    """Scalar ``wedge_angles``."""
-    return float(wedge_angles(w, x, y))
-
-
 def _interval_dist(t, lo: float, hi: float):
     return np.maximum(np.maximum(lo - t, t - hi), 0.0)
 
 
-def _ray_segment_dist(x: float, y: float, angle: float, length: float) -> float:
-    """Distance from (x, y) to the segment {t*(cos a, sin a): 0 <= t <= length}."""
-    c, s = math.cos(angle), math.sin(angle)
-    t = min(max(x * c + y * s, 0.0), length)
-    return math.hypot(x - t * c, y - t * s)
-
-
-def classify_point(d: DomainSpec, p, tol: float | None = None) -> Region:
-    """Classify a point against the sector: subdomains, interface, wall, edge.
-
-    ``tol`` is a length; points within ``tol`` of the corner are Edge, within
-    ``tol`` of the interface segment (0 < r < R on theta = 0) are Interface,
-    within ``tol`` of a wall ray or the outer arc are Wall.
-    """
-    R = d.radius
-    tol = 1e-12 * R if tol is None else float(tol)
-    if tol < 0.0:
-        raise GeometryError("classification tolerance must be nonnegative")
-    x, y = float(p[0]), float(p[1])
-    r = math.hypot(x, y)
-    if r <= tol:
-        return Region.EDGE
-    w = d.wedge
-    theta = wedge_angle(w, x, y)
-    inside_ang = w.theta_minus <= theta <= w.theta_plus
-
-    d_wall_plus = _ray_segment_dist(x, y, w.theta_plus, R)
-    d_wall_minus = _ray_segment_dist(x, y, w.theta_minus, R)
-    on_arc = abs(r - R) <= tol and inside_ang
-    if d_wall_plus <= tol or d_wall_minus <= tol or on_arc:
-        return Region.WALL
-    if _ray_segment_dist(x, y, 0.0, R) <= tol and r < R:
-        return Region.INTERFACE
-    if not inside_ang or r > R:
-        return Region.OUTSIDE
-    return Region.OMEGA_PLUS if theta > 0.0 else Region.OMEGA_MINUS
-
-
-def delta_dist(p, edge_point=(0.0, 0.0)) -> float:
-    """Distance to the edge point, capped at 1."""
-    return float(delta_dist_arr(np.asarray([p], dtype=float), edge_point)[0])
-
-
 def delta_dist_arr(points: np.ndarray, edge_point=(0.0, 0.0)) -> np.ndarray:
-    """Vectorized ``delta_dist`` over an (n, 2) array."""
+    """Distance of each row of an (n, 2) array to the edge point, capped at 1."""
     pts = np.asarray(points, dtype=float)
     d = np.hypot(pts[:, 0] - edge_point[0], pts[:, 1] - edge_point[1])
     return np.minimum(d, 1.0)
@@ -253,7 +175,7 @@ def edge_table(triangles: np.ndarray):
     return edges, inverse.reshape(nt, 3), counts, neighbors
 
 
-def validate_mesh(mesh: Mesh, domain: DomainSpec | None = None) -> None:
+def validate_mesh(mesh: Mesh, domain: DomainSpec) -> None:
     """Check orientation, conformity, interface fit, and tag consistency."""
     areas = mesh.areas()
     if not np.all(areas > 0.0):
@@ -282,9 +204,7 @@ def validate_mesh(mesh: Mesh, domain: DomainSpec | None = None) -> None:
         raise GeometryError(f"{int(straddles.sum())} triangles straddle the interface")
 
     bary = mesh.barycenters()
-    # reflex wedges put part of the upper subdomain below the x-axis; compare
-    # by angle instead of raw y-sign when a domain is supplied
-    side = bary[:, 1] if domain is None else wedge_angles(domain.wedge, bary[:, 0], bary[:, 1])
+    side = wedge_angles(domain.wedge, bary[:, 0], bary[:, 1])
     sign = np.where(side >= 0.0, 1, -1)
     if not np.array_equal(sign.astype(np.int8), mesh.region):
         raise GeometryError("region tags disagree with barycenter side")

@@ -2,6 +2,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from wedgelab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, load_case_config, main
@@ -94,6 +95,24 @@ class TestExactCommand:
         field = read_sampled_field_csv(out_csv)
         assert field.n > 100
         assert field.gradients is not None
+
+    def test_field_csv_regions_follow_wedge_angle(self, tmp_path, capsys):
+        # the upper wall at 5pi/4 lies below the x-axis, so the sign of y
+        # is not the side there
+        from wedgelab.geometry import make_wedge, wedge_angles
+        from wedgelab.norms import read_sampled_field_csv
+
+        out_csv = tmp_path / "field.csv"
+        code = main(
+            ["exact", "--gamma", "0.6", "--theta-plus", repr(5 * math.pi / 4),
+             "--theta-minus", repr(-math.pi / 4), "--field-csv", str(out_csv)]
+        )
+        assert code == EXIT_OK
+        field = read_sampled_field_csv(out_csv)
+        w = make_wedge(-math.pi / 4, 5 * math.pi / 4)
+        side = wedge_angles(w, field.points[:, 0], field.points[:, 1])
+        assert np.any(field.points[:, 1] < 0.0) and np.any(side > math.pi)
+        assert np.array_equal(field.regions, np.where(side >= 0.0, 1, -1))
 
 
 class TestGammaCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from wedgelab.exact_solutions import (
     Barrier,
@@ -11,21 +13,18 @@ from wedgelab.exact_solutions import (
     NoSignChangeError,
     SingularSystemError,
     TransmissionSignError,
-    barrier_eval,
     barrier_eval_xy,
     build_dirichlet_example,
     corrector_determinant,
     corrector_solve,
-    eval_separable,
     eval_separable_xy,
     exponent_equation,
-    grad_separable,
     grad_separable_xy,
     singular_exponent,
     singular_exponents,
     transmission_coeffs,
 )
-from wedgelab.geometry import PolarPoint, make_wedge
+from wedgelab.geometry import make_wedge
 
 PI = math.pi
 STRAIGHT = make_wedge(-PI / 4, 3 * PI / 4)  # walls form one straight line
@@ -118,21 +117,20 @@ class TestSeparableField:
 
     def test_value_on_interface_is_b(self, example):
         sol, _ = example
-        assert eval_separable(sol, PolarPoint(1.0, 0.0)) == pytest.approx(sol.B)
+        assert eval_separable_xy(sol, np.array([1.0]), np.array([0.0]))[0] == pytest.approx(sol.B)
 
     def test_interface_midpoint_value(self, example):
         sol, _ = example
-        assert eval_separable(sol, PolarPoint(0.5, 0.0)) == pytest.approx(
+        assert eval_separable_xy(sol, np.array([0.5]), np.array([0.0]))[0] == pytest.approx(
             0.5**0.8, abs=1e-14
         )
 
     def test_wall_vanishing(self, example):
         sol, _ = example
-        for r in np.geomspace(1e-3, 1.0, 40):
-            up = eval_separable(sol, PolarPoint(r, STRAIGHT.theta_plus))
-            dn = eval_separable(sol, PolarPoint(r, STRAIGHT.theta_minus))
-            assert abs(up) <= 1e-12 * r**0.8
-            assert abs(dn) <= 1e-12 * r**0.8
+        r = np.geomspace(1e-3, 1.0, 40)
+        for th in (STRAIGHT.theta_plus, STRAIGHT.theta_minus):
+            vals = eval_separable_xy(sol, r * math.cos(th), r * math.sin(th))
+            assert np.all(np.abs(vals) <= 1e-12 * r**0.8)
 
     def test_transmission_conditions_algebraic(self, example):
         sol, jump = example
@@ -149,7 +147,7 @@ class TestSeparableField:
             if abs(th) < 0.05:
                 continue  # keep the stencil inside one subdomain
             x, y = r * math.cos(th), r * math.sin(th)
-            gx, gy = grad_separable(sol, PolarPoint(r, th))
+            (gx,), (gy,) = grad_separable_xy(sol, np.array([x]), np.array([y]))
             fd_x = (
                 eval_separable_xy(sol, np.array([x + eps]), np.array([y]))[0]
                 - eval_separable_xy(sol, np.array([x - eps]), np.array([y]))[0]
@@ -164,7 +162,7 @@ class TestSeparableField:
     def test_gradient_unbounded_at_corner(self, example):
         sol, _ = example
         with pytest.raises(ValueError):
-            grad_separable(sol, PolarPoint(0.0, 0.0))
+            grad_separable_xy(sol, np.zeros(1), np.zeros(1))
 
     def test_harmonic_in_each_subdomain(self, example):
         # 5-point stencil consistency: |lap_h u| <= K h^2 with K fitted from
@@ -247,6 +245,30 @@ class TestCorrector:
         c = corrector_solve(0.3, -1.1, 2.5, w)
         assert 2.5 * c.b_plus == pytest.approx(c.b_minus, rel=1e-12)
 
+    # the 1e-6 margins keep the walls at least ~1e-11 rad from each other
+    # and from the interface; closer than the rounding of their angles
+    # (~1e-16), a wall point's side is decided by rounding
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u_minus=st.floats(1e-6, 1.0 - 1e-6),
+        u_plus=st.floats(1e-6, 1.0 - 1e-6),
+        c_plus=st.floats(-2.0, 2.0),
+        c_minus=st.floats(-2.0, 2.0),
+        a0=st.floats(0.1, 10.0),
+    )
+    @example(u_minus=0.125, u_plus=5 / 7, c_plus=0.7, c_minus=-0.4, a0=2.0)
+    def test_wall_values_on_any_wedge(self, u_minus, u_plus, c_plus, c_minus, a0):
+        # theta_minus in (-2pi, 0), theta_plus in (0, 2pi + theta_minus): the
+        # walls may reach past +-pi, where the sign of y is not the side
+        tm = -2 * PI * u_minus
+        w = make_wedge(tm, u_plus * (2 * PI + tm))
+        assume(abs(corrector_determinant(a0, w)) > 1e-3)
+        c = corrector_solve(c_plus, c_minus, a0, w)
+        r = np.linspace(0.1, 1.0, 10)
+        for th, cw in ((w.theta_plus, c_plus), (w.theta_minus, c_minus)):
+            vals = c.eval_xy(r * math.cos(th), r * math.sin(th))
+            assert np.max(np.abs(vals - cw * r)) <= 1e-10
+
 
 class TestBarrier:
     @pytest.fixture
@@ -255,11 +277,11 @@ class TestBarrier:
 
     def test_unit_value_on_interface(self, quarter):
         b = Barrier(1.0, 0.3, 0.2, quarter)
-        assert barrier_eval(b, PolarPoint(1.0, 0.0)) == pytest.approx(1.0)
+        assert barrier_eval_xy(b, np.array([1.0]), np.array([0.0]))[0] == pytest.approx(1.0)
 
     def test_power_decay(self, quarter):
         b = Barrier(1.0, 0.3, 0.2, quarter)
-        assert barrier_eval(b, PolarPoint(0.5, 0.0)) == pytest.approx(
+        assert barrier_eval_xy(b, np.array([0.5]), np.array([0.0]))[0] == pytest.approx(
             0.5**1.3, abs=1e-14
         )
 

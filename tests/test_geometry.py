@@ -7,20 +7,15 @@ from hypothesis import strategies as st
 
 from wedgelab.geometry import (
     GeometryError,
-    PolarPoint,
-    Region,
-    classify_point,
-    delta_dist,
+    delta_dist_arr,
     edge_table,
     export_mesh,
-    from_polar,
     generate_mesh,
     generate_nonobtuse_mesh,
     make_wedge,
     max_interior_angle,
     refine_regular,
     sector,
-    to_polar,
     triangle_areas,
     validate_mesh,
     wedge_angles,
@@ -181,45 +176,9 @@ class TestWedge:
             sector(-PI / 4, PI / 4, 0.0)
 
 
-class TestClassify:
-    @pytest.fixture
-    def dom(self):
-        return sector(-PI / 4, 3 * PI / 4, 1.0)
-
-    def test_upper_subdomain(self, dom):
-        assert classify_point(dom, (0.5, 0.5)) is Region.OMEGA_PLUS
-
-    def test_interface(self, dom):
-        assert classify_point(dom, (0.5, 0.0)) is Region.INTERFACE
-
-    def test_edge(self, dom):
-        assert classify_point(dom, (0.0, 0.0)) is Region.EDGE
-
-    def test_wall_and_outside(self, dom):
-        c = math.cos(3 * PI / 4)
-        s = math.sin(3 * PI / 4)
-        assert classify_point(dom, (0.5 * c, 0.5 * s)) is Region.WALL
-        assert classify_point(dom, (2.0, 0.5)) is Region.OUTSIDE
-        assert classify_point(dom, (0.5, -0.51)) is Region.OUTSIDE
-
-    def test_arc_is_wall(self, dom):
-        assert classify_point(dom, (0.0, 1.0)) is Region.WALL
-
-    def test_partition_is_single_valued_and_polar_consistent(self, dom):
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-1.2, 1.2, size=(400, 2))
-        for p in pts:
-            label = classify_point(dom, p)
-            assert label in Region
-            rt = from_polar(to_polar(p))
-            assert classify_point(dom, rt) is label
-
-    def test_negative_tolerance_rejected(self, dom):
-        with pytest.raises(GeometryError):
-            classify_point(dom, (0.5, 0.5), tol=-1.0)
-
-
 class TestPolar:
+    """Polar coordinates of Cartesian points: ``np.hypot`` and ``wedge_angles``."""
+
     @pytest.mark.parametrize(
         "p,r,theta",
         [
@@ -229,33 +188,33 @@ class TestPolar:
         ],
     )
     def test_known_points(self, p, r, theta):
-        pp = to_polar(p)
-        assert pp.r == pytest.approx(r)
-        assert pp.theta == pytest.approx(theta)
+        w = make_wedge(-7 * PI / 8, 7 * PI / 8)
+        assert np.hypot(*p) == pytest.approx(r)
+        assert wedge_angles(w, *p) == pytest.approx(theta)
 
     def test_origin_angle_convention(self):
-        assert to_polar((0.0, 0.0)).theta == 0.0
+        w = make_wedge(-PI / 4, 5 * PI / 4)
+        assert wedge_angles(w, np.zeros(3), np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
     def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        for p in rng.normal(size=(200, 2)):
-            q = from_polar(to_polar(p))
-            assert np.allclose(q, p, atol=1e-12)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(GeometryError):
-            PolarPoint(-1.0, 0.0)
+        # the reflex wedge moves some angles by 2 pi; the point must not move
+        w = make_wedge(-PI / 4, 5 * PI / 4)
+        p = np.random.default_rng(5).normal(size=(200, 2))
+        r, theta = np.hypot(p[:, 0], p[:, 1]), wedge_angles(w, p[:, 0], p[:, 1])
+        assert np.any(theta > PI)
+        q = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        assert np.allclose(q, p, atol=1e-12)
 
 
 class TestDelta:
     def test_interior_point(self):
-        assert delta_dist((0.3, 0.0)) == pytest.approx(0.3)
+        assert delta_dist_arr(np.array([[0.3, 0.0]]))[0] == pytest.approx(0.3)
 
     def test_capped_at_one(self):
-        assert delta_dist((3.0, 4.0)) == 1.0
+        assert delta_dist_arr(np.array([[3.0, 4.0]]))[0] == 1.0
 
     def test_origin(self):
-        assert delta_dist((0.0, 0.0)) == 0.0
+        assert delta_dist_arr(np.array([[0.0, 0.0]]))[0] == 0.0
 
 
 class TestGenerateMesh:
