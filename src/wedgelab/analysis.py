@@ -26,6 +26,7 @@ WALL_SAMPLES = 60  # trace samples per wall ray
 ARC_SAMPLES = 120  # trace samples per arc branch
 INTERIOR_SLACK = 1e-8  # relative slack of the interior comparison check
 BOUNDARY_SLACK = 1e-12  # relative slack of the boundary hypothesis |v| <= w
+LOCATE_TOL = 1e-6  # barycentric coordinates down to -LOCATE_TOL count as inside
 
 
 class FitError(ValueError):
@@ -85,9 +86,14 @@ class ComparisonReport:
 class P1Evaluator:
     """Point evaluation of a P1 finite-element field.
 
-    Locates the containing element by walking from the nearest barycenter
-    across shared edges toward the query point (robust on strongly graded
-    meshes where KD-tree candidates alone miss the containing element).
+    A triangle that holds a point has its barycenter within ``reach`` of it:
+    the mesh's largest barycenter-to-vertex distance, inflated by
+    1 + 4 LOCATE_TOL, since a point whose barycentric coordinates are all
+    >= -LOCATE_TOL lies in its triangle dilated by 1 + 3 LOCATE_TOL about the
+    barycenter.  So one ball query on the barycenters yields every candidate,
+    and each point takes the candidate whose smallest barycentric coordinate
+    is largest.  A point with no candidate, or whose best coordinate is
+    <= -LOCATE_TOL, lies outside the mesh.
     """
 
     def __init__(self, fs: FemSolution):
@@ -100,51 +106,32 @@ class P1Evaluator:
         )
         self.bary = fs.mesh.barycenters()
         self.tree = cKDTree(self.bary)
-        self.neighbors = edge_table(fs.mesh.triangles)[3]
+        spokes = fs.mesh.vertices[fs.mesh.triangles] - self.bary[:, None, :]
+        far = float(np.hypot(spokes[..., 0], spokes[..., 1]).max())
+        self.reach = far * (1.0 + 4.0 * LOCATE_TOL)
         corner = np.argmin(np.hypot(self.mesh.vertices[:, 0], self.mesh.vertices[:, 1]))
         self.corner_value = float(self.values[corner])
-
-    def _lam(self, t: int, p: np.ndarray) -> np.ndarray:
-        # lambda_i(p) = 1/3 + grad(lambda_i) . (p - barycenter)
-        return 1.0 / 3.0 + self.basis_grads[t] @ (p - self.bary[t])
-
-    def _locate(self, p: np.ndarray) -> tuple[int, np.ndarray]:
-        t = int(self.tree.query(p)[1])
-        visited = set()
-        best_t, best_min = t, -math.inf
-        for _ in range(4 * int(math.sqrt(self.mesh.n_triangles)) + 64):
-            lam = self._lam(t, p)
-            mn = float(lam.min())
-            if mn >= -1e-12:
-                return t, lam
-            if mn > best_min:
-                best_t, best_min = t, mn
-            visited.add(t)
-            moved = False
-            for i in np.argsort(lam):
-                nb = int(self.neighbors[t, i])
-                if nb >= 0 and nb not in visited and lam[i] < 0.0:
-                    t = nb
-                    moved = True
-                    break
-            if not moved:
-                break
-        # accept marginal exterior points (roundoff near edges), else fail
-        if best_min > -1e-6:
-            return best_t, self._lam(best_t, p)
-        raise FitError(f"query point {p.tolist()} lies outside the mesh")
 
     def __call__(self, x, y):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         pts = np.column_stack([x, y])
-        out = np.empty(pts.shape[0])
-        for q, p in enumerate(pts):
-            t, lam = self._locate(p)
-            lam = np.clip(lam, 0.0, 1.0)
-            lam /= lam.sum()
-            out[q] = float(self.values[self.mesh.triangles[t]] @ lam)
-        return out
+        cands = self.tree.query_ball_point(pts, self.reach)
+        counts = np.array([len(c) for c in cands], dtype=np.intp)
+        if not counts.all():
+            raise FitError(f"query point {pts[np.argmin(counts)].tolist()} lies outside the mesh")
+        t = np.concatenate(cands).astype(np.intp)
+        q = np.repeat(np.arange(pts.shape[0]), counts)
+        # lambda_i(p) = 1/3 + grad(lambda_i) . (p - barycenter)
+        lam = 1.0 / 3.0 + np.einsum("nij,nj->ni", self.basis_grads[t], pts[q] - self.bary[t])
+        worst = lam.min(axis=1)
+        best = np.lexsort((-worst, q))[np.cumsum(counts) - counts]  # first of each point's group
+        outside = worst[best] <= -LOCATE_TOL
+        if outside.any():
+            raise FitError(f"query point {pts[np.argmax(outside)].tolist()} lies outside the mesh")
+        lam = np.clip(lam[best], 0.0, 1.0)
+        lam /= lam.sum(axis=1, keepdims=True)
+        return np.einsum("ni,ni->n", self.values[self.mesh.triangles[t[best]]], lam)
 
 
 def _field_evaluator(field):

@@ -73,9 +73,10 @@ _KNOWN_KEYS = {
     "geometry": {"theta_plus", "theta_minus", "radius", "h", "mu"},
     "coefficient": {"a0", "gamma", "lambda", "Lambda"},
     "data": {"phi", "g", "h"},
-    "analysis": {"beta", "alpha", "n_rays", "n_radii"},
+    "analysis": {"n_rays", "n_radii"},
     "output": {"directory", "formats"},
 }
+_FORMATS = {"csv", "svg"}
 
 
 @dataclass
@@ -92,8 +93,6 @@ class CaseConfig:
     phi: str = "exact_trace"
     g: str = "zero"
     h_data: str = "zero"
-    beta: float | None = None
-    alpha: float = 0.5
     n_rays: int = 32
     n_radii: int = 9
     directory: str = "out"
@@ -153,8 +152,6 @@ def load_case_config(path) -> CaseConfig:
         phi=gets("data", "phi", "exact_trace"),
         g=gets("data", "g", "zero"),
         h_data=gets("data", "h", "zero"),
-        beta=getf("analysis", "beta"),
-        alpha=getf("analysis", "alpha", 0.5),
         n_rays=int(getf("analysis", "n_rays", 32)),
         n_radii=int(getf("analysis", "n_radii", 9)),
         directory=gets("output", "directory", "out"),
@@ -163,6 +160,9 @@ def load_case_config(path) -> CaseConfig:
         ),
         source_text=text,
     )
+    unknown = sorted(set(cfg.formats) - _FORMATS)
+    if unknown:
+        raise ConfigError(f"[output] formats: unknown format {unknown[0]!r} (known: csv, svg)")
     return cfg
 
 
@@ -192,6 +192,8 @@ def _poly_field(expr: str):
 
 
 def build_case(cfg: CaseConfig) -> CaseSetup:
+    if cfg.gamma is not None and cfg.a0 is not None:
+        raise ConfigError("[coefficient] takes either gamma or a0, not both")
     domain = sector(cfg.theta_minus, cfg.theta_plus, cfg.radius)
     wedge = domain.wedge
     gamma = cfg.gamma
@@ -208,8 +210,6 @@ def build_case(cfg: CaseConfig) -> CaseSetup:
     coeff = coefficient_jump(a0, lam=cfg.lam, Lam=cfg.Lam)
 
     if cfg.phi == "exact_trace":
-        if gamma is None:
-            gamma = singular_exponent(a0, wedge)
         sol, _ = build_dirichlet_example(gamma, wedge)
 
         def exact(x, y):

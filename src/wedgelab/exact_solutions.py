@@ -31,6 +31,9 @@ import numpy as np
 from .geometry import Wedge, wedge_angles
 
 _DEGENERACY_TOL = 1e-14
+ROOT_SCAN = 1024  # cells of the sign-change scan of the exponent equation
+ROOT_TOL = 1e-10  # bisection interval width at which the secant polish starts
+ROOT_MAX_ITER = 200  # most bisection steps per root
 
 
 class DegenerateAngleError(ValueError):
@@ -182,52 +185,34 @@ def default_exponent_bracket(wedge: Wedge) -> tuple[float, float]:
     return (1e-3, hi - 1e-3)
 
 
-def singular_exponents(
-    a0,
-    wedge: Wedge,
-    bracket: tuple[float, float] | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    scan: int = 1024,
-) -> list[float]:
-    """All roots of the exponent equation in the bracket, ascending."""
+def singular_exponents(a0, wedge: Wedge, bracket: tuple[float, float] | None = None) -> list[float]:
+    """All roots of the exponent equation in the bracket, ascending.
+
+    The bracket is cut into ROOT_SCAN cells; a grid point where the equation
+    is exactly 0 is a root, and each cell whose ends differ in sign is
+    bisected to ROOT_TOL and polished by secant steps.
+    """
     a0v = a0.a0 if isinstance(a0, CoefficientJump) else float(a0)
     if a0v <= 0.0:
         raise TransmissionSignError(f"coefficient jump must be positive, got {a0v}")
-    if tol <= 0.0:
-        raise ValueError("root tolerance must be positive")
     lo, hi = bracket if bracket is not None else default_exponent_bracket(wedge)
     if not (0.0 < lo < hi):
         raise ValueError(f"invalid bracket ({lo}, {hi})")
-    grid = np.linspace(lo, hi, scan + 1)
+    grid = np.linspace(lo, hi, ROOT_SCAN + 1)
     vals = exponent_equation(grid, a0v, wedge)
-    roots: list[float] = []
-    for i in range(scan):
-        f0, f1 = vals[i], vals[i + 1]
-        if f0 == 0.0:
-            roots.append(float(grid[i]))
-        elif f0 * f1 < 0.0:
-            roots.append(_bisect_secant(a0v, wedge, grid[i], grid[i + 1], tol, max_iter))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
+    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    found = [_bisect_secant(a0v, wedge, grid[i], grid[i + 1]) for i in cells]
+    return sorted([float(g) for g in grid[vals == 0.0]] + found)
 
 
-def singular_exponent(
-    a0,
-    wedge: Wedge,
-    bracket: tuple[float, float] | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    scan: int = 1024,
-) -> float:
+def singular_exponent(a0, wedge: Wedge, bracket: tuple[float, float] | None = None) -> float:
     """Smallest root of the exponent equation in the bracket.
 
     Scans the bracket for the first sign change, bisects, then polishes with
     a few secant steps.  Raises ``NoSignChangeError`` when the scan finds no
     root.
     """
-    roots = singular_exponents(a0, wedge, bracket, tol, max_iter, scan)
+    roots = singular_exponents(a0, wedge, bracket)
     if not roots:
         lo, hi = bracket if bracket is not None else default_exponent_bracket(wedge)
         raise NoSignChangeError(
@@ -237,10 +222,10 @@ def singular_exponent(
     return roots[0]
 
 
-def _bisect_secant(a0: float, wedge: Wedge, lo: float, hi: float, tol: float, max_iter: int) -> float:
+def _bisect_secant(a0: float, wedge: Wedge, lo: float, hi: float) -> float:
     flo = float(exponent_equation(lo, a0, wedge))
     fhi = float(exponent_equation(hi, a0, wedge))
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = float(exponent_equation(mid, a0, wedge))
         if fmid == 0.0:
@@ -249,11 +234,11 @@ def _bisect_secant(a0: float, wedge: Wedge, lo: float, hi: float, tol: float, ma
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
-        if hi - lo <= tol:
+        if hi - lo <= ROOT_TOL:
             break
     else:
         raise RootConvergenceError(
-            f"bisection did not reach tol {tol} within {max_iter} iterations"
+            f"bisection did not reach tol {ROOT_TOL} within {ROOT_MAX_ITER} iterations"
         )
     # secant polish inside the final bisection interval
     x0, x1 = lo, hi
@@ -262,11 +247,11 @@ def _bisect_secant(a0: float, wedge: Wedge, lo: float, hi: float, tol: float, ma
         if f1 == f0:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo - tol <= x2 <= hi + tol):
+        if not (lo - ROOT_TOL <= x2 <= hi + ROOT_TOL):
             break
         x0, f0 = x1, f1
         x1, f1 = x2, float(exponent_equation(x2, a0, wedge))
-        if abs(x1 - x0) <= 1e-3 * tol:
+        if abs(x1 - x0) <= 1e-3 * ROOT_TOL:
             break
     return x1
 
@@ -326,9 +311,11 @@ def grad_separable_xy(s: SeparableSolution, x, y, side=None):
 
 
 def corrector_determinant(a0: float, wedge: Wedge) -> float:
-    """Solvability functional a0 cos(t+) sin(t-) - sin(t+) cos(t-)."""
-    tp, tm = wedge.theta_plus, wedge.theta_minus
-    return a0 * math.cos(tp) * math.sin(tm) - math.sin(tp) * math.cos(tm)
+    """Solvability functional a0 cos(t+) sin(t-) - sin(t+) cos(t-): the exponent equation at gamma = 1.
+
+    So the corrector system is singular exactly when gamma = 1 is a singular exponent.
+    """
+    return float(exponent_equation(1.0, a0, wedge))
 
 
 def corrector_solve(c_plus: float, c_minus: float, a0, wedge: Wedge) -> Corrector:

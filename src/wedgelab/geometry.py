@@ -59,10 +59,6 @@ class DomainSpec:
         if not self.radius > 0.0:
             raise GeometryError(f"sector radius must be positive, got {self.radius}")
 
-    @property
-    def edge_point(self) -> tuple[float, float]:
-        return (0.0, 0.0)
-
 
 def sector(theta_minus: float, theta_plus: float, radius: float = 1.0) -> DomainSpec:
     return DomainSpec(make_wedge(theta_minus, theta_plus), float(radius))
@@ -117,7 +113,6 @@ class Mesh:
     region: np.ndarray  # (nt,) int8, +1 / -1
     interface_edges: np.ndarray  # (ne, 2) int
     boundary: np.ndarray  # (nv,) bool
-    grading_mu: float = 1.0
 
     @property
     def n_vertices(self) -> int:
@@ -247,12 +242,12 @@ def generate_mesh(domain: DomainSpec, h: float, mu: float = 1.0) -> Mesh:
     n_minus = max(1, math.ceil(-w.theta_minus * R / h))
     n_plus = max(1, math.ceil(w.theta_plus * R / h))
     layers = R * (np.arange(1, n_layers + 1) / n_layers) ** (1.0 / mu)
-    mesh = _polar_mesh(w, layers, n_minus, n_plus, mu)
+    mesh = _polar_mesh(w, layers, n_minus, n_plus)
     validate_mesh(mesh, domain)
     return mesh
 
 
-def _polar_mesh(w: Wedge, layers: np.ndarray, n_minus: int, n_plus: int, mu: float) -> Mesh:
+def _polar_mesh(w: Wedge, layers: np.ndarray, n_minus: int, n_plus: int) -> Mesh:
     """Tensor mesh on circular layers and on n_minus + n_plus + 1 rays.
 
     The rays split [theta_minus, 0] and [0, theta_plus] evenly.  Vertex 0 is
@@ -292,7 +287,6 @@ def _polar_mesh(w: Wedge, layers: np.ndarray, n_minus: int, n_plus: int, mu: flo
         region=np.concatenate([tag, np.tile(np.repeat(tag, 2), layers.size - 1)]),
         interface_edges=np.column_stack([ray[:-1], ray[1:]]),
         boundary=boundary,
-        grading_mu=float(mu),
     )
 
 
@@ -330,7 +324,6 @@ def refine_regular(mesh: Mesh) -> Mesh:
         region=np.repeat(mesh.region, 4),
         interface_edges=child_edges[on_ray[child_edges[:, 0]] & on_ray[child_edges[:, 1]]],
         boundary=boundary,
-        grading_mu=mesh.grading_mu,
     )
 
 
@@ -347,7 +340,7 @@ def generate_nonobtuse_mesh(domain: DomainSpec, levels: int = 3) -> Mesh:
     w = domain.wedge
     n_minus = max(1, math.ceil(-w.theta_minus / (0.5 * math.pi)))
     n_plus = max(1, math.ceil(w.theta_plus / (0.5 * math.pi)))
-    mesh = _polar_mesh(w, np.array([domain.radius]), n_minus, n_plus, 1.0)
+    mesh = _polar_mesh(w, np.array([domain.radius]), n_minus, n_plus)
     for _ in range(levels):
         mesh = refine_regular(mesh)
     validate_mesh(mesh, domain)

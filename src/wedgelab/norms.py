@@ -201,32 +201,28 @@ def _all_pairs_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, Pai
     return best, PairScanInfo(evaluated, best_pair, 0)
 
 
-def _kd_tree(points: np.ndarray):
-    """Median kd-split tree, split along the wider side, leaves of at most ``_LEAF`` points.
+def _node_table(tree: cKDTree):
+    """Each node's (start, end) range of ``tree.indices`` and its two children (-1 for a leaf).
 
-    Returns a permutation of the points in which every node is a contiguous
-    range, each node's (start, end) and its two children (-1 for a leaf).
+    Nodes are numbered breadth first, the root as node 0.
     """
-    perm = np.arange(points.shape[0])
-    ranges, children = [(0, points.shape[0])], []
-    for s, e in ranges:  # breadth first: the list grows while it is walked
-        if e - s <= _LEAF:
+    nodes, children = [tree.tree], []
+    for node in nodes:  # the list grows while it is walked
+        if node.lesser is None:
             children.append((-1, -1))
-            continue
-        idx = perm[s:e]
-        axis = int(np.argmax(np.ptp(points[idx], axis=0)))
-        m = (e - s) // 2
-        perm[s:e] = idx[np.argpartition(points[idx, axis], m)]
-        children.append((len(ranges), len(ranges) + 1))
-        ranges += [(s, s + m), (s + m, e)]
-    return perm, np.array(ranges), np.array(children)
+        else:
+            children.append((len(nodes), len(nodes) + 1))
+            nodes += [node.lesser, node.greater]
+    return np.array([(node.start_idx, node.end_idx) for node in nodes]), np.array(children)
 
 
 def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScanInfo]:
     """Exact max of the weighted pair quotient by dual-tree branch and bound.
 
-    Every node of a kd tree carries its point box, its data box, its largest
-    weight and its distance floor ``near``.  The incumbent starts from seeds:
+    One ``cKDTree`` (median split along the widest side, leaves of at most
+    ``_LEAF`` points) gives both the neighbour seeds and the nodes.  Every
+    node carries its point box, its data box, its largest weight and its
+    distance floor ``near``.  The incumbent starts from seeds:
     each point with its ``_SEED_NEIGHBOURS`` nearest neighbours, then each
     point with the argmin and the argmax point of every data column, which
     finds the far pairs where smooth data peaks.  A node pair (A, B) is pruned
@@ -258,13 +254,15 @@ def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScan
             i, j = np.broadcast_arrays(i, j)
             best, best_pair = float(q[k]), (int(min(i[k], j[k])), int(max(i[k], j[k])))
 
-    seed_dist, nbrs = cKDTree(points).query(points, k=min(_SEED_NEIGHBOURS + 1, n))
+    tree = cKDTree(points, leafsize=_LEAF)
+    seed_dist, nbrs = tree.query(points, k=min(_SEED_NEIGHBOURS + 1, n))
     consider(np.repeat(np.arange(n), nbrs.shape[1]), nbrs.ravel())
     ends = np.unique(np.concatenate([data.argmin(axis=0), data.argmax(axis=0)]))
     i, j = np.arange(n)[:, None], ends[None, :]
     consider(i, j, i != j)
 
-    perm, ranges, children = _kd_tree(points)
+    perm = tree.indices
+    ranges, children = _node_table(tree)
     # reduceat reads one row past each range end, hence the extra row
     cols = np.column_stack([points, data, deltas, seed_dist[:, -1]])[np.append(perm, 0)]
     lo = np.minimum.reduceat(cols, ranges.ravel())[::2]

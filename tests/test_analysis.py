@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedgelab.analysis import (
@@ -37,7 +37,7 @@ from wedgelab.fem import (
     element_gradients,
     solve_problem,
 )
-from wedgelab.geometry import generate_mesh, make_wedge, sector
+from wedgelab.geometry import edge_table, generate_mesh, make_wedge, sector
 
 PI = math.pi
 STRAIGHT = make_wedge(-PI / 4, 3 * PI / 4)
@@ -52,6 +52,26 @@ def interpolant_solution(mesh, fn):
         element_gradients=element_gradients(mesh, values),
         diagnostics=CgDiagnostics(0, 0.0, np.zeros(0), 0, True),
     )
+
+
+def p1_brute_force(mesh, values, pts):
+    """P1 values at ``pts`` from the triangle whose smallest barycentric coordinate is largest, over every triangle."""
+    a, b, c = np.moveaxis(mesh.vertices[mesh.triangles], 1, 0)
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    det = cross(b - a, c - a)
+    out = []
+    for block in np.array_split(pts, -(-len(pts) // 128)):
+        p = block[:, None, :]
+        lb, lc = cross(p - a, c - a) / det, cross(b - a, p - a) / det
+        lam = np.stack([1.0 - lb - lc, lb, lc], axis=-1)
+        k = lam.min(axis=-1).argmax(axis=1)
+        best = np.clip(lam[np.arange(len(block)), k], 0.0, 1.0)
+        best /= best.sum(axis=1, keepdims=True)
+        out.append((values[mesh.triangles[k]] * best).sum(axis=1))
+    return np.concatenate(out)
 
 
 class TestFitCornerExponent:
@@ -161,6 +181,34 @@ class TestP1Evaluator:
         ev = P1Evaluator(fs)
         with pytest.raises(FitError):
             ev(np.array([1.4]), np.array([1.4]))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        theta_minus=st.floats(-3.1, -0.3),
+        opening=st.floats(PI + 0.05, 2 * PI - 1e-3),
+        mu=st.floats(0.5, 1.0),
+        h=st.floats(0.08, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(theta_minus=-0.3, opening=2 * PI - 1e-3, mu=0.5, h=0.08, seed=0)
+    def test_matches_brute_force_on_reflex_wedges(self, theta_minus, opening, mu, h, seed):
+        mesh = generate_mesh(sector(theta_minus, theta_minus + opening, 1.0), h, mu)
+        fs = interpolant_solution(mesh, lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y) + x * y)
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, mesh.n_triangles, 200)
+        weights = rng.dirichlet(np.ones(3), 200)
+        edges = edge_table(mesh.triangles)[0]
+        pts = np.vstack([
+            np.einsum("ni,nij->nj", weights, mesh.vertices[mesh.triangles[t]]),
+            mesh.vertices,
+            0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]]),
+            [[0.0, 0.0]],
+        ])
+        ev = P1Evaluator(fs)
+        assert np.abs(ev(pts[:, 0], pts[:, 1]) - p1_brute_force(mesh, fs.values, pts)).max() <= 1e-12
+        th = theta_minus + opening * rng.uniform()
+        with pytest.raises(FitError):
+            ev(np.array([1.2 * math.cos(th)]), np.array([1.2 * math.sin(th)]))
 
 
 class TestInterfaceFluxJump:

@@ -23,9 +23,6 @@ gamma = 0.8
 [data]
 phi = exact_trace
 
-[analysis]
-alpha = 0.5
-
 [output]
 directory = {outdir}
 formats = csv,svg
@@ -276,11 +273,12 @@ class TestNormsCommand:
 
 
 class TestConfigValidation:
-    def test_unknown_key_rejected(self, tmp_path):
-        text = BASE_CONFIG + "\n[geometry]\nbogus = 1\n"
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("mu = 1.0", "mu = 1.0\nbogus = 1")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text.format(outdir=tmp_path / "o"))
         assert main(["solve", str(cfg)]) == EXIT_USAGE
+        assert "unknown key 'bogus'" in capsys.readouterr().err
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -296,6 +294,26 @@ class TestConfigValidation:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[geometry]\ntheta_plus = fast\ntheta_minus = -1.0\n")
         assert main(["solve", str(cfg)]) == EXIT_USAGE
+
+    def test_gamma_and_a0_together_rejected(self, tmp_path, capsys):
+        # the coefficient would follow a0 and the exact solution gamma
+        text = BASE_CONFIG.replace("gamma = 0.8", "gamma = 0.8\na0 = 2.0")
+        cfg, outdir = write_config(tmp_path, text=text)
+        assert main(["solve", str(cfg)]) == EXIT_USAGE
+        assert "either gamma or a0" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_analysis_exponents_are_unknown_keys(self, tmp_path, capsys, key):
+        text = BASE_CONFIG.replace("[output]", f"[analysis]\n{key} = 0.5\n\n[output]")
+        cfg, _ = write_config(tmp_path, text=text)
+        assert main(["solve", str(cfg)]) == EXIT_USAGE
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_unknown_format_rejected(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, text=BASE_CONFIG.replace("csv,svg", "csv,pdf"))
+        assert main(["solve", str(cfg)]) == EXIT_USAGE
+        assert "'pdf'" in capsys.readouterr().err
 
     def test_loader_round_trip(self, tmp_path):
         cfg, outdir = write_config(tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedgelab.exact_solutions import (
+    ROOT_SCAN,
     Barrier,
     BarrierDomainError,
     CoefficientJump,
@@ -23,6 +24,7 @@ from wedgelab.exact_solutions import (
     singular_exponent,
     singular_exponents,
     transmission_coeffs,
+    _bisect_secant,
 )
 from wedgelab.geometry import make_wedge
 
@@ -107,6 +109,24 @@ class TestSingularExponent:
     def test_rejects_nonpositive_jump(self):
         with pytest.raises(TransmissionSignError):
             singular_exponent(-1.0, STRAIGHT)
+
+    @pytest.mark.parametrize("tm, tp", [(-PI / 4, 3 * PI / 4), (-0.3, 1.2), (-2.5, 3.0), (-0.2, 6.0)])
+    @pytest.mark.parametrize("a0", [0.05, 1.0, 4.236, 100.0])
+    def test_scan_matches_cell_loop(self, tm, tp, a0):
+        # reference: the cell-by-cell loop the vectorized scan replaced
+        w = make_wedge(tm, tp)
+        grid = np.linspace(0.01, 12.0, ROOT_SCAN + 1)
+        vals = exponent_equation(grid, a0, w)
+        expected = []
+        for i in range(ROOT_SCAN):
+            if vals[i] == 0.0:
+                expected.append(float(grid[i]))
+            elif vals[i] * vals[i + 1] < 0.0:
+                expected.append(_bisect_secant(a0, w, grid[i], grid[i + 1]))
+        if vals[-1] == 0.0:
+            expected.append(float(grid[-1]))
+        assert len(expected) >= 2
+        assert singular_exponents(a0, w, bracket=(0.01, 12.0)) == expected
 
 
 class TestSeparableField:
