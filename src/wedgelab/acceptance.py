@@ -60,6 +60,7 @@ WITNESS_THETA_PLUS = 0.75 * math.pi
 WITNESS_THETA_MINUS = -0.25 * math.pi
 WITNESS_LEVELS = (1.0 / 45.0, 1.0 / 90.0, 1.0 / 180.0)
 WITNESS_MU = 0.8
+RATIO_INSTANCES = 50  # seeded random instances of criterion 8
 
 
 @dataclass
@@ -397,11 +398,11 @@ def _random_instance(i: int):
     return domain, coeff, spec
 
 
-def check_08_ratio_stability(bench: Workbench, n_instances: int = 50) -> CheckResult:
+def check_08_ratio_stability(bench: Workbench) -> CheckResult:
     t0 = time.perf_counter()
     worst_factor = 1.0
     n_ratios = 0
-    for i in range(n_instances):
+    for i in range(RATIO_INSTANCES):
         _, _, spec = _random_instance(i)
         series: dict[str, list[float]] = {"interior": [], "corner": [], "global": []}
         for h in (0.12, 0.06, 0.03):
@@ -448,7 +449,7 @@ def check_08_ratio_stability(bench: Workbench, n_instances: int = 50) -> CheckRe
         True,
         t0,
         [
-            f"{n_instances} instances x 3 levels, {n_ratios} ratios",
+            f"{RATIO_INSTANCES} instances x 3 levels, {n_ratios} ratios",
             f"worst_refinement_factor={worst_factor:.3f}",
             "zero-data flagged degenerate",
         ],

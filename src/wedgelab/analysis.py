@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .exact_solutions import Barrier, barrier_eval_xy
 from .fem import FemSolution, ProblemSpec, solution_field
-from .geometry import edge_table
+from .geometry import interface_edges
 from .norms import NormParams, SampledField, plain_norm, weighted_norm
 
 DEGENERATE_RHS = 1e-13
@@ -97,16 +97,10 @@ class P1Evaluator:
     """
 
     def __init__(self, fs: FemSolution):
-        from .fem import element_basis_gradients
-
         self.mesh = fs.mesh
         self.values = fs.values
-        _, self.basis_grads = element_basis_gradients(
-            fs.mesh.vertices, fs.mesh.triangles
-        )
-        self.bary = fs.mesh.barycenters()
-        self.tree = cKDTree(self.bary)
-        spokes = fs.mesh.vertices[fs.mesh.triangles] - self.bary[:, None, :]
+        self.tree = cKDTree(fs.mesh.barycenters)
+        spokes = fs.mesh.vertices[fs.mesh.triangles] - fs.mesh.barycenters[:, None, :]
         far = float(np.hypot(spokes[..., 0], spokes[..., 1]).max())
         self.reach = far * (1.0 + 4.0 * LOCATE_TOL)
         corner = np.argmin(np.hypot(self.mesh.vertices[:, 0], self.mesh.vertices[:, 1]))
@@ -123,7 +117,8 @@ class P1Evaluator:
         t = np.concatenate(cands).astype(np.intp)
         q = np.repeat(np.arange(pts.shape[0]), counts)
         # lambda_i(p) = 1/3 + grad(lambda_i) . (p - barycenter)
-        lam = 1.0 / 3.0 + np.einsum("nij,nj->ni", self.basis_grads[t], pts[q] - self.bary[t])
+        mesh = self.mesh
+        lam = 1.0 / 3.0 + np.einsum("nij,nj->ni", mesh.basis_gradients[t], pts[q] - mesh.barycenters[t])
         worst = lam.min(axis=1)
         best = np.lexsort((-worst, q))[np.cumsum(counts) - counts]  # first of each point's group
         outside = worst[best] <= -LOCATE_TOL
@@ -131,7 +126,7 @@ class P1Evaluator:
             raise FitError(f"query point {pts[np.argmax(outside)].tolist()} lies outside the mesh")
         lam = np.clip(lam[best], 0.0, 1.0)
         lam /= lam.sum(axis=1, keepdims=True)
-        return np.einsum("ni,ni->n", self.values[self.mesh.triangles[t[best]]], lam)
+        return np.einsum("ni,ni->n", self.values[mesh.triangles[t[best]]], lam)
 
 
 def _field_evaluator(field):
@@ -224,37 +219,26 @@ def interface_flux_jump(
     is the arclength average of the jump along the interface (a plain pair
     average would be dominated by the short corner edges of graded meshes).
     ``weighting="minus-both"`` applies the lower branch on both sides, a
-    deliberate mispairing used as a negative control.
+    deliberate mispairing used as a negative control; any other weighting
+    is a ValueError.
     """
+    if weighting not in ("conormal", "minus-both"):
+        raise ValueError(f"unknown weighting {weighting!r}: expected 'conormal' or 'minus-both'")
     mesh = fs.mesh
-    edges, tri_edges, counts, _ = edge_table(mesh.triangles)
-    # the upper and the lower triangle on each edge, -1 where there is none
-    tris = np.arange(mesh.n_triangles)[:, None]
-    t_up = np.full(edges.shape[0], -1)
-    t_dn = np.full(edges.shape[0], -1)
-    up, dn = mesh.region > 0, mesh.region < 0
-    t_up[tri_edges[up]] = tris[up]
-    t_dn[tri_edges[dn]] = tris[dn]
-
-    shape = (mesh.n_vertices, mesh.n_vertices)
-    keys = np.ravel_multi_index(edges.T, shape)
-    wanted = np.ravel_multi_index(np.sort(mesh.interface_edges, axis=1).T, shape)
-    e = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    e = e[(keys[e] == wanted) & (counts[e] == 2) & (t_up[e] >= 0) & (t_dn[e] >= 0)]
-    if e.size == 0:
+    pairs, t_up, t_dn = interface_edges(mesh)
+    if t_up.size == 0:
         return FluxJumpReport(0.0, 0.0, 0)
-    t_up, t_dn = t_up[e], t_dn[e]
 
     normal = np.array([0.0, 1.0])
-    bary = mesh.barycenters()
+    bary = mesh.barycenters
     side_up = -1 if weighting == "minus-both" else 1
-    a_up = coeff.evaluate(bary[t_up, 0], bary[t_up, 1], np.full(e.size, side_up))
-    a_dn = coeff.evaluate(bary[t_dn, 0], bary[t_dn, 1], np.full(e.size, -1))
+    a_up = coeff.evaluate(bary[t_up, 0], bary[t_up, 1], np.full(t_up.size, side_up))
+    a_dn = coeff.evaluate(bary[t_dn, 0], bary[t_dn, 1], np.full(t_dn.size, -1))
     grads = fs.element_gradients
     flux_up = np.einsum("nij,nj->ni", a_up, grads[t_up]) @ normal
     flux_dn = np.einsum("nij,nj->ni", a_dn, grads[t_dn]) @ normal
     jumps = np.abs(flux_up - flux_dn)
-    u, v = edges[e].T
+    u, v = pairs.T
     lengths = np.linalg.norm(mesh.vertices[u] - mesh.vertices[v], axis=1)
     return FluxJumpReport(
         float(jumps.max()), float((jumps * lengths).sum() / lengths.sum()), jumps.size

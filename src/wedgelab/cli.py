@@ -135,6 +135,12 @@ def load_case_config(path) -> CaseConfig:
             return parser[section][key].strip()
         return default
 
+    def count(key, default, least):
+        raw = gets("analysis", key, str(default))
+        if not (raw.isdecimal() and int(raw) >= least):
+            raise ConfigError(f"[analysis] {key} = {raw!r} is not an integer >= {least}")
+        return int(raw)
+
     tp = getf("geometry", "theta_plus")
     tm = getf("geometry", "theta_minus")
     if tp is None or tm is None:
@@ -152,8 +158,8 @@ def load_case_config(path) -> CaseConfig:
         phi=gets("data", "phi", "exact_trace"),
         g=gets("data", "g", "zero"),
         h_data=gets("data", "h", "zero"),
-        n_rays=int(getf("analysis", "n_rays", 32)),
-        n_radii=int(getf("analysis", "n_radii", 9)),
+        n_rays=count("n_rays", 32, least=1),
+        n_radii=count("n_radii", 9, least=4),
         directory=gets("output", "directory", "out"),
         formats=tuple(
             t.strip() for t in gets("output", "formats", "csv").split(",") if t.strip()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import DomainSpec, Mesh, generate_mesh, triangle_areas
+from .geometry import DomainSpec, Mesh, generate_mesh
 from .norms import SampledField
 
 DEGENERATE_AREA = 1e-14
@@ -115,12 +115,12 @@ def coefficient_jump(a0: float, lam: float | None = None, Lam: float | None = No
     )
 
 
-def validate_ellipticity(coeff: PiecewiseCoefficient, x, y, side) -> None:
-    """Check lam |xi|^2 <= xi . a xi <= Lam |xi|^2 on sample points and directions.
+def validate_ellipticity(coeff: PiecewiseCoefficient, mats: np.ndarray) -> None:
+    """Check lam |xi|^2 <= xi . a xi <= Lam |xi|^2 for the (m, 2, 2) matrices
+    ``mats`` sampled from ``coeff``, on a fan of directions xi.
 
     Both bounds allow ELLIPTICITY_SLACK for rounding.
     """
-    mats = coeff.evaluate(x, y, side)
     if not np.allclose(mats, np.swapaxes(mats, -1, -2), atol=1e-12):
         raise EllipticityError("coefficient matrices must be symmetric")
     angles = np.linspace(0.0, math.pi, 8, endpoint=False)
@@ -205,20 +205,6 @@ class FemSolution:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def element_basis_gradients(vertices: np.ndarray, triangles: np.ndarray):
-    """Per-element constant gradients of the three barycentric basis functions.
-
-    Returns (areas, grads) with grads of shape (m, 3, 2).
-    """
-    pts = vertices[triangles]
-    areas = triangle_areas(vertices, triangles)
-    g0 = np.stack([pts[:, 1, 1] - pts[:, 2, 1], pts[:, 2, 0] - pts[:, 1, 0]], axis=1)
-    g1 = np.stack([pts[:, 2, 1] - pts[:, 0, 1], pts[:, 0, 0] - pts[:, 2, 0]], axis=1)
-    g2 = np.stack([pts[:, 0, 1] - pts[:, 1, 1], pts[:, 1, 0] - pts[:, 0, 0]], axis=1)
-    grads = np.stack([g0, g1, g2], axis=1) / (2 * areas)[:, None, None]
-    return areas, grads
-
-
 def assemble(mesh: Mesh, spec: ProblemSpec) -> SparseSystem:
     """Element-wise stiffness and load assembly.
 
@@ -226,47 +212,59 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> SparseSystem:
     interface (no cross-interface averaging); h and g are integrated with
     3-point edge-midpoint quadrature, exact for quadratics.
     """
-    areas, grads = element_basis_gradients(mesh.vertices, mesh.triangles)
+    areas = mesh.areas
     if np.any(areas <= DEGENERATE_AREA):
         raise AssemblyError(
             f"degenerate element: min area {areas.min():.3g} <= {DEGENERATE_AREA}"
         )
-    bary = mesh.barycenters()
-    side = mesh.region.astype(int)
-    validate_ellipticity(spec.coeff, bary[:, 0], bary[:, 1], side)
-    amat = spec.coeff.evaluate(bary[:, 0], bary[:, 1], side)
+    # one helper each, so the stiffness and the load temporaries are never alive together
+    matrix = _stiffness(mesh, spec.coeff)
+    rhs = _load(mesh, spec)
+    constrained = np.flatnonzero(mesh.boundary)
+    values = spec.phi_at(mesh.vertices[constrained, 0], mesh.vertices[constrained, 1])
+    return SparseSystem(matrix=matrix, rhs=rhs, constrained=constrained, values=values)
 
-    ke = np.einsum("mid,mde,mje,m->mij", grads, amat, grads, areas)
 
-    tri = mesh.triangles
+def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
+    bary = mesh.barycenters
+    amat = coeff.evaluate(bary[:, 0], bary[:, 1], mesh.region)
+    validate_ellipticity(coeff, amat)
+    grads = mesh.basis_gradients
+    ke = np.einsum("mid,mde,mje,m->mij", grads, amat, grads, mesh.areas)
+    tri = mesh.triangles.astype(np.int32)
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    matrix = sp.coo_matrix(
-        (ke.ravel(), (rows, cols)), shape=(mesh.n_vertices, mesh.n_vertices)
-    ).tocsr()
+    shape = (mesh.n_vertices, mesh.n_vertices)
+    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=shape).tocsr()
 
-    # midpoints of edges (01, 12, 20); basis i is 1/2 on its two adjacent midpoints
-    pts = mesh.vertices[tri]
-    mids = 0.5 * (pts + pts[:, [1, 2, 0]])
+
+def _load(mesh: Mesh, spec: ProblemSpec) -> np.ndarray:
+    mids = _edge_midpoints(mesh)
     hx = spec.h_at(mids[..., 0], mids[..., 1])  # (m, 3)
-    # vertex 0 touches midpoints 01 and 20 (indices 0 and 2), etc.
+    # basis i is 1/2 on its two adjacent midpoints: vertex 0 touches 01 and 20
+    # (indices 0 and 2), etc.
     adj = np.array([[0, 2], [1, 0], [2, 1]])
-    load_h = -(areas[:, None] / 3.0) * 0.5 * (hx[:, adj[:, 0]] + hx[:, adj[:, 1]])
+    areas = mesh.areas[:, None]
+    load_h = -(areas / 3.0) * 0.5 * (hx[:, adj[:, 0]] + hx[:, adj[:, 1]])
 
     gx = spec.g_at(
-        mids[..., 0].ravel(), mids[..., 1].ravel(), np.repeat(side, 3)
+        mids[..., 0].ravel(), mids[..., 1].ravel(), np.repeat(mesh.region, 3)
     ).reshape(mids.shape)
     gbar = gx.mean(axis=1)  # (m, 2)
-    load_g = areas[:, None] * np.einsum("mid,md->mi", grads, gbar)
+    load_g = areas * np.einsum("mid,md->mi", mesh.basis_gradients, gbar)
 
     rhs = np.zeros(mesh.n_vertices)
-    np.add.at(rhs, tri.ravel(), (load_h + load_g).ravel())
+    np.add.at(rhs, mesh.triangles.ravel(), (load_h + load_g).ravel())
+    return rhs
 
-    constrained = np.flatnonzero(mesh.boundary)
-    values = spec.phi_at(
-        mesh.vertices[constrained, 0], mesh.vertices[constrained, 1]
-    )
-    return SparseSystem(matrix=matrix, rhs=rhs, constrained=constrained, values=values)
+
+def _edge_midpoints(mesh: Mesh) -> np.ndarray:
+    """(m, 3, 2) midpoints of the edges 01, 12, 20 of each element."""
+    v, tri = mesh.vertices, mesh.triangles
+    mids = v[tri]
+    mids += v[tri[:, [1, 2, 0]]]
+    mids *= 0.5
+    return mids
 
 
 def solve_cg(
@@ -288,11 +286,10 @@ def solve_cg(
     free = np.ones(n, dtype=bool)
     free[system.constrained] = False
     free_idx = np.flatnonzero(free)
-    A = system.matrix
-    Aff = A[free_idx][:, free_idx].tocsr()
-    bf = system.rhs[free_idx]
-    if system.constrained.size:
-        bf = bf - A[free_idx][:, system.constrained] @ system.values
+    rows = system.matrix[free_idx]  # sliced once; freed before the iteration
+    Aff = rows[:, free_idx].tocsr()
+    bf = system.rhs[free_idx] - rows[:, system.constrained] @ system.values
+    del rows
 
     m = free_idx.size
     if max_iter is None:
@@ -356,8 +353,7 @@ def _expand(system: SparseSystem, x_free: np.ndarray, free_idx: np.ndarray) -> n
 
 
 def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    _, grads = element_basis_gradients(mesh.vertices, mesh.triangles)
-    return np.einsum("mid,mi->md", grads, values[mesh.triangles])
+    return np.einsum("mid,mi->md", mesh.basis_gradients, values[mesh.triangles])
 
 
 def solve_on_mesh(
@@ -376,23 +372,19 @@ def solve_on_mesh(
     )
 
 
-def solve_problem(
-    spec: ProblemSpec,
-    h: float,
-    mu: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> FemSolution:
+def solve_problem(spec: ProblemSpec, h: float, mu: float = 1.0) -> FemSolution:
     """generate_mesh -> assemble -> Dirichlet elimination -> CG -> gradients."""
-    mesh = generate_mesh(spec.domain, h, mu)
-    return solve_on_mesh(spec, mesh, tol=tol, max_iter=max_iter)
+    return solve_on_mesh(spec, generate_mesh(spec.domain, h, mu))
 
 
 def solution_field(fs: FemSolution) -> SampledField:
-    """Barycenter samples with per-element gradients, tagged by side: one read-only field per solve."""
+    """Barycenter samples with per-element gradients, tagged by side: one read-only field per solve.
+
+    The points are the mesh's own read-only barycenters, not a copy.
+    """
     if "cloud" not in fs._memo:
-        bary, vals = fs.mesh.barycenters(), fs.values[fs.mesh.triangles].mean(axis=1)
-        arrays = (bary, vals, fs.element_gradients.copy(), fs.mesh.region.astype(np.int8))
+        vals = fs.values[fs.mesh.triangles].mean(axis=1)
+        arrays = (fs.mesh.barycenters, vals, fs.element_gradients.copy(), fs.mesh.region.astype(np.int8))
         for a in arrays:
             a.setflags(write=False)
         fs._memo["cloud"] = SampledField(*arrays)
@@ -415,30 +407,25 @@ def error_report(fs: FemSolution, exact, exact_grad=None) -> ErrorReport:
     element's side of the interface, making the H1 error a broken norm.
     """
     mesh = fs.mesh
-    tri = mesh.triangles
-    pts = mesh.vertices[tri]
-    mids = 0.5 * (pts + pts[:, [1, 2, 0]])
-    areas = mesh.areas()
-
-    uh_v = fs.values[tri]
-    uh_mid = 0.5 * (uh_v + uh_v[:, [1, 2, 0]])
-    ue_mid = exact(mids[..., 0].ravel(), mids[..., 1].ravel()).reshape(uh_mid.shape)
-    diff2 = (uh_mid - ue_mid) ** 2
-    l2 = math.sqrt(float((areas / 3.0 * diff2.sum(axis=1)).sum()))
+    areas = mesh.areas
+    # the reference functions allocate many midpoint-sized temporaries, so
+    # around their calls only flat midpoint coordinates and one error per
+    # midpoint stay alive
+    mx, my = (c.ravel() for c in np.moveaxis(_edge_midpoints(mesh), -1, 0))
+    uh_v = fs.values[mesh.triangles]
+    err = 0.5 * (uh_v + uh_v[:, [1, 2, 0]]) - exact(mx, my).reshape(uh_v.shape)
+    del uh_v
+    l2 = math.sqrt(float((areas / 3.0 * (err**2).sum(axis=1)).sum()))
 
     broken = None
     if exact_grad is not None:
-        side = np.repeat(mesh.region.astype(int), 3)
-        gx, gy = exact_grad(mids[..., 0].ravel(), mids[..., 1].ravel(), side)
-        ge = np.stack([gx, gy], axis=-1).reshape(mids.shape)
-        gh = fs.element_gradients[:, None, :]
-        gd2 = ((gh - ge) ** 2).sum(axis=2)
+        gx, gy = exact_grad(mx, my, np.repeat(mesh.region.astype(int), 3))
+        gh = fs.element_gradients
+        gd2 = (gh[:, None, 0] - gx.reshape(err.shape)) ** 2 + (gh[:, None, 1] - gy.reshape(err.shape)) ** 2
         broken = math.sqrt(float((areas / 3.0 * gd2.sum(axis=1)).sum()))
 
     ue_vert = exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    linf = float(
-        max(np.abs(fs.values - ue_vert).max(), np.abs(uh_mid - ue_mid).max())
-    )
+    linf = float(max(np.abs(fs.values - ue_vert).max(), np.abs(err).max()))
     return ErrorReport(l2=l2, broken_h1=broken, linf=linf)
 
 

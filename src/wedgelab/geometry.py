@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,19 +100,19 @@ def delta_dist_arr(points: np.ndarray, edge_point=(0.0, 0.0)) -> np.ndarray:
 # meshes
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Conforming triangulation of the sector, fitted to the interface ray.
 
     ``region`` is +1 for triangles in the upper subdomain, -1 below;
-    ``interface_edges`` lists vertex pairs of mesh edges on theta = 0;
-    ``boundary`` flags vertices on the domain boundary.
+    ``boundary`` flags vertices on the domain boundary.  The derived element
+    arrays are computed on first use, once per mesh, and are read-only; the
+    interface edges follow from the tags (``interface_edges``).
     """
 
     vertices: np.ndarray  # (nv, 2) float64
     triangles: np.ndarray  # (nt, 3) int, positively oriented
     region: np.ndarray  # (nt,) int8, +1 / -1
-    interface_edges: np.ndarray  # (ne, 2) int
     boundary: np.ndarray  # (nv,) bool
 
     @property
@@ -122,18 +123,32 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    @cached_property
     def areas(self) -> np.ndarray:
-        return triangle_areas(self.vertices, self.triangles)
+        """(nt,) signed areas, positive for positively oriented triangles."""
+        pts = self.vertices[self.triangles]
+        e1 = pts[:, 1] - pts[:, 0]
+        e2 = pts[:, 2] - pts[:, 0]
+        return _read_only(0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
 
+    @cached_property
     def barycenters(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        return _read_only(self.vertices[self.triangles].mean(axis=1))
+
+    @cached_property
+    def basis_gradients(self) -> np.ndarray:
+        """(nt, 3, 2) constant gradients of each element's three barycentric basis functions."""
+        # basis i: the edge vector from vertex i + 1 to vertex i + 2, turned a quarter
+        # counterclockwise, over twice the area
+        tri = self.triangles
+        nxt, prv = self.vertices[tri[:, [1, 2, 0]]], self.vertices[tri[:, [2, 0, 1]]]
+        grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
+        return _read_only(grads / (2 * self.areas)[:, None, None])
 
 
-def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    pts = vertices[triangles]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def edge_table(triangles: np.ndarray):
@@ -170,10 +185,24 @@ def edge_table(triangles: np.ndarray):
     return edges, inverse.reshape(nt, 3), counts, neighbors
 
 
+def interface_edges(mesh: Mesh):
+    """The edges between an upper and a lower triangle: ``(pairs, upper, lower)``.
+
+    ``pairs`` (ne, 2) are their vertex pairs ``lo < hi`` in edge-id order
+    (lexicographic, as in ``edge_table``); ``upper`` and ``lower`` are the
+    triangles on each edge tagged +1 and -1.
+    """
+    edges, tri_edges, _, neighbors = edge_table(mesh.triangles)
+    cross = (neighbors >= 0) & (mesh.region[:, None] > 0) & (mesh.region[neighbors] < 0)
+    upper, slot = np.nonzero(cross)
+    order = np.argsort(tri_edges[upper, slot])
+    upper, slot = upper[order], slot[order]
+    return edges[tri_edges[upper, slot]], upper, neighbors[upper, slot]
+
+
 def validate_mesh(mesh: Mesh, domain: DomainSpec) -> None:
     """Check orientation, conformity, interface fit, and tag consistency."""
-    areas = mesh.areas()
-    if not np.all(areas > 0.0):
+    if not np.all(mesh.areas > 0.0):
         raise GeometryError("mesh contains non-positively-oriented or degenerate triangles")
 
     edges, _, counts, _ = edge_table(mesh.triangles)
@@ -198,7 +227,7 @@ def validate_mesh(mesh: Mesh, domain: DomainSpec) -> None:
     if np.any(straddles):
         raise GeometryError(f"{int(straddles.sum())} triangles straddle the interface")
 
-    bary = mesh.barycenters()
+    bary = mesh.barycenters
     side = wedge_angles(domain.wedge, bary[:, 0], bary[:, 1])
     sign = np.where(side >= 0.0, 1, -1)
     if not np.array_equal(sign.astype(np.int8), mesh.region):
@@ -279,13 +308,11 @@ def _polar_mesh(w: Wedge, layers: np.ndarray, n_minus: int, n_plus: int) -> Mesh
     boundary[0] = True
     boundary[ids[:, [0, -1]]] = True
     boundary[ids[-1]] = True
-    ray = np.concatenate([[0], ids[:, n_minus]])
 
     return Mesh(
         vertices=vertices,
         triangles=np.vstack([fan, bands]),
         region=np.concatenate([tag, np.tile(np.repeat(tag, 2), layers.size - 1)]),
-        interface_edges=np.column_stack([ray[:-1], ray[1:]]),
         boundary=boundary,
     )
 
@@ -313,18 +340,7 @@ def refine_regular(mesh: Mesh) -> Mesh:
 
     boundary = np.concatenate([mesh.boundary, np.zeros(edges.shape[0], dtype=bool)])
     boundary[mid[counts == 1]] = True
-
-    scale = float(np.max(np.abs(vertices))) or 1.0
-    eps = 1e-12 * scale
-    on_ray = (np.abs(vertices[:, 1]) <= eps) & (vertices[:, 0] >= -eps)
-    child_edges = edge_table(triangles)[0]
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        region=np.repeat(mesh.region, 4),
-        interface_edges=child_edges[on_ray[child_edges[:, 0]] & on_ray[child_edges[:, 1]]],
-        boundary=boundary,
-    )
+    return Mesh(vertices, triangles, np.repeat(mesh.region, 4), boundary)
 
 
 def generate_nonobtuse_mesh(domain: DomainSpec, levels: int = 3) -> Mesh:

@@ -75,6 +75,9 @@ class SampledField:
             self.regions = np.asarray(self.regions)
             if self.regions.shape != (n,):
                 raise NormEstimateError("regions must be an (n,) array")
+        checked = (self.points, self.values) + (() if self.gradients is None else (self.gradients,))
+        if not all(np.isfinite(a).all() for a in checked):
+            raise NormEstimateError("points, values and gradients must be finite")
         if n > 0 and np.unique(self.points, axis=0).shape[0] != n:
             raise NormEstimateError("sample points must be distinct")
 

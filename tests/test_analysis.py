@@ -35,9 +35,11 @@ from wedgelab.fem import (
     ProblemSpec,
     coefficient_jump,
     element_gradients,
+    error_report,
+    solve_on_mesh,
     solve_problem,
 )
-from wedgelab.geometry import edge_table, generate_mesh, make_wedge, sector
+from wedgelab.geometry import Mesh, edge_table, generate_mesh, make_wedge, sector
 
 PI = math.pi
 STRAIGHT = make_wedge(-PI / 4, 3 * PI / 4)
@@ -211,7 +213,37 @@ class TestP1Evaluator:
             ev(np.array([1.2 * math.cos(th)]), np.array([1.2 * math.sin(th)]))
 
 
+def test_element_geometry_computed_once_per_mesh(monkeypatch):
+    # assembly, gradient recovery, point evaluation, flux jumps and error
+    # quadrature all read the mesh's cached arrays: each is computed once
+    calls = {}
+    for name in ("areas", "barycenters", "basis_gradients"):
+        prop = Mesh.__dict__[name]
+
+        def counted(mesh, func=prop.func, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return func(mesh)
+
+        monkeypatch.setattr(prop, "func", counted)
+    sol, jump = build_dirichlet_example(0.8, STRAIGHT)
+    spec = ProblemSpec(domain=DOM, coeff=coefficient_jump(jump.a0), phi=lambda x, y: eval_separable_xy(sol, x, y))
+    mesh = generate_mesh(DOM, 0.1, 0.8)
+    fs = solve_on_mesh(spec, mesh)
+    grads = mesh.basis_gradients
+    P1Evaluator(fs)(np.array([0.3]), np.array([0.2]))
+    interface_flux_jump(fs, spec.coeff)
+    error_report(fs, lambda x, y: eval_separable_xy(sol, x, y))
+    assert calls == {"areas": 1, "barycenters": 1, "basis_gradients": 1}
+    assert mesh.basis_gradients is grads
+
+
 class TestInterfaceFluxJump:
+    def test_unknown_weighting_rejected(self):
+        mesh = generate_mesh(DOM, 0.3)
+        fs = interpolant_solution(mesh, lambda x, y: np.asarray(x))
+        with pytest.raises(ValueError, match="minus_both"):
+            interface_flux_jump(fs, coefficient_jump(2.0), weighting="minus_both")
+
     def test_interpolant_jump_decreases(self):
         # per-element gradients of the exact interpolant: conormal mismatch
         # shrinks with the mesh
@@ -252,13 +284,10 @@ class TestInterfaceFluxJump:
 
     def test_empty_interface(self):
         # a mesh strictly above the axis has no interface edges
-        from wedgelab.geometry import Mesh
-
         mesh = Mesh(
             vertices=np.array([[0.0, 0.1], [1.0, 0.1], [0.0, 1.0]]),
             triangles=np.array([[0, 1, 2]]),
             region=np.array([1], dtype=np.int8),
-            interface_edges=np.zeros((0, 2), dtype=np.int64),
             boundary=np.ones(3, dtype=bool),
         )
         fs = interpolant_solution(mesh, lambda x, y: np.asarray(x))

@@ -271,6 +271,16 @@ class TestNormsCommand:
         assert lines[at + 1].startswith("node_pairs_pruned = ")
         assert out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "row", ["0.5,0.5,+,1.0,nan,0.0", "inf,0.5,+,1.0,0.0,0.0"], ids=["nan_gradient", "inf_coordinate"]
+    )
+    def test_non_finite_sample_is_a_usage_error(self, tmp_path, capsys, row):
+        path = tmp_path / "field.csv"
+        rows = ["0.1,0.2,+,1.0,0.0,0.0", "0.3,-0.2,-,2.0,1.0,0.0", "0.7,0.1,+,0.5,0.0,1.0", row]
+        path.write_text("x,y,region,value,gx,gy\n" + "\n".join(rows) + "\n")
+        assert main(["norms", str(path), "--k", "1", "--alpha", "0.5"]) == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
 
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -314,6 +324,21 @@ class TestConfigValidation:
         cfg, _ = write_config(tmp_path, text=BASE_CONFIG.replace("csv,svg", "csv,pdf"))
         assert main(["solve", str(cfg)]) == EXIT_USAGE
         assert "'pdf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["n_rays = 2.5", "n_rays = 0", "n_rays = -4", "n_rays = many", "n_radii = 9.9", "n_radii = 3"]
+    )
+    def test_analysis_counts_must_be_integers_in_range(self, tmp_path, capsys, line):
+        text = BASE_CONFIG.replace("[output]", f"[analysis]\n{line}\n\n[output]")
+        cfg, outdir = write_config(tmp_path, text=text)
+        assert main(["solve", str(cfg)]) == EXIT_USAGE
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_analysis_counts_read(self, tmp_path):
+        text = BASE_CONFIG.replace("[output]", "[analysis]\nn_rays = 1\nn_radii = 4\n\n[output]")
+        case = load_case_config(write_config(tmp_path, text=text)[0])
+        assert (case.n_rays, case.n_radii) == (1, 4)
 
     def test_loader_round_trip(self, tmp_path):
         cfg, outdir = write_config(tmp_path)

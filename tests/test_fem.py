@@ -15,7 +15,6 @@ from wedgelab.fem import (
     SparseSystem,
     assemble,
     coefficient_jump,
-    element_basis_gradients,
     element_gradients,
     error_report,
     fit_rate,
@@ -37,7 +36,6 @@ def single_triangle_mesh():
         vertices=vertices,
         triangles=np.array([[0, 1, 2]]),
         region=np.array([1], dtype=np.int8),
-        interface_edges=np.zeros((0, 2), dtype=np.int64),
         boundary=np.ones(3, dtype=bool),
     )
 
@@ -48,7 +46,6 @@ def unit_square_mesh():
         vertices=vertices,
         triangles=np.array([[0, 1, 2], [0, 2, 3]]),
         region=np.array([1, 1], dtype=np.int8),
-        interface_edges=np.zeros((0, 2), dtype=np.int64),
         boundary=np.ones(4, dtype=bool),
     )
 
@@ -56,14 +53,13 @@ def unit_square_mesh():
 class TestBasisGradients:
     def test_partition_of_unity(self):
         mesh = generate_mesh(sector(-PI / 4, PI / 2, 1.0), 0.3)
-        _, grads = element_basis_gradients(mesh.vertices, mesh.triangles)
-        assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-12)
+        assert np.allclose(mesh.basis_gradients.sum(axis=1), 0.0, atol=1e-12)
 
     def test_finite_difference_check(self):
         # lambda_i varies linearly from 1 at vertex i to 0 on the far edge
         vertices = np.array([[0.2, 0.1], [1.3, 0.4], [0.5, 1.1]])
         tris = np.array([[0, 1, 2]])
-        _, grads = element_basis_gradients(vertices, tris)
+        grads = Mesh(vertices, tris, np.array([1], dtype=np.int8), np.ones(3, dtype=bool)).basis_gradients
         for i in range(3):
             for j in range(3):
                 # lambda_i(vertex j) = delta_ij reproduced by linear model
@@ -103,7 +99,7 @@ class TestAssemble:
         spec_i = ProblemSpec(domain=dom, coeff=IDENTITY, phi=0.0)
         A_j = assemble(mesh, spec_j).matrix.toarray()
         A_i = assemble(mesh, spec_i).matrix.toarray()
-        areas, grads = element_basis_gradients(mesh.vertices, mesh.triangles)
+        areas, grads = mesh.areas, mesh.basis_gradients
         upper = np.zeros_like(A_i)
         for t in np.flatnonzero(mesh.region > 0):
             ke = areas[t] * grads[t] @ grads[t].T
@@ -136,7 +132,6 @@ class TestAssemble:
             vertices=vertices,
             triangles=np.array([[0, 1, 2]]),
             region=np.array([1], dtype=np.int8),
-            interface_edges=np.zeros((0, 2), dtype=np.int64),
             boundary=np.ones(3, dtype=bool),
         )
         spec = ProblemSpec(domain=sector(-0.1, 1.0, 3.0), coeff=IDENTITY, phi=0.0)
@@ -146,7 +141,7 @@ class TestAssemble:
     def test_ellipticity_validation(self):
         bad = PiecewiseCoefficient(1.0, 1.0, lam=2.0, Lam=3.0)  # claims lam=2
         with pytest.raises(EllipticityError):
-            validate_ellipticity(bad, np.array([0.1]), np.array([0.1]), np.array([1]))
+            validate_ellipticity(bad, bad.evaluate(np.array([0.1]), np.array([0.1]), np.array([1])))
         asym = PiecewiseCoefficient(
             lambda x, y: np.tile([[1.0, 0.5], [0.0, 1.0]], (np.asarray(x).size, 1, 1)),
             1.0,
@@ -154,7 +149,7 @@ class TestAssemble:
             Lam=10.0,
         )
         with pytest.raises(EllipticityError):
-            validate_ellipticity(asym, np.array([0.1]), np.array([0.1]), np.array([1]))
+            validate_ellipticity(asym, asym.evaluate(np.array([0.1]), np.array([0.1]), np.array([1])))
 
 
 class TestDataWrappers:
@@ -321,7 +316,7 @@ class TestSolveProblem:
     def test_linear_exactness_identity(self):
         dom = sector(-PI / 4, 3 * PI / 4, 1.0)
         spec = ProblemSpec(domain=dom, coeff=IDENTITY, phi=lambda x, y: x)
-        fs = solve_problem(spec, 0.15, tol=1e-14)
+        fs = solve_on_mesh(spec, generate_mesh(dom, 0.15), tol=1e-14)
         assert np.abs(fs.values - fs.mesh.vertices[:, 0]).max() <= 1e-12
 
     def test_linear_exactness_with_jump(self):
@@ -329,7 +324,7 @@ class TestSolveProblem:
         # vanishes on the interface, so no transmission defect arises
         dom = sector(-PI / 4, 3 * PI / 4, 1.0)
         spec = ProblemSpec(domain=dom, coeff=coefficient_jump(5.0), phi=lambda x, y: x)
-        fs = solve_problem(spec, 0.15, tol=1e-14)
+        fs = solve_on_mesh(spec, generate_mesh(dom, 0.15), tol=1e-14)
         assert np.abs(fs.values - fs.mesh.vertices[:, 0]).max() <= 1e-12
 
     def test_dirichlet_values_exact(self):

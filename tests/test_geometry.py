@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,16 +8,17 @@ from hypothesis import strategies as st
 
 from wedgelab.geometry import (
     GeometryError,
+    Mesh,
     delta_dist_arr,
     edge_table,
     export_mesh,
     generate_mesh,
     generate_nonobtuse_mesh,
+    interface_edges,
     make_wedge,
     max_interior_angle,
     refine_regular,
     sector,
-    triangle_areas,
     validate_mesh,
     wedge_angles,
 )
@@ -227,7 +229,7 @@ class TestGenerateMesh:
         validate_mesh(mesh, dom)
         assert set(np.unique(mesh.region)) == {-1, 1}
         # interface edges lie on theta = 0
-        for u, v in mesh.interface_edges:
+        for u, v in interface_edges(mesh)[0]:
             assert abs(mesh.vertices[u, 1]) < 1e-14
             assert abs(mesh.vertices[v, 1]) < 1e-14
 
@@ -270,7 +272,7 @@ class TestGenerateMesh:
         assert np.array_equal(mesh.triangles, tris)
         assert np.array_equal(mesh.region, tags)
         assert np.array_equal(mesh.boundary, boundary)
-        assert np.array_equal(mesh.interface_edges, iface)
+        assert np.array_equal(interface_edges(mesh)[0], iface)
 
     def test_interface_fit(self, dom):
         mesh = generate_mesh(dom, 0.15, 0.7)
@@ -287,7 +289,7 @@ class TestGenerateMesh:
 
     def test_positive_orientation(self, dom):
         mesh = generate_mesh(dom, 0.2, 0.6)
-        assert np.all(triangle_areas(mesh.vertices, mesh.triangles) > 0)
+        assert np.all(mesh.areas > 0)
 
     def test_reflex_wedge(self):
         dom = sector(-3 * PI / 4, 2 * PI / 3, 1.0)
@@ -325,7 +327,7 @@ class TestEdgeTable:
         assert counts.tolist() == [ref[k] for k in sorted(ref)]
         assert edges[counts == 1].tolist() == sorted(map(list, ref_boundary_edges(mesh.triangles)))
         assert np.array_equal(neighbors, ref_neighbors(mesh.triangles))
-        assert np.array_equal(mesh.interface_edges, ref_interface_edges(mesh.vertices, mesh.triangles))
+        assert np.array_equal(interface_edges(mesh)[0], ref_interface_edges(mesh.vertices, mesh.triangles))
         # local edge i is the one opposite vertex i
         for i in range(3):
             ends = np.sort(mesh.triangles[:, [(i + 1) % 3, (i + 2) % 3]], axis=1)
@@ -340,7 +342,86 @@ class TestEdgeTable:
         assert np.array_equal(fine.triangles, triangles)
         assert np.array_equal(fine.region, region)
         assert np.array_equal(fine.boundary, boundary)
-        assert np.array_equal(fine.interface_edges, ref_interface_edges(vertices, triangles))
+        assert np.array_equal(interface_edges(fine)[0], ref_interface_edges(vertices, triangles))
+
+
+# wedges for the interface references: reflex, near-2pi and near-zero openings
+INTERFACE_WEDGES = [
+    sector(-PI / 4, 3 * PI / 4, 1.0),
+    sector(-PI / 4, 5 * PI / 4, 1.0),
+    sector(-3 * PI / 4, 2 * PI / 3, 1.0),
+    sector(-0.3, 2 * PI - 1e-3 - 0.3, 1.0),
+    sector(-PI + 5e-4, PI - 5e-4, 1.0),
+    sector(-0.05, 0.1, 1.0),
+]
+
+
+class TestInterfaceEdges:
+    """``interface_edges`` against the on-ray test and the ray indices of the polar mesh."""
+
+    @pytest.mark.parametrize("dom", INTERFACE_WEDGES)
+    @pytest.mark.parametrize("h,mu", [(0.3, 1.0), (0.12, 0.7), (0.07, 0.5)])
+    def test_polar_meshes_match_both_references(self, dom, h, mu):
+        mesh = generate_mesh(dom, h, mu)
+        w = dom.wedge
+        n_minus, n_plus = max(1, math.ceil(-w.theta_minus / h)), max(1, math.ceil(w.theta_plus / h))
+        iface = ref_polar_topology(math.ceil(1 / h), n_minus + n_plus + 1, n_minus)[3]
+        pairs, upper, lower = interface_edges(mesh)
+        assert np.array_equal(pairs, iface)
+        assert np.array_equal(pairs, ref_interface_edges(mesh.vertices, mesh.triangles))
+        self.check_sides(mesh, pairs, upper, lower)
+
+    @pytest.mark.parametrize("dom", INTERFACE_WEDGES)
+    def test_refined_meshes_match_on_ray_reference(self, dom):
+        mesh = generate_nonobtuse_mesh(dom, 0)
+        for level in range(7):
+            if level:
+                mesh = refine_regular(mesh)
+            pairs, upper, lower = interface_edges(mesh)
+            assert np.array_equal(pairs, ref_interface_edges(mesh.vertices, mesh.triangles))
+            self.check_sides(mesh, pairs, upper, lower)
+
+    @staticmethod
+    def check_sides(mesh, pairs, upper, lower):
+        assert np.all(mesh.region[upper] == 1) and np.all(mesh.region[lower] == -1)
+        for (u, v), tu, tl in zip(pairs, upper, lower):
+            assert {u, v} <= set(mesh.triangles[tu]) and {u, v} <= set(mesh.triangles[tl])
+
+    def test_one_sided_mesh_has_none(self):
+        mesh = Mesh(
+            np.array([[0.0, 0.1], [1.0, 0.1], [0.0, 1.0]]), np.array([[0, 1, 2]]),
+            np.array([1], dtype=np.int8), np.ones(3, dtype=bool),
+        )
+        pairs, upper, lower = interface_edges(mesh)
+        assert pairs.shape == (0, 2) and upper.size == 0 and lower.size == 0
+
+
+class TestMeshRecord:
+    def test_fields_cannot_be_assigned(self):
+        mesh = generate_mesh(sector(-PI / 4, PI / 2, 1.0), 0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.vertices = mesh.vertices.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.interface_edges = np.zeros((0, 2), dtype=np.int64)
+
+    @pytest.mark.parametrize("name", ["areas", "barycenters", "basis_gradients"])
+    def test_derived_arrays_cached_and_read_only(self, name):
+        mesh = generate_mesh(sector(-PI / 4, PI / 2, 1.0), 0.3)
+        arr = getattr(mesh, name)
+        assert getattr(mesh, name) is arr
+        assert arr.shape[0] == mesh.n_triangles
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+    def test_derived_arrays_match_direct_formulas(self):
+        mesh = generate_mesh(sector(-3 * PI / 4, 2 * PI / 3, 1.0), 0.2, 0.7)
+        pts = mesh.vertices[mesh.triangles]
+        e1, e2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+        assert np.array_equal(mesh.areas, 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
+        assert np.array_equal(mesh.barycenters, pts.mean(axis=1))
+        # grad(lambda_0): the edge from vertex 1 to vertex 2 turned a quarter counterclockwise, over 2 * area
+        g0 = np.column_stack([pts[:, 1, 1] - pts[:, 2, 1], pts[:, 2, 0] - pts[:, 1, 0]])
+        assert np.array_equal(mesh.basis_gradients[:, 0], g0 / (2 * mesh.areas)[:, None])
 
 
 _NEAR_AXIS = st.floats(-1e-9, 1e-9)

@@ -462,6 +462,15 @@ class TestSampledFieldValidation:
         with pytest.raises(NormEstimateError):
             SampledField(np.zeros((3, 2)), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["points", "values", "gradients"])
+    def test_non_finite_samples_rejected(self, column, bad):
+        # a NaN drops out of every pair bound, so the scan would skip it silently
+        arrays = dict(points=disk_cloud(4, seed=1), values=np.ones(4), gradients=np.zeros((4, 2)))
+        arrays[column][2, ...] = bad
+        with pytest.raises(NormEstimateError, match="finite"):
+            SampledField(**arrays)
+
     def test_duplicate_csv_row_rejected(self, tmp_path):
         # the CSV reader is a door for outside data: it keeps the distinctness check
         path = tmp_path / "dup.csv"
