@@ -15,7 +15,6 @@ from .geometry import (
 )
 from .exact_solutions import (
     Barrier,
-    CoefficientJump,
     Corrector,
     SeparableSolution,
     build_dirichlet_example,

@@ -32,6 +32,9 @@ from .exact_solutions import (
     corrector_solve,
     eval_separable_xy,
     grad_separable_xy,
+    manufactured_grad,
+    manufactured_load,
+    manufactured_value,
     singular_exponent,
     transmission_coeffs,
 )
@@ -259,22 +262,11 @@ def check_06_manufactured_convergence(bench: Workbench) -> CheckResult:
     domain = bench.domain
     ident = PiecewiseCoefficient(1.0, 1.0, lam=1.0, Lam=1.0)
 
-    def u(x, y):
-        return np.sin(np.asarray(x)) * np.cos(np.asarray(y))
-
-    def gu(x, y, s):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)
-
-    def hh(x, y):
-        return -2.0 * np.sin(np.asarray(x)) * np.cos(np.asarray(y))
-
-    spec = ProblemSpec(domain=domain, coeff=ident, phi=u, h=hh)
+    spec = ProblemSpec(domain=domain, coeff=ident, phi=manufactured_value, h=manufactured_load)
     hs = [0.2, 0.1, 0.05]
     l2s, h1s = [], []
     for h in hs:
-        rep = error_report(solve_problem(spec, h), u, gu)
+        rep = error_report(solve_problem(spec, h), manufactured_value, manufactured_grad)
         l2s.append(rep.l2)
         h1s.append(rep.broken_h1)
     r_l2 = fit_rate(hs, l2s)

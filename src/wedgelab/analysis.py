@@ -271,24 +271,21 @@ def _ratio(kind, desc, lhs, spec, cloud, sup_u, trace_norms, g_norm) -> Estimate
 def _g_norm(spec: ProblemSpec, alpha: float, cloud: SampledField) -> float:
     """Largest per-side Holder norm of a component of g over the samples of ``cloud``, 0 if none."""
     gvals = spec.g_at(cloud.points[:, 0], cloud.points[:, 1], cloud.regions)
-    g_norm = 0.0
-    for side in (1, -1):
-        mask = cloud.regions == side
-        if mask.sum() < 2:
-            continue
-        for comp in (0, 1):
-            gf = SampledField._subset(cloud.points[mask], gvals[mask, comp])
-            g_norm = max(g_norm, plain_norm(gf, k=0, alpha=alpha))
-    return g_norm
+    return max(
+        _side_max(
+            SampledField._subset(cloud.points, gvals[:, comp], None, cloud.regions),
+            lambda f: plain_norm(f, k=0, alpha=alpha),
+        )
+        for comp in (0, 1)
+    )
 
 
 def _per_solve(fs: FemSolution, spec: ProblemSpec, alpha: float, term, *args):
     """``term(spec, alpha, *args)``, once per solve, spec object and alpha; ``args`` may not vary."""
-    key = (term.__name__, id(spec), alpha)
-    # the entry holds the spec itself, so its id cannot be reused while the entry lives
+    key = (term.__name__, spec, alpha)
     if key not in fs._memo:
-        fs._memo[key] = (spec, term(spec, alpha, *args))
-    return fs._memo[key][1]
+        fs._memo[key] = term(spec, alpha, *args)
+    return fs._memo[key]
 
 
 def _trace_norm(spec: ProblemSpec, alpha: float, x, y, s) -> float:

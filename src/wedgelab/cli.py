@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,9 @@ from .exact_solutions import (
     corrector_solve,
     eval_separable_xy,
     grad_separable_xy,
+    manufactured_grad,
+    manufactured_load,
+    manufactured_value,
     singular_exponent,
     singular_exponents,
     transmission_coeffs,
@@ -204,8 +208,6 @@ def build_case(cfg: CaseConfig) -> CaseSetup:
     wedge = domain.wedge
     gamma = cfg.gamma
     a0 = cfg.a0
-    exact = None
-    exact_grad = None
     if gamma is None and a0 is not None:
         gamma = singular_exponent(a0, wedge)
     if gamma is not None and a0 is None:
@@ -217,19 +219,11 @@ def build_case(cfg: CaseConfig) -> CaseSetup:
 
     if cfg.phi == "exact_trace":
         sol, _ = build_dirichlet_example(gamma, wedge)
-
-        def exact(x, y):
-            return eval_separable_xy(sol, x, y)
-
-        def exact_grad(x, y, side):
-            return grad_separable_xy(sol, x, y, side)
-
-        phi = exact
+        phi = partial(eval_separable_xy, sol)
     elif cfg.phi == "zero":
         phi = 0.0
     elif cfg.phi == "sin":
-        def phi(x, y):
-            return np.sin(np.asarray(x)) * np.cos(np.asarray(y))
+        phi = manufactured_value
     elif cfg.phi.startswith("poly:"):
         phi = _poly_field(cfg.phi)
     else:
@@ -238,9 +232,7 @@ def build_case(cfg: CaseConfig) -> CaseSetup:
     if cfg.h_data == "zero":
         h_fn = None
     elif cfg.h_data == "manufactured_sin":
-        # matches phi = sin with identity coefficient
-        def h_fn(x, y):
-            return -2.0 * np.sin(np.asarray(x)) * np.cos(np.asarray(y))
+        h_fn = manufactured_load
     elif cfg.h_data.startswith("poly:"):
         h_fn = _poly_field(cfg.h_data)
     else:
@@ -259,14 +251,12 @@ def build_case(cfg: CaseConfig) -> CaseSetup:
     else:
         raise ConfigError(f"unknown g selector {cfg.g!r}")
 
-    if cfg.phi == "sin" and cfg.h_data == "manufactured_sin":
-        def exact(x, y):
-            return np.sin(np.asarray(x)) * np.cos(np.asarray(y))
-
-        def exact_grad(x, y, side):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            return np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)
+    # the exact solution is known only for the two data sets that it solves
+    exact = exact_grad = None
+    if cfg.g == "zero" and cfg.phi == "exact_trace" and cfg.h_data == "zero":
+        exact, exact_grad = phi, partial(grad_separable_xy, sol)
+    elif cfg.g == "zero" and cfg.phi == "sin" and cfg.h_data == "manufactured_sin" and a0 == 1.0:
+        exact, exact_grad = manufactured_value, manufactured_grad
 
     problem = ProblemSpec(
         domain=domain, coeff=coeff, phi=phi, g_plus=g_plus, g_minus=g_minus, h=h_fn
@@ -282,17 +272,26 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+MANIFEST = "manifest.json"
+
+
 class OutputGuard:
+    """Hands out output paths: one per name in a run, never the manifest's, and no overwrite without ``force``."""
+
     def __init__(self, directory: Path, force: bool):
         self.directory = directory
         self.force = force
         self.files: list[str] = []
+        self._taken = {(directory / MANIFEST).resolve()}
 
     def path(self, name: str) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
         p = self.directory / name
+        if p.resolve() in self._taken:
+            raise ConfigError(f"output name {name!r} is taken by another output of this run")
         if p.exists() and not self.force:
             raise ConfigError(f"refusing to overwrite {p} (pass --force)")
+        self._taken.add(p.resolve())
         self.files.append(name)
         return p
 
@@ -325,7 +324,7 @@ def write_manifest(guard: OutputGuard, config_hash: str, steps: list[tuple[str, 
         steps=steps,
         files=list(guard.files),
     )
-    (guard.directory / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    (guard.directory / MANIFEST).write_text(manifest.to_json(), encoding="utf-8")
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -462,11 +461,11 @@ def cmd_solve(args) -> int:
     case = build_case(cfg)
     guard = OutputGuard(Path(cfg.directory), args.force)
     out = guard.path("solution.csv")
+    res = guard.path(args.residual_csv) if args.residual_csv else None
     fs = solve_problem(case.problem, cfg.h, cfg.mu)
     write_sampled_field_csv(solution_field(fs), out, value_column="u")
     steps = [("mesh", "ok"), ("assemble", "ok"), ("solve", f"iters={fs.diagnostics.iterations}")]
-    if args.residual_csv:
-        res = guard.path(args.residual_csv)
+    if res is not None:
         write_csv(
             res,
             ["iteration", "relative_residual"],
@@ -498,6 +497,8 @@ def _convergence_level(case: CaseSetup, h: float):
 
 
 def cmd_convergence(args) -> int:
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     cfg = load_case_config(args.config)
     case = build_case(cfg)
     guard = OutputGuard(Path(cfg.directory), args.force)

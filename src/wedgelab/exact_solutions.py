@@ -18,7 +18,8 @@ Inverting that relation for gamma at given a0 is a root-finding problem for
 ``exponent_equation``; the smallest positive root governs the corner
 regularity.  The module also provides the piecewise-linear corrector (the
 plane matching prescribed tangential wall derivatives subject to the flux
-jump) and the power-cosine barrier used for pointwise comparison bounds.
+jump), the power-cosine barrier used for pointwise comparison bounds, and
+the smooth manufactured solution u = sin x cos y of the identity coefficient.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .geometry import Wedge, wedge_angles
 
 _DEGENERACY_TOL = 1e-14
 ROOT_SCAN = 1024  # cells of the sign-change scan of the exponent equation
-ROOT_TOL = 1e-10  # bisection interval width at which the secant polish starts
-ROOT_MAX_ITER = 200  # most bisection steps per root
 
 
 class DegenerateAngleError(ValueError):
@@ -49,7 +48,7 @@ class NoSignChangeError(ValueError):
 
 
 class RootConvergenceError(RuntimeError):
-    """Bisection/secant iteration failed to reach tolerance."""
+    """Brent's method did not converge in a sign-change cell."""
 
 
 class SingularSystemError(ValueError):
@@ -58,17 +57,6 @@ class SingularSystemError(ValueError):
 
 class BarrierDomainError(ValueError):
     """No positive barrier exists: the angle bound is violated."""
-
-
-@dataclass(frozen=True)
-class CoefficientJump:
-    """Coefficient value in the upper subdomain; the lower value is 1."""
-
-    a0: float
-
-    def __post_init__(self):
-        if not self.a0 > 0.0:
-            raise TransmissionSignError(f"coefficient jump must be positive, got {self.a0}")
 
 
 @dataclass(frozen=True)
@@ -163,11 +151,11 @@ def transmission_coeffs(gamma: float, wedge: Wedge) -> TransmissionCoefficients:
     return TransmissionCoefficients(A=-cp / sp, a0=a0)
 
 
-def build_dirichlet_example(gamma: float, wedge: Wedge):
-    """Separable solution vanishing on both walls, plus its coefficient jump."""
+def build_dirichlet_example(gamma: float, wedge: Wedge) -> tuple[SeparableSolution, TransmissionCoefficients]:
+    """Separable solution vanishing on both walls, plus its transmission coefficients (jump ``.a0``)."""
     tc = transmission_coeffs(gamma, wedge)
     sol = SeparableSolution(gamma=gamma, A=tc.A, B=1.0, C=tc.a0 * tc.A, D=1.0, wedge=wedge)
-    return sol, CoefficientJump(tc.a0)
+    return sol, tc
 
 
 def exponent_equation(gamma, a0: float, wedge: Wedge):
@@ -185,32 +173,43 @@ def default_exponent_bracket(wedge: Wedge) -> tuple[float, float]:
     return (1e-3, hi - 1e-3)
 
 
-def singular_exponents(a0, wedge: Wedge, bracket: tuple[float, float] | None = None) -> list[float]:
+def singular_exponents(a0: float, wedge: Wedge, bracket: tuple[float, float] | None = None) -> list[float]:
     """All roots of the exponent equation in the bracket, ascending.
 
     The bracket is cut into ROOT_SCAN cells; a grid point where the equation
     is exactly 0 is a root, and each cell whose ends differ in sign is
-    bisected to ROOT_TOL and polished by secant steps.
+    polished by Brent's method.  Raises ``RootConvergenceError`` when a cell
+    does not converge.
     """
-    a0v = a0.a0 if isinstance(a0, CoefficientJump) else float(a0)
-    if a0v <= 0.0:
-        raise TransmissionSignError(f"coefficient jump must be positive, got {a0v}")
+    # imported here, not at module level: scipy.optimize adds 0.1-0.2 s to
+    # importing the package, and most runs never find a root
+    from scipy.optimize import brentq
+
+    if a0 <= 0.0:
+        raise TransmissionSignError(f"coefficient jump must be positive, got {a0}")
     lo, hi = bracket if bracket is not None else default_exponent_bracket(wedge)
     if not (0.0 < lo < hi):
         raise ValueError(f"invalid bracket ({lo}, {hi})")
     grid = np.linspace(lo, hi, ROOT_SCAN + 1)
-    vals = exponent_equation(grid, a0v, wedge)
-    cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    found = [_bisect_secant(a0v, wedge, grid[i], grid[i + 1]) for i in cells]
+    vals = exponent_equation(grid, a0, wedge)
+    found = []
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        root, info = brentq(
+            exponent_equation, grid[i], grid[i + 1], args=(a0, wedge),
+            xtol=1e-15, full_output=True, disp=False,
+        )
+        if not info.converged:
+            raise RootConvergenceError(
+                f"brentq did not converge on ({grid[i]:.17g}, {grid[i + 1]:.17g}): {info.flag}"
+            )
+        found.append(root)
     return sorted([float(g) for g in grid[vals == 0.0]] + found)
 
 
-def singular_exponent(a0, wedge: Wedge, bracket: tuple[float, float] | None = None) -> float:
-    """Smallest root of the exponent equation in the bracket.
+def singular_exponent(a0: float, wedge: Wedge, bracket: tuple[float, float] | None = None) -> float:
+    """Smallest root of the exponent equation in the bracket (see ``singular_exponents``).
 
-    Scans the bracket for the first sign change, bisects, then polishes with
-    a few secant steps.  Raises ``NoSignChangeError`` when the scan finds no
-    root.
+    Raises ``NoSignChangeError`` when the scan finds no root.
     """
     roots = singular_exponents(a0, wedge, bracket)
     if not roots:
@@ -222,61 +221,14 @@ def singular_exponent(a0, wedge: Wedge, bracket: tuple[float, float] | None = No
     return roots[0]
 
 
-def _bisect_secant(a0: float, wedge: Wedge, lo: float, hi: float) -> float:
-    flo = float(exponent_equation(lo, a0, wedge))
-    fhi = float(exponent_equation(hi, a0, wedge))
-    for _ in range(ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fmid = float(exponent_equation(mid, a0, wedge))
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo <= ROOT_TOL:
-            break
-    else:
-        raise RootConvergenceError(
-            f"bisection did not reach tol {ROOT_TOL} within {ROOT_MAX_ITER} iterations"
-        )
-    # secant polish inside the final bisection interval
-    x0, x1 = lo, hi
-    f0, f1 = flo, fhi
-    for _ in range(8):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (lo - ROOT_TOL <= x2 <= hi + ROOT_TOL):
-            break
-        x0, f0 = x1, f1
-        x1, f1 = x2, float(exponent_equation(x2, a0, wedge))
-        if abs(x1 - x0) <= 1e-3 * ROOT_TOL:
-            break
-    return x1
+def _branch(s: SeparableSolution, theta, side=None):
+    """Per-point (sin, cos) coefficients: (A, B) on the upper side, (C, D) on the lower.
 
-
-def _branch_masks(theta, side=None):
-    th = np.asarray(theta, dtype=float)
-    if side is None:
-        return th >= 0.0
-    sd = np.broadcast_to(np.asarray(side), th.shape)
-    on_iface = np.abs(th) < 1e-14
-    return np.where(on_iface, sd > 0, th >= 0.0)
-
-
-def _theta_profile(s: SeparableSolution, theta, side=None):
-    th = np.asarray(theta, dtype=float)
-    upper = s.A * np.sin(s.gamma * th) + s.B * np.cos(s.gamma * th)
-    lower = s.C * np.sin(s.gamma * th) + s.D * np.cos(s.gamma * th)
-    return np.where(_branch_masks(th, side), upper, lower)
-
-
-def _theta_profile_deriv(s: SeparableSolution, theta, side=None):
-    th = np.asarray(theta, dtype=float)
-    upper = s.gamma * (s.A * np.cos(s.gamma * th) - s.B * np.sin(s.gamma * th))
-    lower = s.gamma * (s.C * np.cos(s.gamma * th) - s.D * np.sin(s.gamma * th))
-    return np.where(_branch_masks(th, side), upper, lower)
+    A passed ``side`` (+1/-1, scalar or array) decides the side; otherwise
+    theta >= 0 does.
+    """
+    upper = theta >= 0.0 if side is None else np.asarray(side) > 0
+    return np.where(upper, s.A, s.C), np.where(upper, s.B, s.D)
 
 
 def eval_separable_xy(s: SeparableSolution, x, y):
@@ -285,14 +237,15 @@ def eval_separable_xy(s: SeparableSolution, x, y):
     y = np.asarray(y, dtype=float)
     r = np.hypot(x, y)
     theta = wedge_angles(s.wedge, x, y)
-    return r**s.gamma * _theta_profile(s, theta)
+    a, b = _branch(s, theta)
+    return r**s.gamma * (a * np.sin(s.gamma * theta) + b * np.cos(s.gamma * theta))
 
 
 def grad_separable_xy(s: SeparableSolution, x, y, side=None):
     """Vectorized Cartesian gradient.
 
-    ``side`` (+1/-1, scalar or array) forces the branch used on the
-    interface; by default points with theta >= 0 use the upper branch.
+    ``side`` (+1/-1, scalar or array) picks the branch; by default points
+    with theta >= 0 use the upper branch.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -300,13 +253,16 @@ def grad_separable_xy(s: SeparableSolution, x, y, side=None):
     if np.any((r == 0.0) & (s.gamma < 1.0)):
         raise ValueError("gradient is unbounded at the corner for gamma < 1")
     theta = wedge_angles(s.wedge, x, y)
-    T = _theta_profile(s, theta, side)
-    dT = _theta_profile_deriv(s, theta, side)
+    a, b = _branch(s, theta, side)
+    sg, cg = np.sin(s.gamma * theta), np.cos(s.gamma * theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         rg1 = np.where(r > 0.0, r ** (s.gamma - 1.0), 0.0 if s.gamma > 1.0 else 1.0)
+    ur = s.gamma * rg1 * (a * sg + b * cg)
+    ut = rg1 * (s.gamma * (a * cg - b * sg))
+    # error_report passes every edge midpoint of a mesh: free the polar
+    # factors before the Cartesian products
+    del r, a, b, sg, cg, rg1
     ct, st = np.cos(theta), np.sin(theta)
-    ur = s.gamma * rg1 * T
-    ut = rg1 * dT
     return ur * ct - ut * st, ur * st + ut * ct
 
 
@@ -318,7 +274,7 @@ def corrector_determinant(a0: float, wedge: Wedge) -> float:
     return float(exponent_equation(1.0, a0, wedge))
 
 
-def corrector_solve(c_plus: float, c_minus: float, a0, wedge: Wedge) -> Corrector:
+def corrector_solve(c_plus: float, c_minus: float, a0: float, wedge: Wedge) -> Corrector:
     """Plane with prescribed tangential wall derivatives and matched flux.
 
     Solves
@@ -327,8 +283,7 @@ def corrector_solve(c_plus: float, c_minus: float, a0, wedge: Wedge) -> Correcto
                      a0 b+    -        b-  = 0
     and verifies the residual to 1e-12 relative.
     """
-    a0v = a0.a0 if isinstance(a0, CoefficientJump) else float(a0)
-    det = corrector_determinant(a0v, wedge)
+    det = corrector_determinant(a0, wedge)
     if abs(det) < _DEGENERACY_TOL:
         raise SingularSystemError(
             f"corrector system is singular: a0 cos(t+) sin(t-) - sin(t+) cos(t-) "
@@ -339,7 +294,7 @@ def corrector_solve(c_plus: float, c_minus: float, a0, wedge: Wedge) -> Correcto
         [
             [math.cos(tp), math.sin(tp), 0.0],
             [math.cos(tm), 0.0, math.sin(tm)],
-            [0.0, a0v, -1.0],
+            [0.0, a0, -1.0],
         ]
     )
     rhs = np.array([c_plus, c_minus, 0.0])
@@ -359,3 +314,20 @@ def barrier_eval_xy(b: Barrier, x, y):
     theta = wedge_angles(b.wedge, x, y)
     nu = 1.0 + b.alpha + b.tau0
     return b.amplitude * r ** (1.0 + b.alpha) * np.cos(nu * theta)
+
+
+def manufactured_value(x, y):
+    """u = sin x cos y: a smooth solution of div(grad u) = manufactured_load with trace u."""
+    return np.sin(np.asarray(x)) * np.cos(np.asarray(y))
+
+
+def manufactured_grad(x, y, side=None):
+    """Gradient of ``manufactured_value``; smooth, so ``side`` is ignored."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y)
+
+
+def manufactured_load(x, y):
+    """h = lap(sin x cos y) = -2 sin x cos y; the load only for the identity coefficient."""
+    return -2.0 * np.sin(np.asarray(x)) * np.cos(np.asarray(y))

@@ -136,9 +136,9 @@ def validate_ellipticity(coeff: PiecewiseCoefficient, mats: np.ndarray) -> None:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemSpec:
-    """Dirichlet problem data on a sector domain.
+    """Dirichlet problem data on a sector domain; equal and hashed by identity.
 
     ``g_plus``/``g_minus`` are the vector field branches per side, ``h`` the
     scalar right-hand side, ``phi`` the boundary data (continuous on the
@@ -419,7 +419,7 @@ def error_report(fs: FemSolution, exact, exact_grad=None) -> ErrorReport:
 
     broken = None
     if exact_grad is not None:
-        gx, gy = exact_grad(mx, my, np.repeat(mesh.region.astype(int), 3))
+        gx, gy = exact_grad(mx, my, np.repeat(mesh.region, 3))
         gh = fs.element_gradients
         gd2 = (gh[:, None, 0] - gx.reshape(err.shape)) ** 2 + (gh[:, None, 1] - gy.reshape(err.shape)) ** 2
         broken = math.sqrt(float((areas / 3.0 * gd2.sum(axis=1)).sum()))

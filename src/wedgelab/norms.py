@@ -477,11 +477,20 @@ def read_sampled_field_csv(path) -> SampledField:
         with_grad = "gx" in cols and "gy" in cols
         pts, vals, grads, regs = [], [], [], []
         for row in reader:
-            pts.append((float(row["x"]), float(row["y"])))
-            vals.append(float(row[value_column]))
-            regs.append(_CODE_REGION.get(row["region"].strip(), 0))
-            if with_grad:
-                grads.append((float(row["gx"]), float(row["gy"])))
+            where = f"{path} line {reader.line_num}"
+            if None in row or None in row.values():
+                raise NormEstimateError(f"{where}: expected {len(cols)} cells")
+            code = row["region"].strip()
+            if code not in _CODE_REGION:
+                raise NormEstimateError(f"{where}: unknown region code {code!r} (known: +, -, 0)")
+            regs.append(_CODE_REGION[code])
+            try:
+                pts.append((float(row["x"]), float(row["y"])))
+                vals.append(float(row[value_column]))
+                if with_grad:
+                    grads.append((float(row["gx"]), float(row["gy"])))
+            except ValueError as exc:
+                raise NormEstimateError(f"{where}: {exc}") from exc
     return SampledField(
         np.asarray(pts),
         np.asarray(vals),

@@ -1,14 +1,19 @@
 """What the benchmark in perfbench/ needs of the library: the functions its
-traced run wraps, and the keywords its workloads pass."""
+traced run wraps, the keywords its workloads pass, and an import that stays
+light (its ``setup_s`` is mostly import time)."""
 
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_FILE = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -47,3 +52,17 @@ def test_estimate_ratios_accept_pair_budget(kind):
 
 def test_solve_on_mesh_accepts_tolerance_and_iteration_cap():
     assert accepts("fem.solve_on_mesh", "tol", "max_iter")
+
+
+def test_import_loads_no_scipy_optimize():
+    # scipy.optimize is imported where a root is found; at import time it would add 0.1-0.2 s
+    code = (
+        "import sys, wedgelab, wedgelab.acceptance, wedgelab.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.strip() == "[]"

@@ -216,7 +216,77 @@ class TestSolveCommand:
         assert (outdir / "solution.csv").read_bytes() == first
 
 
+    def test_residual_csv_cannot_be_the_manifest(self, tmp_path, capsys):
+        cfg, outdir = write_config(tmp_path)
+        assert main(["solve", str(cfg), "--residual-csv", "manifest.json"]) == EXIT_USAGE
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (outdir / "solution.csv").exists()
+
+    def test_residual_csv_cannot_replace_the_solution(self, tmp_path, capsys):
+        cfg, outdir = write_config(tmp_path)
+        assert main(["solve", str(cfg)]) == EXIT_OK
+        first = (outdir / "solution.csv").read_bytes()
+        assert main(["solve", str(cfg), "--residual-csv", "solution.csv", "--force"]) == EXIT_USAGE
+        assert "solution.csv" in capsys.readouterr().err
+        assert (outdir / "solution.csv").read_bytes() == first
+
+
+class TestExactSolutionAttached:
+    """Error lines appear only for data whose exact solution is known."""
+
+    def _solve_output(self, tmp_path, capsys, replacements):
+        text = BASE_CONFIG
+        for old, new in replacements:
+            text = text.replace(old, new)
+        cfg, _ = write_config(tmp_path, text=text)
+        assert main(["solve", str(cfg)]) == EXIT_OK
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            [],
+            [("gamma = 0.8", "a0 = 1.0"), ("phi = exact_trace", "phi = sin\nh = manufactured_sin")],
+        ],
+        ids=["exact_trace", "manufactured_sin"],
+    )
+    def test_known_solution_reports_errors(self, tmp_path, capsys, replacements):
+        assert "L2 = " in self._solve_output(tmp_path, capsys, replacements)
+
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            [("gamma = 0.8", "a0 = 3.0"), ("phi = exact_trace", "phi = sin\nh = manufactured_sin")],
+            [("phi = exact_trace", "phi = sin\nh = manufactured_sin\ng = poly: 1")],
+            [("phi = exact_trace", "phi = exact_trace\nh = poly: 1")],
+            [("phi = exact_trace", "phi = exact_trace\ng = poly: 0 1")],
+        ],
+        ids=["sin_with_jump", "sin_with_g", "exact_trace_with_h", "exact_trace_with_g"],
+    )
+    def test_unsolved_data_reports_no_errors(self, tmp_path, capsys, replacements):
+        assert "L2 = " not in self._solve_output(tmp_path, capsys, replacements)
+
+    def test_convergence_without_solution_writes_nan_errors(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("gamma = 0.8", "a0 = 3.0").replace(
+            "phi = exact_trace", "phi = sin\nh = manufactured_sin"
+        )
+        cfg, outdir = write_config(tmp_path, text=text)
+        assert main(["convergence", str(cfg), "--levels", "2"]) == EXIT_OK
+        assert "rate" not in capsys.readouterr().out
+        for line in (outdir / "convergence.csv").read_text().splitlines()[1:]:
+            h, ndof, l2, bh1, linf, flux = line.split(",")
+            assert all(math.isnan(float(v)) for v in (l2, bh1, linf))
+            assert math.isfinite(float(flux))
+
+
 class TestConvergenceCommand:
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_rejected(self, tmp_path, capsys, levels):
+        cfg, outdir = write_config(tmp_path)
+        assert main(["convergence", str(cfg), "--levels", levels]) == EXIT_USAGE
+        assert "--levels" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_csv_and_svg(self, tmp_path, capsys):
         cfg, outdir = write_config(tmp_path)
         assert main(["convergence", str(cfg), "--levels", "2"]) == EXIT_OK
@@ -280,6 +350,16 @@ class TestNormsCommand:
         path.write_text("x,y,region,value,gx,gy\n" + "\n".join(rows) + "\n")
         assert main(["norms", str(path), "--k", "1", "--alpha", "0.5"]) == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "row", ["1,0", "1,abc,+,2", "1,0,q,2"], ids=["short_row", "non_numeric_cell", "unknown_region"]
+    )
+    def test_malformed_row_is_a_usage_error(self, tmp_path, capsys, row):
+        path = tmp_path / "field.csv"
+        path.write_text("x,y,region,value\n0.1,0.2,+,1.0\n0.3,-0.2,-,2.0\n" + row + "\n")
+        assert main(["norms", str(path)]) == EXIT_USAGE
+        assert "line 4" in capsys.readouterr().err
 
 
 class TestConfigValidation:

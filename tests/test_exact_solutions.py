@@ -8,28 +8,80 @@ from hypothesis import strategies as st
 from wedgelab.exact_solutions import (
     ROOT_SCAN,
     Barrier,
+    SeparableSolution,
     BarrierDomainError,
-    CoefficientJump,
     DegenerateAngleError,
     NoSignChangeError,
+    RootConvergenceError,
     SingularSystemError,
     TransmissionSignError,
     barrier_eval_xy,
     build_dirichlet_example,
     corrector_determinant,
     corrector_solve,
+    default_exponent_bracket,
     eval_separable_xy,
     exponent_equation,
     grad_separable_xy,
     singular_exponent,
     singular_exponents,
     transmission_coeffs,
-    _bisect_secant,
 )
-from wedgelab.geometry import make_wedge
+from wedgelab.geometry import make_wedge, wedge_angles
 
 PI = math.pi
 STRAIGHT = make_wedge(-PI / 4, 3 * PI / 4)  # walls form one straight line
+
+
+def bisect_secant(a0, wedge, lo, hi, tol=1e-10, max_iter=200):
+    """Reference root polish: bisection to ``tol``, then secant steps inside the last interval."""
+    flo = float(exponent_equation(lo, a0, wedge))
+    fhi = float(exponent_equation(hi, a0, wedge))
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fmid = float(exponent_equation(mid, a0, wedge))
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0.0:
+            hi, fhi = mid, fmid
+        else:
+            lo, flo = mid, fmid
+        if hi - lo <= tol:
+            break
+    x0, x1 = lo, hi
+    f0, f1 = flo, fhi
+    for _ in range(8):
+        if f1 == f0:
+            break
+        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not (lo - tol <= x2 <= hi + tol):
+            break
+        x0, f0 = x1, f1
+        x1, f1 = x2, float(exponent_equation(x2, a0, wedge))
+        if abs(x1 - x0) <= 1e-3 * tol:
+            break
+    return x1
+
+
+def reference_roots(a0, wedge, lo, hi):
+    """The cell-by-cell scan over ROOT_SCAN cells, each sign change polished by ``bisect_secant``."""
+    grid = np.linspace(lo, hi, ROOT_SCAN + 1)
+    vals = exponent_equation(grid, a0, wedge)
+    roots = []
+    for i in range(ROOT_SCAN):
+        if vals[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(bisect_secant(a0, wedge, grid[i], grid[i + 1]))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+def assert_close_roots(roots, expected, rel=1e-12):
+    assert len(roots) == len(expected)
+    for got, want in zip(roots, expected):
+        assert abs(got - want) <= rel * abs(want), (got, want)
 
 
 class TestTransmissionCoeffs:
@@ -113,7 +165,9 @@ class TestSingularExponent:
     @pytest.mark.parametrize("tm, tp", [(-PI / 4, 3 * PI / 4), (-0.3, 1.2), (-2.5, 3.0), (-0.2, 6.0)])
     @pytest.mark.parametrize("a0", [0.05, 1.0, 4.236, 100.0])
     def test_scan_matches_cell_loop(self, tm, tp, a0):
-        # reference: the cell-by-cell loop the vectorized scan replaced
+        # reference: a cell-by-cell loop over the same grid, each sign change polished by brentq
+        from scipy.optimize import brentq
+
         w = make_wedge(tm, tp)
         grid = np.linspace(0.01, 12.0, ROOT_SCAN + 1)
         vals = exponent_equation(grid, a0, w)
@@ -122,11 +176,73 @@ class TestSingularExponent:
             if vals[i] == 0.0:
                 expected.append(float(grid[i]))
             elif vals[i] * vals[i + 1] < 0.0:
-                expected.append(_bisect_secant(a0, w, grid[i], grid[i + 1]))
+                expected.append(brentq(exponent_equation, grid[i], grid[i + 1], args=(a0, w), xtol=1e-15))
         if vals[-1] == 0.0:
             expected.append(float(grid[-1]))
         assert len(expected) >= 2
         assert singular_exponents(a0, w, bracket=(0.01, 12.0)) == expected
+
+    def test_brentq_matches_bisect_secant_on_grid(self):
+        # 15 x 15 wedges x 7 jumps: each root within 1e-12 relative of the bisect-secant polish
+        angles = np.linspace(0.2, 3.0, 15)
+        count = 0
+        for tp in angles:
+            for tm in angles:
+                w = make_wedge(-tm, tp)
+                lo, hi = default_exponent_bracket(w)
+                for a0 in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0):
+                    roots = singular_exponents(a0, w)
+                    assert_close_roots(roots, reference_roots(a0, w, lo, hi))
+                    count += len(roots)
+        assert count > 1500
+
+    # reflex wedges up to openings 1e-6 short of 2 pi, the interface anywhere inside
+    @settings(max_examples=150, deadline=None)
+    @given(
+        opening=st.one_of(
+            st.floats(PI, 2 * PI - 1e-6),
+            st.floats(-6.0, -1.0).map(lambda e: 2 * PI - 10.0**e),
+        ),
+        frac=st.floats(0.01, 0.99),
+        log_a0=st.floats(-2.0, 2.0),
+    )
+    def test_brentq_matches_bisect_secant_on_reflex_wedges(self, opening, frac, log_a0):
+        tm = -frac * opening
+        w = make_wedge(tm, opening + tm)
+        a0 = 10.0**log_a0
+        lo, hi = default_exponent_bracket(w)
+        assert_close_roots(singular_exponents(a0, w), reference_roots(a0, w, lo, hi))
+
+    def test_unconverged_cell_raises(self, monkeypatch):
+        import scipy.optimize
+
+        def stalled(f, a, b, args=(), xtol=0.0, full_output=False, disp=True):
+            info = scipy.optimize.RootResults(root=a, iterations=100, function_calls=100, flag=-2, method="brentq")
+            return a, info
+
+        monkeypatch.setattr(scipy.optimize, "brentq", stalled)
+        with pytest.raises(RootConvergenceError):
+            singular_exponents(2.0, make_wedge(-PI / 3, PI / 3))
+
+
+def both_branch_field(s, x, y, side=None):
+    """Reference value and gradient: both branches at every point, the side
+    taken from theta except within 1e-14 of the interface ray, where ``side`` decides."""
+    r = np.hypot(x, y)
+    th = wedge_angles(s.wedge, x, y)
+    upper = th >= 0.0
+    if side is not None:
+        upper = np.where(np.abs(th) < 1e-14, np.broadcast_to(np.asarray(side), th.shape) > 0, upper)
+    g = s.gamma
+    T = np.where(upper, s.A * np.sin(g * th) + s.B * np.cos(g * th), s.C * np.sin(g * th) + s.D * np.cos(g * th))
+    dT = np.where(
+        upper, g * (s.A * np.cos(g * th) - s.B * np.sin(g * th)), g * (s.C * np.cos(g * th) - s.D * np.sin(g * th))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rg1 = np.where(r > 0.0, r ** (g - 1.0), 0.0 if g > 1.0 else 1.0)
+    ct, st = np.cos(th), np.sin(th)
+    ur, ut = g * rg1 * T, rg1 * dT
+    return r**g * T, (ur * ct - ut * st, ur * st + ut * ct)
 
 
 class TestSeparableField:
@@ -202,6 +318,43 @@ class TestSeparableField:
             coarse = abs(lap(x, y, 2 * h))
             K = 1.5 * coarse / (2 * h) ** 2
             assert abs(lap(x, y, h)) <= max(K * h**2, 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        u_minus=st.floats(1e-3, 1.0 - 1e-3),
+        u_plus=st.floats(1e-3, 1.0 - 1e-3),
+        gamma=st.floats(0.2, 3.0),
+        coeffs=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_branch_matches_both_branch_reference(self, u_minus, u_plus, gamma, coeffs, seed):
+        # any wedge, also past +-pi; off the ray the side passed agrees with theta
+        tm = -2 * PI * u_minus
+        w = make_wedge(tm, u_plus * (2 * PI + tm))
+        sol = SeparableSolution(gamma, *coeffs, wedge=w)
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(1e-3, 1.0, 300)
+        th = rng.uniform(w.theta_minus, w.theta_plus, 300)
+        x, y = r * np.cos(th), r * np.sin(th)
+        off = np.abs(wedge_angles(w, x, y)) >= 1e-14
+        x, y = x[off], y[off]
+        side = np.where(wedge_angles(w, x, y) >= 0.0, 1, -1)
+        vals, (gx, gy) = both_branch_field(sol, x, y, side)
+        assert np.array_equal(eval_separable_xy(sol, x, y), vals)
+        for got, want in zip(grad_separable_xy(sol, x, y, side), (gx, gy)):
+            assert np.array_equal(got, want)
+        for got, want in zip(grad_separable_xy(sol, x, y), (gx, gy)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_side_picks_the_branch_on_the_ray(self, example, side):
+        sol, _ = example
+        x, y = np.linspace(0.1, 1.0, 10), np.zeros(10)
+        _, want = both_branch_field(sol, x, y, side)
+        for got, ref in zip(grad_separable_xy(sol, x, y, side), want):
+            assert np.array_equal(got, ref)
+        # the lower branch differs from the default (upper) one there
+        assert np.array_equal(grad_separable_xy(sol, x, y)[1], want[1]) == (side == 1)
 
     def test_grad_side_selection_on_interface(self, example):
         sol, jump = example
@@ -333,7 +486,3 @@ class TestExponentEquation:
         assert vals.shape == g.shape
         # no root at or below gamma = 1 when both half-angles are acute
         assert np.all(vals < 0)
-
-    def test_jump_type_accepts_wrapper(self):
-        w = make_wedge(-PI / 3, PI / 3)
-        assert singular_exponent(CoefficientJump(2.0), w) == pytest.approx(1.5, abs=1e-8)

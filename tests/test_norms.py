@@ -451,6 +451,23 @@ class TestCsvRoundTrip:
         with pytest.raises(NormEstimateError):
             read_sampled_field_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,0", "expected 4 cells"),
+            ("1,0,+,2,9", "expected 4 cells"),
+            ("1,abc,+,2", "abc"),
+            ("1,0,q,2", "unknown region code 'q'"),
+        ],
+        ids=["short_row", "long_row", "non_numeric_cell", "unknown_region"],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y,region,value\n0.1,0.2,+,1\n{row}\n")
+        with pytest.raises(NormEstimateError, match="line 3") as err:
+            read_sampled_field_csv(path)
+        assert message in str(err.value)
+
 
 class TestSampledFieldValidation:
     def test_duplicate_points_rejected(self):
