@@ -182,7 +182,7 @@ def singular_exponents(a0: float, wedge: Wedge, bracket: tuple[float, float] | N
     does not converge.
     """
     # imported here, not at module level: scipy.optimize adds 0.1-0.2 s to
-    # importing the package, and most runs never find a root
+    # importing the package, and runs that start from gamma need no root
     from scipy.optimize import brentq
 
     if a0 <= 0.0:

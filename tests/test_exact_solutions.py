@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from wedgelab.exact_solutions import (
     ROOT_SCAN,
     Barrier,
-    SeparableSolution,
     BarrierDomainError,
     DegenerateAngleError,
     NoSignChangeError,
     RootConvergenceError,
+    SeparableSolution,
     SingularSystemError,
     TransmissionSignError,
     barrier_eval_xy,
@@ -63,8 +63,8 @@ def bisect_secant(a0, wedge, lo, hi, tol=1e-10, max_iter=200):
     return x1
 
 
-def reference_roots(a0, wedge, lo, hi):
-    """The cell-by-cell scan over ROOT_SCAN cells, each sign change polished by ``bisect_secant``."""
+def reference_roots(a0, wedge, lo, hi, polish=bisect_secant):
+    """The cell-by-cell scan over ROOT_SCAN cells, each sign change polished by ``polish``."""
     grid = np.linspace(lo, hi, ROOT_SCAN + 1)
     vals = exponent_equation(grid, a0, wedge)
     roots = []
@@ -72,7 +72,7 @@ def reference_roots(a0, wedge, lo, hi):
         if vals[i] == 0.0:
             roots.append(float(grid[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(bisect_secant(a0, wedge, grid[i], grid[i + 1]))
+            roots.append(polish(a0, wedge, grid[i], grid[i + 1]))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
@@ -168,17 +168,11 @@ class TestSingularExponent:
         # reference: a cell-by-cell loop over the same grid, each sign change polished by brentq
         from scipy.optimize import brentq
 
+        def polish(a0, w, lo, hi):
+            return brentq(exponent_equation, lo, hi, args=(a0, w), xtol=1e-15)
+
         w = make_wedge(tm, tp)
-        grid = np.linspace(0.01, 12.0, ROOT_SCAN + 1)
-        vals = exponent_equation(grid, a0, w)
-        expected = []
-        for i in range(ROOT_SCAN):
-            if vals[i] == 0.0:
-                expected.append(float(grid[i]))
-            elif vals[i] * vals[i + 1] < 0.0:
-                expected.append(brentq(exponent_equation, grid[i], grid[i + 1], args=(a0, w), xtol=1e-15))
-        if vals[-1] == 0.0:
-            expected.append(float(grid[-1]))
+        expected = reference_roots(a0, w, 0.01, 12.0, polish)
         assert len(expected) >= 2
         assert singular_exponents(a0, w, bracket=(0.01, 12.0)) == expected
 
