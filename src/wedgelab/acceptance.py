@@ -233,6 +233,7 @@ def check_04_corner_witness(bench: Workbench) -> CheckResult:
             "Linf=" + "/".join(f"{v:.2e}" for v in linfs),
             f"ndof={fs_fine.mesh.n_vertices}",
             f"finest_solve={t_fine:.1f}s",
+            f"precond={fs_fine.diagnostics.preconditioner}",
         ],
     )
 

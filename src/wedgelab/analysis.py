@@ -143,11 +143,27 @@ def _field_evaluator(field):
 
 
 def default_fit_radii(h: float, radius: float, count: int = 9) -> np.ndarray:
-    """Geometric radii between 4h (FEM pollution floor) and R/4."""
+    """Geometric radii between 4h (FEM pollution floor) and R/4.
+
+    Raises ``FitError`` when that window is empty or is one that
+    ``fit_corner_exponent`` rejects, so no solve is spent on it.
+    """
     lo, hi = 4.0 * h, radius / 4.0
     if not lo < hi:
         raise FitError(f"no admissible fit window: 4h = {lo:.3g} >= R/4 = {hi:.3g}")
-    return np.geomspace(lo, hi, count)
+    radii = np.geomspace(lo, hi, count)
+    _check_fit_radii(radii)
+    return radii
+
+
+def _check_fit_radii(radii: np.ndarray) -> None:
+    """At least 4 sorted radii spanning a decade, else ``FitError``."""
+    if radii.size < 4:
+        raise FitError(f"need at least 4 radii, got {radii.size}")
+    if radii[-1] < 10.0 * radii[0]:
+        raise FitError(
+            f"radii must span at least one decade, got {radii[-1] / radii[0]:.3g}x"
+        )
 
 
 def default_rays(wedge, n: int = 32) -> np.ndarray:
@@ -165,12 +181,7 @@ def fit_corner_exponent(field, rays, radii) -> ExponentFit:
     """
     radii = np.asarray(sorted(float(r) for r in radii))
     rays = np.asarray(list(rays), dtype=float)
-    if radii.size < 4:
-        raise FitError(f"need at least 4 radii, got {radii.size}")
-    if radii[-1] < 10.0 * radii[0]:
-        raise FitError(
-            f"radii must span at least one decade, got {radii[-1] / radii[0]:.3g}x"
-        )
+    _check_fit_radii(radii)
     if rays.size < 1:
         raise FitError("need at least one ray")
     ev, u0 = _field_evaluator(field)

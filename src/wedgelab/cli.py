@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    FitError,
     default_fit_radii,
     default_rays,
     fit_corner_exponent,
@@ -276,13 +277,20 @@ MANIFEST = "manifest.json"
 
 
 class OutputGuard:
-    """Hands out output paths: one per name in a run, never the manifest's, and no overwrite without ``force``."""
+    """Hands out output paths: one per name in a run, never the manifest's, and no overwrite without ``force``.
+
+    An earlier run's manifest counts as an output too: without ``force`` it
+    is refused here, before any file of this run is written.
+    """
 
     def __init__(self, directory: Path, force: bool):
         self.directory = directory
         self.force = force
         self.files: list[str] = []
-        self._taken = {(directory / MANIFEST).resolve()}
+        manifest = directory / MANIFEST
+        if manifest.exists() and not force:
+            raise ConfigError(f"refusing to overwrite {manifest} (pass --force)")
+        self._taken = {manifest.resolve()}
 
     def path(self, name: str) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -481,6 +489,7 @@ def cmd_solve(args) -> int:
     write_manifest(guard, cfg.config_hash, steps)
     print(f"ndof = {fs.mesh.n_vertices}")
     print(f"iterations = {fs.diagnostics.iterations}")
+    print(f"preconditioner = {fs.diagnostics.preconditioner}")
     print(f"solution_csv = {out}")
     return EXIT_OK
 
@@ -530,8 +539,11 @@ def cmd_fit(args) -> int:
     cfg = load_case_config(args.config)
     case = build_case(cfg)
     guard = OutputGuard(Path(cfg.directory), args.force)
+    try:
+        radii = default_fit_radii(cfg.h, cfg.radius, cfg.n_radii)
+    except FitError as exc:  # the window follows from h and R alone
+        raise ConfigError(f"[geometry] h = {cfg.h:g}, radius = {cfg.radius:g}: {exc}") from exc
     fs = solve_problem(case.problem, cfg.h, cfg.mu)
-    radii = default_fit_radii(cfg.h, cfg.radius, cfg.n_radii)
     rays = default_rays(case.domain.wedge, cfg.n_rays)
     fit = fit_corner_exponent(fs, rays, radii)
     curve = guard.path("fit.csv")

@@ -253,17 +253,31 @@ def grad_separable_xy(s: SeparableSolution, x, y, side=None):
     if np.any((r == 0.0) & (s.gamma < 1.0)):
         raise ValueError("gradient is unbounded at the corner for gamma < 1")
     theta = wedge_angles(s.wedge, x, y)
-    a, b = _branch(s, theta, side)
-    sg, cg = np.sin(s.gamma * theta), np.cos(s.gamma * theta)
+    # error_report passes every edge midpoint of a mesh: the products are
+    # formed in place and each factor is freed after its last use
     with np.errstate(divide="ignore", invalid="ignore"):
         rg1 = np.where(r > 0.0, r ** (s.gamma - 1.0), 0.0 if s.gamma > 1.0 else 1.0)
-    ur = s.gamma * rg1 * (a * sg + b * cg)
-    ut = rg1 * (s.gamma * (a * cg - b * sg))
-    # error_report passes every edge midpoint of a mesh: free the polar
-    # factors before the Cartesian products
-    del r, a, b, sg, cg, rg1
+    del r
+    a, b = _branch(s, theta, side)
+    sg, cg = np.sin(s.gamma * theta), np.cos(s.gamma * theta)
+    ur = a * sg
+    ur += b * cg  # a sin + b cos
+    ut = a * cg
+    del a, cg
+    ut -= b * sg  # a cos - b sin
+    del b, sg
+    ur *= s.gamma * rg1
+    ut *= s.gamma
+    ut *= rg1
+    del rg1
     ct, st = np.cos(theta), np.sin(theta)
-    return ur * ct - ut * st, ur * st + ut * ct
+    del theta
+    gx = ur * ct
+    gx -= ut * st
+    ur *= st
+    ut *= ct
+    ur += ut
+    return gx, ur
 
 
 def corrector_determinant(a0: float, wedge: Wedge) -> float:

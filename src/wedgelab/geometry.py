@@ -74,19 +74,26 @@ def wedge_angles(w: Wedge, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    theta = np.where((x == 0.0) & (y == 0.0), 0.0, np.arctan2(y, x))
-    dist = _interval_dist(theta, w.theta_minus, w.theta_plus)
+    # the shifts update theta and dist in place and reuse one candidate pair,
+    # so at most five point-sized arrays are alive at once
+    theta = np.arctan2(y, x, out=np.empty(np.broadcast_shapes(x.shape, y.shape)))
+    np.copyto(theta, 0.0, where=(x == 0.0) & (y == 0.0))
+    dist = _interval_dist(theta, w.theta_minus, w.theta_plus, np.empty_like(theta))
+    cand, cand_dist = np.empty_like(theta), np.empty_like(theta)
     for shift in (-_TWO_PI, _TWO_PI):
-        cand = theta + shift
-        cand_dist = _interval_dist(cand, w.theta_minus, w.theta_plus)
+        np.add(theta, shift, out=cand)
+        _interval_dist(cand, w.theta_minus, w.theta_plus, cand_dist)
         closer = cand_dist < dist
-        theta = np.where(closer, cand, theta)
-        dist = np.where(closer, cand_dist, dist)
+        np.copyto(theta, cand, where=closer)
+        np.copyto(dist, cand_dist, where=closer)
     return theta
 
 
-def _interval_dist(t, lo: float, hi: float):
-    return np.maximum(np.maximum(lo - t, t - hi), 0.0)
+def _interval_dist(t, lo: float, hi: float, out):
+    """max(lo - t, t - hi, 0) written into ``out``."""
+    np.subtract(lo, t, out=out)
+    np.maximum(out, t - hi, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def delta_dist_arr(points: np.ndarray, edge_point=(0.0, 0.0)) -> np.ndarray:

@@ -216,6 +216,22 @@ class TestSolveCommand:
         assert (outdir / "solution.csv").read_bytes() == first
 
 
+    def test_prints_the_preconditioner(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path)
+        assert main(["solve", str(cfg)]) == EXIT_OK
+        assert "preconditioner = line" in capsys.readouterr().out.splitlines()
+
+    def test_refuses_an_earlier_commands_manifest_without_force(self, tmp_path, capsys):
+        cfg, outdir = write_config(tmp_path)
+        assert main(["solve", str(cfg)]) == EXIT_OK
+        first = (outdir / "manifest.json").read_bytes()
+        assert main(["convergence", str(cfg), "--levels", "1"]) == EXIT_USAGE
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (outdir / "convergence.csv").exists()
+        assert (outdir / "manifest.json").read_bytes() == first
+        assert main(["convergence", str(cfg), "--levels", "1", "--force"]) == EXIT_OK
+        assert "convergence.csv" in json.loads((outdir / "manifest.json").read_text())["files"]
+
     def test_residual_csv_cannot_be_the_manifest(self, tmp_path, capsys):
         cfg, outdir = write_config(tmp_path)
         assert main(["solve", str(cfg), "--residual-csv", "manifest.json"]) == EXIT_USAGE
@@ -321,6 +337,14 @@ class TestFitCommand:
         assert lines[0] == "r,sup_abs_v"
         summary = (outdir / "fit_summary.csv").read_text().splitlines()
         assert summary[0] == "beta,intercept,r2"
+
+    @pytest.mark.parametrize("h, reason", [("0.2", "no admissible fit window"), ("0.02", "decade")])
+    def test_inadmissible_window_is_a_usage_error(self, tmp_path, capsys, h, reason):
+        cfg, outdir = write_config(tmp_path, text=BASE_CONFIG.replace("h = 0.2", f"h = {h}"))
+        assert main(["fit", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and reason in err
+        assert not (outdir / "fit.csv").exists()
 
 
 class TestNormsCommand:

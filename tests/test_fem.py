@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wedgelab import fem
 from wedgelab.fem import (
     AssemblyError,
     CgDiagnostics,
@@ -310,6 +313,115 @@ class TestSolveCg:
         x, diag = solve_cg(system)
         assert diag.iterations == 0
         assert np.all(x == 0.0)
+
+
+def reduced_system(system):
+    """(A_ff, b_f, free) of the Dirichlet-eliminated system, as ``solve_cg`` forms them."""
+    free = np.setdiff1d(np.arange(system.n), system.constrained)
+    rows = system.matrix[free]
+    return rows[:, free], system.rhs[free] - rows[:, system.constrained] @ system.values, free
+
+
+def dense_system(A):
+    n = A.shape[0]
+    rhs = np.linspace(1.0, 2.0, n)
+    return SparseSystem(sp.csr_matrix(A), rhs, np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+def battery_system(instance, h):
+    """The witness system (instance None) or a criterion-8 instance's, at mesh size h."""
+    from wedgelab.acceptance import WITNESS_MU, Workbench, _random_instance
+
+    if instance is None:
+        bench = Workbench()
+        return assemble(generate_mesh(bench.domain, h, WITNESS_MU), bench.problem)
+    spec = _random_instance(instance)[2]
+    return assemble(generate_mesh(spec.domain, h, 1.0), spec)
+
+
+@st.composite
+def polar_cases(draw):
+    """Reflex, thin and near-+-pi wedges, sides near 0, graded mu, and a coefficient jump."""
+    near_zero = st.floats(1e-3, 0.05)
+    near_pi = st.floats(PI - 1e-3, PI + 1e-3)
+    theta_plus = draw(st.one_of(near_zero, near_pi, st.floats(0.05, 1.9 * PI)))
+    theta_minus = -draw(st.one_of(near_zero, near_pi, st.floats(0.05, 1.9 * PI)))
+    if theta_plus - theta_minus >= 2.0 * PI - 1e-3:  # keep the opening below 2 pi
+        theta_minus = theta_plus - (2.0 * PI - 1e-3) * draw(st.floats(0.05, 1.0))
+        if theta_minus >= 0.0:
+            theta_minus = -1e-3
+    h = draw(st.floats(0.05, 0.25))
+    mu = draw(st.floats(0.3, 1.0))
+    a0 = 10.0 ** draw(st.floats(-1.5, 1.5))
+    return sector(theta_minus, theta_plus, 1.0), h, mu, a0
+
+
+class TestLinePreconditioner:
+    """CG preconditioned by the tridiagonal part of the reduced matrix."""
+
+    @staticmethod
+    def jacobi_reference(system, monkeypatch):
+        # a share no matrix reaches forces the Jacobi path of the same loop
+        with monkeypatch.context() as m:
+            m.setattr(fem, "LINE_BAND_SHARE", math.inf)
+            return solve_cg(system)
+
+    @pytest.mark.parametrize(
+        "instance, h",
+        [(None, h) for h in (1 / 45, 1 / 90, 1 / 180)]
+        + [(i, h) for i in (0, 1, 40) for h in (0.12, 0.06, 0.03)],
+    )
+    def test_matches_jacobi_cg(self, instance, h, monkeypatch):
+        system = battery_system(instance, h)
+        x, diag = solve_cg(system)
+        x_ref, diag_ref = self.jacobi_reference(system, monkeypatch)
+        assert (diag.preconditioner, diag_ref.preconditioner) == ("line", "jacobi")
+        assert diag.iterations < diag_ref.iterations
+        assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+    @pytest.mark.parametrize(
+        "domain, h, mu",
+        [(sector(-PI / 4, 3 * PI / 4), 0.1, 0.8), (sector(-PI / 4, 5 * PI / 4), 0.1, 0.5),
+         (sector(-0.1, 0.1), 0.05, 1.0), (sector(-0.05, 0.05), 0.2, 1.0)],
+    )
+    def test_polar_meshes_pick_line(self, domain, h, mu):
+        spec = ProblemSpec(domain=domain, coeff=coefficient_jump(4.0), phi=lambda x, y: x)
+        _, diag = solve_cg(assemble(generate_mesh(domain, h, mu), spec))
+        assert diag.preconditioner == "line"
+
+    @pytest.mark.parametrize("levels", [3, 5])
+    def test_nonobtuse_meshes_pick_jacobi(self, levels):
+        dom = sector(-PI / 4, 3 * PI / 4)
+        spec = ProblemSpec(domain=dom, coeff=coefficient_jump(4.0), phi=lambda x, y: x)
+        _, diag = solve_cg(assemble(generate_nonobtuse_mesh(dom, levels), spec))
+        assert diag.preconditioner == "jacobi"
+
+    def test_diagonal_system_picks_jacobi(self):
+        x, diag = solve_cg(dense_system(np.diag(np.linspace(1.0, 5.0, 7))))
+        assert diag.preconditioner == "jacobi"
+        assert np.allclose(x, np.linspace(1.0, 2.0, 7) / np.linspace(1.0, 5.0, 7), rtol=1e-12)
+
+    def test_indefinite_band_falls_back_to_jacobi(self):
+        # SPD (eigenvalues 0.1, 0.1, 2.8), band share 0.67, but the
+        # tridiagonal part has eigenvalue 1 - 0.9 sqrt(2) < 0
+        A = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
+        system = dense_system(A)
+        x, diag = solve_cg(system, tol=1e-13)
+        assert diag.preconditioner == "jacobi"
+        assert np.allclose(x, np.linalg.solve(A, system.rhs), rtol=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=polar_cases())
+    def test_converges_with_line_on_polar_meshes(self, case):
+        domain, h, mu, a0 = case
+        spec = ProblemSpec(
+            domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x - 0.5 * y * y, h=1.0
+        )
+        system = assemble(generate_mesh(domain, h, mu), spec)
+        u, diag = solve_cg(system)
+        assert diag.converged and diag.preconditioner == "line"
+        A_ff, b_f, free = reduced_system(system)
+        assert np.linalg.norm(b_f - A_ff @ u[free]) <= 1e-9 * np.linalg.norm(b_f)
 
 
 class TestSolveProblem:
