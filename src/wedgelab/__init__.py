@@ -7,7 +7,6 @@ from .geometry import (
     GeometryError,
     Mesh,
     Wedge,
-    export_mesh,
     generate_mesh,
     generate_nonobtuse_mesh,
     make_wedge,
@@ -27,11 +26,9 @@ from .norms import (
     NormParams,
     NormReport,
     SampledField,
-    primed_norm,
     weighted_norm,
     weighted_seminorm_k0,
     weighted_seminorm_kalpha,
-    y_norm,
 )
 from .fem import (
     ErrorReport,

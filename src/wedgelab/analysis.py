@@ -42,14 +42,9 @@ class ExponentFit:
     beta: float
     intercept: float
     r_squared: float
-    radii_range: tuple[float, float]
     per_ray: dict[float, float]
     sup_values: np.ndarray  # (n_radii,) angular sup of |u - u(corner)|
     radii: np.ndarray
-
-    def __post_init__(self):
-        if not self.radii_range[0] < self.radii_range[1]:
-            raise FitError("invalid radii range")
 
 
 @dataclass
@@ -157,9 +152,11 @@ def default_fit_radii(h: float, radius: float, count: int = 9) -> np.ndarray:
 
 
 def _check_fit_radii(radii: np.ndarray) -> None:
-    """At least 4 sorted radii spanning a decade, else ``FitError``."""
+    """At least 4 sorted radii, finite and positive, spanning a decade, else ``FitError``."""
     if radii.size < 4:
         raise FitError(f"need at least 4 radii, got {radii.size}")
+    if not (np.isfinite(radii) & (radii > 0.0)).all():
+        raise FitError(f"radii must be finite and positive, got {radii.tolist()}")
     if radii[-1] < 10.0 * radii[0]:
         raise FitError(
             f"radii must span at least one decade, got {radii[-1] / radii[0]:.3g}x"
@@ -211,7 +208,6 @@ def fit_corner_exponent(field, rays, radii) -> ExponentFit:
         beta=float(slope),
         intercept=float(intercept),
         r_squared=float(r2),
-        radii_range=(float(radii[0]), float(radii[-1])),
         per_ray=per_ray,
         sup_values=sup,
         radii=radii,

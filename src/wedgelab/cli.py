@@ -54,7 +54,7 @@ from .fem import (
     solution_field,
     solve_problem,
 )
-from .geometry import make_wedge, sector, wedge_angles
+from .geometry import GeometryError, make_wedge, sector, wedge_angles
 from .norms import (
     NormEstimateError,
     NormParams,
@@ -671,7 +671,7 @@ def main(argv=None) -> int:
         args.theta_minus = math.radians(args.theta_minus)
     try:
         return args.fn(args)
-    except (ConfigError, NormEstimateError, FileNotFoundError) as exc:
+    except (ConfigError, GeometryError, NormEstimateError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RootConvergenceError, SolverError, ValueError) as exc:

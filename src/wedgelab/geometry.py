@@ -369,20 +369,3 @@ def generate_nonobtuse_mesh(domain: DomainSpec, levels: int = 3) -> Mesh:
     validate_mesh(mesh, domain)
     return mesh
 
-
-def export_mesh(mesh: Mesh, path) -> None:
-    """Plain-text node/element export.
-
-    Format: header ``vertices N``, then N lines ``x y flag``; header
-    ``triangles M``, then M lines ``i j k tag`` with 0-based indices and
-    tag in {+, -}.
-    """
-    lines = [f"vertices {mesh.n_vertices}"]
-    for (x, y), flag in zip(mesh.vertices, mesh.boundary):
-        lines.append(f"{x:.17g} {y:.17g} {int(flag)}")
-    lines.append(f"triangles {mesh.n_triangles}")
-    for (a, b, c), tag in zip(mesh.triangles, mesh.region):
-        sym = "+" if tag > 0 else "-"
-        lines.append(f"{a} {b} {c} {sym}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -19,18 +19,15 @@ with the extreme points of every data column.  A pair that no neighbour seed
 covered is at least as long as either point's farthest seeded neighbour, so
 that distance floors the bound of every node pair, including a node paired
 with itself or with a touching node.
-Also provided: the diameter-scaled ("primed") norm and the dilation-decay
-norm  sup_r r^(1-s) (mean_{rD} |f|^p)^(1/p)  over a dyadic radius set.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .geometry import delta_dist_arr
 
@@ -324,8 +321,6 @@ def weighted_seminorm_kalpha(field: SampledField, params: NormParams, return_inf
     Pairs closer than ``PAIR_DIST_FLOOR`` are excluded.  With ``return_info``
     the ``PairScanInfo`` (quotients evaluated, argmax pair) comes along.
     """
-    if field.n < 2:
-        raise NormEstimateError("at least two samples required")
     value, info = _pair_scan(*_scan_args(field, params))
     return (value, info) if return_info else value
 
@@ -352,84 +347,6 @@ def weighted_norm(field: SampledField, params: NormParams) -> NormReport:
 def plain_norm(field: SampledField, k: int, alpha: float) -> float:
     """Unweighted Holder norm estimate (weight exponents forced to zero)."""
     return weighted_norm(field, NormParams(k=k, alpha=alpha, tau=-(k + 1.0))).total
-
-
-def cloud_diameter(points: np.ndarray) -> float:
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        return 0.0
-    try:
-        hull_pts = pts[ConvexHull(pts).vertices]
-    except QhullError:  # collinear: the spread along the line through pts[0]
-        off = pts - pts[0]
-        far = off[int(np.argmax(np.hypot(off[:, 0], off[:, 1])))]
-        length = float(np.hypot(far[0], far[1]))
-        if length == 0.0:
-            return 0.0
-        proj = off @ (far / length)
-        return float(proj.max() - proj.min())
-    diff = hull_pts[:, None, :] - hull_pts[None, :, :]
-    return float(np.hypot(diff[..., 0], diff[..., 1]).max())
-
-
-def primed_norm(field: SampledField, k: int, alpha: float) -> float:
-    """Diameter-scaled norm  sum_j d^j [u]_{j,0} + d^(k+alpha) [u]_{k,alpha}."""
-    if field.n == 0:
-        raise NormEstimateError("empty sample set")
-    d = cloud_diameter(field.points)
-    params = NormParams(k=k, alpha=alpha, tau=-(k + 1.0))
-    total = 0.0
-    for j in range(k + 1):
-        total += d**j * weighted_seminorm_k0(field, params, order=j)
-    total += d ** (k + alpha) * weighted_seminorm_kalpha(field, params)
-    return float(total)
-
-
-@dataclass
-class YNormEstimate:
-    value: float
-    rows: list[tuple[float, int, float]]  # (radius, sample count, term)
-
-
-def y_norm(field: SampledField, s: float, p: float, radii=None) -> YNormEstimate:
-    """Dilation-decay norm  max_r r^(1-s) (mean_{rD} |f|^p)^(1/p).
-
-    ``rD`` is the sample cloud dilated about the origin: a sample x lies in
-    rD when |x| <= r * max_i |x_i|.  The mean is the Monte-Carlo average over
-    samples inside; per-radius sample counts are reported.
-    """
-    if field.n == 0:
-        raise NormEstimateError("empty sample set")
-    if not s > 0.0:
-        raise NormEstimateError(f"decay exponent must be positive, got {s}")
-    if not (1.0 < p < math.inf):
-        raise NormEstimateError(f"integrability exponent must lie in (1, inf), got {p}")
-    if radii is None:
-        radii = [2.0**-j for j in range(0, 5)]
-    radii = sorted(float(r) for r in radii)
-    if not radii or radii[0] <= 0.0 or radii[-1] > 1.0 + 1e-12:
-        raise NormEstimateError("dilation radii must lie in (0, 1]")
-    rho = np.hypot(field.points[:, 0], field.points[:, 1])
-    r_cloud = float(rho.max())
-    if r_cloud == 0.0:
-        raise NormEstimateError("sample cloud has zero extent")
-    absfp = np.abs(field.values) ** p
-    rows = []
-    best = 0.0
-    for r in radii:
-        mask = rho <= r * r_cloud * (1.0 + 1e-12)
-        count = int(mask.sum())
-        if count == 0:
-            if r == radii[0]:
-                raise NormEstimateError(
-                    f"no samples inside the smallest dilation r = {r:.6g}"
-                )
-            rows.append((r, 0, float("nan")))
-            continue
-        term = r ** (1.0 - s) * float(absfp[mask].mean()) ** (1.0 / p)
-        rows.append((r, count, term))
-        best = max(best, term)
-    return YNormEstimate(value=best, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +408,8 @@ def read_sampled_field_csv(path) -> SampledField:
                     grads.append((float(row["gx"]), float(row["gy"])))
             except ValueError as exc:
                 raise NormEstimateError(f"{where}: {exc}") from exc
+    if not pts:
+        raise NormEstimateError(f"{path}: no sample rows")
     return SampledField(
         np.asarray(pts),
         np.asarray(vals),

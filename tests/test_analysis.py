@@ -149,6 +149,10 @@ class TestFitCornerExponent:
             fit_corner_exponent(
                 lambda x, y: np.hypot(x, y), [0.1], [0.1, 0.2, 0.4, 0.8]
             )
+        # a span is only measured on finite positive radii
+        for radii in ([-0.4, -0.2, -0.1, -0.01, 0.5], [0.01, 0.05, np.nan, 0.2, 0.5], [0.0, 0.01, 0.1, 0.5]):
+            with pytest.raises(FitError, match="finite and positive"):
+                fit_corner_exponent(lambda x, y: np.hypot(x, y), [0.1], radii)
 
     def test_zero_variation_is_error(self):
         with pytest.raises(FitError):

@@ -439,6 +439,23 @@ class TestConfigValidation:
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "edit, argv",
+        [
+            (("h = 0.2", "h = 5"), ["solve"]),
+            (("h = 0.2", "h = nan"), ["solve"]),
+            (("mu = 1.0", "mu = 1.5"), ["solve"]),
+            (None, ["exact", "--gamma", "0.8", "--theta-plus", "-1", "--theta-minus", "-2"]),
+        ],
+        ids=["h_above_radius", "h_nan", "mu_above_one", "walls_below_zero"],
+    )
+    def test_geometry_parameter_errors_are_usage_errors(self, tmp_path, capsys, edit, argv):
+        if edit:
+            cfg, _ = write_config(tmp_path, text=BASE_CONFIG.replace(*edit))
+            argv = [*argv, str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_analysis_counts_read(self, tmp_path):
         text = BASE_CONFIG.replace("[output]", "[analysis]\nn_rays = 1\nn_radii = 4\n\n[output]")
         case = load_case_config(write_config(tmp_path, text=text)[0])

@@ -11,7 +11,6 @@ from wedgelab.geometry import (
     Mesh,
     delta_dist_arr,
     edge_table,
-    export_mesh,
     generate_mesh,
     generate_nonobtuse_mesh,
     interface_edges,
@@ -470,23 +469,3 @@ class TestWedgeAngles:
         ref = np.array([ref_wedge_angle(w, a, b) for a, b in pts])
         np.testing.assert_allclose(wedge_angles(w, x, y), ref, rtol=0.0, atol=4e-15)
 
-
-class TestExport:
-    def test_format(self, tmp_path):
-        dom = sector(-PI / 4, PI / 2, 1.0)
-        mesh = generate_mesh(dom, 0.4, 1.0)
-        path = tmp_path / "mesh.txt"
-        export_mesh(mesh, path)
-        lines = path.read_text().splitlines()
-        nv = int(lines[0].split()[1])
-        assert lines[0] == f"vertices {mesh.n_vertices}"
-        for ln in lines[1 : 1 + nv]:
-            x, y, flag = ln.split()
-            float(x), float(y)
-            assert flag in ("0", "1")
-        header = lines[1 + nv]
-        assert header == f"triangles {mesh.n_triangles}"
-        for ln in lines[2 + nv :]:
-            i, j, k, tag = ln.split()
-            assert tag in ("+", "-")
-            assert max(int(i), int(j), int(k)) < mesh.n_vertices

@@ -12,15 +12,12 @@ from wedgelab.norms import (
     NormEstimateError,
     NormParams,
     SampledField,
-    cloud_diameter,
     plain_norm,
-    primed_norm,
     read_sampled_field_csv,
     weighted_norm,
     weighted_seminorm_k0,
     weighted_seminorm_kalpha,
     write_sampled_field_csv,
-    y_norm,
     _SEED_NEIGHBOURS,
     _all_pairs_scan,
     _pair_scan,
@@ -325,102 +322,6 @@ class TestWeightedNorm:
         ]
 
 
-class TestPrimedNorm:
-    def test_constant(self):
-        pts = disk_cloud(100, seed=2)
-        f = SampledField(pts, np.ones(100))
-        assert primed_norm(f, 0, 0.5) == pytest.approx(1.0)
-
-    def test_linear_on_unit_diameter_disk(self):
-        # ||f||' = sup|f| + d * sup|grad f| + 0 with d the cloud diameter
-        pts = disk_cloud(4000, seed=7, radius=0.5)
-        grads = np.tile([1.0, 0.0], (4000, 1))
-        f = SampledField(pts, pts[:, 0], grads)
-        d = cloud_diameter(pts)
-        val = primed_norm(f, 1, 0.5)
-        expected = np.abs(pts[:, 0]).max() + d * 1.0
-        assert val == pytest.approx(expected, rel=1e-12)
-
-    def test_scaling_law(self):
-        # shrinking the cloud by 2 with values kept pointwise halves the
-        # first-order term via the diameter factor
-        pts = disk_cloud(500, seed=9)
-        vals = np.sin(pts[:, 0])
-        grads = np.column_stack([np.cos(pts[:, 0]), np.zeros(500)])
-        f1 = SampledField(pts, vals, grads)
-        f2 = SampledField(pts / 2.0, vals, grads)
-        d = cloud_diameter(pts)
-        k0 = np.abs(vals).max()
-        k1 = np.abs(np.linalg.norm(grads, axis=1)).max()
-        p = NormParams(1, 0.5, tau=-5.0)
-        q1 = weighted_seminorm_kalpha(f1, p)
-        q2 = weighted_seminorm_kalpha(f2, p)
-        assert primed_norm(f1, 1, 0.5) == pytest.approx(
-            k0 + d * k1 + d**1.5 * q1, rel=1e-12
-        )
-        assert primed_norm(f2, 1, 0.5) == pytest.approx(
-            k0 + (d / 2) * k1 + (d / 2) ** 1.5 * q2, rel=1e-12
-        )
-
-
-class TestCloudDiameter:
-    @pytest.mark.parametrize("n", [5002, 10001])
-    def test_collinear_cloud_exact(self, n):
-        t = np.linspace(0.0, 1.0, n)
-        pts = np.column_stack([0.2 + t, -0.1 + 0.5 * t])
-        assert cloud_diameter(pts) == pytest.approx(math.hypot(1.0, 0.5), rel=1e-12)
-
-    def test_coincident_points(self):
-        assert cloud_diameter(np.full((3, 2), 0.25)) == 0.0
-
-
-class TestYNorm:
-    def test_constant_unit(self):
-        pts = disk_cloud(2000, seed=1)
-        f = SampledField(pts, np.ones(2000))
-        est = y_norm(f, s=1.0, p=2.0)
-        assert est.value == pytest.approx(1.0, rel=1e-12)
-
-    def test_holder_envelope_bound(self):
-        # f = L |d0 x|^alpha with s = 1 + alpha, p = 2n on a unit-ball cloud
-        # stays below L d0^alpha: brute force over the sampled dilations
-        L, d0, alpha = 3.0, 0.2, 0.5
-        pts = disk_cloud(20000, seed=5)
-        r = np.hypot(*pts.T)
-        f = SampledField(pts, L * (d0 * r) ** alpha)
-        est = y_norm(f, s=1.0 + alpha, p=4.0)
-        assert est.value <= L * d0**alpha
-        assert est.value > 0.5 * L * d0**alpha
-        for radius, count, term in est.rows:
-            if count:
-                assert term <= L * d0**alpha * (1 + 1e-12)
-
-    def test_bounded_jump_field_finite(self):
-        # piecewise-constant offset across theta = 0 plus a smooth alpha-part
-        pts = disk_cloud(5000, seed=13)
-        r = np.hypot(*pts.T)
-        vals = np.where(pts[:, 1] > 0, 2.0, 1.0) * r**0.5
-        f = SampledField(pts, vals)
-        est = y_norm(f, s=1.5, p=4.0)
-        assert np.isfinite(est.value)
-
-    def test_no_samples_in_smallest_dilation(self):
-        pts = np.column_stack([np.linspace(0.9, 1.0, 30), np.zeros(30)])
-        f = SampledField(pts, np.ones(30))
-        with pytest.raises(NormEstimateError):
-            y_norm(f, s=1.0, p=2.0, radii=[2.0**-8, 0.5, 1.0])
-
-    def test_parameter_validation(self):
-        pts = disk_cloud(50, seed=1)
-        f = SampledField(pts, np.ones(50))
-        with pytest.raises(NormEstimateError):
-            y_norm(f, s=-1.0, p=2.0)
-        with pytest.raises(NormEstimateError):
-            y_norm(f, s=1.0, p=1.0)
-        with pytest.raises(NormEstimateError):
-            y_norm(f, s=1.0, p=2.0, radii=[1.5])
-
-
 class TestCsvRoundTrip:
     def test_with_gradients(self, tmp_path):
         pts = disk_cloud(40, seed=3)
@@ -467,6 +368,13 @@ class TestCsvRoundTrip:
         with pytest.raises(NormEstimateError, match="line 3") as err:
             read_sampled_field_csv(path)
         assert message in str(err.value)
+
+    def test_header_only_file_has_no_sample_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,y,region,value\n")
+        with pytest.raises(NormEstimateError, match="no sample rows") as err:
+            read_sampled_field_csv(path)
+        assert str(path) in str(err.value)
 
 
 class TestSampledFieldValidation:
