@@ -57,8 +57,8 @@ class DomainSpec:
     radius: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise GeometryError(f"sector radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise GeometryError(f"sector radius must be positive and finite, got {self.radius}")
 
 
 def sector(theta_minus: float, theta_plus: float, radius: float = 1.0) -> DomainSpec:

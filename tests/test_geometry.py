@@ -173,8 +173,9 @@ class TestWedge:
             make_wedge(-1.0, -0.1)
 
     def test_sector_radius_positive(self):
-        with pytest.raises(GeometryError):
-            sector(-PI / 4, PI / 4, 0.0)
+        for radius in (0.0, math.nan, math.inf):  # an infinite radius overflowed in generate_mesh
+            with pytest.raises(GeometryError):
+                sector(-PI / 4, PI / 4, radius)
 
 
 class TestPolar:
