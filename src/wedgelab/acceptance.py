@@ -1,8 +1,10 @@
 """Acceptance battery: the criteria gating a release, runnable via the CLI.
 
-Each check returns a ``CheckResult`` with one pass/fail line; heavyweight
-artifacts (the graded solves of the straight-wall jump example) are cached
-on a shared workbench so the flux and exponent criteria reuse them.
+Each check returns ``(passed, details)``; ``CRITERIA`` names each check
+once, and ``run_check`` times it into a ``CheckResult`` with one pass/fail
+line.  Heavyweight artifacts (the graded solves of the straight-wall jump
+example) are cached on a shared workbench so the flux and exponent criteria
+reuse them.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .analysis import (
     interface_flux_jump,
 )
 from .exact_solutions import (
+    barrier_angle_bound,
     barrier_eval_xy,
     build_dirichlet_example,
     corrector_determinant,
@@ -54,6 +58,7 @@ from .norms import (
     _all_pairs_scan,
     _pair_scan,
     _scan_args,
+    weighted_seminorm_k0,
     weighted_seminorm_kalpha,
 )
 
@@ -92,25 +97,18 @@ class Workbench:
             coeff=self.coeff,
             phi=lambda x, y: eval_separable_xy(self.solution, x, y),
         )
-        self._graded = None
 
+    @cached_property
     def graded_solves(self):
-        if self._graded is None:
-            runs = []
-            for h in WITNESS_LEVELS:
-                t0 = time.perf_counter()
-                fs = solve_problem(self.problem, h, WITNESS_MU)
-                runs.append((h, fs, time.perf_counter() - t0))
-            self._graded = runs
-        return self._graded
+        runs = []
+        for h in WITNESS_LEVELS:
+            t0 = time.perf_counter()
+            fs = solve_problem(self.problem, h, WITNESS_MU)
+            runs.append((h, fs, time.perf_counter() - t0))
+        return runs
 
 
-def _result(name, passed, t0, details):
-    return CheckResult(name, bool(passed), time.perf_counter() - t0, details)
-
-
-def check_01_coefficient_reproduction(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
+def check_01_coefficient_reproduction(bench: Workbench) -> tuple[bool, list[str]]:
     tp, tm = WITNESS_THETA_PLUS, WITNESS_THETA_MINUS
     g = WITNESS_GAMMA
     # independent direct evaluation of the closed form
@@ -131,16 +129,10 @@ def check_01_coefficient_reproduction(bench: Workbench) -> CheckResult:
         and abs(tc.a0 - golden) <= 1e-9
         and runtime < 1e-3
     )
-    return _result(
-        "1 coefficient reproduction",
-        ok,
-        t0,
-        [f"a0={tc.a0:.12f}", f"|a0-(2+sqrt5)|={abs(tc.a0 - golden):.2e}", f"call={runtime * 1e6:.0f}us"],
-    )
+    return ok, [f"a0={tc.a0:.12f}", f"|a0-(2+sqrt5)|={abs(tc.a0 - golden):.2e}", f"call={runtime * 1e6:.0f}us"]
 
 
-def check_02_exponent_roundtrip(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
+def check_02_exponent_roundtrip(bench: Workbench) -> tuple[bool, list[str]]:
     a0 = transmission_coeffs(WITNESS_GAMMA, bench.wedge).a0
     singular_exponent(a0, bench.wedge)  # warm
     # CPU time of this process, so that other processes on the machine cannot fail the gate
@@ -157,11 +149,10 @@ def check_02_exponent_roundtrip(bench: Workbench) -> CheckResult:
     worst = max(errs)
     ok = worst <= 1e-8 and runtime < 10e-3
     details += [f"worst_err={worst:.2e}", f"runtime={runtime * 1e3:.2f}ms"]
-    return _result("2 exponent round-trip", ok, t0, details)
+    return ok, details
 
 
-def check_03_corner_consistency(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
+def check_03_corner_consistency(bench: Workbench) -> tuple[bool, list[str]]:
     angles = (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0, 5.0 * math.pi / 12.0)
     min_gamma = math.inf
     max_residual = 0.0
@@ -174,10 +165,7 @@ def check_03_corner_consistency(bench: Workbench) -> CheckResult:
                 min_gamma = min(min_gamma, g)
                 det = corrector_determinant(a0, w)
                 if abs(det) < 1e-14:
-                    return _result(
-                        "3 C1a corner consistency", False, t0,
-                        [f"singular corrector at tp={tp:.3f} tm={-tm_abs:.3f} a0={a0}"],
-                    )
+                    return False, [f"singular corrector at tp={tp:.3f} tm={-tm_abs:.3f} a0={a0}"]
                 c = corrector_solve(1.0, -0.3, a0, w)
                 lhs = np.array(
                     [
@@ -193,17 +181,11 @@ def check_03_corner_consistency(bench: Workbench) -> CheckResult:
                 )
                 count += 1
     ok = min_gamma > 1.0 and max_residual <= 1e-12
-    return _result(
-        "3 C1a corner consistency",
-        ok,
-        t0,
-        [f"{count} configs", f"min_gamma={min_gamma:.6f}", f"max_residual={max_residual:.2e}"],
-    )
+    return ok, [f"{count} configs", f"min_gamma={min_gamma:.6f}", f"max_residual={max_residual:.2e}"]
 
 
-def check_04_corner_witness(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
-    runs = bench.graded_solves()
+def check_04_corner_witness(bench: Workbench) -> tuple[bool, list[str]]:
+    runs = bench.graded_solves
     linfs = []
     for h, fs, _ in runs:
         rep = error_report(
@@ -223,43 +205,31 @@ def check_04_corner_witness(bench: Workbench) -> CheckResult:
         and monotone
         and t_fine <= 60.0
     )
-    return _result(
-        "4 corner-effect witness",
-        ok,
-        t0,
-        [
-            f"beta={fit.beta:.4f}",
-            f"r2={fit.r_squared:.6f}",
-            "Linf=" + "/".join(f"{v:.2e}" for v in linfs),
-            f"ndof={fs_fine.mesh.n_vertices}",
-            f"finest_solve={t_fine:.1f}s",
-            f"precond={fs_fine.diagnostics.preconditioner}",
-        ],
-    )
+    return ok, [
+        f"beta={fit.beta:.4f}",
+        f"r2={fit.r_squared:.6f}",
+        "Linf=" + "/".join(f"{v:.2e}" for v in linfs),
+        f"ndof={fs_fine.mesh.n_vertices}",
+        f"finest_solve={t_fine:.1f}s",
+        f"precond={fs_fine.diagnostics.preconditioner}",
+    ]
 
 
-def check_05_flux_continuity(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
-    runs = bench.graded_solves()
+def check_05_flux_continuity(bench: Workbench) -> tuple[bool, list[str]]:
+    runs = bench.graded_solves
     means = [interface_flux_jump(fs, bench.coeff).mean_jump for _, fs, _ in runs]
     factors = [means[i] / means[i + 1] for i in range(len(means) - 1)]
     neg = interface_flux_jump(runs[-1][1], bench.coeff, weighting="minus-both")
     control_ratio = neg.mean_jump / means[-1]
     ok = all(f >= 1.5 for f in factors) and control_ratio >= 10.0
-    return _result(
-        "5 interface flux continuity",
-        ok,
-        t0,
-        [
-            "mean=" + "/".join(f"{v:.3e}" for v in means),
-            "factors=" + "/".join(f"{f:.2f}" for f in factors),
-            f"control_ratio={control_ratio:.1f}",
-        ],
-    )
+    return ok, [
+        "mean=" + "/".join(f"{v:.3e}" for v in means),
+        "factors=" + "/".join(f"{f:.2f}" for f in factors),
+        f"control_ratio={control_ratio:.1f}",
+    ]
 
 
-def check_06_manufactured_convergence(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
+def check_06_manufactured_convergence(bench: Workbench) -> tuple[bool, list[str]]:
     domain = bench.domain
     ident = PiecewiseCoefficient(1.0, 1.0, lam=1.0, Lam=1.0)
 
@@ -273,16 +243,10 @@ def check_06_manufactured_convergence(bench: Workbench) -> CheckResult:
     r_l2 = fit_rate(hs, l2s)
     r_h1 = fit_rate(hs, h1s)
     ok = 1.8 <= r_l2 <= 2.2 and 0.8 <= r_h1 <= 1.2
-    return _result(
-        "6 manufactured smooth convergence",
-        ok,
-        t0,
-        [f"L2_rate={r_l2:.3f}", f"H1_rate={r_h1:.3f}"],
-    )
+    return ok, [f"L2_rate={r_l2:.3f}", f"H1_rate={r_h1:.3f}"]
 
 
-def check_07_norm_estimators(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
+def check_07_norm_estimators(bench: Workbench) -> tuple[bool, list[str]]:
     worst_agree = 0.0
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
@@ -314,8 +278,6 @@ def check_07_norm_estimators(bench: Workbench) -> CheckResult:
         np.column_stack([g * r ** (g - 1.0), np.zeros_like(r)]),
     )
     est_pairs = weighted_seminorm_kalpha(fpow, NormParams(k=1, alpha=al, tau=-g))
-    from .norms import weighted_seminorm_k0
-
     est_k0 = weighted_seminorm_k0(fpow, NormParams(k=1, alpha=al, tau=-g), order=1)
     # |x|^alpha has plain Holder seminorm exactly 1 once the origin is sampled
     r2 = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 9_999)])
@@ -328,12 +290,7 @@ def check_07_norm_estimators(bench: Workbench) -> CheckResult:
     }
     worst_power = max(errs.values())
     ok = worst_agree <= 1e-12 and worst_power <= 0.05
-    return _result(
-        "7 norm estimator oracle equivalence",
-        ok,
-        t0,
-        [f"bnb_vs_all_pairs={worst_agree:.3g}", f"power_worst={worst_power:.4%}"],
-    )
+    return ok, [f"bnb_vs_all_pairs={worst_agree:.3g}", f"power_worst={worst_power:.4%}"]
 
 
 _BATTERY_WEDGES = (
@@ -391,8 +348,7 @@ def _random_instance(i: int):
     return domain, coeff, spec
 
 
-def check_08_ratio_stability(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
+def check_08_ratio_stability(bench: Workbench) -> tuple[bool, list[str]]:
     worst_factor = 1.0
     n_ratios = 0
     for i in range(RATIO_INSTANCES):
@@ -409,10 +365,7 @@ def check_08_ratio_stability(bench: Workbench) -> CheckResult:
             }
             for kind, r in ratios.items():
                 if r.status != "ok" or not math.isfinite(r.ratio):
-                    return _result(
-                        "8 estimate-ratio stability", False, t0,
-                        [f"instance {i} {kind} at h={h}: status={r.status}"],
-                    )
+                    return False, [f"instance {i} {kind} at h={h}: status={r.status}"]
                 series[kind].append(r.ratio)
                 n_ratios += 1
         for kind, vals in series.items():
@@ -420,10 +373,7 @@ def check_08_ratio_stability(bench: Workbench) -> CheckResult:
                 f = b / a
                 worst_factor = max(worst_factor, f, 1.0 / f)
                 if not (0.5 < f < 2.0):
-                    return _result(
-                        "8 estimate-ratio stability", False, t0,
-                        [f"instance {i} {kind}: factor {f:.3f} outside (0.5, 2)"],
-                    )
+                    return False, [f"instance {i} {kind}: factor {f:.3f} outside (0.5, 2)"]
     # degenerate zero-data cases must be flagged, never reported as ratios
     for tp, tm in _BATTERY_WEDGES[:2]:
         domain = sector(tm, tp, 1.0)
@@ -433,20 +383,12 @@ def check_08_ratio_stability(bench: Workbench) -> CheckResult:
         fs0 = solve_problem(spec0, 0.08, 1.0)
         r0 = estimate_ratio_corner(fs0, spec0, beta=0.5, alpha=0.4)
         if r0.status != "degenerate" or r0.ratio is not None:
-            return _result(
-                "8 estimate-ratio stability", False, t0,
-                ["zero-data case not flagged degenerate"],
-            )
-    return _result(
-        "8 estimate-ratio stability",
-        True,
-        t0,
-        [
-            f"{RATIO_INSTANCES} instances x 3 levels, {n_ratios} ratios",
-            f"worst_refinement_factor={worst_factor:.3f}",
-            "zero-data flagged degenerate",
-        ],
-    )
+            return False, ["zero-data case not flagged degenerate"]
+    return True, [
+        f"{RATIO_INSTANCES} instances x 3 levels, {n_ratios} ratios",
+        f"worst_refinement_factor={worst_factor:.3f}",
+        "zero-data flagged degenerate",
+    ]
 
 
 _COMPARISON_TRIPLES = (
@@ -475,8 +417,6 @@ def _comparison_case(tp: float, tm: float, a0: float):
     def v(x, y):
         return total(x, y) - total(np.zeros(1), np.zeros(1))[0] - recovered.eval_xy(x, y)
 
-    from .exact_solutions import barrier_angle_bound
-
     bound = barrier_angle_bound(w)
     alpha = min(0.35 * (bound - 1.0), 0.8 * (gamma - 1.0), 0.85)
     tau0 = min(0.35 * (bound - 1.0), 0.85)
@@ -499,8 +439,7 @@ def _sector_samples(w, n_arc=240, n_wall=120, n_r=40, n_t=80):
     return boundary, interior
 
 
-def check_09_comparison_principle(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
+def check_09_comparison_principle(bench: Workbench) -> tuple[bool, list[str]]:
     details = []
     for tp, tm, a0 in _COMPARISON_TRIPLES:
         w, gamma, v, alpha, tau0, recovered, plane = _comparison_case(tp, tm, a0)
@@ -508,32 +447,23 @@ def check_09_comparison_principle(bench: Workbench) -> CheckResult:
             abs(recovered.a_star - plane.a_star) <= 1e-10
             and abs(recovered.b_plus - plane.b_plus) <= 1e-10
         ):
-            return _result(
-                "9 comparison-principle check", False, t0,
-                [f"corrector not recovered for ({tp:.3f},{tm:.3f},{a0})"],
-            )
+            return False, [f"corrector not recovered for ({tp:.3f},{tm:.3f},{a0})"]
         boundary, interior = _sector_samples(w)
         barrier = calibrate_barrier(v, alpha, tau0, w, boundary)
         rep = comparison_check(v, barrier, boundary, interior)
         if not rep.passed:
-            return _result(
-                "9 comparison-principle check", False, t0,
-                [f"interior violation {rep.worst_interior_ratio:.6g} for a0={a0}"],
-            )
+            return False, [f"interior violation {rep.worst_interior_ratio:.6g} for a0={a0}"]
         # negative control: v = 2w must fail at the boundary stage
         def v2(x, y, b=barrier):
             return 2.0 * barrier_eval_xy(b, x, y)
 
         try:
             comparison_check(v2, barrier, boundary, interior)
-            return _result(
-                "9 comparison-principle check", False, t0,
-                ["negative control v=2w did not fail at the boundary"],
-            )
+            return False, ["negative control v=2w did not fail at the boundary"]
         except BoundaryHypothesisError:
             pass
         details.append(f"a0={a0}: gamma={gamma:.3f} worst={rep.worst_interior_ratio:.4f}")
-    return _result("9 comparison-principle check", True, t0, details)
+    return True, details
 
 
 _MAXPRINCIPLE_CASES = (
@@ -543,8 +473,7 @@ _MAXPRINCIPLE_CASES = (
 )
 
 
-def check_10_maximum_principle(bench: Workbench) -> CheckResult:
-    t0 = time.perf_counter()
+def check_10_maximum_principle(bench: Workbench) -> tuple[bool, list[str]]:
     details = []
     for tp, tm, a0 in _MAXPRINCIPLE_CASES:
         a0v = bench.jump.a0 if a0 is None else a0
@@ -565,33 +494,36 @@ def check_10_maximum_principle(bench: Workbench) -> CheckResult:
         )
         details.append(f"a0={a0v:.3g}: overshoot={over:.2e}")
         if over > 1e-10:
-            return _result("10 maximum-principle surrogate", False, t0, details)
-    return _result("10 maximum-principle surrogate", True, t0, details)
+            return False, details
+    return True, details
 
 
-ALL_CHECKS = [
-    check_01_coefficient_reproduction,
-    check_02_exponent_roundtrip,
-    check_03_corner_consistency,
-    check_04_corner_witness,
-    check_05_flux_continuity,
-    check_06_manufactured_convergence,
-    check_07_norm_estimators,
-    check_08_ratio_stability,
-    check_09_comparison_principle,
-    check_10_maximum_principle,
+CRITERIA = [
+    ("1 coefficient reproduction", check_01_coefficient_reproduction),
+    ("2 exponent round-trip", check_02_exponent_roundtrip),
+    ("3 C1a corner consistency", check_03_corner_consistency),
+    ("4 corner-effect witness", check_04_corner_witness),
+    ("5 interface flux continuity", check_05_flux_continuity),
+    ("6 manufactured smooth convergence", check_06_manufactured_convergence),
+    ("7 norm estimator oracle equivalence", check_07_norm_estimators),
+    ("8 estimate-ratio stability", check_08_ratio_stability),
+    ("9 comparison-principle check", check_09_comparison_principle),
+    ("10 maximum-principle surrogate", check_10_maximum_principle),
 ]
 
 
-def run_acceptance(filter_substr: str | None = None, verbose: bool = False):
+def run_check(name: str, check, bench: Workbench) -> CheckResult:
+    t0 = time.perf_counter()
+    passed, details = check(bench)
+    return CheckResult(name, bool(passed), time.perf_counter() - t0, details)
+
+
+def run_acceptance(filter_substr: str = "") -> list[CheckResult]:
+    """Run the criteria whose name contains ``filter_substr`` (any case), printing each line."""
     bench = Workbench()
     results = []
-    for fn in ALL_CHECKS:
-        name_guess = fn.__name__.replace("check_", "").replace("_", " ")
-        if filter_substr and filter_substr.lower() not in name_guess.lower():
-            continue
-        res = fn(bench)
-        results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+    for name, check in CRITERIA:
+        if filter_substr.lower() in name.lower():
+            results.append(run_check(name, check, bench))
+            print(results[-1].line(), flush=True)
     return results

@@ -585,10 +585,19 @@ def cmd_norms(args) -> int:
 def cmd_verify(args) -> int:
     from .acceptance import run_acceptance
 
-    results = run_acceptance(filter_substr=args.filter, verbose=True)
+    results = run_acceptance(args.filter)
+    if not results:
+        raise ConfigError(f"--filter {args.filter!r} matches no criterion")
     n_fail = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAIL
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -606,13 +615,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
 
     p = sub.add_parser("exact", help="transmission coefficients of the wall-vanishing solution")
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=positive_float, required=True)
     add_angles(p)
     p.add_argument("--field-csv", help="also write a sampled-field CSV of the solution")
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("gamma", help="smallest singular exponent for a coefficient jump")
-    p.add_argument("--a0", type=float, required=True)
+    p.add_argument("--a0", type=positive_float, required=True)
     add_angles(p)
     p.add_argument("--bracket-lo", type=float, default=None)
     p.add_argument("--bracket-hi", type=float, default=None)
@@ -623,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--c-plus", type=float, required=True)
     p.add_argument("--c-minus", type=float, required=True)
-    p.add_argument("--a0", type=float, required=True)
+    p.add_argument("--a0", type=positive_float, required=True)
     add_angles(p)
     p.set_defaults(fn=cmd_corrector)
 
@@ -655,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_norms)
 
     p = sub.add_parser("verify", help="run the acceptance battery")
-    p.add_argument("--filter", default=None, help="run only criteria containing this substring")
+    p.add_argument("--filter", default="",
+                   help="run only criteria whose name contains this substring (any case)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -185,7 +185,7 @@ def singular_exponents(a0: float, wedge: Wedge, bracket: tuple[float, float] | N
     # importing the package, and runs that start from gamma need no root
     from scipy.optimize import brentq
 
-    if a0 <= 0.0:
+    if not a0 > 0.0:
         raise TransmissionSignError(f"coefficient jump must be positive, got {a0}")
     lo, hi = bracket if bracket is not None else default_exponent_bracket(wedge)
     if not (0.0 < lo < hi):
@@ -295,8 +295,11 @@ def corrector_solve(c_plus: float, c_minus: float, a0: float, wedge: Wedge) -> C
         cos(t+) a* + sin(t+) b+            = c+
         cos(t-) a*            + sin(t-) b- = c-
                      a0 b+    -        b-  = 0
-    and verifies the residual to 1e-12 relative.
+    and verifies the residual to 1e-12 relative.  Raises
+    ``TransmissionSignError`` unless a0 > 0.
     """
+    if not a0 > 0.0:
+        raise TransmissionSignError(f"coefficient jump must be positive, got {a0}")
     det = corrector_determinant(a0, wedge)
     if abs(det) < _DEGENERACY_TOL:
         raise SingularSystemError(

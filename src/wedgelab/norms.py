@@ -112,6 +112,8 @@ class NormParams:
             raise NormEstimateError(f"derivative order must be 0 or 1, got {self.k}")
         if not (0.0 < self.alpha < 1.0):
             raise NormEstimateError(f"Holder exponent must lie in (0, 1), got {self.alpha}")
+        if not np.isfinite(self.tau):
+            raise NormEstimateError(f"weight exponent tau must be finite, got {self.tau}")
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 The checks live in ``wedgelab.acceptance`` (also reachable via the CLI
 ``verify`` subcommand); the heavyweight graded solves are shared through a
-module-scoped workbench.  Each test prints the criterion's one-line verdict.
+module-scoped workbench.  Each case prints the criterion's one-line verdict.
 """
 
 import pytest
@@ -15,49 +15,12 @@ def bench():
     return acceptance.Workbench()
 
 
-def _run(check, bench):
-    result = check(bench)
+@pytest.mark.parametrize(
+    "name, check", acceptance.CRITERIA, ids=[name for name, _ in acceptance.CRITERIA]
+)
+def test_criterion(name, check, bench):
+    result = acceptance.run_check(name, check, bench)
     print(result.line())
     assert result.passed, result.line()
-    return result
-
-
-def test_criterion_01_coefficient_reproduction(bench):
-    _run(acceptance.check_01_coefficient_reproduction, bench)
-
-
-def test_criterion_02_exponent_roundtrip(bench):
-    _run(acceptance.check_02_exponent_roundtrip, bench)
-
-
-def test_criterion_03_corner_consistency(bench):
-    _run(acceptance.check_03_corner_consistency, bench)
-
-
-def test_criterion_04_corner_witness(bench):
-    result = _run(acceptance.check_04_corner_witness, bench)
-    assert any("beta=" in d for d in result.details)
-
-
-def test_criterion_05_flux_continuity(bench):
-    _run(acceptance.check_05_flux_continuity, bench)
-
-
-def test_criterion_06_manufactured_convergence(bench):
-    _run(acceptance.check_06_manufactured_convergence, bench)
-
-
-def test_criterion_07_norm_estimators(bench):
-    _run(acceptance.check_07_norm_estimators, bench)
-
-
-def test_criterion_08_ratio_stability(bench):
-    _run(acceptance.check_08_ratio_stability, bench)
-
-
-def test_criterion_09_comparison_principle(bench):
-    _run(acceptance.check_09_comparison_principle, bench)
-
-
-def test_criterion_10_maximum_principle(bench):
-    _run(acceptance.check_10_maximum_principle, bench)
+    if check is acceptance.check_04_corner_witness:
+        assert any("beta=" in d for d in result.details)

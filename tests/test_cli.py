@@ -182,6 +182,24 @@ class TestCorrectorCommand:
         assert code == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corrector", "--c-plus", "1", "--c-minus", "0", "--a0", "-2",
+         "--theta-plus", "2.35619449", "--theta-minus", "-0.78539816"],
+        ["exact", "--gamma", "-1", "--theta-plus", "2.35619449", "--theta-minus", "-0.78539816"],
+        ["exact", "--gamma", "nan", "--theta-plus", "2.35619449", "--theta-minus", "-0.78539816"],
+        ["gamma", "--a0", "-1", "--theta-plus", "2.35619449", "--theta-minus", "-0.78539816"],
+        ["gamma", "--a0", "nan", "--theta-plus", "2.35619449", "--theta-minus", "-0.78539816"],
+    ],
+    ids=["corrector-a0-negative", "exact-gamma-negative", "exact-gamma-nan",
+         "gamma-a0-negative", "gamma-a0-nan"],
+)
+def test_nonpositive_jump_or_exponent_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "finite positive" in capsys.readouterr().err
+
+
 class TestSolveCommand:
     def test_writes_solution_and_manifest(self, tmp_path, capsys):
         cfg, outdir = write_config(tmp_path)
@@ -471,7 +489,16 @@ class TestConfigValidation:
 
 class TestVerifyCommand:
     def test_filter_runs_subset(self, capsys):
-        code = main(["verify", "--filter", "coefficient"])
-        out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert "1/1 criteria passed" in out
+        # the filter reads the printed criterion name
+        for text, name in (("coefficient", "1 coefficient reproduction"),
+                           ("C1a", "3 C1a corner consistency")):
+            code = main(["verify", "--filter", text])
+            out = capsys.readouterr().out
+            assert code == EXIT_OK
+            assert f"PASS  {name}  (" in out
+            assert "1/1 criteria passed" in out
+
+    def test_filter_matching_nothing_is_usage_error(self, capsys):
+        assert main(["verify", "--filter", "nomatch"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "'nomatch'" in captured.err and "criteria passed" not in captured.out

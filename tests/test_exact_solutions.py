@@ -161,6 +161,10 @@ class TestSingularExponent:
     def test_rejects_nonpositive_jump(self):
         with pytest.raises(TransmissionSignError):
             singular_exponent(-1.0, STRAIGHT)
+        with pytest.raises(TransmissionSignError):
+            singular_exponent(math.nan, STRAIGHT)
+        with pytest.raises(TransmissionSignError):
+            corrector_solve(1.0, 0.0, -2.0, STRAIGHT)
 
     @pytest.mark.parametrize("tm, tp", [(-PI / 4, 3 * PI / 4), (-0.3, 1.2), (-2.5, 3.0), (-0.2, 6.0)])
     @pytest.mark.parametrize("a0", [0.05, 1.0, 4.236, 100.0])

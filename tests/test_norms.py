@@ -438,3 +438,6 @@ class TestSampledFieldValidation:
             NormParams(0, 1.0)
         with pytest.raises(NormEstimateError):
             NormParams(2, 0.5)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(NormEstimateError, match="tau"):
+                NormParams(1, 0.5, tau=tau)
