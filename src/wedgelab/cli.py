@@ -1,23 +1,23 @@
 """Command-line pipelines: exact / gamma / solve / convergence / fit / norms / verify.
 
 Case configuration is flat ``key = value`` text under ``[section]`` headers
-(parsed with the stdlib parser, unknown keys are hard errors).  Every
-command writes CSV artifacts with a single header row and 17-significant-
-digit floats, plus a JSON run manifest listing the produced files; nothing
-is overwritten without ``--force``.  Exit codes: 0 success, 1 verification
-failure, 2 usage/config error, 3 numerical failure.
+(parsed with the stdlib parser, unknown keys are hard errors).  Commands
+write CSV artifacts with a single header row and 17-significant-digit
+floats; ``solve``, ``convergence`` and ``fit`` also write a JSON run
+manifest listing the produced files, and they and ``norms --output``
+overwrite nothing without ``--force``.  Exit codes: 0 success, 1
+verification failure, 2 usage/config error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -46,6 +46,7 @@ from .exact_solutions import (
     transmission_coeffs,
 )
 from .fem import (
+    EllipticityError,
     ProblemSpec,
     SolverError,
     coefficient_jump,
@@ -59,8 +60,10 @@ from .norms import (
     NormEstimateError,
     NormParams,
     SampledField,
+    fmt,
     read_sampled_field_csv,
     weighted_norm,
+    write_csv,
     write_sampled_field_csv,
 )
 
@@ -72,16 +75,6 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     """Unusable case configuration."""
-
-
-_KNOWN_KEYS = {
-    "geometry": {"theta_plus", "theta_minus", "radius", "h", "mu"},
-    "coefficient": {"a0", "gamma", "lambda", "Lambda"},
-    "data": {"phi", "g", "h"},
-    "analysis": {"n_rays", "n_radii"},
-    "output": {"directory", "formats"},
-}
-_FORMATS = {"csv", "svg"}
 
 
 @dataclass
@@ -109,6 +102,43 @@ class CaseConfig:
         return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()
 
 
+def _finite_positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("not a finite positive number")
+    return value
+
+
+def _count(least: int):
+    def parse(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= least):
+            raise ValueError(f"not an integer >= {least}")
+        return int(text)
+
+    return parse
+
+
+def _formats(text: str) -> tuple[str, ...]:
+    formats = tuple(t.strip() for t in text.split(",") if t.strip())
+    for name in formats:
+        if name not in ("csv", "svg"):
+            raise ValueError(f"unknown format {name!r} (known: csv, svg)")
+    return formats
+
+
+# section -> key -> (CaseConfig field, parser); the defaults live on CaseConfig
+_SCHEMA = {
+    "geometry": {key: (key, float) for key in ("theta_plus", "theta_minus", "radius", "h", "mu")},
+    "coefficient": {
+        "a0": ("a0", _finite_positive), "gamma": ("gamma", _finite_positive),
+        "lambda": ("lam", _finite_positive), "Lambda": ("Lam", _finite_positive),
+    },
+    "data": {"phi": ("phi", str.strip), "g": ("g", str.strip), "h": ("h_data", str.strip)},
+    "analysis": {"n_rays": ("n_rays", _count(1)), "n_radii": ("n_radii", _count(4))},
+    "output": {"directory": ("directory", str.strip), "formats": ("formats", _formats)},
+}
+
+
 def load_case_config(path) -> CaseConfig:
     text = Path(path).read_text(encoding="utf-8")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -117,82 +147,33 @@ def load_case_config(path) -> CaseConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    values = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+        for key, raw in parser[section].items():
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    if "geometry" not in parser:
-        raise ConfigError("config must contain a [geometry] section")
-
-    def getf(section, key, default=None):
-        if section in parser and key in parser[section]:
-            raw = parser[section][key]
+            name, parse = _SCHEMA[section][key]
             try:
-                return float(raw)
+                values[name] = parse(raw)
             except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-        return default
-
-    def gets(section, key, default=None):
-        if section in parser and key in parser[section]:
-            return parser[section][key].strip()
-        return default
-
-    def count(key, default, least):
-        raw = gets("analysis", key, str(default))
-        if not (raw.isdecimal() and int(raw) >= least):
-            raise ConfigError(f"[analysis] {key} = {raw!r} is not an integer >= {least}")
-        return int(raw)
-
-    tp = getf("geometry", "theta_plus")
-    tm = getf("geometry", "theta_minus")
-    if tp is None or tm is None:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if "theta_plus" not in values or "theta_minus" not in values:
         raise ConfigError("[geometry] needs theta_plus and theta_minus")
-    cfg = CaseConfig(
-        theta_plus=tp,
-        theta_minus=tm,
-        radius=getf("geometry", "radius", 1.0),
-        h=getf("geometry", "h", 0.1),
-        mu=getf("geometry", "mu", 1.0),
-        a0=getf("coefficient", "a0"),
-        gamma=getf("coefficient", "gamma"),
-        lam=getf("coefficient", "lambda"),
-        Lam=getf("coefficient", "Lambda"),
-        phi=gets("data", "phi", "exact_trace"),
-        g=gets("data", "g", "zero"),
-        h_data=gets("data", "h", "zero"),
-        n_rays=count("n_rays", 32, least=1),
-        n_radii=count("n_radii", 9, least=4),
-        directory=gets("output", "directory", "out"),
-        formats=tuple(
-            t.strip() for t in gets("output", "formats", "csv").split(",") if t.strip()
-        ),
-        source_text=text,
-    )
-    unknown = sorted(set(cfg.formats) - _FORMATS)
-    if unknown:
-        raise ConfigError(f"[output] formats: unknown format {unknown[0]!r} (known: csv, svg)")
-    return cfg
+    return CaseConfig(**values, source_text=text)
 
 
-@dataclass
-class CaseSetup:
-    config: CaseConfig
-    domain: object
-    coeff: object
-    problem: ProblemSpec
-    exact: object | None  # callable (x, y) -> values, when known
-    exact_grad: object | None
-    gamma: float | None
-
-
-def _poly_field(expr: str):
-    # "poly: c0 cx cy cxx cxy cyy" -> quadratic polynomial
-    coeffs = [float(tok) for tok in expr.split(":", 1)[1].replace(",", " ").split()]
-    coeffs += [0.0] * (6 - len(coeffs))
-    c0, cx, cy, cxx, cxy, cyy = coeffs[:6]
+def _poly_field(key: str, expr: str):
+    # "poly: c0 cx cy cxx cxy cyy" -> quadratic polynomial; missing terms are 0
+    tokens = expr.split(":", 1)[1].replace(",", " ").split()
+    try:
+        coeffs = [float(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ConfigError(f"[data] {key} = {expr!r}: {exc}") from exc
+    if len(coeffs) > 6 or not all(map(math.isfinite, coeffs)):
+        raise ConfigError(f"[data] {key} = {expr!r}: a quadratic takes at most 6 finite numbers")
+    c0, cx, cy, cxx, cxy, cyy = coeffs + [0.0] * (6 - len(coeffs))
 
     def f(x, y):
         x = np.asarray(x, dtype=float)
@@ -202,55 +183,41 @@ def _poly_field(expr: str):
     return f
 
 
-def build_case(cfg: CaseConfig) -> CaseSetup:
+def _data(key: str, selector: str, named: dict):
+    """The ``[data]`` field ``selector`` names: a ``poly:`` quadratic or one of ``named``."""
+    if selector.startswith("poly:"):
+        return _poly_field(key, selector)
+    if selector not in named:
+        raise ConfigError(f"unknown {key} selector {selector!r}")
+    return named[selector]
+
+
+def build_case(cfg: CaseConfig):
+    """The case's ``(problem, exact, exact_grad)``; the exact pair is None unless known."""
     if cfg.gamma is not None and cfg.a0 is not None:
         raise ConfigError("[coefficient] takes either gamma or a0, not both")
     domain = sector(cfg.theta_minus, cfg.theta_plus, cfg.radius)
     wedge = domain.wedge
-    gamma = cfg.gamma
-    a0 = cfg.a0
-    if gamma is None and a0 is not None:
-        gamma = singular_exponent(a0, wedge)
-    if gamma is not None and a0 is None:
-        a0 = transmission_coeffs(gamma, wedge).a0
-    if a0 is None:
-        a0 = 1.0
-        gamma = None if cfg.phi != "exact_trace" else singular_exponent(1.0, wedge)
+    if cfg.gamma is not None:
+        a0 = transmission_coeffs(cfg.gamma, wedge).a0
+    else:
+        a0 = 1.0 if cfg.a0 is None else cfg.a0
     coeff = coefficient_jump(a0, lam=cfg.lam, Lam=cfg.Lam)
 
+    named_phi = {"zero": 0.0, "sin": manufactured_value}
     if cfg.phi == "exact_trace":
+        gamma = cfg.gamma if cfg.gamma is not None else singular_exponent(a0, wedge)
         sol, _ = build_dirichlet_example(gamma, wedge)
-        phi = partial(eval_separable_xy, sol)
-    elif cfg.phi == "zero":
-        phi = 0.0
-    elif cfg.phi == "sin":
-        phi = manufactured_value
-    elif cfg.phi.startswith("poly:"):
-        phi = _poly_field(cfg.phi)
-    else:
-        raise ConfigError(f"unknown phi selector {cfg.phi!r}")
-
-    if cfg.h_data == "zero":
-        h_fn = None
-    elif cfg.h_data == "manufactured_sin":
-        h_fn = manufactured_load
-    elif cfg.h_data.startswith("poly:"):
-        h_fn = _poly_field(cfg.h_data)
-    else:
-        raise ConfigError(f"unknown h selector {cfg.h_data!r}")
-
-    if cfg.g == "zero":
-        g_plus = g_minus = None
-    elif cfg.g.startswith("poly:"):
-        comp = _poly_field(cfg.g)
+        named_phi["exact_trace"] = partial(eval_separable_xy, sol)
+    phi = _data("phi", cfg.phi, named_phi)
+    h_fn = _data("h", cfg.h_data, {"zero": None, "manufactured_sin": manufactured_load})
+    g_comp = _data("g", cfg.g, {"zero": None})
+    g_plus = None
+    if g_comp is not None:
 
         def g_plus(x, y):
-            v = comp(x, y)
+            v = g_comp(x, y)
             return np.stack([v, np.zeros_like(v)], axis=-1)
-
-        g_minus = g_plus
-    else:
-        raise ConfigError(f"unknown g selector {cfg.g!r}")
 
     # the exact solution is known only for the two data sets that it solves
     exact = exact_grad = None
@@ -259,18 +226,12 @@ def build_case(cfg: CaseConfig) -> CaseSetup:
     elif cfg.g == "zero" and cfg.phi == "sin" and cfg.h_data == "manufactured_sin" and a0 == 1.0:
         exact, exact_grad = manufactured_value, manufactured_grad
 
-    problem = ProblemSpec(
-        domain=domain, coeff=coeff, phi=phi, g_plus=g_plus, g_minus=g_minus, h=h_fn
-    )
-    return CaseSetup(cfg, domain, coeff, problem, exact, exact_grad, gamma)
+    problem = ProblemSpec(domain=domain, coeff=coeff, phi=phi, g_plus=g_plus, g_minus=g_plus, h=h_fn)
+    return problem, exact, exact_grad
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 MANIFEST = "manifest.json"
@@ -303,44 +264,19 @@ class OutputGuard:
         self.files.append(name)
         return p
 
+    def finish(self, config_hash: str, steps: list[tuple[str, str]]) -> None:
+        """Write the manifest: config hash, tool version, step statuses and the files handed out.
 
-@dataclass
-class RunManifest:
-    """Provenance record: hash of the config, tool version, step statuses,
-    and every produced file.  Carries no timestamps so identical configs
-    yield identical manifests."""
-
-    config_hash: str
-    tool_version: str
-    steps: list[tuple[str, str]]
-    files: list[str]
-
-    def to_json(self) -> str:
+        It carries no timestamps, so identical configs yield identical manifests.
+        """
         payload = {
-            "tool_version": self.tool_version,
-            "config_hash": self.config_hash,
-            "steps": [{"name": n, "status": s} for n, s in self.steps],
+            "tool_version": __version__,
+            "config_hash": config_hash,
+            "steps": [{"name": n, "status": s} for n, s in steps],
             "files": sorted(self.files),
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_manifest(guard: OutputGuard, config_hash: str, steps: list[tuple[str, str]]):
-    manifest = RunManifest(
-        config_hash=config_hash,
-        tool_version=__version__,
-        steps=steps,
-        files=list(guard.files),
-    )
-    (guard.directory / MANIFEST).write_text(manifest.to_json(), encoding="utf-8")
-
-
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        (self.directory / MANIFEST).write_text(text, encoding="utf-8")
 
 
 def write_loglog_svg(path: Path, xs, series: dict[str, list[float]], xlabel: str, ylabel: str, title: str) -> None:
@@ -421,9 +357,9 @@ def write_loglog_svg(path: Path, xs, series: dict[str, list[float]], xlabel: str
 def cmd_exact(args) -> int:
     wedge = make_wedge(args.theta_minus, args.theta_plus)
     tc = transmission_coeffs(args.gamma, wedge)
-    print(f"A = {_fmt(tc.A)}")
-    print(f"a0 = {_fmt(tc.a0)}")
-    print(f"C = {_fmt(tc.C)}")
+    print(f"A = {fmt(tc.A)}")
+    print(f"a0 = {fmt(tc.a0)}")
+    print(f"C = {fmt(tc.C)}")
     if args.field_csv:
         sol, _ = build_dirichlet_example(args.gamma, wedge)
         rr = np.linspace(0.05, 1.0, 24)
@@ -450,27 +386,35 @@ def cmd_gamma(args) -> int:
     roots = singular_exponents(args.a0, wedge, bracket=bracket)
     if not roots:
         raise NoSignChangeError("no root in bracket")
-    print(f"gamma = {_fmt(roots[0])}")
-    print("roots = " + " ".join(_fmt(r) for r in roots))
+    print(f"gamma = {fmt(roots[0])}")
+    print("roots = " + " ".join(fmt(r) for r in roots))
     return EXIT_OK
 
 
 def cmd_corrector(args) -> int:
     wedge = make_wedge(args.theta_minus, args.theta_plus)
     c = corrector_solve(args.c_plus, args.c_minus, args.a0, wedge)
-    print(f"a_star = {_fmt(c.a_star)}")
-    print(f"b_plus = {_fmt(c.b_plus)}")
-    print(f"b_minus = {_fmt(c.b_minus)}")
+    print(f"a_star = {fmt(c.a_star)}")
+    print(f"b_plus = {fmt(c.b_plus)}")
+    print(f"b_minus = {fmt(c.b_minus)}")
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def _open_case(args):
+    """Load and build the case of ``args.config`` and guard its output directory: ``(cfg, case, guard)``.
+
+    Every config and output-name check runs here, before any solve or file write.
+    """
     cfg = load_case_config(args.config)
     case = build_case(cfg)
-    guard = OutputGuard(Path(cfg.directory), args.force)
+    return cfg, case, OutputGuard(Path(cfg.directory), args.force)
+
+
+def cmd_solve(args) -> int:
+    cfg, (problem, exact, exact_grad), guard = _open_case(args)
     out = guard.path("solution.csv")
     res = guard.path(args.residual_csv) if args.residual_csv else None
-    fs = solve_problem(case.problem, cfg.h, cfg.mu)
+    fs = solve_problem(problem, cfg.h, cfg.mu)
     write_sampled_field_csv(solution_field(fs), out, value_column="u")
     steps = [("mesh", "ok"), ("assemble", "ok"), ("solve", f"iters={fs.diagnostics.iterations}")]
     if res is not None:
@@ -480,13 +424,13 @@ def cmd_solve(args) -> int:
             [[i + 1, float(r)] for i, r in enumerate(fs.diagnostics.history)],
         )
         steps.append(("residual_history", "ok"))
-    if case.exact is not None:
-        rep = error_report(fs, case.exact, case.exact_grad)
+    if exact is not None:
+        rep = error_report(fs, exact, exact_grad)
         steps.append(("error", f"linf={rep.linf:.3e}"))
-        print(f"L2 = {_fmt(rep.l2)}")
-        print(f"brokenH1 = {_fmt(rep.broken_h1 if rep.broken_h1 is not None else float('nan'))}")
-        print(f"Linf = {_fmt(rep.linf)}")
-    write_manifest(guard, cfg.config_hash, steps)
+        print(f"L2 = {fmt(rep.l2)}")
+        print(f"brokenH1 = {fmt(rep.broken_h1 if rep.broken_h1 is not None else float('nan'))}")
+        print(f"Linf = {fmt(rep.linf)}")
+    guard.finish(cfg.config_hash, steps)
     print(f"ndof = {fs.mesh.n_vertices}")
     print(f"iterations = {fs.diagnostics.iterations}")
     print(f"preconditioner = {fs.diagnostics.preconditioner}")
@@ -494,11 +438,11 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _convergence_level(case: CaseSetup, h: float):
-    fs = solve_problem(case.problem, h, case.config.mu)
-    flux = interface_flux_jump(fs, case.coeff)
-    if case.exact is not None:
-        rep = error_report(fs, case.exact, case.exact_grad)
+def _convergence_level(problem: ProblemSpec, exact, exact_grad, h: float, mu: float):
+    fs = solve_problem(problem, h, mu)
+    flux = interface_flux_jump(fs, problem.coeff)
+    if exact is not None:
+        rep = error_report(fs, exact, exact_grad)
         l2, bh1, linf = rep.l2, rep.broken_h1 or float("nan"), rep.linf
     else:
         l2 = bh1 = linf = float("nan")
@@ -508,10 +452,11 @@ def _convergence_level(case: CaseSetup, h: float):
 def cmd_convergence(args) -> int:
     if args.levels < 1:
         raise ConfigError(f"--levels must be at least 1, got {args.levels}")
-    cfg = load_case_config(args.config)
-    case = build_case(cfg)
-    guard = OutputGuard(Path(cfg.directory), args.force)
-    rows = [_convergence_level(case, cfg.h * 0.5**k) for k in range(args.levels)]
+    cfg, (problem, exact, exact_grad), guard = _open_case(args)
+    rows = [
+        _convergence_level(problem, exact, exact_grad, cfg.h * 0.5**k, cfg.mu)
+        for k in range(args.levels)
+    ]
     out = guard.path("convergence.csv")
     write_csv(out, ["h", "ndof", "L2", "brokenH1", "Linf", "flux_jump"], rows)
     steps = [("convergence", f"levels={args.levels}")]
@@ -526,25 +471,23 @@ def cmd_convergence(args) -> int:
             svg = guard.path("convergence.svg")
             write_loglog_svg(svg, hs, series, "h", "error", "convergence")
             steps.append(("svg", "ok"))
-    write_manifest(guard, cfg.config_hash, steps)
-    if case.exact is not None and len(rows) >= 2:
+    guard.finish(cfg.config_hash, steps)
+    if exact is not None and len(rows) >= 2:
         hs = [r[0] for r in rows]
-        print(f"L2_rate = {_fmt(fit_rate(hs, [r[2] for r in rows]))}")
-        print(f"H1_rate = {_fmt(fit_rate(hs, [r[3] for r in rows]))}")
+        print(f"L2_rate = {fmt(fit_rate(hs, [r[2] for r in rows]))}")
+        print(f"H1_rate = {fmt(fit_rate(hs, [r[3] for r in rows]))}")
     print(f"convergence_csv = {out}")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    cfg = load_case_config(args.config)
-    case = build_case(cfg)
-    guard = OutputGuard(Path(cfg.directory), args.force)
+    cfg, (problem, _, _), guard = _open_case(args)
     try:
         radii = default_fit_radii(cfg.h, cfg.radius, cfg.n_radii)
     except FitError as exc:  # the window follows from h and R alone
         raise ConfigError(f"[geometry] h = {cfg.h:g}, radius = {cfg.radius:g}: {exc}") from exc
-    fs = solve_problem(case.problem, cfg.h, cfg.mu)
-    rays = default_rays(case.domain.wedge, cfg.n_rays)
+    fs = solve_problem(problem, cfg.h, cfg.mu)
+    rays = default_rays(problem.domain.wedge, cfg.n_rays)
     fit = fit_corner_exponent(fs, rays, radii)
     curve = guard.path("fit.csv")
     write_csv(
@@ -554,9 +497,9 @@ def cmd_fit(args) -> int:
     )
     summary = guard.path("fit_summary.csv")
     write_csv(summary, ["beta", "intercept", "r2"], [[fit.beta, fit.intercept, fit.r_squared]])
-    write_manifest(guard, cfg.config_hash, [("fit", f"beta={fit.beta:.6g}")])
-    print(f"beta = {_fmt(fit.beta)}")
-    print(f"r2 = {_fmt(fit.r_squared)}")
+    guard.finish(cfg.config_hash, [("fit", f"beta={fit.beta:.6g}")])
+    print(f"beta = {fmt(fit.beta)}")
+    print(f"r2 = {fmt(fit.r_squared)}")
     print(f"fit_csv = {curve}")
     return EXIT_OK
 
@@ -594,10 +537,10 @@ def cmd_verify(args) -> int:
 
 
 def positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
-    return value
+    try:
+        return _finite_positive(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -681,7 +624,7 @@ def main(argv=None) -> int:
         args.theta_minus = math.radians(args.theta_minus)
     try:
         return args.fn(args)
-    except (ConfigError, GeometryError, NormEstimateError, FileNotFoundError) as exc:
+    except (ConfigError, EllipticityError, GeometryError, NormEstimateError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RootConvergenceError, SolverError, ValueError) as exc:

@@ -118,15 +118,20 @@ class PiecewiseCoefficient:
 
 
 def coefficient_jump(a0: float, lam: float | None = None, Lam: float | None = None) -> PiecewiseCoefficient:
-    """Piecewise-constant isotropic coefficient: a0 above the interface, 1 below."""
+    """Piecewise-constant isotropic coefficient: a0 above the interface, 1 below.
+
+    Given bounds ``lam``/``Lam`` are checked against both values here.
+    """
     if not a0 > 0.0:
         raise EllipticityError(f"jump value must be positive, got {a0}")
-    return PiecewiseCoefficient(
+    coeff = PiecewiseCoefficient(
         a_plus=a0,
         a_minus=1.0,
         lam=min(a0, 1.0) if lam is None else lam,
         Lam=max(a0, 1.0) if Lam is None else Lam,
     )
+    validate_ellipticity(coeff, np.multiply.outer([a0, 1.0], np.eye(2)))
+    return coeff
 
 
 def validate_ellipticity(coeff: PiecewiseCoefficient, mats: np.ndarray) -> None:

@@ -134,13 +134,11 @@ class NormReport:
     pruned: int
 
     def as_lines(self) -> list[str]:
-        lines = [
-            f"seminorm_{i}_0 = {v:.17g}" for i, v in enumerate(self.seminorms_k0)
-        ]
-        lines.append(f"seminorm_k_alpha = {self.seminorm_kalpha:.17g}")
-        lines.append(f"total = {self.total:.17g}")
+        lines = [f"seminorm_{i}_0 = {fmt(v)}" for i, v in enumerate(self.seminorms_k0)]
+        lines.append(f"seminorm_k_alpha = {fmt(self.seminorm_kalpha)}")
+        lines.append(f"total = {fmt(self.total)}")
         (xa, ya), (xb, yb) = self.argmax_points
-        lines.append(f"argmax_pair = ({xa:.17g}, {ya:.17g}) ({xb:.17g}, {yb:.17g})")
+        lines.append(f"argmax_pair = ({fmt(xa)}, {fmt(ya)}) ({fmt(xb)}, {fmt(yb)})")
         lines.append(f"pairs_evaluated = {self.n_pairs}")
         lines.append(f"node_pairs_pruned = {self.pruned}")
         return lines
@@ -358,29 +356,37 @@ _REGION_CODE = {1: "+", -1: "-", 0: "0"}
 _CODE_REGION = {"+": 1, "-": -1, "0": 0}
 
 
+def fmt(x: float) -> str:
+    """17 significant digits: enough to read any float64 back exactly."""
+    return f"{x:.17g}"
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """One header row, then ``rows``; float cells are written with ``fmt``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+
+
 def write_sampled_field_csv(field: SampledField, path, value_column: str = "value") -> None:
     """Columns x,y,region,value[,gx,gy]; floats carry 17 significant digits.
 
     Solution exports name the value column ``u``.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["x", "y", "region", value_column]
-        with_grad = field.gradients is not None
-        if with_grad:
-            header += ["gx", "gy"]
-        writer.writerow(header)
-        regions = field.regions if field.regions is not None else np.zeros(field.n, dtype=int)
-        for i in range(field.n):
-            row = [
-                f"{field.points[i, 0]:.17g}",
-                f"{field.points[i, 1]:.17g}",
-                _REGION_CODE.get(int(regions[i]), "0"),
-                f"{field.values[i]:.17g}",
-            ]
-            if with_grad:
-                row += [f"{field.gradients[i, 0]:.17g}", f"{field.gradients[i, 1]:.17g}"]
-            writer.writerow(row)
+    regions = field.regions if field.regions is not None else np.zeros(field.n, dtype=int)
+    header = ["x", "y", "region", value_column]
+    columns = [
+        field.points[:, 0].tolist(),
+        field.points[:, 1].tolist(),
+        [_REGION_CODE.get(r, "0") for r in regions.tolist()],
+        field.values.tolist(),
+    ]
+    if field.gradients is not None:
+        header += ["gx", "gy"]
+        columns += [field.gradients[:, 0].tolist(), field.gradients[:, 1].tolist()]
+    write_csv(path, header, zip(*columns))
 
 
 def read_sampled_field_csv(path) -> SampledField:

@@ -230,9 +230,10 @@ class TestSolveCommand:
         cfg, outdir = write_config(tmp_path)
         assert main(["solve", str(cfg)]) == EXIT_OK
         first = (outdir / "solution.csv").read_bytes()
+        manifest = (outdir / "manifest.json").read_bytes()
         assert main(["solve", str(cfg), "--force"]) == EXIT_OK
         assert (outdir / "solution.csv").read_bytes() == first
-
+        assert (outdir / "manifest.json").read_bytes() == manifest
 
     def test_prints_the_preconditioner(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path)
@@ -473,6 +474,29 @@ class TestConfigValidation:
             argv = [*argv, str(cfg)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "coefficient",
+        ["a0 = -2", "a0 = nan", "gamma = nan", "gamma = 0", "lambda = nan", "a0 = 2\nLambda = 1.5"],
+        ids=["a0_negative", "a0_nan", "gamma_nan", "gamma_zero", "lambda_nan", "a0_above_Lambda"],
+    )
+    def test_coefficient_out_of_range_is_usage_error(self, tmp_path, capsys, coefficient):
+        cfg, outdir = write_config(tmp_path, text=BASE_CONFIG.replace("gamma = 0.8", coefficient))
+        assert main(["solve", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "data",
+        ["phi = poly: 1 x", "phi = poly: 0 nan", "phi = exact_trace\nh = poly: 1 2 3 4 5 6 7",
+         "phi = exact_trace\ng = poly: a"],
+        ids=["phi_not_a_number", "phi_nan", "h_seven_numbers", "g_not_a_number"],
+    )
+    def test_malformed_poly_is_usage_error(self, tmp_path, capsys, data):
+        cfg, outdir = write_config(tmp_path, text=BASE_CONFIG.replace("phi = exact_trace", data))
+        assert main(["solve", str(cfg)]) == EXIT_USAGE
+        assert "poly:" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_analysis_counts_read(self, tmp_path):
         text = BASE_CONFIG.replace("[output]", "[analysis]\nn_rays = 1\nn_radii = 4\n\n[output]")

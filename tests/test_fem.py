@@ -154,6 +154,13 @@ class TestAssemble:
         with pytest.raises(EllipticityError):
             validate_ellipticity(asym, asym.evaluate(np.array([0.1]), np.array([0.1]), np.array([1])))
 
+    @pytest.mark.parametrize("bounds", [dict(Lam=1.5), dict(lam=1.5), dict(lam=3.0, Lam=4.0)])
+    def test_jump_outside_given_bounds_rejected(self, bounds):
+        # a0 = 2 above the interface and 1 below must both lie in [lam, Lam]
+        with pytest.raises(EllipticityError):
+            coefficient_jump(2.0, **bounds)
+        coefficient_jump(2.0, lam=0.5, Lam=2.0)
+
 
 class TestDataWrappers:
     X = np.array([0.3, -0.2, 0.5, 0.1])

@@ -331,20 +331,25 @@ class TestCsvRoundTrip:
         path = tmp_path / "field.csv"
         write_sampled_field_csv(f, path)
         g = read_sampled_field_csv(path)
-        assert np.allclose(g.points, f.points)
-        assert np.allclose(g.values, f.values)
-        assert np.allclose(g.gradients, f.gradients)
+        # 17 significant digits read every float64 back exactly
+        assert np.array_equal(g.points, f.points)
+        assert np.array_equal(g.values, f.values)
+        assert np.array_equal(g.gradients, f.gradients)
         assert np.array_equal(g.regions, regions)
         header = path.read_text().splitlines()[0]
         assert header == "x,y,region,value,gx,gy"
 
     def test_without_gradients(self, tmp_path):
         pts = disk_cloud(10, seed=2)
-        f = SampledField(pts, np.ones(10))
+        f = SampledField(pts, np.linspace(-1.0, 1.0, 10) / 3.0)
         path = tmp_path / "plain.csv"
         write_sampled_field_csv(f, path)
         g = read_sampled_field_csv(path)
         assert g.gradients is None
+        assert np.array_equal(g.points, f.points)
+        assert np.array_equal(g.values, f.values)
+        # untagged samples are written and read back as interface samples
+        assert np.array_equal(g.regions, np.zeros(10))
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
