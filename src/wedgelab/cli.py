@@ -32,8 +32,10 @@ from .analysis import (
     interface_flux_jump,
 )
 from .exact_solutions import (
+    DegenerateAngleError,
     NoSignChangeError,
     RootConvergenceError,
+    TransmissionSignError,
     build_dirichlet_example,
     corrector_solve,
     eval_separable_xy,
@@ -624,7 +626,8 @@ def main(argv=None) -> int:
         args.theta_minus = math.radians(args.theta_minus)
     try:
         return args.fn(args)
-    except (ConfigError, EllipticityError, GeometryError, NormEstimateError, FileNotFoundError) as exc:
+    except (ConfigError, DegenerateAngleError, EllipticityError, GeometryError, NormEstimateError,
+            TransmissionSignError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RootConvergenceError, SolverError, ValueError) as exc:

@@ -33,9 +33,8 @@ from .geometry import delta_dist_arr
 
 PAIR_DIST_FLOOR = 1e-9
 _BLOCK = 256  # rows per step of the all-pairs reference scan
-_LEAF = 32  # most points in a kd-tree leaf
-_CHUNK = 8192  # most node pairs bounded per step of the tree walk
-_LEAF_BATCH = 64  # leaf pairs brute-forced between re-prunings
+_LEAF = 8  # most points in a kd-tree leaf
+_CHUNK = 1024  # most node pairs per step of the tree walk: at most 1024 * _LEAF^2 = 65,536 quotients at once
 _SEED_NEIGHBOURS = 8  # neighbours per point that seed the incumbent and set the distance floor
 _SLACK = 1.0 + 1e-12  # bounds are inflated by this against rounding before pruning
 
@@ -120,7 +119,7 @@ class NormParams:
 class PairScanInfo:
     n_pairs: int  # quotients evaluated
     argmax: tuple[int, int]
-    pruned: int  # node pairs the bound discarded, leaf pairs included
+    pruned: int  # node pairs the bound discarded
 
 
 @dataclass
@@ -235,9 +234,9 @@ def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScan
     that distance for i, then j would be one of i's nearest neighbours.  Pairs
     that a seed evaluated are already no larger than the incumbent, and pairs
     below the floor are excluded.  The weight exponent is >= 0.  Node pairs
-    are walked depth first in chunks, and surviving leaf pairs are
-    brute-forced highest bound first.  Values equal ``_all_pairs_scan``'s bit
-    for bit.
+    are walked depth first in chunks; each chunk brute-forces its surviving
+    leaf pairs at once and splits the others.  Values equal
+    ``_all_pairs_scan``'s bit for bit.
     """
     n = points.shape[0]
     if n < 2:
@@ -284,24 +283,16 @@ def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScan
     stack = np.zeros((1, 2), dtype=np.intp)  # node pairs to visit: the root with itself
     while stack.size:
         pairs, stack = stack[-_CHUNK:], stack[:-_CHUNK]
-        bnd = bound(pairs[:, 0], pairs[:, 1])
-        order = np.argsort(bnd)
-        order = order[bnd[order] * _SLACK > best]
-        pruned += len(pairs) - order.size
-        a, b, bnd = pairs[order, 0], pairs[order, 1], bnd[order]
+        keep = bound(pairs[:, 0], pairs[:, 1]) * _SLACK > best
+        pruned += len(pairs) - int(keep.sum())
+        a, b = pairs[keep].T
         leaf = (children[a, 0] < 0) & (children[b, 0] < 0)
-        la, lb, lbnd = a[leaf][::-1], b[leaf][::-1], bnd[leaf][::-1]
-        pruned += la.size  # taken back for the leaf pairs a batch brute-forces
-        for s in range(0, la.size, _LEAF_BATCH):
-            keep = lbnd[s : s + _LEAF_BATCH] * _SLACK > best
-            if not keep.any():
-                break
-            pruned -= int(keep.sum())
-            ia, ib = la[s : s + _LEAF_BATCH][keep], lb[s : s + _LEAF_BATCH][keep]
+        if leaf.any():
+            ia, ib = a[leaf], b[leaf]
             i, j = slots[ia][:, :, None], slots[ib][:, None, :]
             consider(i, j, (i >= 0) & (j >= 0) & ((ia != ib)[:, None, None] | upper))
         # split the larger node of each pair (a node paired with itself gives
-        # three pairs); the highest bounds go on top of the stack
+        # three pairs)
         a, b = a[~leaf], b[~leaf]
         big = np.where(size[a] >= size[b], a, b)
         small = a + b - big

@@ -68,7 +68,8 @@ class TestExactCommand:
             ["exact", "--gamma", "2.0", "--theta-plus", "0.7853981633974483",
              "--theta-minus", "-0.7853981633974483"]
         )
-        assert code == EXIT_NUMERICAL
+        # the given gamma is out of range for the wedge: a usage error
+        assert code == EXIT_USAGE
         assert "degenerate" in capsys.readouterr().err.lower()
 
     def test_degrees_flag(self, capsys):
@@ -483,6 +484,20 @@ class TestConfigValidation:
     def test_coefficient_out_of_range_is_usage_error(self, tmp_path, capsys, coefficient):
         cfg, outdir = write_config(tmp_path, text=BASE_CONFIG.replace("gamma = 0.8", coefficient))
         assert main(["solve", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "command, gamma", [("solve", "1.5"), ("solve", "2.0"), ("exact", "1.5")],
+        ids=["solve_negative_jump", "solve_degenerate", "exact_negative_jump"],
+    )
+    def test_gamma_no_positive_jump_realizes_is_usage_error(self, tmp_path, capsys, command, gamma):
+        # on the straight-wall wedge gamma = 1.5 forces a0 < 0 and gamma = 2
+        # makes the wall conditions degenerate: the given gamma is at fault
+        cfg, outdir = write_config(tmp_path, text=BASE_CONFIG.replace("gamma = 0.8", f"gamma = {gamma}"))
+        argv = ["solve", str(cfg)] if command == "solve" else [
+            "exact", "--gamma", gamma, "--theta-plus", str(3 * PI / 4), "--theta-minus", str(-PI / 4)]
+        assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
         assert not outdir.exists()
 

@@ -224,6 +224,7 @@ class TestSeminormKAlpha:
         value, info = _pair_scan(*_scan_args(f, p))
         assert value == _all_pairs_scan(*_scan_args(f, p))[0] == 1.0
         assert info.argmax == (0, 1)
+        assert info.n_pairs < 36 * 35 // 2
 
     def test_constant_field_prunes_the_root(self):
         n = 500
@@ -242,7 +243,25 @@ class TestSeminormKAlpha:
         p = NormParams(0, 0.4, tau=-1.0)
         value, info = weighted_seminorm_kalpha(f, p, return_info=True)
         assert value == _all_pairs_scan(*_scan_args(f, p))[0]
-        assert info.n_pairs <= 0.15 * n * (n - 1) / 2
+        assert info.n_pairs <= 0.03 * n * (n - 1) / 2
+        assert info.pruned > 0
+
+    def test_graded_corner_gradients_are_pruned(self):
+        # the benchmark's witness warm-up cloud: gradients of the gamma = 0.8
+        # straight-wall solution at points graded toward the corner like the
+        # mu = 0.8 mesh; the lower side's first 1,000 of 20,000 seeded draws
+        wedge = make_wedge(-PI / 4, 3 * PI / 4)
+        sol, _ = build_dirichlet_example(0.8, wedge)
+        rng = np.random.default_rng(1)
+        r = 0.25 * (1.0 - rng.random(20_000)) ** (1.0 / 1.6)
+        th = rng.uniform(wedge.theta_minus, wedge.theta_plus, 20_000)
+        x, y = (r * np.cos(th))[th < 0][:1000], (r * np.sin(th))[th < 0][:1000]
+        grads = np.column_stack(grad_separable_xy(sol, x, y, -1))
+        f = SampledField(np.column_stack([x, y]), eval_separable_xy(sol, x, y), grads)
+        p = NormParams(1, 0.5, tau=-0.8)
+        value, info = weighted_seminorm_kalpha(f, p, return_info=True)
+        assert value == _all_pairs_scan(*_scan_args(f, p))[0]
+        assert info.n_pairs < 1000 * 999 // 2
         assert info.pruned > 0
 
     def test_monotone_under_refinement(self):
