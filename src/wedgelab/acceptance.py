@@ -263,9 +263,10 @@ def check_07_norm_estimators(bench: Workbench) -> tuple[bool, list[str]]:
             alpha=0.3 + 0.2 * (trial % 3),
             tau=-0.5 + 0.3 * (trial % 4),
         )
-        args = _scan_args(f, par)
-        ref = _all_pairs_scan(*args)[0]
-        worst_agree = max(worst_agree, abs(_pair_scan(*args)[0] - ref) / ref)
+        points, data, deltas, w_exp, a = _scan_args(f, par)
+        ref = _all_pairs_scan(points, data, deltas, w_exp, a)[0]
+        [(value, _)] = _pair_scan(points, [data], deltas, w_exp, a)
+        worst_agree = max(worst_agree, abs(value - ref) / ref)
 
     # pure powers against ray-computed references on a 1e4-point cloud
     g, al = 0.8, 0.5

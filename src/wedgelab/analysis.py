@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .exact_solutions import Barrier, barrier_eval_xy
 from .fem import FemSolution, ProblemSpec, solution_field
 from .geometry import interface_edges
-from .norms import NormParams, SampledField, plain_norm, weighted_norm
+from .norms import NormParams, SampledField, plain_column_norms, plain_norm, weighted_norm
 
 DEGENERATE_RHS = 1e-13
 RAY_INSET = 0.02  # fraction of the opening kept clear of each wall by default_rays
@@ -252,13 +252,16 @@ def interface_flux_jump(
     )
 
 
+def _sides(regions: np.ndarray) -> list[np.ndarray]:
+    """The masks of the sides (upper, then lower) of ``regions`` with at least 2 samples."""
+    return [m for m in (regions == 1, regions == -1) if np.count_nonzero(m) >= 2]
+
+
 def _side_max(cloud: SampledField, norm) -> float:
     """Largest ``norm`` over the sides of ``cloud`` with at least 2 samples, 0 if none has."""
     best = 0.0
-    for side in (1, -1):
-        sub = cloud.restrict(cloud.regions == side)
-        if sub.n >= 2:
-            best = max(best, norm(sub))
+    for mask in _sides(cloud.regions):
+        best = max(best, norm(cloud.restrict(mask)))
     return best
 
 
@@ -276,15 +279,15 @@ def _ratio(kind, desc, lhs, spec, cloud, sup_u, trace_norms, g_norm) -> Estimate
 
 
 def _g_norm(spec: ProblemSpec, alpha: float, cloud: SampledField) -> float:
-    """Largest per-side Holder norm of a component of g over the samples of ``cloud``, 0 if none."""
+    """Largest per-side Holder norm of a component of g over the samples of ``cloud``, 0 if none.
+
+    Both components of a side come from one pair scan.
+    """
     gvals = spec.g_at(cloud.points[:, 0], cloud.points[:, 1], cloud.regions)
-    return max(
-        _side_max(
-            SampledField._subset(cloud.points, gvals[:, comp], None, cloud.regions),
-            lambda f: plain_norm(f, k=0, alpha=alpha),
-        )
-        for comp in (0, 1)
-    )
+    best = 0.0
+    for mask in _sides(cloud.regions):
+        best = max(best, *plain_column_norms(cloud.points[mask], gvals[mask], alpha))
+    return best
 
 
 def _per_solve(fs: FemSolution, spec: ProblemSpec, alpha: float, term, *args):
@@ -293,6 +296,14 @@ def _per_solve(fs: FemSolution, spec: ProblemSpec, alpha: float, term, *args):
     if key not in fs._memo:
         fs._memo[key] = term(spec, alpha, *args)
     return fs._memo[key]
+
+
+def _per_spec(spec: ProblemSpec, alpha: float, term):
+    """``term(spec, alpha)``, once per spec object and alpha; the spec holds it, so it goes with the spec."""
+    key = (term.__name__, alpha)
+    if key not in spec._memo:
+        spec._memo[key] = term(spec, alpha)
+    return spec._memo[key]
 
 
 def _trace_norm(spec: ProblemSpec, alpha: float, x, y, s) -> float:
@@ -371,7 +382,7 @@ def estimate_ratio_corner(
     lhs = _side_max(inner, lambda f: weighted_norm(f, params).total)
     desc = f"corner sectors {CORNER_INNER_FRACTION:.2g}R in R, beta={beta:.3g}"
     sup_u = float(np.abs(fld.values).max())
-    walls, g_norm = _per_solve(fs, spec, alpha, _wall_norms), _per_solve(fs, spec, alpha, _g_norm, fld)
+    walls, g_norm = _per_spec(spec, alpha, _wall_norms), _per_solve(fs, spec, alpha, _g_norm, fld)
     return _ratio("corner", desc, lhs, spec, fld, sup_u, walls, g_norm)
 
 
@@ -388,7 +399,7 @@ def estimate_ratio_global(
     fld = solution_field(fs)
     params = NormParams(k=1, alpha=alpha, tau=-beta)
     lhs = _side_max(fld, lambda f: weighted_norm(f, params).total)
-    traces = _per_solve(fs, spec, alpha, _wall_norms) + _per_solve(fs, spec, alpha, _arc_norms)
+    traces = _per_spec(spec, alpha, _wall_norms) + _per_spec(spec, alpha, _arc_norms)
     g_norm = _per_solve(fs, spec, alpha, _g_norm, fld)
     return _ratio("global", "full sector", lhs, spec, fld, 0.0, traces, g_norm)
 

@@ -4,8 +4,8 @@ Case configuration is flat ``key = value`` text under ``[section]`` headers
 (parsed with the stdlib parser, unknown keys are hard errors).  Commands
 write CSV artifacts with a single header row and 17-significant-digit
 floats; ``solve``, ``convergence`` and ``fit`` also write a JSON run
-manifest listing the produced files, and they and ``norms --output``
-overwrite nothing without ``--force``.  Exit codes: 0 success, 1
+manifest listing the produced files, and they, ``exact --field-csv`` and
+``norms --output`` overwrite nothing without ``--force``.  Exit codes: 0 success, 1
 verification failure, 2 usage/config error, 3 numerical failure.
 """
 
@@ -239,6 +239,14 @@ def build_case(cfg: CaseConfig):
 MANIFEST = "manifest.json"
 
 
+def _unclaimed(path, force: bool) -> Path:
+    """``path``, unless a file is there already and ``force`` is off: then a ``ConfigError``."""
+    path = Path(path)
+    if path.exists() and not force:
+        raise ConfigError(f"refusing to overwrite {path} (pass --force)")
+    return path
+
+
 class OutputGuard:
     """Hands out output paths: one per name in a run, never the manifest's, and no overwrite without ``force``.
 
@@ -250,19 +258,14 @@ class OutputGuard:
         self.directory = directory
         self.force = force
         self.files: list[str] = []
-        manifest = directory / MANIFEST
-        if manifest.exists() and not force:
-            raise ConfigError(f"refusing to overwrite {manifest} (pass --force)")
-        self._taken = {manifest.resolve()}
+        self._taken = {_unclaimed(directory / MANIFEST, force).resolve()}
 
     def path(self, name: str) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
         p = self.directory / name
         if p.resolve() in self._taken:
             raise ConfigError(f"output name {name!r} is taken by another output of this run")
-        if p.exists() and not self.force:
-            raise ConfigError(f"refusing to overwrite {p} (pass --force)")
-        self._taken.add(p.resolve())
+        self._taken.add(_unclaimed(p, self.force).resolve())
         self.files.append(name)
         return p
 
@@ -357,12 +360,13 @@ def write_loglog_svg(path: Path, xs, series: dict[str, list[float]], xlabel: str
 
 
 def cmd_exact(args) -> int:
+    out = _unclaimed(args.field_csv, args.force) if args.field_csv else None
     wedge = make_wedge(args.theta_minus, args.theta_plus)
     tc = transmission_coeffs(args.gamma, wedge)
     print(f"A = {fmt(tc.A)}")
     print(f"a0 = {fmt(tc.a0)}")
     print(f"C = {fmt(tc.C)}")
-    if args.field_csv:
+    if out is not None:
         sol, _ = build_dirichlet_example(args.gamma, wedge)
         rr = np.linspace(0.05, 1.0, 24)
         tt = default_rays(wedge, 33)
@@ -375,8 +379,8 @@ def cmd_exact(args) -> int:
             np.column_stack([gx, gy]),
             np.where(wedge_angles(wedge, x, y) >= 0, 1, -1).astype(np.int8),
         )
-        write_sampled_field_csv(field, args.field_csv)
-        print(f"field_csv = {args.field_csv}")
+        write_sampled_field_csv(field, out)
+        print(f"field_csv = {out}")
     return EXIT_OK
 
 
@@ -513,9 +517,7 @@ def cmd_norms(args) -> int:
     for line in report.as_lines():
         print(line)
     if args.output:
-        out = Path(args.output)
-        if out.exists() and not args.force:
-            raise ConfigError(f"refusing to overwrite {out} (pass --force)")
+        out = _unclaimed(args.output, args.force)
         write_csv(
             out,
             ["k", "alpha", "tau", *(f"seminorm_{i}_0" for i in range(args.k + 1)),
@@ -563,6 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=positive_float, required=True)
     add_angles(p)
     p.add_argument("--field-csv", help="also write a sampled-field CSV of the solution")
+    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("gamma", help="smallest singular exponent for a coefficient jump")

@@ -19,6 +19,12 @@ with the extreme points of every data column.  A pair that no neighbour seed
 covered is at least as long as either point's farthest seeded neighbour, so
 that distance floors the bound of every node pair, including a node paired
 with itself or with a touching node.
+
+One scan serves several data blocks over the same points, such as the two
+components of a vector field: it builds one tree, one neighbour query and one
+node table, gives each block its own best pair and its own far seeds, and
+prunes a node pair only when every block's bound allows it.  Each block's
+max is then still over all pairs, the same value its own scan finds.
 """
 
 from __future__ import annotations
@@ -171,16 +177,23 @@ def _scan_args(field: SampledField, params: NormParams):
     return field.points, _order_data(field, params.k), deltas, w_exp, params.alpha
 
 
-def _quotients(points, data, deltas, weight_exp, alpha, i, j):
-    """Quotients of the index pairs (i, j), 0 below the floor, and the mask of those above it."""
+def _quotients(points, blocks, deltas, weight_exp, alpha, i, j):
+    """Each data block's quotients of the index pairs (i, j), 0 below the floor, and the mask of those above it.
+
+    The blocks share the distances, weights and mask, not the quotients.
+    """
     diff = points[i] - points[j]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    dvec = data[i] - data[j]
-    num = np.linalg.norm(dvec, axis=-1) if data.shape[1] > 1 else np.abs(dvec[..., 0])
     w = np.minimum(deltas[i], deltas[j]) ** weight_exp if weight_exp > 0.0 else 1.0
     valid = dist >= PAIR_DIST_FLOOR
+    scale = dist**alpha
+    out = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(valid, w * num / dist**alpha, 0.0), valid
+        for data in blocks:
+            dvec = data[i] - data[j]
+            num = np.linalg.norm(dvec, axis=-1) if data.shape[1] > 1 else np.abs(dvec[..., 0])
+            out.append(np.where(valid, w * num / scale, 0.0))
+    return out, valid
 
 
 def _all_pairs_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScanInfo]:
@@ -190,7 +203,7 @@ def _all_pairs_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, Pai
     for i0 in range(0, n - 1, _BLOCK):
         rows = np.arange(i0, min(i0 + _BLOCK, n - 1))[:, None]
         cols = np.arange(i0 + 1, n)[None, :]
-        q, valid = _quotients(points, data, deltas, weight_exp, alpha, rows, cols)
+        (q,), valid = _quotients(points, [data], deltas, weight_exp, alpha, rows, cols)
         upper = cols > rows
         q = np.where(upper, q, 0.0)
         evaluated += int((valid & upper).sum())
@@ -215,59 +228,69 @@ def _node_table(tree: cKDTree):
     return np.array([(node.start_idx, node.end_idx) for node in nodes]), np.array(children)
 
 
-def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScanInfo]:
-    """Exact max of the weighted pair quotient by dual-tree branch and bound.
+def _pair_scan(points, blocks, deltas, weight_exp, alpha) -> list[tuple[float, PairScanInfo]]:
+    """Exact max of the weighted pair quotient of each data block, by dual-tree branch and bound.
 
-    One ``cKDTree`` (median split along the widest side, leaves of at most
-    ``_LEAF`` points) gives both the neighbour seeds and the nodes.  Every
-    node carries its point box, its data box, its largest weight and its
-    distance floor ``near``.  The incumbent starts from seeds:
-    each point with its ``_SEED_NEIGHBOURS`` nearest neighbours, then each
-    point with the argmin and the argmax point of every data column, which
-    finds the far pairs where smooth data peaks.  A node pair (A, B) is pruned
-    when
+    ``blocks`` are (n, d) data arrays over the same ``points``, sharing the
+    deltas, the weight exponent and alpha.  One ``cKDTree`` (median split
+    along the widest side, leaves of at most ``_LEAF`` points) gives the
+    neighbour seeds and the nodes for all of them.  Every node carries its
+    point box, the data box of every block, its largest weight and its
+    distance floor ``near``.  Each block has its own incumbent, which starts
+    from seeds: each point with its ``_SEED_NEIGHBOURS`` nearest neighbours,
+    then each point with the argmin and the argmax point of every column of
+    that block, which finds the far pairs where smooth data peaks.  A node
+    pair (A, B) is pruned when, for every block,
         min(max_A w, max_B w) * |data span of A u B|
             / max(gap(A, B), near_A, near_B, floor)^alpha
-    is no larger than the incumbent.  ``near`` is the smallest distance from a
-    point of the node to its farthest seeded neighbour.  The bound covers every
-    pair that no neighbour seed evaluated: were such a pair (i, j) shorter than
-    that distance for i, then j would be one of i's nearest neighbours.  Pairs
-    that a seed evaluated are already no larger than the incumbent, and pairs
-    below the floor are excluded.  The weight exponent is >= 0.  Node pairs
-    are walked depth first in chunks; each chunk brute-forces its surviving
-    leaf pairs at once and splits the others.  Values equal
-    ``_all_pairs_scan``'s bit for bit.
+    is no larger than that block's incumbent.  ``near`` is the smallest
+    distance from a point of the node to its farthest seeded neighbour.  The
+    bound covers every pair that no neighbour seed evaluated: were such a
+    pair (i, j) shorter than that distance for i, then j would be one of i's
+    nearest neighbours.  Pairs that a seed evaluated are already no larger
+    than the incumbent, and pairs below the floor are excluded.  The weight
+    exponent is >= 0.  Node pairs are walked depth first in chunks; each
+    chunk brute-forces its surviving leaf pairs for every block at once and
+    splits the others.  So each block's max is over all pairs, and equals
+    ``_all_pairs_scan`` on that block alone bit for bit.  Returns each
+    block's max and ``PairScanInfo``; the blocks share the leaf pairs and
+    the pruned count.
     """
     n = points.shape[0]
     if n < 2:
         raise NormEstimateError("at least two distinct samples required for a pair scan")
-    best, best_pair, evaluated, pruned = 0.0, (0, 1), 0, 0
+    best, pruned = np.zeros(len(blocks)), 0
+    best_pair, evaluated = [(0, 1)] * len(blocks), [0] * len(blocks)
 
-    def consider(i, j, keep=True):
-        nonlocal best, best_pair, evaluated
-        q, valid = _quotients(points, data, deltas, weight_exp, alpha, i, j)
-        q = np.where(keep, q, 0.0)
-        evaluated += int((valid & keep).sum())
-        k = np.unravel_index(int(np.argmax(q)), q.shape)
-        if float(q[k]) > best:
-            i, j = np.broadcast_arrays(i, j)
-            best, best_pair = float(q[k]), (int(min(i[k], j[k])), int(max(i[k], j[k])))
+    def consider(i, j, keep=True, which=range(len(blocks))):
+        qs, valid = _quotients(points, [blocks[b] for b in which], deltas, weight_exp, alpha, i, j)
+        count = int((valid & keep).sum())
+        for b, q in zip(which, qs):
+            evaluated[b] += count
+            q = np.where(keep, q, 0.0)
+            k = np.unravel_index(int(np.argmax(q)), q.shape)
+            if float(q[k]) > best[b]:
+                ii, jj = np.broadcast_arrays(i, j)
+                best[b], best_pair[b] = float(q[k]), (int(min(ii[k], jj[k])), int(max(ii[k], jj[k])))
 
     tree = cKDTree(points, leafsize=_LEAF)
     seed_dist, nbrs = tree.query(points, k=min(_SEED_NEIGHBOURS + 1, n))
-    consider(np.repeat(np.arange(n), nbrs.shape[1]), nbrs.ravel())
-    ends = np.unique(np.concatenate([data.argmin(axis=0), data.argmax(axis=0)]))
-    i, j = np.arange(n)[:, None], ends[None, :]
-    consider(i, j, i != j)
+    # column 0 is at distance 0: the point itself, a pair below the floor
+    consider(np.repeat(np.arange(n), nbrs.shape[1] - 1), nbrs[:, 1:].ravel())
+    for b, data in enumerate(blocks):
+        ends = np.array(sorted({*data.argmin(axis=0).tolist(), *data.argmax(axis=0).tolist()}))
+        i, j = np.arange(n)[:, None], ends[None, :]
+        consider(i, j, i != j, [b])
 
     perm = tree.indices
     ranges, children = _node_table(tree)
     # reduceat reads one row past each range end, hence the extra row
-    cols = np.column_stack([points, data, deltas, seed_dist[:, -1]])[np.append(perm, 0)]
+    cols = np.column_stack([points, *blocks, deltas, seed_dist[:, -1]])[np.append(perm, 0)]
     lo = np.minimum.reduceat(cols, ranges.ravel())[::2]
     hi = np.maximum.reduceat(cols, ranges.ravel())[::2]
     near = np.maximum(lo[:, -1], PAIR_DIST_FLOOR)
     wmax = hi[:, -2] ** weight_exp if weight_exp > 0.0 else np.ones(len(ranges))
+    starts = np.cumsum([0] + [data.shape[1] for data in blocks[:-1]])  # each block's first data column
     size = ranges[:, 1] - ranges[:, 0]
     width = int(size[children[:, 0] < 0].max())  # the largest leaf
     slot = ranges[:, :1] + np.arange(width)
@@ -275,15 +298,17 @@ def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScan
     upper = np.triu(np.ones((width, width), dtype=bool), 1)
 
     def bound(a, b):
+        """Each block's bound (columns) of each node pair (rows)."""
         gap = np.maximum(np.maximum(lo[b, :2] - hi[a, :2], lo[a, :2] - hi[b, :2]), 0.0)
         span = np.maximum(hi[a, 2:-2], hi[b, 2:-2]) - np.minimum(lo[a, 2:-2], lo[b, 2:-2])
         dist = np.maximum(np.hypot(gap[:, 0], gap[:, 1]), np.maximum(near[a], near[b]))
-        return np.minimum(wmax[a], wmax[b]) * np.sqrt((span * span).sum(axis=1)) / dist**alpha
+        norms = np.sqrt(np.add.reduceat(span * span, starts, axis=1))
+        return np.minimum(wmax[a], wmax[b])[:, None] * norms / (dist**alpha)[:, None]
 
     stack = np.zeros((1, 2), dtype=np.intp)  # node pairs to visit: the root with itself
     while stack.size:
         pairs, stack = stack[-_CHUNK:], stack[:-_CHUNK]
-        keep = bound(pairs[:, 0], pairs[:, 1]) * _SLACK > best
+        keep = (bound(pairs[:, 0], pairs[:, 1]) * _SLACK > best).any(axis=1)
         pruned += len(pairs) - int(keep.sum())
         a, b = pairs[keep].T
         leaf = (children[a, 0] < 0) & (children[b, 0] < 0)
@@ -303,7 +328,7 @@ def _pair_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScan
         ).reshape(-1, 3, 2)
         every = np.ones_like(same)
         stack = np.concatenate([stack, kids[np.column_stack([every, every, same])]])
-    return best, PairScanInfo(evaluated, best_pair, pruned)
+    return [(float(best[b]), PairScanInfo(evaluated[b], best_pair[b], pruned)) for b in range(len(blocks))]
 
 
 def weighted_seminorm_kalpha(field: SampledField, params: NormParams, return_info: bool = False):
@@ -312,7 +337,8 @@ def weighted_seminorm_kalpha(field: SampledField, params: NormParams, return_inf
     Pairs closer than ``PAIR_DIST_FLOOR`` are excluded.  With ``return_info``
     the ``PairScanInfo`` (quotients evaluated, argmax pair) comes along.
     """
-    value, info = _pair_scan(*_scan_args(field, params))
+    points, data, deltas, weight_exp, alpha = _scan_args(field, params)
+    [(value, info)] = _pair_scan(points, [data], deltas, weight_exp, alpha)
     return (value, info) if return_info else value
 
 
@@ -338,6 +364,18 @@ def weighted_norm(field: SampledField, params: NormParams) -> NormReport:
 def plain_norm(field: SampledField, k: int, alpha: float) -> float:
     """Unweighted Holder norm estimate (weight exponents forced to zero)."""
     return weighted_norm(field, NormParams(k=k, alpha=alpha, tau=-(k + 1.0))).total
+
+
+def plain_column_norms(points: np.ndarray, columns: np.ndarray, alpha: float) -> list[float]:
+    """``plain_norm(., k=0, alpha)`` of each column of ``columns`` (n, m) over ``points``, from one pair scan.
+
+    Each is max|f| + [f]_{0,alpha}, summed as ``weighted_norm`` sums it; the
+    scan is unweighted, so its deltas are never read.
+    """
+    NormParams(k=0, alpha=alpha)  # checks alpha
+    blocks = [columns[:, [c]] for c in range(columns.shape[1])]
+    scans = _pair_scan(points, blocks, np.ones(points.shape[0]), 0.0, alpha)
+    return [float(np.abs(data).max()) + value for data, (value, _) in zip(blocks, scans)]
 
 
 # ---------------------------------------------------------------------------

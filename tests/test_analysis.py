@@ -404,6 +404,38 @@ def test_ratios_match_golden_values():
         assert r.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
+def test_trace_norms_once_per_spec_and_alpha(monkeypatch):
+    # the wall and arc trace norms depend only on (spec, alpha): a 3-level
+    # criterion-8 series computes each of the 4 once, and nothing the memo
+    # holds keeps the spec alive
+    import gc
+    import weakref
+
+    from wedgelab import analysis
+    from wedgelab.acceptance import _random_instance
+
+    calls = []
+    trace_norm = analysis._trace_norm
+
+    def counting(*args):
+        calls.append(args[0])
+        return trace_norm(*args)
+
+    monkeypatch.setattr(analysis, "_trace_norm", counting)
+    spec = _random_instance(3)[2]
+    for h in (0.12, 0.06, 0.03):
+        fs = solve_problem(spec, h, 1.0)
+        estimate_ratio_interior(fs, spec, center=(0.55, 0.0), r_inner=0.18, alpha=0.4)
+        estimate_ratio_corner(fs, spec, beta=0.5, alpha=0.4)
+        estimate_ratio_global(fs, spec, beta=0.5, alpha=0.4)
+    assert len(calls) == 4 and all(s is spec for s in calls)
+    assert sorted(spec._memo) == [("_arc_norms", 0.4), ("_wall_norms", 0.4)]
+    ref = weakref.ref(spec)
+    del spec, fs, calls[:]
+    gc.collect()
+    assert ref() is None
+
+
 def test_interior_rhs_sums_its_terms_in_order():
     # rhs = ((sup|u| + trace term) + sup|h|) + g term, bit for bit; the
     # interior estimate has no trace term
@@ -491,14 +523,19 @@ def test_corner_then_global_scan_each_data_norm_once(monkeypatch):
     from wedgelab.acceptance import _random_instance
 
     calls = []
-    real = analysis.plain_norm
+    real, real_columns = analysis.plain_norm, analysis.plain_column_norms
     traces = {analysis.WALL_SAMPLES: "wall", analysis.ARC_SAMPLES: "arc"}
 
     def counted(field, k, alpha):
         calls.append("g" if k == 0 else traces.get(field.n, "lhs"))
         return real(field, k, alpha)
 
+    def counted_columns(points, columns, alpha):
+        calls.extend(["g"] * columns.shape[1])  # one norm per g component of a side
+        return real_columns(points, columns, alpha)
+
     monkeypatch.setattr(analysis, "plain_norm", counted)
+    monkeypatch.setattr(analysis, "plain_column_norms", counted_columns)
 
     def scans(kinds, fs):
         calls.clear()

@@ -94,6 +94,20 @@ class TestExactCommand:
         assert field.n > 100
         assert field.gradients is not None
 
+    def test_field_csv_refuses_overwrite_without_force(self, tmp_path, capsys):
+        out_csv = tmp_path / "field.csv"
+        angles = ["--theta-plus", "2.3561944901923448", "--theta-minus", "-0.7853981633974483"]
+        assert main(["exact", "--gamma", "0.8", *angles, "--field-csv", str(out_csv)]) == EXIT_OK
+        first = out_csv.read_bytes()
+        capsys.readouterr()
+        assert main(["exact", "--gamma", "0.9", *angles, "--field-csv", str(out_csv)]) == EXIT_USAGE
+        assert "force" in capsys.readouterr().err
+        assert out_csv.read_bytes() == first
+        assert main(["exact", "--gamma", "0.9", *angles, "--field-csv", str(out_csv), "--force"]) == EXIT_OK
+        fresh = tmp_path / "fresh.csv"
+        assert main(["exact", "--gamma", "0.9", *angles, "--field-csv", str(fresh)]) == EXIT_OK
+        assert out_csv.read_bytes() == fresh.read_bytes() != first
+
     def test_field_csv_regions_follow_wedge_angle(self, tmp_path, capsys):
         # the upper wall at 5pi/4 lies below the x-axis, so the sign of y
         # is not the side there

@@ -12,6 +12,7 @@ from wedgelab.norms import (
     NormEstimateError,
     NormParams,
     SampledField,
+    plain_column_norms,
     plain_norm,
     read_sampled_field_csv,
     weighted_norm,
@@ -21,6 +22,7 @@ from wedgelab.norms import (
     _SEED_NEIGHBOURS,
     _all_pairs_scan,
     _pair_scan,
+    _quotients,
     _scan_args,
 )
 
@@ -65,7 +67,7 @@ def quotient_at(field, params, pair):
 def scan_cases(draw):
     """Clouds and norm parameters for the pair-scan equivalence property."""
     n = draw(st.integers(2, 400))
-    shape = draw(st.sampled_from(["uniform", "collinear", "strip", "near_floor", "lattice"]))
+    shape = draw(st.sampled_from(["uniform", "disk", "reflex", "collinear", "strip", "near_floor", "lattice"]))
     k = draw(st.integers(0, 1))
     alpha = draw(st.floats(0.05, 0.95))
     # weight exponent k + alpha + tau: clamped to 0, or drawn from [0, 1.5]
@@ -80,6 +82,11 @@ def scan_cases(draw):
         # farthest seeded neighbour's distance (a square grid has few such ties)
         m = math.isqrt(n - 1) + 1
         pts = np.column_stack(np.divmod(np.arange(n), m)) * [2.0 / m, 1.0 / m] - 0.5
+    elif shape in ("disk", "reflex"):
+        # a unit disk, or a 3pi/2 wedge about the origin graded toward its corner
+        r = np.sqrt(rng.uniform(0.0, 1.0, n)) if shape == "disk" else rng.uniform(0.0, 1.0, n) ** 1.6
+        th = rng.uniform(-PI, PI, n) * (1.0 if shape == "disk" else 0.75)
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     elif shape == "collinear":
         pts = 0.1 + pts[:, :1] * np.array([[1.0, 0.5]])
     elif shape == "strip":
@@ -96,6 +103,28 @@ def scan_cases(draw):
         vals = np.sin(pts @ kvec) + np.hypot(*pts.T) ** 0.8
         grads = np.cos(pts @ kvec)[:, None] * kvec
     return SampledField(pts, vals, grads), NormParams(k, alpha, tau, edge)
+
+
+@st.composite
+def data_blocks(draw, points, edge):
+    """1-3 data blocks over ``points``: constant, linear or corner-singular, one or two columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 2))
+        mode = draw(st.sampled_from(["constant", "linear", "singular"]))
+        if mode == "constant":
+            block = np.full((len(points), width), rng.uniform(-2.0, 2.0))
+        elif mode == "linear":
+            block = points @ rng.uniform(-4.0, 4.0, size=(2, width)) + rng.uniform(-1.0, 1.0, size=width)
+        else:
+            # the gradient of r^gamma about the edge point, or its radial part
+            gamma = rng.uniform(0.3, 0.95)
+            rel = points - edge
+            r = np.maximum(np.hypot(rel[:, 0], rel[:, 1]), 1e-6)
+            block = (gamma * r ** (gamma - 2.0))[:, None] * rel if width == 2 else r[:, None] ** (gamma - 1.0)
+        blocks.append(block)
+    return blocks
 
 
 class TestSeminormK0:
@@ -196,12 +225,63 @@ class TestSeminormKAlpha:
     @given(case=scan_cases())
     def test_branch_and_bound_matches_all_pairs_property(self, case):
         f, p = case
-        args = _scan_args(f, p)
-        value, info = _pair_scan(*args)
-        ref, _ = _all_pairs_scan(*args)
+        points, data, deltas, w_exp, alpha = _scan_args(f, p)
+        [(value, info)] = _pair_scan(points, [data], deltas, w_exp, alpha)
+        ref, _ = _all_pairs_scan(points, data, deltas, w_exp, alpha)
         assert value == ref
         if value > 0.0:
             assert quotient_at(f, p, info.argmax) == pytest.approx(value, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scan_cases(), data=st.data())
+    def test_block_scan_matches_all_pairs_per_block_property(self, case, data):
+        f, p = case
+        points, _, deltas, w_exp, alpha = _scan_args(f, p)
+        blocks = data.draw(data_blocks(points, p.edge_point))
+        scans = _pair_scan(points, blocks, deltas, w_exp, alpha)
+        assert len(scans) == len(blocks)
+        for block, (value, info) in zip(blocks, scans):
+            assert value == _all_pairs_scan(points, block, deltas, w_exp, alpha)[0]
+            if value > 0.0:
+                i, j = info.argmax
+                (q,), _ = _quotients(points, [block], deltas, w_exp, alpha, i, j)
+                assert q == pytest.approx(value, rel=1e-12)
+        assert len({info.pruned for _, info in scans}) == 1
+
+    def test_one_block_scan_is_pinned(self):
+        # value, counts and argmax of the single-block scan before blocks existed
+        pts = disk_cloud(1500, seed=21)
+        kvec = np.array([1.3, -2.1])
+        f = SampledField(pts, np.sin(pts @ kvec) + np.hypot(*pts.T) ** 0.8, np.cos(pts @ kvec)[:, None] * kvec)
+        pinned = [
+            (NormParams(1, 0.5, tau=-0.3), "0x1.f119045ef697ap+1", 27528, (12, 186), 2063),
+            (NormParams(0, 0.4, tau=-1.0), "0x1.14f09ece23031p+1", 48335, (156, 543), 2877),
+        ]
+        for p, value, n_pairs, argmax, pruned in pinned:
+            points, data, deltas, w_exp, alpha = _scan_args(f, p)
+            [(got, info)] = _pair_scan(points, [data], deltas, w_exp, alpha)
+            assert got == float.fromhex(value)
+            assert (info.n_pairs, info.argmax, info.pruned) == (n_pairs, argmax, pruned)
+            assert weighted_seminorm_kalpha(f, p, return_info=True) == (got, info)
+
+    @pytest.mark.parametrize("constant_first", [True, False])
+    def test_constant_block_leaves_linear_block_scan_unchanged(self, constant_first):
+        # a constant block's bound is 0, so it never keeps a node pair: the
+        # linear block prunes as it does alone, and the constant block still
+        # gets its exact value 0
+        n = 2000
+        pts = disk_cloud(n, seed=3)
+        linear = (0.7 * pts[:, 0] - 0.3 * pts[:, 1] + 0.2)[:, None]
+        constant = np.full((n, 1), 1.7)
+        deltas = np.ones(n)
+        [alone] = _pair_scan(pts, [linear], deltas, 0.0, 0.4)
+        scans = _pair_scan(pts, [constant, linear] if constant_first else [linear, constant], deltas, 0.0, 0.4)
+        (value, info), together = scans if constant_first else scans[::-1]
+        assert together == alone
+        assert alone[0] == _all_pairs_scan(pts, linear, deltas, 0.0, 0.4)[0]
+        assert alone[1].pruned > 0 and alone[1].n_pairs <= 0.03 * n * (n - 1) / 2
+        assert value == _all_pairs_scan(pts, constant, deltas, 0.0, 0.4)[0] == 0.0
+        assert info.pruned == alone[1].pruned
 
     def test_unseeded_pair_just_beyond_seed_distances(self):
         # P = (3, 0) and Q = (4, 0) each have their 8 nearest neighbours on a
@@ -221,8 +301,9 @@ class TestSeminormKAlpha:
         vals[[2, 9]] = 0.99
         f = SampledField(pts, vals)
         p = NormParams(0, 0.5, tau=0.5)
-        value, info = _pair_scan(*_scan_args(f, p))
-        assert value == _all_pairs_scan(*_scan_args(f, p))[0] == 1.0
+        points, data, deltas, w_exp, alpha = _scan_args(f, p)
+        [(value, info)] = _pair_scan(points, [data], deltas, w_exp, alpha)
+        assert value == _all_pairs_scan(points, data, deltas, w_exp, alpha)[0] == 1.0
         assert info.argmax == (0, 1)
         assert info.n_pairs < 36 * 35 // 2
 
@@ -322,6 +403,13 @@ class TestWeightedNorm:
         w = totals["weighted"]
         assert max(w) / min(w) < 1.5
         assert totals["plain"][-1] > 5.0 * totals["plain"][0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_column_norms_equal_plain_norm_per_column(self, seed):
+        pts = disk_cloud(700, seed=seed)
+        columns = np.column_stack([np.sin(3 * pts[:, 0]) * pts[:, 1], 0.4 * pts[:, 0] - pts[:, 1], np.full(700, -2.0)])
+        got = plain_column_norms(pts, columns, 0.35)
+        assert got == [plain_norm(SampledField(pts, c), k=0, alpha=0.35) for c in columns.T]
 
     def test_report_fields(self):
         pts = disk_cloud(100, seed=12)
