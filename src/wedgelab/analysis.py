@@ -298,14 +298,6 @@ def _per_solve(fs: FemSolution, spec: ProblemSpec, alpha: float, term, *args):
     return fs._memo[key]
 
 
-def _per_spec(spec: ProblemSpec, alpha: float, term):
-    """``term(spec, alpha)``, once per spec object and alpha; the spec holds it, so it goes with the spec."""
-    key = (term.__name__, alpha)
-    if key not in spec._memo:
-        spec._memo[key] = term(spec, alpha)
-    return spec._memo[key]
-
-
 def _trace_norm(spec: ProblemSpec, alpha: float, x, y, s) -> float:
     """Holder norm of phi at boundary points, with its tangential derivative over the arclength ``s``."""
     vals = spec.phi_at(x, y)
@@ -382,7 +374,7 @@ def estimate_ratio_corner(
     lhs = _side_max(inner, lambda f: weighted_norm(f, params).total)
     desc = f"corner sectors {CORNER_INNER_FRACTION:.2g}R in R, beta={beta:.3g}"
     sup_u = float(np.abs(fld.values).max())
-    walls, g_norm = _per_spec(spec, alpha, _wall_norms), _per_solve(fs, spec, alpha, _g_norm, fld)
+    walls, g_norm = _per_solve(fs, spec, alpha, _wall_norms), _per_solve(fs, spec, alpha, _g_norm, fld)
     return _ratio("corner", desc, lhs, spec, fld, sup_u, walls, g_norm)
 
 
@@ -399,7 +391,7 @@ def estimate_ratio_global(
     fld = solution_field(fs)
     params = NormParams(k=1, alpha=alpha, tau=-beta)
     lhs = _side_max(fld, lambda f: weighted_norm(f, params).total)
-    traces = _per_spec(spec, alpha, _wall_norms) + _per_spec(spec, alpha, _arc_norms)
+    traces = _per_solve(fs, spec, alpha, _wall_norms) + _per_solve(fs, spec, alpha, _arc_norms)
     g_norm = _per_solve(fs, spec, alpha, _g_norm, fld)
     return _ratio("global", "full sector", lhs, spec, fld, 0.0, traces, g_norm)
 

@@ -170,8 +170,6 @@ class ProblemSpec:
     g_plus: object = None
     g_minus: object = None
     h: object = None
-    # what diagnostics compute once per spec: the trace norms of phi
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self._phi = _as_field(self.phi, ())

@@ -404,13 +404,10 @@ def test_ratios_match_golden_values():
         assert r.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
-def test_trace_norms_once_per_spec_and_alpha(monkeypatch):
-    # the wall and arc trace norms depend only on (spec, alpha): a 3-level
-    # criterion-8 series computes each of the 4 once, and nothing the memo
-    # holds keeps the spec alive
-    import gc
-    import weakref
-
+def test_repeated_solves_of_one_spec_do_the_same_work(monkeypatch):
+    # the data norms are stored per solve, not on the spec: two solves of one
+    # spec object compute the 4 trace norms (two walls, two arcs) each, so a
+    # series or a benchmark that reuses a spec repeats the same scans
     from wedgelab import analysis
     from wedgelab.acceptance import _random_instance
 
@@ -423,17 +420,15 @@ def test_trace_norms_once_per_spec_and_alpha(monkeypatch):
 
     monkeypatch.setattr(analysis, "_trace_norm", counting)
     spec = _random_instance(3)[2]
-    for h in (0.12, 0.06, 0.03):
-        fs = solve_problem(spec, h, 1.0)
-        estimate_ratio_interior(fs, spec, center=(0.55, 0.0), r_inner=0.18, alpha=0.4)
+    per_solve = []
+    for _ in range(2):
+        calls.clear()
+        fs = solve_problem(spec, 0.12, 1.0)
         estimate_ratio_corner(fs, spec, beta=0.5, alpha=0.4)
         estimate_ratio_global(fs, spec, beta=0.5, alpha=0.4)
-    assert len(calls) == 4 and all(s is spec for s in calls)
-    assert sorted(spec._memo) == [("_arc_norms", 0.4), ("_wall_norms", 0.4)]
-    ref = weakref.ref(spec)
-    del spec, fs, calls[:]
-    gc.collect()
-    assert ref() is None
+        per_solve.append(len(calls))
+    assert per_solve == [4, 4]
+    assert not hasattr(spec, "_memo")
 
 
 def test_interior_rhs_sums_its_terms_in_order():
