@@ -434,7 +434,7 @@ def cmd_solve(args) -> int:
         rep = error_report(fs, exact, exact_grad)
         steps.append(("error", f"linf={rep.linf:.3e}"))
         print(f"L2 = {fmt(rep.l2)}")
-        print(f"brokenH1 = {fmt(rep.broken_h1 if rep.broken_h1 is not None else float('nan'))}")
+        print(f"brokenH1 = {fmt(rep.broken_h1)}")
         print(f"Linf = {fmt(rep.linf)}")
     guard.finish(cfg.config_hash, steps)
     print(f"ndof = {fs.mesh.n_vertices}")
@@ -449,7 +449,7 @@ def _convergence_level(problem: ProblemSpec, exact, exact_grad, h: float, mu: fl
     flux = interface_flux_jump(fs, problem.coeff)
     if exact is not None:
         rep = error_report(fs, exact, exact_grad)
-        l2, bh1, linf = rep.l2, rep.broken_h1 or float("nan"), rep.linf
+        l2, bh1, linf = rep.l2, rep.broken_h1, rep.linf
     else:
         l2 = bh1 = linf = float("nan")
     return [h, fs.mesh.n_vertices, l2, bh1, linf, flux.mean_jump]

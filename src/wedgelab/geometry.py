@@ -171,25 +171,28 @@ def edge_table(triangles: np.ndarray):
       does not have exactly two triangles.
     """
     tri = np.asarray(triangles, dtype=np.int64)
-    nt = tri.shape[0]
     nv = int(tri.max()) + 1
+    # slot 3t + i holds edge i of triangle t, keyed lo * nv + hi
     u, v = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
-    keys, first, inverse, counts = np.unique(
-        (np.minimum(u, v) * nv + np.maximum(u, v)).ravel(),
-        return_index=True,
-        return_inverse=True,
-        return_counts=True,
-    )
-    edges = np.column_stack([keys // nv, keys % nv])
-    # slot 3t + i holds edge i of triangle t; pair each slot with the other
-    # slot of its edge
-    slot = np.arange(3 * nt)
-    later = slot != first[inverse]
-    second = first.copy()
-    second[inverse[later]] = slot[later]
-    other = np.where(later, first[inverse], second[inverse])
-    neighbors = np.where(counts[inverse] == 2, other // 3, -1).reshape(nt, 3)
-    return edges, inverse.reshape(nt, 3), counts, neighbors
+    key = (np.minimum(u, v) * nv + np.maximum(u, v)).ravel()
+    # u, v and the unsorted and sorted keys are freed once used; kept alive,
+    # any of them would set the peak memory
+    del u, v
+    # after one stable sort the slots of each edge are adjacent, in slot order
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.concatenate([[True], key[1:] != key[:-1]])
+    starts = np.flatnonzero(new)
+    edges = np.column_stack(np.divmod(key[starts], nv))
+    del key
+    counts = np.diff(starts, append=order.size)
+    tri_edges = np.empty_like(order)
+    tri_edges[order] = np.cumsum(new) - 1
+    neighbors = np.full_like(order, -1)
+    pair = starts[counts == 2]
+    neighbors[order[pair]] = order[pair + 1] // 3
+    neighbors[order[pair + 1]] = order[pair] // 3
+    return edges, tri_edges.reshape(-1, 3), counts, neighbors.reshape(-1, 3)
 
 
 def interface_edges(mesh: Mesh):

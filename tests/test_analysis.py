@@ -26,6 +26,7 @@ from wedgelab.exact_solutions import (
     build_dirichlet_example,
     corrector_solve,
     eval_separable_xy,
+    grad_separable_xy,
     singular_exponent,
 )
 from wedgelab.fem import (
@@ -238,7 +239,7 @@ def test_element_geometry_computed_once_per_mesh(monkeypatch):
     grads = mesh.basis_gradients
     P1Evaluator(fs)(np.array([0.3]), np.array([0.2]))
     interface_flux_jump(fs, spec.coeff)
-    error_report(fs, lambda x, y: eval_separable_xy(sol, x, y))
+    error_report(fs, lambda x, y: eval_separable_xy(sol, x, y), lambda x, y, s: grad_separable_xy(sol, x, y, s))
     assert calls == {"areas": 1, "barycenters": 1, "basis_gradients": 1}
     assert mesh.basis_gradients is grads
 

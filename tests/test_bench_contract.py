@@ -1,7 +1,8 @@
 """What the benchmark in perfbench/ needs of the library: the functions its
-traced run wraps, the keywords its workloads pass, and an import that stays
-light (its ``setup_s`` is mostly import time)."""
+traced run wraps, the names and keywords its workloads use, and an import
+that stays light (its ``setup_s`` is mostly import time)."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_FILE = ROOT / "perfbench" / "spans.py"
+WORKLOADS_FILE = ROOT / "perfbench" / "workloads.py"
 
 
 def load_spans():
@@ -45,13 +47,48 @@ def test_pair_scan_reports_its_info():
     assert accepts(load_spans().PAIR_SCAN, "return_info")
 
 
-@pytest.mark.parametrize("kind", ["interior", "corner", "global"])
-def test_estimate_ratios_accept_pair_budget(kind):
-    assert accepts(f"analysis.estimate_ratio_{kind}", "pair_budget")
+def workload_uses() -> dict[str, set[str]]:
+    """Each ``<module>.<name>`` of wedgelab that the workloads file reads, with
+    the keywords passed where it is called; ``**NAME`` of a module-level
+    ``dict(...)`` passes that dict's keywords."""
+    tree = ast.parse(WORKLOADS_FILE.read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "wedgelab"
+        for alias in node.names
+    }
+    dicts = {
+        target.id: [kw.arg for kw in node.value.keywords]
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "dict"
+        for target in node.targets
+    }
+    uses: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            uses.setdefault(f"{node.value.id}.{node.attr}", set())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in uses:
+            for kw in node.keywords:
+                uses[ast.unparse(node.func)].update([kw.arg] if kw.arg else dicts[kw.value.id])
+    return uses
 
 
-def test_solve_on_mesh_accepts_tolerance_and_iteration_cap():
-    assert accepts("fem.solve_on_mesh", "tol", "max_iter")
+USES = workload_uses()
+CALLS = {name: keywords for name, keywords in USES.items() if keywords}
+
+
+@pytest.mark.parametrize("name", sorted(USES))
+def test_workload_name_resolves_in_library(name):
+    module, attr = name.split(".")
+    assert hasattr(importlib.import_module(f"wedgelab.{module}"), attr)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_workload_keywords_are_parameters(name):
+    assert accepts(name, *sorted(CALLS[name]))
 
 
 def test_import_loads_no_scipy_optimize():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wedgelab import fem
@@ -160,6 +160,95 @@ class TestAssemble:
         with pytest.raises(EllipticityError):
             coefficient_jump(2.0, **bounds)
         coefficient_jump(2.0, lam=0.5, Lam=2.0)
+
+
+def rotated(eigenvalues, angle):
+    """The symmetric matrix with these eigenvalues, the first along ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    mat = rot @ np.diag(eigenvalues) @ rot.T
+    mat[1, 0] = mat[0, 1]
+    return mat
+
+
+class TestEllipticityEigenvalues:
+    # eigenvector at pi/16, between two directions of an 8-direction fan,
+    # whose smallest quadratic form there reads 1.028 for eigenvalue 0.99
+    @pytest.mark.parametrize(
+        "eigenvalues,bounds",
+        [((0.99, 2.0), dict(lam=1.0)), ((2.01, 0.5), dict(lam=0.4, Lam=2.0))],
+        ids=["below_lam", "above_Lam"],
+    )
+    def test_eigenvector_between_fan_directions_rejected(self, eigenvalues, bounds):
+        coeff = PiecewiseCoefficient(1.0, 1.0, **bounds)
+        with pytest.raises(EllipticityError):
+            validate_ellipticity(coeff, rotated(eigenvalues, PI / 16)[None])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(1e-3, 1e3),
+        spread=st.sampled_from([1.0, 1.0 + 1e-12]) | st.floats(1.0, 1.0 + 1e-6) | st.floats(1.0, 1e4),
+        angle=st.floats(0.0, PI),
+        lam_factor=st.just(0.0) | st.floats(0.5, 1.5),
+        Lam_factor=st.just(math.inf) | st.floats(0.5, 1.5),
+    )
+    def test_raises_exactly_when_eigvalsh_leaves_bounds(self, lo, spread, angle, lam_factor, Lam_factor):
+        mats = rotated((lo, lo * spread), angle)[None]
+        lam, Lam = lam_factor * lo, Lam_factor * lo * spread
+        ev = np.linalg.eigvalsh(mats)
+        margin = 1e-9 * ev.max()
+        low, high = ev.min() - (lam - fem.ELLIPTICITY_SLACK), ev.max() - (Lam + fem.ELLIPTICITY_SLACK)
+        assume(lam == 0.0 or abs(low) > margin)
+        assume(not math.isfinite(Lam) or abs(high) > margin)
+        coeff = PiecewiseCoefficient(1.0, 1.0, lam=lam, Lam=Lam)
+        if (lam > 0.0 and low < 0.0) or (math.isfinite(Lam) and high > 0.0):
+            with pytest.raises(EllipticityError):
+                validate_ellipticity(coeff, mats)
+        else:
+            validate_ellipticity(coeff, mats)
+
+
+def einsum_stiffness(mesh, coeff):
+    """The element matrices as a 4-index einsum, summed into CSR like ``fem._stiffness``."""
+    bary = mesh.barycenters
+    amat = coeff.evaluate(bary[:, 0], bary[:, 1], mesh.region)
+    grads = mesh.basis_gradients
+    ke = np.einsum("mid,mde,mje,m->mij", grads, amat, grads, mesh.areas)
+    tri = mesh.triangles
+    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(mesh.n_vertices,) * 2).tocsr()
+
+
+def twisted(x, y):
+    """A varying anisotropic matrix field: eigenvalues 1 + y^2 and 3 + x, turned by 0.3 + x."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    c, s = np.cos(0.3 + x), np.sin(0.3 + x)
+    l1, l2 = 1.0 + y * y, 3.0 + x
+    off = (l1 - l2) * c * s
+    rows = [np.stack([l1 * c * c + l2 * s * s, off], -1), np.stack([off, l1 * s * s + l2 * c * c], -1)]
+    return np.stack(rows, -2)
+
+
+STIFFNESS_COEFFS = {
+    "isotropic": coefficient_jump(7.5),
+    "anisotropic_constant": PiecewiseCoefficient(rotated((0.5, 4.0), 0.7), rotated((1.0, 2.0), -0.2), lam=0.5, Lam=4.0),
+    "callable_matrix": PiecewiseCoefficient(twisted, 2.0, lam=1.0, Lam=5.0),
+}
+
+
+class TestStiffnessProduct:
+    @pytest.mark.parametrize("coeff", STIFFNESS_COEFFS.values(), ids=STIFFNESS_COEFFS.keys())
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            generate_mesh(sector(-3 * PI / 4, 2 * PI / 3, 1.0), 0.08, 0.7),
+            generate_nonobtuse_mesh(sector(-PI / 4, 3 * PI / 4, 1.0), 4),
+        ],
+        ids=["polar", "nonobtuse"],
+    )
+    def test_matches_einsum_reference(self, mesh, coeff):
+        K, ref = fem._stiffness(mesh, coeff), einsum_stiffness(mesh, coeff)
+        assert abs(K - ref).max() <= 1e-15 * abs(ref).max()
 
 
 class TestDataWrappers:
@@ -563,20 +652,21 @@ class TestErrorReport:
         assert linfs[2] < linfs[1] < linfs[0]
 
     def test_graded_beats_uniform_at_matched_unknowns(self):
-        from wedgelab.exact_solutions import build_dirichlet_example, eval_separable_xy
+        from wedgelab.exact_solutions import build_dirichlet_example, eval_separable_xy, grad_separable_xy
         from wedgelab.geometry import make_wedge
 
         w = make_wedge(-PI / 4, 3 * PI / 4)
         dom = sector(-PI / 4, 3 * PI / 4, 1.0)
         sol, jump = build_dirichlet_example(0.8, w)
         exact = lambda x, y: eval_separable_xy(sol, x, y)
+        exact_grad = lambda x, y, s: grad_separable_xy(sol, x, y, s)
         spec = ProblemSpec(domain=dom, coeff=coefficient_jump(jump.a0), phi=exact)
         fs_uni = solve_problem(spec, 0.05, 1.0)
         fs_gra = solve_problem(spec, 0.05, 0.8)
         # same mesh family and layer counts, only the grading differs
         assert fs_gra.mesh.n_vertices == fs_uni.mesh.n_vertices
-        e_uni = error_report(fs_uni, exact).l2
-        e_gra = error_report(fs_gra, exact).l2
+        e_uni = error_report(fs_uni, exact, exact_grad).l2
+        e_gra = error_report(fs_gra, exact, exact_grad).l2
         assert e_gra < e_uni
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,74 @@ class TestEdgeTable:
         assert np.array_equal(fine.region, region)
         assert np.array_equal(fine.boundary, boundary)
         assert np.array_equal(interface_edges(fine)[0], ref_interface_edges(vertices, triangles))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.sampled_from([
+            (-3 * PI / 4, 2 * PI / 3),  # reflex
+            (-0.05, 0.1),  # thin
+            (-0.3, 2 * PI - 1e-3 - 0.3),  # opening near 2 pi
+            (-PI + 5e-4, PI - 5e-4),
+        ]) | st.tuples(st.floats(-2 * PI + 0.2, -0.01), st.floats(0.01, 2 * PI)).filter(
+            lambda t: t[1] - t[0] < 2 * PI
+        ),
+        h=st.floats(0.1, 0.6),
+        mu=st.floats(0.3, 1.0),
+    )
+    def test_polar_meshes_match_loop_references(self, w, h, mu):
+        mesh = generate_mesh(sector(*w, 1.0), h, mu)
+        edges, _, counts, neighbors = edge_table(mesh.triangles)
+        ref = ref_edge_counts(mesh.triangles)
+        assert edges.tolist() == sorted(map(list, ref))
+        assert counts.tolist() == [ref[k] for k in sorted(ref)]
+        assert np.array_equal(neighbors, ref_neighbors(mesh.triangles))
+
+
+def one_triangle(points, region=1, boundary=(True, True, True)):
+    return Mesh(
+        np.array(points, dtype=float), np.array([[0, 1, 2]]),
+        np.array([region], dtype=np.int8), np.array(boundary),
+    )
+
+
+class TestValidateMeshRejections:
+    """One small mesh per rejection; DOM's interface ray is theta = 0."""
+
+    DOM = sector(-PI / 4, 3 * PI / 4, 1.0)
+    UPPER = [(0.2, 0.3), (0.4, 0.3), (0.3, 0.5)]  # positively oriented, above the ray
+
+    def rejects(self, mesh, message):
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            validate_mesh(mesh, self.DOM)
+
+    def test_accepts_the_upper_triangle(self):
+        validate_mesh(one_triangle(self.UPPER), self.DOM)
+
+    def test_non_positive_area(self):
+        self.rejects(one_triangle(self.UPPER[::-1]), "non-positively-oriented or degenerate")
+
+    def test_edge_on_three_triangles(self):
+        # edge (0, 1) has apexes 2 and 3 on its left and 4 on its right
+        vertices = np.array(self.UPPER + [(0.3, 0.6), (0.3, 0.2)])
+        triangles = np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
+        mesh = Mesh(vertices, triangles, np.ones(3, dtype=np.int8), np.ones(5, dtype=bool))
+        edges, tri_edges, counts, neighbors = edge_table(triangles)
+        shared = edges.tolist().index([0, 1])
+        assert counts[shared] == 3 and np.all(counts[np.arange(counts.size) != shared] == 1)
+        assert np.array_equal(tri_edges[:, 2], [shared] * 3)
+        assert np.array_equal(neighbors, -np.ones((3, 3), dtype=np.int64))
+        self.rejects(mesh, "edges shared by >2 triangles: [[0, 1]]")
+
+    def test_boundary_edge_with_unflagged_endpoint(self):
+        mesh = one_triangle(self.UPPER, boundary=(True, True, False))
+        self.rejects(mesh, "boundary edge (0,2) has unflagged endpoint")
+
+    def test_triangle_straddling_the_interface(self):
+        self.rejects(one_triangle([(0.5, -0.1), (0.6, 0.1), (0.4, 0.1)]), "1 triangles straddle the interface")
+
+    def test_region_tag_against_wedge_angle_rule(self):
+        self.rejects(one_triangle(self.UPPER, region=-1), "region tags disagree with barycenter side")
 
 
 # wedges for the interface references: reflex, near-2pi and near-zero openings
