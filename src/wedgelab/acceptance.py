@@ -493,7 +493,11 @@ def check_10_maximum_principle(bench: Workbench) -> tuple[bool, list[str]]:
         over = max(
             float(fs.values.max() - hi), float(lo - fs.values.min()), 0.0
         )
-        details.append(f"a0={a0v:.3g}: overshoot={over:.2e}")
+        cg = fs.diagnostics
+        details.append(
+            f"a0={a0v:.3g}: overshoot={over:.2e} "
+            f"precond={cg.preconditioner} levels={cg.levels} iters={cg.iterations}"
+        )
         if over > 1e-10:
             return False, details
     return True, details

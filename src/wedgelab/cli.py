@@ -440,6 +440,8 @@ def cmd_solve(args) -> int:
     print(f"ndof = {fs.mesh.n_vertices}")
     print(f"iterations = {fs.diagnostics.iterations}")
     print(f"preconditioner = {fs.diagnostics.preconditioner}")
+    print(f"levels = {fs.diagnostics.levels}")
+    print(f"true_residual = {fs.diagnostics.true_residual:.3e}")
     print(f"solution_csv = {out}")
     return EXIT_OK
 

@@ -9,12 +9,17 @@ element barycenters, so on an interface-fitted mesh each element sees only
 its own side of the jump; loads use 3-point edge-midpoint quadrature.
 Dirichlet data is imposed by node elimination (known columns moved to the
 right-hand side), which keeps the reduced system symmetric positive
-definite for the preconditioned conjugate-gradient solve.  The
-preconditioner is read off the reduced matrix: its tridiagonal part,
-factored once by LAPACK, when that part carries most of the coupling (the
-graded polar meshes, whose vertices are numbered along each circular
-layer), otherwise the diagonal (Jacobi); Jacobi is also the fallback when
-the tridiagonal part is not positive definite.
+definite for the preconditioned conjugate-gradient solve.  On a mesh that
+is a regular refinement (``geometry.coarsen`` reads its parent back, as on
+the non-obtuse meshes) and has more than ``COARSE_UNKNOWNS`` unknowns, the
+preconditioner is a symmetric V(1,1) multigrid cycle: the coarse levels are
+the parents, the transfer is linear interpolation, the coarse operators are
+Galerkin products and the coarsest level is factored densely.  Otherwise it is read off the reduced matrix: its
+tridiagonal part, factored once by LAPACK, when that part carries most of
+the coupling (the graded polar meshes, whose vertices are numbered along
+each circular layer), else the diagonal (Jacobi); Jacobi is also the
+fallback when the tridiagonal part is not positive definite.  The same rule
+gives each multigrid level its smoother.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .geometry import DomainSpec, Mesh, generate_mesh
+from .geometry import DomainSpec, Mesh, coarsen, generate_mesh
 from .norms import SampledField
 
 DEGENERATE_AREA = 1e-14
@@ -37,8 +43,15 @@ ELLIPTICITY_SLACK = 1e-10
 # (witness mu = 0.5, 0.8, 1; criterion-8 instances at h = 0.12 and 0.03),
 # where it cuts the fine witness solve from 1,989 to 179 iterations;
 # 0.17-0.24 on generate_nonobtuse_mesh's meshes (levels 3-7), where it is
-# 1.4x slower than Jacobi.
+# 1.4x slower than Jacobi.  The rule also picks each multigrid level's
+# smoother, and it picks Jacobi on every level of the non-obtuse meshes.
 LINE_BAND_SHARE = 0.5
+# The V-cycle coarsens until a level has at most this many unknowns and
+# factors that level densely (a level that cannot be coarsened further and is
+# larger gets one application of its single-level preconditioner instead).
+COARSE_UNKNOWNS = 200
+# Damping of each multigrid level's smoother.
+SMOOTHER_DAMPING = 0.8
 
 
 class AssemblyError(ValueError):
@@ -196,6 +209,7 @@ class SparseSystem:
     rhs: np.ndarray
     constrained: np.ndarray  # vertex indices
     values: np.ndarray  # prescribed values at constrained vertices
+    mesh: Mesh | None = None  # the mesh assembled on; a regular refinement gets multigrid
 
     @property
     def n(self) -> int:
@@ -213,7 +227,9 @@ class CgDiagnostics:
     history: np.ndarray
     n_unknowns: int
     converged: bool
-    preconditioner: str = "jacobi"  # "line" (tridiagonal part) or "jacobi"
+    preconditioner: str = "jacobi"  # "multigrid" (V-cycle), "line" (tridiagonal part) or "jacobi"
+    levels: int = 1  # mesh levels of the preconditioner
+    true_residual: float = math.nan  # ||b_f - A_ff x|| / ||b_f||, from one matvec after the loop
 
 
 @dataclass
@@ -243,7 +259,7 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> SparseSystem:
     rhs = _load(mesh, spec)
     constrained = np.flatnonzero(mesh.boundary)
     values = spec.phi_at(mesh.vertices[constrained, 0], mesh.vertices[constrained, 1])
-    return SparseSystem(matrix=matrix, rhs=rhs, constrained=constrained, values=values)
+    return SparseSystem(matrix=matrix, rhs=rhs, constrained=constrained, values=values, mesh=mesh)
 
 
 def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
@@ -260,22 +276,27 @@ def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
 
 
 def _load(mesh: Mesh, spec: ProblemSpec) -> np.ndarray:
-    mids = _edge_midpoints(mesh)
-    hx = spec.h_at(mids[..., 0], mids[..., 1])  # (m, 3)
-    # basis i is 1/2 on its two adjacent midpoints: vertex 0 touches 01 and 20
-    # (indices 0 and 2), etc.
-    adj = np.array([[0, 2], [1, 0], [2, 1]])
-    areas = mesh.areas[:, None]
-    load_h = -(areas / 3.0) * 0.5 * (hx[:, adj[:, 0]] + hx[:, adj[:, 1]])
-
-    gx = spec.g_at(
-        mids[..., 0].ravel(), mids[..., 1].ravel(), np.repeat(mesh.region, 3)
-    ).reshape(mids.shape)
-    gbar = gx.mean(axis=1)  # (m, 2)
-    load_g = areas * np.einsum("mid,md->mi", mesh.basis_gradients, gbar)
-
+    """Load vector; the h term is skipped when ``spec.h`` is None, the g term when both g branches are."""
     rhs = np.zeros(mesh.n_vertices)
-    np.add.at(rhs, mesh.triangles.ravel(), (load_h + load_g).ravel())
+    has_g = spec.g_plus is not None or spec.g_minus is not None
+    if spec.h is None and not has_g:
+        return rhs
+    mids = _edge_midpoints(mesh)
+    areas = mesh.areas[:, None]
+    terms = []
+    if spec.h is not None:
+        hx = spec.h_at(mids[..., 0], mids[..., 1])  # (m, 3)
+        # basis i is 1/2 on its two adjacent midpoints: vertex 0 touches 01 and 20
+        # (indices 0 and 2), etc.
+        adj = np.array([[0, 2], [1, 0], [2, 1]])
+        terms.append(-(areas / 3.0) * 0.5 * (hx[:, adj[:, 0]] + hx[:, adj[:, 1]]))
+    if has_g:
+        gx = spec.g_at(
+            mids[..., 0].ravel(), mids[..., 1].ravel(), np.repeat(mesh.region, 3)
+        ).reshape(mids.shape)
+        gbar = gx.mean(axis=1)  # (m, 2)
+        terms.append(areas * np.einsum("mid,md->mi", mesh.basis_gradients, gbar))
+    np.add.at(rhs, mesh.triangles.ravel(), sum(terms).ravel())
     return rhs
 
 
@@ -297,18 +318,24 @@ def solve_cg(
     """Preconditioned conjugate gradients on the constrained system.
 
     Eliminates Dirichlet nodes symmetrically, iterates until the relative
-    residual drops below ``tol``, and records the residual history.  The
-    preconditioner is the tridiagonal part of the reduced matrix (a line
-    preconditioner on meshes numbered along lines) when its off-diagonals
-    carry at least ``LINE_BAND_SHARE`` of the off-diagonal weight and LAPACK's
-    ``dpttrf`` finds it positive definite; otherwise it is the diagonal.
-    ``CgDiagnostics.preconditioner`` names the one used; a zero right-hand
-    side returns at once and reads "jacobi".  Raises ``SolverError`` on
-    stagnation past ``max_iter`` (default 20 sqrt(n)) or on loss of positive
-    definiteness.
+    residual drops below ``tol``, and records the residual history.  When
+    ``system.mesh`` is a regular refinement (``geometry.coarsen`` finds its
+    parent) and has more than ``COARSE_UNKNOWNS`` unknowns, the
+    preconditioner is a symmetric V(1,1) multigrid cycle over the parents
+    (``_vcycle``).  Otherwise it is the tridiagonal part of the
+    reduced matrix (a line preconditioner on meshes numbered along lines) when
+    its off-diagonals carry at least ``LINE_BAND_SHARE`` of the off-diagonal
+    weight and LAPACK's ``dpttrf`` finds it positive definite, else the
+    diagonal.  ``CgDiagnostics`` names the preconditioner and its levels and
+    gives the true relative residual; a zero right-hand side returns at once
+    and reads "jacobi".  Raises ``ValueError`` for a ``tol`` outside (0, 1) or
+    a ``max_iter`` below 1, and ``SolverError`` on stagnation past
+    ``max_iter`` (default 20 sqrt(n)) or on loss of positive definiteness.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"iteration limit must be at least 1, got {max_iter}")
     n = system.n
     free = np.ones(n, dtype=bool)
     free[system.constrained] = False
@@ -326,13 +353,17 @@ def solve_cg(
     bnorm = float(np.linalg.norm(bf))
     history: list[float] = []
     if bnorm == 0.0:
-        diag = CgDiagnostics(0, 0.0, np.zeros(0), m, True)
+        diag = CgDiagnostics(0, 0.0, np.zeros(0), m, True, true_residual=0.0)
         return _expand(system, x, free_idx), diag
 
     diag_entries = Aff.diagonal()
     if np.any(diag_entries <= 0.0):
         raise SolverError("reduced matrix has nonpositive diagonal entries")
-    kind, precond = _preconditioner(Aff, diag_entries)
+    prolongations = _prolongations(system.mesh, free_idx)
+    if prolongations:
+        kind, precond = "multigrid", _vcycle(Aff, diag_entries, prolongations)
+    else:
+        kind, precond = _preconditioner(Aff, diag_entries)
 
     r = bf.copy()
     z = precond(r)
@@ -368,7 +399,10 @@ def solve_cg(
             f"(residual {history[-1]:.3g})",
             history,
         )
-    diagn = CgDiagnostics(it, history[-1], np.asarray(history), m, True, kind)
+    true_res = float(np.linalg.norm(bf - Aff @ x)) / bnorm
+    diagn = CgDiagnostics(
+        it, history[-1], np.asarray(history), m, True, kind, len(prolongations) + 1, true_res
+    )
     return _expand(system, x, free_idx), diagn
 
 
@@ -386,6 +420,75 @@ def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray):
             return "line", lambda r: dpttrs(d, e, r)[0]
     minv = 1.0 / diag_entries
     return "jacobi", lambda r: minv * r
+
+
+def _prolongations(mesh: Mesh | None, free_idx: np.ndarray) -> list[sp.csr_matrix]:
+    """Prolongations from each coarser level's unknowns to the next finer level's, finest first.
+
+    A level's unknowns are its free vertices, ascending; the parent's free
+    vertices are the leading ones of its child (``coarsen`` keeps the parent
+    as a prefix).  P is 1 on each parent vertex and 1/2 on each free end of a
+    midpoint, so a Dirichlet end gives a zero correction.  Coarsening stops
+    at ``COARSE_UNKNOWNS`` unknowns or at a mesh ``coarsen`` rejects, so no
+    mesh, a mesh ``coarsen`` rejects and a small mesh all give ``[]``.
+    """
+    out = []
+    free = free_idx
+    while mesh is not None and free.size > COARSE_UNKNOWNS:
+        parent = coarsen(mesh)
+        if parent is None:
+            break
+        mesh, ends = parent
+        n_c = int(np.searchsorted(free, mesh.n_vertices))
+        if n_c == 0:
+            break
+        position = np.full(mesh.n_vertices, -1)
+        position[free[:n_c]] = np.arange(n_c)
+        cols = np.concatenate([np.arange(n_c), position[ends[free[n_c:] - mesh.n_vertices]].ravel()])
+        rows = np.concatenate([np.arange(n_c), np.repeat(np.arange(n_c, free.size), 2)])
+        vals = np.concatenate([np.ones(n_c), np.full(cols.size - n_c, 0.5)])
+        keep = cols >= 0
+        out.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(free.size, n_c)))
+        free = free[:n_c]
+    return out
+
+
+def _vcycle(Aff: sp.csr_matrix, diag_entries: np.ndarray, prolongations: list):
+    """Symmetric V(1,1) cycle over Galerkin levels ``P^T A P``, as a map r -> z.
+
+    Each level above the coarsest smooths with its ``_preconditioner`` damped
+    by ``SMOOTHER_DAMPING``; the coarsest level is solved by a dense Cholesky
+    factor when it has at most ``COARSE_UNKNOWNS`` unknowns, else by its own
+    ``_preconditioner``.  The cycle is a loop down the levels and back up, so
+    the map holds no reference to itself and its levels are freed with it.
+    """
+    ops, smoothers = [Aff], []
+    diag = diag_entries
+    for P in prolongations:
+        smoothers.append(_preconditioner(ops[-1], diag)[1])
+        ops.append((P.T @ ops[-1] @ P).tocsr())
+        diag = ops[-1].diagonal()
+    if ops[-1].shape[0] <= COARSE_UNKNOWNS:
+        factor = cho_factor(ops[-1].toarray())
+        coarse_solve = lambda r: cho_solve(factor, r)
+    else:
+        coarse_solve = _preconditioner(ops[-1], diag)[1]
+    levels = list(zip(ops, prolongations, smoothers))
+
+    def vcycle(r):
+        residuals, corrections = [], []
+        for A, P, smooth in levels:  # down: pre-smooth, restrict the residual
+            x = SMOOTHER_DAMPING * smooth(r)
+            residuals.append(r)
+            corrections.append(x)
+            r = P.T @ (r - A @ x)
+        x = coarse_solve(r)
+        for (A, P, smooth), r, x_fine in zip(levels[::-1], residuals[::-1], corrections[::-1]):
+            x = x_fine + P @ x  # up: prolong the correction, post-smooth
+            x += SMOOTHER_DAMPING * smooth(r - A @ x)
+        return x
+
+    return vcycle
 
 
 def _expand(system: SparseSystem, x_free: np.ndarray, free_idx: np.ndarray) -> np.ndarray:

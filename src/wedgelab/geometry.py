@@ -353,6 +353,44 @@ def refine_regular(mesh: Mesh) -> Mesh:
     return Mesh(vertices, triangles, np.repeat(mesh.region, 4), boundary)
 
 
+def coarsen(mesh: Mesh):
+    """Undo ``refine_regular``: ``(parent, ends)``, or ``None`` when ``mesh`` is not laid out as its output.
+
+    The layout is ``refine_regular``'s: triangles 4t .. 4t+3 are
+    ``[a, mab, mca]``, ``[mab, b, mbc]``, ``[mca, mbc, c]``, ``[mab, mbc, mca]``,
+    the parent's vertices are the prefix ``0 .. nv_c - 1``, and midpoint
+    ``nv_c + k`` lies exactly halfway between its two ends ``ends[k]``
+    (``lo < hi``).  Every other mesh, polar meshes and the level-0 fan
+    included, gives ``None``.
+    """
+    tri = mesh.triangles
+    if tri.shape[0] == 0 or tri.shape[0] % 4:
+        return None
+    kids = tri.reshape(-1, 12)
+    a, mab, mca, b, mbc, c = kids[:, [0, 1, 2, 4, 5, 8]].T
+    if not np.array_equal(kids, np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)):
+        return None
+    mids = np.concatenate([mab, mbc, mca])
+    nv_c = int(mids.min())
+    corners = np.stack([a, b, c], axis=1)
+    if corners.max() >= nv_c or not np.all(np.bincount(mids - nv_c, minlength=mesh.n_vertices - nv_c)):
+        return None  # the parent's vertices are not a prefix, or a vertex after them is no midpoint
+    # every slot of one midpoint must name the same edge (lo, hi)
+    u, w = np.concatenate([a, b, c]), np.concatenate([b, c, a])
+    lo, hi = np.minimum(u, w), np.maximum(u, w)
+    ends = np.empty((mesh.n_vertices - nv_c, 2), dtype=tri.dtype)
+    ends[mids - nv_c, 0], ends[mids - nv_c, 1] = lo, hi
+    if not (np.array_equal(ends[mids - nv_c, 0], lo) and np.array_equal(ends[mids - nv_c, 1], hi)):
+        return None
+    v = mesh.vertices
+    if not np.array_equal(v[nv_c:], 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])):
+        return None
+    region = mesh.region[::4]
+    if not np.array_equal(np.repeat(region, 4), mesh.region):
+        return None
+    return Mesh(v[:nv_c], corners, region, mesh.boundary[:nv_c]), ends
+
+
 def generate_nonobtuse_mesh(domain: DomainSpec, levels: int = 3) -> Mesh:
     """Quasi-uniform mesh with no obtuse interior angle.
 

@@ -255,6 +255,15 @@ class TestSolveCommand:
         assert main(["solve", str(cfg)]) == EXIT_OK
         assert "preconditioner = line" in capsys.readouterr().out.splitlines()
 
+    def test_prints_levels_and_true_residual(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path)
+        assert main(["solve", str(cfg)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("preconditioner = line")
+        assert lines[at + 1] == "levels = 1"
+        key, value = lines[at + 2].split(" = ")
+        assert key == "true_residual" and 0.0 <= float(value) <= 1e-9
+
     def test_refuses_an_earlier_commands_manifest_without_force(self, tmp_path, capsys):
         cfg, outdir = write_config(tmp_path)
         assert main(["solve", str(cfg)]) == EXIT_OK

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from wedgelab.fem import (
     solve_problem,
     validate_ellipticity,
 )
-from wedgelab.geometry import Mesh, generate_mesh, generate_nonobtuse_mesh, sector
+from wedgelab.geometry import Mesh, generate_mesh, generate_nonobtuse_mesh, refine_regular, sector
 
 PI = math.pi
 IDENTITY = PiecewiseCoefficient(1.0, 1.0, lam=1.0, Lam=1.0)
@@ -487,10 +490,15 @@ class TestLinePreconditioner:
 
     @pytest.mark.parametrize("levels", [3, 5])
     def test_nonobtuse_meshes_pick_jacobi(self, levels):
+        # the single-level rule picks Jacobi; given the mesh, a refinement with more than
+        # COARSE_UNKNOWNS unknowns (level 5, not level 3) gets multigrid instead
         dom = sector(-PI / 4, 3 * PI / 4)
         spec = ProblemSpec(domain=dom, coeff=coefficient_jump(4.0), phi=lambda x, y: x)
-        _, diag = solve_cg(assemble(generate_nonobtuse_mesh(dom, levels), spec))
-        assert diag.preconditioner == "jacobi"
+        system = assemble(generate_nonobtuse_mesh(dom, levels), spec)
+        _, diag = solve_cg(system)
+        _, single = solve_cg(dataclasses.replace(system, mesh=None))
+        assert single.preconditioner == "jacobi"
+        assert diag.preconditioner == ("multigrid" if levels == 5 else "jacobi")
 
     def test_diagonal_system_picks_jacobi(self):
         x, diag = solve_cg(dense_system(np.diag(np.linspace(1.0, 5.0, 7))))
@@ -518,6 +526,167 @@ class TestLinePreconditioner:
         assert diag.converged and diag.preconditioner == "line"
         A_ff, b_f, free = reduced_system(system)
         assert np.linalg.norm(b_f - A_ff @ u[free]) <= 1e-9 * np.linalg.norm(b_f)
+
+
+def maxprinciple_system(case, levels):
+    """Criterion 10's case ``case`` on its non-obtuse mesh with ``levels`` refinements."""
+    from wedgelab.acceptance import _MAXPRINCIPLE_CASES, Workbench
+
+    tp, tm, a0 = _MAXPRINCIPLE_CASES[case]
+    dom = sector(tm, tp)
+    spec = ProblemSpec(
+        domain=dom,
+        coeff=coefficient_jump(Workbench().jump.a0 if a0 is None else a0),
+        phi=lambda x, y: np.asarray(x) + 0.4 * np.abs(np.asarray(y)),
+    )
+    return assemble(generate_nonobtuse_mesh(dom, levels), spec)
+
+
+def assert_matches_single_level(system, tol=1e-10, rel=1e-8):
+    """Multigrid-CG on ``system`` agrees with the single-level path; returns both diagnostics."""
+    u, diag = solve_cg(system, tol=tol, max_iter=20000)
+    u_ref, ref = solve_cg(dataclasses.replace(system, mesh=None), tol=tol, max_iter=20000)
+    assert ref.levels == 1 and ref.preconditioner != "multigrid"
+    assert np.linalg.norm(u - u_ref) <= rel * np.linalg.norm(u_ref)
+    return diag, ref
+
+
+class TestMultigrid:
+    """CG preconditioned by a V-cycle over the parents of a regularly refined mesh."""
+
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("levels", range(3, 8))
+    def test_matches_single_level_on_criterion_10_cases(self, case, levels):
+        diag, ref = assert_matches_single_level(maxprinciple_system(case, levels), tol=1e-13)
+        if levels >= 4:
+            assert diag.preconditioner == "multigrid" and diag.levels == levels - 2
+            assert diag.iterations <= 20 < ref.iterations
+        else:  # at most COARSE_UNKNOWNS unknowns: no coarse level
+            assert (diag.preconditioner, diag.levels, diag.iterations) == ("jacobi", 1, ref.iterations)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=polar_cases(), levels=st.integers(3, 5))
+    def test_matches_single_level_on_sectors(self, case, levels):
+        domain, _, _, a0 = case
+        spec = ProblemSpec(
+            domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x - 0.5 * y * y, h=1.0
+        )
+        system = assemble(generate_nonobtuse_mesh(domain, levels), spec)
+        diag, _ = assert_matches_single_level(system)
+        assert diag.converged and diag.true_residual <= 1e-9
+        assert (diag.preconditioner == "multigrid") == (system.n_free > fem.COARSE_UNKNOWNS)
+
+    @pytest.mark.parametrize(
+        "domain, h, mu, a0",
+        [(sector(-PI / 4, 3 * PI / 4), 0.1, 0.8, 4.0), (sector(-PI / 4, 5 * PI / 4), 0.1, 0.5, 0.1),
+         (sector(-0.1, 0.1), 0.05, 1.0, 10.0), (sector(-3.0, 3.0), 0.2, 0.3, 30.0)],
+    )
+    def test_matches_single_level_on_refined_graded_polar_meshes(self, domain, h, mu, a0):
+        spec = ProblemSpec(
+            domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x - 0.5 * y * y, h=1.0
+        )
+        mesh = refine_regular(refine_regular(generate_mesh(domain, h, mu)))
+        diag, ref = assert_matches_single_level(assemble(mesh, spec))
+        assert (diag.preconditioner, diag.levels) == ("multigrid", 3)
+        assert diag.iterations < ref.iterations
+
+    def test_polar_meshes_stay_single_level(self):
+        system = battery_system(None, 1 / 45)
+        _, diag = solve_cg(system)
+        _, ref = solve_cg(dataclasses.replace(system, mesh=None))
+        assert (diag.preconditioner, diag.levels, diag.iterations) == ("line", 1, ref.iterations)
+
+    def test_vcycle_is_symmetric_positive(self):
+        system = maxprinciple_system(2, 5)
+        A_ff, _, free = reduced_system(system)
+        A_ff = A_ff.tocsr()
+        prolongations = fem._prolongations(system.mesh, free)
+        assert len(prolongations) == 2
+        vcycle = fem._vcycle(A_ff, A_ff.diagonal(), prolongations)
+        rng = np.random.default_rng(3)
+        r1, r2 = rng.normal(size=(2, free.size))
+        lhs, rhs = float(vcycle(r1) @ r2), float(r1 @ vcycle(r2))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        assert float(r1 @ vcycle(r1)) > 0.0
+
+    def test_prolongation_interpolates_linear_functions(self):
+        # P maps the parent's nodal values of a linear function to the child's, on free vertices
+        system = maxprinciple_system(0, 5)
+        free = np.setdiff1d(np.arange(system.n), system.constrained)
+        P = fem._prolongations(system.mesh, free)[0]
+        v = system.mesh.vertices
+        lin = 0.3 + v[:, 0] - 2.0 * v[:, 1]
+        # a linear function vanishing on the Dirichlet vertices is 0, so compare only rows
+        # whose midpoint ends are both free
+        full = np.asarray(abs(P).sum(axis=1)).ravel() == 1.0
+        got = P @ lin[free[: P.shape[1]]]
+        np.testing.assert_allclose(got[full], lin[free][full], rtol=0.0, atol=1e-14)
+
+    def test_repeated_solves_hold_no_hierarchy(self):
+        # with cyclic GC off, a V-cycle that referenced itself would keep every
+        # solve's levels alive (about 1 MB per solve on this mesh)
+        dom = sector(-PI / 4, 3 * PI / 4)
+        spec = ProblemSpec(domain=dom, coeff=coefficient_jump(4.0), phi=lambda x, y: x)
+        mesh = generate_nonobtuse_mesh(dom, 6)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert solve_on_mesh(spec, mesh).diagnostics.preconditioner == "multigrid"
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                solve_on_mesh(spec, mesh)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert grown < 1_000_000
+
+    def test_max_iter_below_one_rejected(self):
+        system = dense_system(np.diag([1.0, 2.0]))
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="iteration limit"):
+                solve_cg(system, max_iter=bad)
+
+    def test_true_residual_is_one_matvec(self):
+        system = maxprinciple_system(1, 5)
+        u, diag = solve_cg(system, tol=1e-11)
+        A_ff, b_f, free = reduced_system(system)
+        true = np.linalg.norm(b_f - A_ff @ u[free]) / np.linalg.norm(b_f)
+        assert diag.true_residual == pytest.approx(true, rel=1e-6)
+        assert diag.true_residual <= 1e-10
+
+
+def reference_load(mesh, spec):
+    """The load vector with every term contracted, zero data included."""
+    mids = fem._edge_midpoints(mesh)
+    hx = spec.h_at(mids[..., 0], mids[..., 1])
+    adj = np.array([[0, 2], [1, 0], [2, 1]])
+    areas = mesh.areas[:, None]
+    load_h = -(areas / 3.0) * 0.5 * (hx[:, adj[:, 0]] + hx[:, adj[:, 1]])
+    gx = spec.g_at(
+        mids[..., 0].ravel(), mids[..., 1].ravel(), np.repeat(mesh.region, 3)
+    ).reshape(mids.shape)
+    load_g = areas * np.einsum("mid,md->mi", mesh.basis_gradients, gx.mean(axis=1))
+    rhs = np.zeros(mesh.n_vertices)
+    np.add.at(rhs, mesh.triangles.ravel(), (load_h + load_g).ravel())
+    return rhs
+
+
+class TestLoad:
+    @pytest.mark.parametrize("h", [None, 2.0, lambda x, y: np.sin(x) + y])
+    @pytest.mark.parametrize(
+        "g_plus, g_minus",
+        [(None, None), ((1.0, -0.5), None), (None, lambda x, y: np.stack([y, x * x], axis=-1)),
+         ((0.3, 0.2), (-1.0, 2.0))],
+    )
+    def test_skipped_terms_leave_the_load_unchanged(self, h, g_plus, g_minus):
+        dom = sector(-PI / 4, 3 * PI / 4)
+        spec = ProblemSpec(
+            domain=dom, coeff=coefficient_jump(3.0), phi=0.0, g_plus=g_plus, g_minus=g_minus, h=h
+        )
+        for mesh in (generate_mesh(dom, 0.1, 0.8), generate_nonobtuse_mesh(dom, 3)):
+            assert np.array_equal(fem._load(mesh, spec), reference_load(mesh, spec))
 
 
 class TestSolveProblem:

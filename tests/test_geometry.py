@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wedgelab.geometry import (
     GeometryError,
     Mesh,
+    coarsen,
     delta_dist_arr,
     edge_table,
     generate_mesh,
@@ -316,6 +317,87 @@ class TestNonObtuse:
         fine = refine_regular(coarse)
         assert fine.n_triangles == 4 * coarse.n_triangles
         validate_mesh(fine, dom)
+
+
+def assert_same_mesh(got, want):
+    for name in ("vertices", "triangles", "region", "boundary"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestCoarsen:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.sampled_from([
+            (-3 * PI / 4, 2 * PI / 3),  # reflex
+            (-0.05, 0.1),  # thin
+            (-0.3, 2 * PI - 1e-3 - 0.3),  # opening near 2 pi
+        ]) | st.tuples(st.floats(-2 * PI + 0.2, -0.01), st.floats(0.01, 2 * PI)).filter(
+            lambda t: t[1] - t[0] < 2 * PI
+        ),
+        lev=st.integers(0, 5),
+    )
+    def test_undoes_refine_regular(self, w, lev):
+        mesh = generate_nonobtuse_mesh(sector(*w, 1.0), lev)
+        fine = refine_regular(mesh)
+        parent, ends = coarsen(fine)
+        assert_same_mesh(parent, mesh)
+        v = fine.vertices
+        assert np.all(ends[:, 0] < ends[:, 1])
+        assert np.array_equal(v[mesh.n_vertices:], 0.5 * (v[ends[:, 0]] + v[ends[:, 1]]))
+
+    def test_undoes_refinements_of_polar_meshes(self):
+        mesh = generate_mesh(sector(-PI / 4, 5 * PI / 4), 0.2, 0.5)
+        twice = refine_regular(refine_regular(mesh))
+        once, _ = coarsen(twice)
+        assert_same_mesh(coarsen(once)[0], mesh)
+
+    @pytest.mark.parametrize(
+        "w, h, mu", [((-PI / 4, 3 * PI / 4), 0.1, 0.8), ((-0.05, 0.05), 0.02, 1.0), ((-3.0, 3.0), 0.3, 0.5)]
+    )
+    def test_polar_meshes_have_no_parent(self, w, h, mu):
+        assert coarsen(generate_mesh(sector(*w), h, mu)) is None
+
+    @pytest.mark.parametrize("w", [(-PI / 4, 3 * PI / 4), (-3 * PI / 4, 2 * PI / 3), (-PI + 0.1, PI - 0.1)])
+    def test_level_0_fan_has_no_parent(self, w):
+        assert coarsen(generate_nonobtuse_mesh(sector(*w), 0)) is None
+
+    def test_hand_built_meshes_have_no_parent(self):
+        assert coarsen(one_triangle([(0.0, 0.0), (1.0, 0.1), (0.5, 1.0)])) is None
+        # four triangles of the right count but not refine_regular's layout
+        square = Mesh(
+            np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]),
+            np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
+            np.ones(4, dtype=np.int8), np.array([True] * 4 + [False]),
+        )
+        assert coarsen(square) is None
+
+    def test_swapped_children_have_no_parent(self):
+        fine = refine_regular(generate_nonobtuse_mesh(REFLEX, 2))
+        tri = fine.triangles.copy()
+        tri[[8, 9]] = tri[[9, 8]]  # two children of parent 2 change places
+        assert coarsen(dataclasses.replace(fine, triangles=tri)) is None
+
+    def test_rotated_middle_child_has_no_parent(self):
+        fine = refine_regular(generate_nonobtuse_mesh(REFLEX, 2))
+        tri = fine.triangles.copy()
+        tri[11] = np.roll(tri[11], 1)  # same triangle, its vertices listed from another start
+        assert coarsen(dataclasses.replace(fine, triangles=tri)) is None
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_moved_midpoint_has_no_parent(self, far):
+        coarse = generate_nonobtuse_mesh(REFLEX, 2)
+        fine = refine_regular(coarse)
+        v = fine.vertices.copy()
+        k = coarse.n_vertices + 5
+        v[k, 0] = v[k, 0] + 1e-3 if far else np.nextafter(v[k, 0], np.inf)  # or by one ulp
+        assert coarsen(dataclasses.replace(fine, vertices=v)) is None
+
+    def test_mixed_regions_within_a_parent_have_no_parent(self):
+        fine = refine_regular(generate_nonobtuse_mesh(REFLEX, 1))
+        region = fine.region.copy()
+        region[1] = -region[1]
+        assert coarsen(dataclasses.replace(fine, region=region)) is None
 
 
 class TestEdgeTable:
