@@ -354,7 +354,7 @@ def refine_regular(mesh: Mesh) -> Mesh:
 
 
 def coarsen(mesh: Mesh):
-    """Undo ``refine_regular``: ``(parent, ends)``, or ``None`` when ``mesh`` is not laid out as its output.
+    """Undo ``refine_regular``: ``(parent, ends)``, or ``None`` for a mesh not laid out as its output.
 
     The layout is ``refine_regular``'s: triangles 4t .. 4t+3 are
     ``[a, mab, mca]``, ``[mab, b, mbc]``, ``[mca, mbc, c]``, ``[mab, mbc, mca]``,
@@ -378,9 +378,10 @@ def coarsen(mesh: Mesh):
     # every slot of one midpoint must name the same edge (lo, hi)
     u, w = np.concatenate([a, b, c]), np.concatenate([b, c, a])
     lo, hi = np.minimum(u, w), np.maximum(u, w)
+    k = mids - nv_c
     ends = np.empty((mesh.n_vertices - nv_c, 2), dtype=tri.dtype)
-    ends[mids - nv_c, 0], ends[mids - nv_c, 1] = lo, hi
-    if not (np.array_equal(ends[mids - nv_c, 0], lo) and np.array_equal(ends[mids - nv_c, 1], hi)):
+    ends[k, 0], ends[k, 1] = lo, hi
+    if not (np.array_equal(ends[k, 0], lo) and np.array_equal(ends[k, 1], hi)):
         return None
     v = mesh.vertices
     if not np.array_equal(v[nv_c:], 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])):

@@ -616,8 +616,7 @@ class TestMultigrid:
         P = fem._prolongations(system.mesh, free)[0]
         v = system.mesh.vertices
         lin = 0.3 + v[:, 0] - 2.0 * v[:, 1]
-        # a linear function vanishing on the Dirichlet vertices is 0, so compare only rows
-        # whose midpoint ends are both free
+        # a midpoint row drops the half of a Dirichlet end, so compare only the rows summing to 1
         full = np.asarray(abs(P).sum(axis=1)).ravel() == 1.0
         got = P @ lin[free[: P.shape[1]]]
         np.testing.assert_allclose(got[full], lin[free][full], rtol=0.0, atol=1e-14)

@@ -390,7 +390,7 @@ class TestCoarsen:
         fine = refine_regular(coarse)
         v = fine.vertices.copy()
         k = coarse.n_vertices + 5
-        v[k, 0] = v[k, 0] + 1e-3 if far else np.nextafter(v[k, 0], np.inf)  # or by one ulp
+        v[k, 0] = v[k, 0] + 1e-3 if far else np.nextafter(v[k, 0], np.inf)  # 1e-3 or one ulp
         assert coarsen(dataclasses.replace(fine, vertices=v)) is None
 
     def test_mixed_regions_within_a_parent_have_no_parent(self):
