@@ -389,6 +389,8 @@ def cmd_gamma(args) -> int:
     if (args.bracket_lo is None) != (args.bracket_hi is None):
         raise ConfigError("--bracket-lo and --bracket-hi must be given together")
     bracket = None if args.bracket_lo is None else (args.bracket_lo, args.bracket_hi)
+    if bracket is not None and not bracket[0] < bracket[1]:
+        raise ConfigError(f"--bracket-lo must be below --bracket-hi, got ({bracket[0]}, {bracket[1]})")
     roots = singular_exponents(args.a0, wedge, bracket=bracket)
     if not roots:
         raise NoSignChangeError("no root in bracket")
@@ -573,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="smallest singular exponent for a coefficient jump")
     p.add_argument("--a0", type=positive_float, required=True)
     add_angles(p)
-    p.add_argument("--bracket-lo", type=float, default=None)
-    p.add_argument("--bracket-hi", type=float, default=None)
+    p.add_argument("--bracket-lo", type=positive_float, default=None)
+    p.add_argument("--bracket-hi", type=positive_float, default=None)
     p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser(

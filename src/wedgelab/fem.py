@@ -10,7 +10,7 @@ its own side of the jump; loads use 3-point edge-midpoint quadrature.
 Dirichlet data is imposed by node elimination (known columns moved to the
 right-hand side), which keeps the reduced system symmetric positive
 definite for the preconditioned conjugate-gradient solve.  On a mesh that
-is a regular refinement (``geometry.coarsen`` reads its parent back, as on
+records a parent (``Mesh.parent``, set by ``geometry.refine_regular``, as on
 the non-obtuse meshes) and has more than ``COARSE_UNKNOWNS`` unknowns, the
 preconditioner is a symmetric V(1,1) multigrid cycle: the coarse levels are
 the parents, the transfer is linear interpolation, the coarse operators are
@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .geometry import DomainSpec, Mesh, coarsen, generate_mesh
+from .geometry import DomainSpec, Mesh, generate_mesh
 from .norms import SampledField
 
 DEGENERATE_AREA = 1e-14
@@ -319,14 +319,14 @@ def solve_cg(
 
     Eliminates Dirichlet nodes symmetrically, iterates until the relative
     residual drops below ``tol``, and records the residual history.  When
-    ``system.mesh`` is a regular refinement (``geometry.coarsen`` finds its
-    parent) and has more than ``COARSE_UNKNOWNS`` unknowns, the
-    preconditioner is a symmetric V(1,1) multigrid cycle over the parents
-    (``_vcycle``).  Otherwise it is the tridiagonal part of the
-    reduced matrix (a line preconditioner on meshes numbered along lines) when
-    its off-diagonals carry at least ``LINE_BAND_SHARE`` of the off-diagonal
-    weight and LAPACK's ``dpttrf`` finds it positive definite, else the
-    diagonal.  ``CgDiagnostics`` names the preconditioner and its levels and
+    ``system.mesh`` has a parent (``Mesh.parent``, set by ``refine_regular``)
+    and more than ``COARSE_UNKNOWNS`` unknowns, the preconditioner is a
+    symmetric V(1,1) multigrid cycle over the parents (``_vcycle``).
+    Otherwise it is the tridiagonal part of the reduced matrix (a line
+    preconditioner on meshes numbered along lines) when its off-diagonals
+    carry at least ``LINE_BAND_SHARE`` of the off-diagonal weight and
+    LAPACK's ``dpttrf`` finds it positive definite, else the diagonal.
+    ``CgDiagnostics`` names the preconditioner and its levels and
     gives the true relative residual; a zero right-hand side returns at once
     and reads "jacobi".  Raises ``ValueError`` for a ``tol`` outside (0, 1) or
     a ``max_iter`` below 1, and ``SolverError`` on stagnation past
@@ -425,20 +425,17 @@ def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray):
 def _prolongations(mesh: Mesh | None, free_idx: np.ndarray) -> list[sp.csr_matrix]:
     """Prolongations from each coarser level's unknowns to the next finer level's, finest first.
 
-    A level's unknowns are its free vertices, ascending; the parent's free
-    vertices are the leading ones of its child (``coarsen`` keeps the parent
-    as a prefix).  P is 1 on each parent vertex and 1/2 on each free end of a
+    The levels follow ``Mesh.parent``.  A level's unknowns are its free
+    vertices, ascending; the parent's free vertices are the leading ones of
+    its child.  P is 1 on each parent vertex and 1/2 on each free end of a
     midpoint, so a Dirichlet end gives a zero correction.  Coarsening stops
-    at ``COARSE_UNKNOWNS`` unknowns or at a mesh ``coarsen`` rejects, so no
-    mesh, a mesh ``coarsen`` rejects and a small mesh all give ``[]``.
+    at ``COARSE_UNKNOWNS`` unknowns or at a mesh without a parent, so no
+    mesh, a mesh without a parent and a small mesh all give ``[]``.
     """
     out = []
     free = free_idx
-    while mesh is not None and free.size > COARSE_UNKNOWNS:
-        parent = coarsen(mesh)
-        if parent is None:
-            break
-        mesh, ends = parent
+    while mesh is not None and mesh.parent is not None and free.size > COARSE_UNKNOWNS:
+        mesh, ends = mesh.parent
         n_c = int(np.searchsorted(free, mesh.n_vertices))
         if n_c == 0:
             break

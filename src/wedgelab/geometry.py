@@ -11,7 +11,7 @@ some upper points lie below the x-axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -114,13 +114,15 @@ class Mesh:
     ``region`` is +1 for triangles in the upper subdomain, -1 below;
     ``boundary`` flags vertices on the domain boundary.  The derived element
     arrays are computed on first use, once per mesh, and are read-only; the
-    interface edges follow from the tags (``interface_edges``).
+    interface edges follow from the tags (``interface_edges``).  Only
+    ``refine_regular`` sets ``parent`` (see there); any other mesh has ``None``.
     """
 
     vertices: np.ndarray  # (nv, 2) float64
     triangles: np.ndarray  # (nt, 3) int, positively oriented
     region: np.ndarray  # (nt,) int8, +1 / -1
     boundary: np.ndarray  # (nv,) bool
+    parent: tuple[Mesh, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -332,7 +334,8 @@ def refine_regular(mesh: Mesh) -> Mesh:
 
     Midpoints are numbered after the parent's vertices, in the order in
     which a sweep over the triangles and their edges ab, bc, ca first meets
-    each edge.
+    each edge.  The child's ``parent`` is ``(mesh, ends)``, row k of ``ends``
+    holding the ends ``lo < hi`` of midpoint ``mesh.n_vertices + k``.
     """
     nv = mesh.n_vertices
     edges, tri_edges, counts, _ = edge_table(mesh.triangles)
@@ -350,46 +353,9 @@ def refine_regular(mesh: Mesh) -> Mesh:
 
     boundary = np.concatenate([mesh.boundary, np.zeros(edges.shape[0], dtype=bool)])
     boundary[mid[counts == 1]] = True
-    return Mesh(vertices, triangles, np.repeat(mesh.region, 4), boundary)
-
-
-def coarsen(mesh: Mesh):
-    """Undo ``refine_regular``: ``(parent, ends)``, or ``None`` for a mesh not laid out as its output.
-
-    The layout is ``refine_regular``'s: triangles 4t .. 4t+3 are
-    ``[a, mab, mca]``, ``[mab, b, mbc]``, ``[mca, mbc, c]``, ``[mab, mbc, mca]``,
-    the parent's vertices are the prefix ``0 .. nv_c - 1``, and midpoint
-    ``nv_c + k`` lies exactly halfway between its two ends ``ends[k]``
-    (``lo < hi``).  Every other mesh, polar meshes and the level-0 fan
-    included, gives ``None``.
-    """
-    tri = mesh.triangles
-    if tri.shape[0] == 0 or tri.shape[0] % 4:
-        return None
-    kids = tri.reshape(-1, 12)
-    a, mab, mca, b, mbc, c = kids[:, [0, 1, 2, 4, 5, 8]].T
-    if not np.array_equal(kids, np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)):
-        return None
-    mids = np.concatenate([mab, mbc, mca])
-    nv_c = int(mids.min())
-    corners = np.stack([a, b, c], axis=1)
-    if corners.max() >= nv_c or not np.all(np.bincount(mids - nv_c, minlength=mesh.n_vertices - nv_c)):
-        return None  # the parent's vertices are not a prefix, or a vertex after them is no midpoint
-    # every slot of one midpoint must name the same edge (lo, hi)
-    u, w = np.concatenate([a, b, c]), np.concatenate([b, c, a])
-    lo, hi = np.minimum(u, w), np.maximum(u, w)
-    k = mids - nv_c
-    ends = np.empty((mesh.n_vertices - nv_c, 2), dtype=tri.dtype)
-    ends[k, 0], ends[k, 1] = lo, hi
-    if not (np.array_equal(ends[k, 0], lo) and np.array_equal(ends[k, 1], hi)):
-        return None
-    v = mesh.vertices
-    if not np.array_equal(v[nv_c:], 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])):
-        return None
-    region = mesh.region[::4]
-    if not np.array_equal(np.repeat(region, 4), mesh.region):
-        return None
-    return Mesh(v[:nv_c], corners, region, mesh.boundary[:nv_c]), ends
+    child = Mesh(vertices, triangles, np.repeat(mesh.region, 4), boundary)
+    object.__setattr__(child, "parent", (mesh, edges[order]))
+    return child
 
 
 def generate_nonobtuse_mesh(domain: DomainSpec, levels: int = 3) -> Mesh:

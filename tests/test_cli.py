@@ -166,13 +166,24 @@ class TestGammaCommand:
         assert "gamma = " not in capsys.readouterr().out
 
     def test_zero_bracket_end_reaches_root_finder(self, capsys):
-        # (0, 0.1) is a given bracket, rejected by the 0 < lo < hi check
+        # (0, 0.1) breaks 0 < lo < hi: a usage error, caught before the scan
         code = main(
             ["gamma", "--a0", "4.236", "--theta-plus", "2.3561944901923448",
              "--theta-minus", "-0.7853981633974483", "--bracket-lo", "0",
              "--bracket-hi", "0.1"]
         )
-        assert code == EXIT_NUMERICAL
+        assert code == EXIT_USAGE
+        assert "gamma = " not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "lo, hi", [("nan", "1"), ("0.1", "nan"), ("0.1", "inf"), ("-1", "1"), ("3", "1"), ("0.5", "0.5")]
+    )
+    def test_bad_bracket_is_usage_error(self, lo, hi, capsys):
+        code = main(
+            ["gamma", "--a0", "4.236", "--theta-plus", "2.3561944901923448",
+             "--theta-minus", "-0.7853981633974483", "--bracket-lo", lo, "--bracket-hi", hi]
+        )
+        assert code == EXIT_USAGE
         assert "gamma = " not in capsys.readouterr().out
 
 

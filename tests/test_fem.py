@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wedgelab import fem
@@ -566,13 +566,17 @@ class TestMultigrid:
 
     @settings(max_examples=30, deadline=None)
     @given(case=polar_cases(), levels=st.integers(3, 5))
+    # thin and ill-conditioned: at tol 1e-10 the two solves differ by 1.3e-8 relative
+    @example(case=(sector(-0.001, 3.140625), 0.1, 1.0, 0.1), levels=4)
     def test_matches_single_level_on_sectors(self, case, levels):
         domain, _, _, a0 = case
         spec = ProblemSpec(
             domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x - 0.5 * y * y, h=1.0
         )
         system = assemble(generate_nonobtuse_mesh(domain, levels), spec)
-        diag, _ = assert_matches_single_level(system)
+        # two solves each within tol of the solution agree to about cond(A) * tol, so the
+        # 1e-8 bound needs a tolerance well below 1e-10 on these sectors
+        diag, _ = assert_matches_single_level(system, tol=1e-12)
         assert diag.converged and diag.true_residual <= 1e-9
         assert (diag.preconditioner == "multigrid") == (system.n_free > fem.COARSE_UNKNOWNS)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wedgelab.geometry import (
     GeometryError,
     Mesh,
-    coarsen,
     delta_dist_arr,
     edge_table,
     generate_mesh,
@@ -319,13 +318,7 @@ class TestNonObtuse:
         validate_mesh(fine, dom)
 
 
-def assert_same_mesh(got, want):
-    for name in ("vertices", "triangles", "region", "boundary"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-
-
-class TestCoarsen:
+class TestParent:
     @settings(max_examples=40, deadline=None)
     @given(
         w=st.sampled_from([
@@ -337,67 +330,47 @@ class TestCoarsen:
         ),
         lev=st.integers(0, 5),
     )
-    def test_undoes_refine_regular(self, w, lev):
+    def test_records_refine_regular_parent(self, w, lev):
         mesh = generate_nonobtuse_mesh(sector(*w, 1.0), lev)
         fine = refine_regular(mesh)
-        parent, ends = coarsen(fine)
-        assert_same_mesh(parent, mesh)
+        parent, ends = fine.parent
+        assert parent is mesh
         v = fine.vertices
+        assert ends.shape == (fine.n_vertices - mesh.n_vertices, 2)
         assert np.all(ends[:, 0] < ends[:, 1])
         assert np.array_equal(v[mesh.n_vertices:], 0.5 * (v[ends[:, 0]] + v[ends[:, 1]]))
 
-    def test_undoes_refinements_of_polar_meshes(self):
+    def test_twice_refined_polar_mesh_reaches_its_base(self):
         mesh = generate_mesh(sector(-PI / 4, 5 * PI / 4), 0.2, 0.5)
         twice = refine_regular(refine_regular(mesh))
-        once, _ = coarsen(twice)
-        assert_same_mesh(coarsen(once)[0], mesh)
+        once = twice.parent[0]
+        assert once.parent[0] is mesh and mesh.parent is None
 
     @pytest.mark.parametrize(
         "w, h, mu", [((-PI / 4, 3 * PI / 4), 0.1, 0.8), ((-0.05, 0.05), 0.02, 1.0), ((-3.0, 3.0), 0.3, 0.5)]
     )
     def test_polar_meshes_have_no_parent(self, w, h, mu):
-        assert coarsen(generate_mesh(sector(*w), h, mu)) is None
+        assert generate_mesh(sector(*w), h, mu).parent is None
 
     @pytest.mark.parametrize("w", [(-PI / 4, 3 * PI / 4), (-3 * PI / 4, 2 * PI / 3), (-PI + 0.1, PI - 0.1)])
     def test_level_0_fan_has_no_parent(self, w):
-        assert coarsen(generate_nonobtuse_mesh(sector(*w), 0)) is None
+        assert generate_nonobtuse_mesh(sector(*w), 0).parent is None
 
     def test_hand_built_meshes_have_no_parent(self):
-        assert coarsen(one_triangle([(0.0, 0.0), (1.0, 0.1), (0.5, 1.0)])) is None
-        # four triangles of the right count but not refine_regular's layout
-        square = Mesh(
-            np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]),
-            np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
-            np.ones(4, dtype=np.int8), np.array([True] * 4 + [False]),
-        )
-        assert coarsen(square) is None
+        assert one_triangle([(0.0, 0.0), (1.0, 0.1), (0.5, 1.0)]).parent is None
 
-    def test_swapped_children_have_no_parent(self):
-        fine = refine_regular(generate_nonobtuse_mesh(REFLEX, 2))
-        tri = fine.triangles.copy()
-        tri[[8, 9]] = tri[[9, 8]]  # two children of parent 2 change places
-        assert coarsen(dataclasses.replace(fine, triangles=tri)) is None
-
-    def test_rotated_middle_child_has_no_parent(self):
-        fine = refine_regular(generate_nonobtuse_mesh(REFLEX, 2))
-        tri = fine.triangles.copy()
-        tri[11] = np.roll(tri[11], 1)  # same triangle, its vertices listed from another start
-        assert coarsen(dataclasses.replace(fine, triangles=tri)) is None
-
-    @pytest.mark.parametrize("far", [False, True])
-    def test_moved_midpoint_has_no_parent(self, far):
-        coarse = generate_nonobtuse_mesh(REFLEX, 2)
-        fine = refine_regular(coarse)
-        v = fine.vertices.copy()
-        k = coarse.n_vertices + 5
-        v[k, 0] = v[k, 0] + 1e-3 if far else np.nextafter(v[k, 0], np.inf)  # 1e-3 or one ulp
-        assert coarsen(dataclasses.replace(fine, vertices=v)) is None
-
-    def test_mixed_regions_within_a_parent_have_no_parent(self):
+    def test_replaced_copy_has_no_parent(self):
         fine = refine_regular(generate_nonobtuse_mesh(REFLEX, 1))
-        region = fine.region.copy()
-        region[1] = -region[1]
-        assert coarsen(dataclasses.replace(fine, region=region)) is None
+        assert fine.parent is not None
+        assert dataclasses.replace(fine).parent is None
+        assert dataclasses.replace(fine, region=-fine.region).parent is None
+
+    def test_parent_is_not_a_constructor_argument(self):
+        mesh = generate_nonobtuse_mesh(REFLEX, 0)
+        with pytest.raises(TypeError):
+            Mesh(mesh.vertices, mesh.triangles, mesh.region, mesh.boundary, parent=(mesh, None))
+        with pytest.raises(ValueError):
+            dataclasses.replace(refine_regular(mesh), parent=None)
 
 
 class TestEdgeTable:

@@ -12,9 +12,10 @@ its ``perfbench/cache`` links to the working tree's, whose entries are keyed
 by a hash of their inputs.
 
 ``BENCH_<label>.json`` gets, per workload and end-to-end metric, each side's
-raw values, median, quartiles and IQR, and the pairs the change won; plus the
-git shas, library versions, nproc and seeds.  Nothing about the workloads,
-gates or bounds is changed here: bounds are copied from ``BENCHMARK.json``.
+raw values, median, quartiles and IQR, the pairs the change won and a verdict
+(see ``verdict``); plus the git shas, library versions, nproc and seeds.
+Nothing about the workloads, gates or bounds is changed here: bounds are
+copied from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,30 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int, secon
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return dict(median=median, q1=q1, q3=q3, iqr=q3 - q1, values=values)
+
+
+def verdict(base: dict, change: dict, wins: int, bound: float, sign: float) -> str:
+    """One metric's verdict from both sides' ``summary`` and the pairs the change won.
+
+    ``sign`` is 1 when lower is better, -1 when higher is.  In order:
+
+    - "past bound": the change's median is worse than the base's by more than
+      ``bound``, relative to the base's median;
+    - "gain": the change won at least nine tenths of the pairs (ties count for
+      neither) and the medians differ, in its favour, by more than the base's IQR;
+    - "unresolved": the base's IQR over its median exceeds ``bound`` and not
+      every change run beats every base run;
+    - "within bound" otherwise.
+    """
+    worse_by = sign * (change["median"] - base["median"])
+    if worse_by > bound * abs(base["median"]):
+        return "past bound"
+    if wins >= 0.9 * len(base["values"]) and -worse_by > base["iqr"]:
+        return "gain"
+    beats_all = all(sign * (c - b) < 0 for c in change["values"] for b in base["values"])
+    if base["iqr"] > bound * abs(base["median"]) and not beats_all:
+        return "unresolved"
+    return "within bound"
 
 
 def parse_plan(items: list[str], known: set[str]) -> list[tuple[str, int, int]]:
@@ -119,14 +144,16 @@ def main(argv=None) -> int:
                 vals = {s: [r["result"]["metrics"][metric]["value"] for r in runs[s]] for s in runs}
                 sign = 1.0 if spec["better"] == "lower" else -1.0
                 base, change = summary(vals["base"]), summary(vals["change"])
+                wins = sum(sign * (c - b) < 0 for b, c in zip(vals["base"], vals["change"]))
                 out["metrics"][metric] = dict(
                     unit=spec["unit"],
                     better=spec["better"],
                     bound=spec["bound"],
                     base=base,
                     change=change,
-                    change_wins=sum(sign * (c - b) < 0 for b, c in zip(vals["base"], vals["change"])),
+                    change_wins=wins,
                     rel_change_of_median=change["median"] / base["median"] - 1.0,
+                    verdict=verdict(base, change, wins, spec["bound"], sign),
                 )
             record["workloads"][name] = out
     meta = runs["change"][0]["meta"]
@@ -138,7 +165,7 @@ def main(argv=None) -> int:
             print(
                 f"{name:12s} {metric:12s} base {m['base']['median']:.4g} (IQR {m['base']['iqr']:.3g}) -> "
                 f"change {m['change']['median']:.4g} ({m['rel_change_of_median']:+.1%}), "
-                f"change won {m['change_wins']}/{len(out['seeds'])}"
+                f"change won {m['change_wins']}/{len(out['seeds'])}: {m['verdict']}"
             )
     print(f"wrote {path}")
     return 0
