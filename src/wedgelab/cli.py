@@ -389,7 +389,7 @@ def cmd_gamma(args) -> int:
     if (args.bracket_lo is None) != (args.bracket_hi is None):
         raise ConfigError("--bracket-lo and --bracket-hi must be given together")
     bracket = None if args.bracket_lo is None else (args.bracket_lo, args.bracket_hi)
-    if bracket is not None and not bracket[0] < bracket[1]:
+    if bracket is not None and bracket[0] >= bracket[1]:
         raise ConfigError(f"--bracket-lo must be below --bracket-hi, got ({bracket[0]}, {bracket[1]})")
     roots = singular_exponents(args.a0, wedge, bracket=bracket)
     if not roots:
