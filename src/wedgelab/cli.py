@@ -6,7 +6,8 @@ write CSV artifacts with a single header row and 17-significant-digit
 floats; ``solve``, ``convergence`` and ``fit`` also write a JSON run
 manifest listing the produced files, and they, ``exact --field-csv`` and
 ``norms --output`` overwrite nothing without ``--force``.  Exit codes: 0 success, 1
-verification failure, 2 usage/config error, 3 numerical failure.
+verification failure, 2 usage/config error, 3 numerical failure (running out
+of memory included).
 """
 
 from __future__ import annotations
@@ -515,13 +516,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    out = _unclaimed(args.output, args.force) if args.output else None
     field = read_sampled_field_csv(args.solution_csv)
     params = NormParams(k=args.k, alpha=args.alpha, tau=args.tau)
     report = weighted_norm(field, params)
     for line in report.as_lines():
         print(line)
-    if args.output:
-        out = _unclaimed(args.output, args.force)
+    if out:
         write_csv(
             out,
             ["k", "alpha", "tau", *(f"seminorm_{i}_0" for i in range(args.k + 1)),
@@ -639,6 +640,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (RootConvergenceError, SolverError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

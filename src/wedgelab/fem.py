@@ -10,11 +10,12 @@ its own side of the jump; loads use 3-point edge-midpoint quadrature.
 Dirichlet data is imposed by node elimination (known columns moved to the
 right-hand side), which keeps the reduced system symmetric positive
 definite for the preconditioned conjugate-gradient solve.  On a mesh that
-records a parent (``Mesh.parent``, set by ``geometry.refine_regular``, as on
-the non-obtuse meshes) and has more than ``COARSE_UNKNOWNS`` unknowns, the
+records a parent (``Mesh.parent``, set by ``geometry.refine_regular`` on
+the non-obtuse meshes) with more than ``COARSE_UNKNOWNS`` unknowns, the
 preconditioner is a symmetric V(1,1) multigrid cycle: the coarse levels are
-the parents, the transfer is linear interpolation, the coarse operators are
-Galerkin products and the coarsest level is factored densely.  Otherwise it is read off the reduced matrix: its
+the parents, the transfer their recorded vertex prolongations on free
+vertices, the coarse operators Galerkin products, and the coarsest level is
+factored densely.  Otherwise it is read off the reduced matrix: its
 tridiagonal part, factored once by LAPACK, when that part carries most of
 the coupling (the graded polar meshes, whose vertices are numbered along
 each circular layer), else the diagonal (Jacobi); Jacobi is also the
@@ -319,9 +320,9 @@ def solve_cg(
 
     Eliminates Dirichlet nodes symmetrically, iterates until the relative
     residual drops below ``tol``, and records the residual history.  When
-    ``system.mesh`` has a parent (``Mesh.parent``, set by ``refine_regular``)
-    and more than ``COARSE_UNKNOWNS`` unknowns, the preconditioner is a
-    symmetric V(1,1) multigrid cycle over the parents (``_vcycle``).
+    ``system.mesh`` records a parent and prolongation (``Mesh.parent``, set by
+    ``refine_regular``) and has more than ``COARSE_UNKNOWNS`` unknowns, the
+    preconditioner is a V(1,1) multigrid cycle over the parents (``_vcycle``).
     Otherwise it is the tridiagonal part of the reduced matrix (a line
     preconditioner on meshes numbered along lines) when its off-diagonals
     carry at least ``LINE_BAND_SHARE`` of the off-diagonal weight and
@@ -425,28 +426,22 @@ def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray):
 def _prolongations(mesh: Mesh | None, free_idx: np.ndarray) -> list[sp.csr_matrix]:
     """Prolongations from each coarser level's unknowns to the next finer level's, finest first.
 
-    The levels follow ``Mesh.parent``.  A level's unknowns are its free
-    vertices, ascending; the parent's free vertices are the leading ones of
-    its child.  P is 1 on each parent vertex and 1/2 on each free end of a
-    midpoint, so a Dirichlet end gives a zero correction.  Coarsening stops
-    at ``COARSE_UNKNOWNS`` unknowns or at a mesh without a parent, so no
-    mesh, a mesh without a parent and a small mesh all give ``[]``.
+    The levels follow ``Mesh.parent``, and each is the recorded vertex
+    prolongation restricted to the fine level's free rows and the coarse
+    level's free (non-boundary) columns, so a Dirichlet end gives a zero
+    correction.  Coarsening stops at ``COARSE_UNKNOWNS`` unknowns or at a
+    mesh without a parent, so no mesh, a mesh without a parent and a small
+    mesh all give ``[]``.
     """
     out = []
     free = free_idx
     while mesh is not None and mesh.parent is not None and free.size > COARSE_UNKNOWNS:
-        mesh, ends = mesh.parent
-        n_c = int(np.searchsorted(free, mesh.n_vertices))
-        if n_c == 0:
+        mesh, P = mesh.parent
+        coarse = np.flatnonzero(~mesh.boundary)
+        if coarse.size == 0:
             break
-        position = np.full(mesh.n_vertices, -1)
-        position[free[:n_c]] = np.arange(n_c)
-        cols = np.concatenate([np.arange(n_c), position[ends[free[n_c:] - mesh.n_vertices]].ravel()])
-        rows = np.concatenate([np.arange(n_c), np.repeat(np.arange(n_c, free.size), 2)])
-        vals = np.concatenate([np.ones(n_c), np.full(cols.size - n_c, 0.5)])
-        keep = cols >= 0
-        out.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(free.size, n_c)))
-        free = free[:n_c]
+        out.append(P[free][:, coarse])
+        free = coarse
     return out
 
 

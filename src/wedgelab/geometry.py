@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 _TWO_PI = 2.0 * math.pi
 
@@ -112,17 +113,17 @@ class Mesh:
     """Conforming triangulation of the sector, fitted to the interface ray.
 
     ``region`` is +1 for triangles in the upper subdomain, -1 below;
-    ``boundary`` flags vertices on the domain boundary.  The derived element
-    arrays are computed on first use, once per mesh, and are read-only; the
-    interface edges follow from the tags (``interface_edges``).  Only
-    ``refine_regular`` sets ``parent`` (see there); any other mesh has ``None``.
+    ``boundary`` flags vertices on the domain boundary.  Derived element arrays
+    are computed on first use, once per mesh, and are read-only; the interface
+    edges follow from the tags (``interface_edges``).  Only ``refine_regular``
+    sets ``parent``, to (coarse mesh, vertex prolongation); any other has ``None``.
     """
 
     vertices: np.ndarray  # (nv, 2) float64
     triangles: np.ndarray  # (nt, 3) int, positively oriented
     region: np.ndarray  # (nt,) int8, +1 / -1
     boundary: np.ndarray  # (nv,) bool
-    parent: tuple[Mesh, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    parent: tuple[Mesh, sp.csr_matrix] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -332,29 +333,26 @@ def _polar_mesh(w: Wedge, layers: np.ndarray, n_minus: int, n_plus: int) -> Mesh
 def refine_regular(mesh: Mesh) -> Mesh:
     """Split every triangle into four congruent children via edge midpoints.
 
-    Midpoints are numbered after the parent's vertices, in the order in
-    which a sweep over the triangles and their edges ab, bc, ca first meets
-    each edge.  The child's ``parent`` is ``(mesh, ends)``, row k of ``ends``
-    holding the ends ``lo < hi`` of midpoint ``mesh.n_vertices + k``.
+    The parent's vertices keep their numbers, and vertex ``mesh.n_vertices + e``
+    is the midpoint of edge ``e`` of ``edge_table``.  The child's ``parent`` is
+    ``(mesh, P)``, P the sparse (child, parent) vertex prolongation: 1 on each
+    parent vertex, 1/2 on both ends of each midpoint.
     """
     nv = mesh.n_vertices
     edges, tri_edges, counts, _ = edge_table(mesh.triangles)
-    _, first_touch = np.unique(tri_edges[:, [2, 0, 1]], return_index=True)
-    order = np.argsort(first_touch)
-    mid = np.empty(edges.shape[0], dtype=np.int64)
-    mid[order] = np.arange(nv, nv + edges.shape[0])
-    new_pts = 0.5 * (mesh.vertices[edges[order, 0]] + mesh.vertices[edges[order, 1]])
+    new_pts = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.vstack([mesh.vertices, new_pts])
 
     a, b, c = mesh.triangles.T
-    mbc, mca, mab = mid[tri_edges].T
+    mbc, mca, mab = (nv + tri_edges).T
     children = [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca]
     triangles = np.stack(children, axis=1).reshape(-1, 3)
 
-    boundary = np.concatenate([mesh.boundary, np.zeros(edges.shape[0], dtype=bool)])
-    boundary[mid[counts == 1]] = True
-    child = Mesh(vertices, triangles, np.repeat(mesh.region, 4), boundary)
-    object.__setattr__(child, "parent", (mesh, edges[order]))
+    child = Mesh(vertices, triangles, np.repeat(mesh.region, 4), np.concatenate([mesh.boundary, counts == 1]))
+    rows = np.concatenate([np.arange(nv), np.repeat(np.arange(nv, vertices.shape[0]), 2)])
+    cols = np.concatenate([np.arange(nv), edges.ravel()])
+    P = sp.csr_matrix((np.repeat([1.0, 0.5], [nv, edges.size]), (rows, cols)), shape=(vertices.shape[0], nv))
+    object.__setattr__(child, "parent", (mesh, P))
     return child
 
 

@@ -1,7 +1,9 @@
 """The verdict rule of tools/bench_pairs.py on hand-made runs."""
 
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,3 +45,46 @@ def test_wide_base_spread_is_unresolved_unless_every_change_run_is_better():
     # every change run below every base run, by less than the base's IQR (0.5)
     skewed = [1.0] * 5 + [1.5] * 5
     assert judge(skewed, [0.99] * 10) == "within bound"
+
+
+def fake_run(calls, traced_correct=True):
+    """A ``subprocess.run`` stand-in that records each command and prints a passing result."""
+
+    def run(args, **kwargs):
+        calls.append(args)
+        trace = args[args.index("--trace") + 1]
+        correct = traced_correct or trace == "0"
+        meta = dict(python="3", numpy="2", scipy="1", nproc=2, env={})
+        metrics = {m: dict(value=1.0) for m in ("run_s", "setup_s", "peak_rss_mb")}
+        result = dict(correct=correct, attempted=1, failed=0 if correct else 1, metrics=metrics)
+        return SimpleNamespace(stdout=json.dumps(dict(meta=meta)) + "\n" + json.dumps(result) + "\n", stderr="")
+
+    return run
+
+
+def test_run_once_passes_the_trace_flag(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run(calls))
+    for trace in (0, 1):
+        run = bench_pairs.run_once(tmp_path, ["python3", "perfbench/run.py"], "ratio", 7, 20, trace=trace)
+        assert run["result"]["correct"]
+    assert [c[c.index("--trace") + 1] for c in calls] == ["0", "1"]
+    assert calls[0][2:] == ["--workload", "ratio", "--seed", "7", "--seconds", "20", "--trace", "0"]
+
+
+@pytest.mark.parametrize("traced_correct, code", [(True, 0), (False, 1)])
+def test_traced_run_decides_the_exit_code(monkeypatch, tmp_path, traced_correct, code):
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    calls = []
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run(calls, traced_correct))
+    assert bench_pairs.main(["--label", "t", "--base", "HEAD", "maxprinciple:2:5"]) == code
+    # two pairs, then one traced run of the working tree on the first seed
+    assert [(c[c.index("--seed") + 1], c[c.index("--trace") + 1]) for c in calls] == [
+        ("5", "0"), ("5", "0"), ("6", "0"), ("6", "0"), ("5", "1")
+    ]
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["maxprinciple"]
+    assert (out["traced_correct"], out["traced_failed"]) == (traced_correct, 0 if traced_correct else 1)

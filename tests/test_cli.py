@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from wedgelab import cli
 from wedgelab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, load_case_config, main
 
 PI = math.pi
@@ -419,6 +420,18 @@ class TestNormsCommand:
         assert lines[at + 1].startswith("node_pairs_pruned = ")
         assert out_csv.exists()
 
+    def test_existing_output_refused_before_the_scan(self, tmp_path, capsys):
+        field_csv, out_csv = tmp_path / "f.csv", tmp_path / "out.csv"
+        assert main(["exact", "--gamma", "0.8", "--theta-plus", "135", "--theta-minus", "-45",
+                     "--degrees", "--field-csv", str(field_csv)]) == EXIT_OK
+        out_csv.write_text("kept\n")
+        capsys.readouterr()
+        assert main(["norms", str(field_csv), "--output", str(out_csv)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: refusing to overwrite {out_csv} (pass --force)\n"
+        assert out_csv.read_text() == "kept\n"
+
     @pytest.mark.parametrize(
         "row", ["0.5,0.5,+,1.0,nan,0.0", "inf,0.5,+,1.0,0.0,0.0"], ids=["nan_gradient", "inf_coordinate"]
     )
@@ -438,6 +451,20 @@ class TestNormsCommand:
         path.write_text("x,y,region,value\n0.1,0.2,+,1.0\n0.3,-0.2,-,2.0\n" + row + "\n")
         assert main(["norms", str(path)]) == EXIT_USAGE
         assert "line 4" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    def test_memory_error_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 234. GiB for an array")
+
+        monkeypatch.setattr(cli, "solve_problem", no_memory)
+        cfg, outdir = write_config(tmp_path)
+        assert main(["solve", str(cfg)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: out of memory: Unable to allocate 234. GiB for an array\n"
+        assert not (outdir / "solution.csv").exists()
 
 
 class TestConfigValidation:

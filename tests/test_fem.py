@@ -30,7 +30,7 @@ from wedgelab.fem import (
     solve_problem,
     validate_ellipticity,
 )
-from wedgelab.geometry import Mesh, generate_mesh, generate_nonobtuse_mesh, refine_regular, sector
+from wedgelab.geometry import Mesh, edge_table, generate_mesh, generate_nonobtuse_mesh, refine_regular, sector
 
 PI = math.pi
 IDENTITY = PiecewiseCoefficient(1.0, 1.0, lam=1.0, Lam=1.0)
@@ -622,8 +622,20 @@ class TestMultigrid:
         lin = 0.3 + v[:, 0] - 2.0 * v[:, 1]
         # a midpoint row drops the half of a Dirichlet end, so compare only the rows summing to 1
         full = np.asarray(abs(P).sum(axis=1)).ravel() == 1.0
-        got = P @ lin[free[: P.shape[1]]]
+        coarse = np.flatnonzero(~system.mesh.parent[0].boundary)
+        got = P @ lin[coarse]
         np.testing.assert_allclose(got[full], lin[free][full], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("levels", range(4, 8))
+    def test_prolongations_match_index_reference(self, case, levels):
+        system = maxprinciple_system(case, levels)
+        free = np.setdiff1d(np.arange(system.n), system.constrained)
+        got = fem._prolongations(system.mesh, free)
+        want = reference_prolongations(system.mesh, free)
+        assert len(got) == len(want) == levels - 3
+        for P, R in zip(got, want):
+            assert P.shape == R.shape and (P != R).nnz == 0
 
     def test_repeated_solves_hold_no_hierarchy(self):
         # with cyclic GC off, a V-cycle that referenced itself would keep every
@@ -658,6 +670,30 @@ class TestMultigrid:
         true = np.linalg.norm(b_f - A_ff @ u[free]) / np.linalg.norm(b_f)
         assert diag.true_residual == pytest.approx(true, rel=1e-6)
         assert diag.true_residual <= 1e-10
+
+
+def reference_prolongations(mesh, free):
+    """The prolongations rebuilt by index arithmetic from the refinement layout.
+
+    The parent's free vertices lead the child's, and vertex ``nv + k`` is the
+    midpoint of edge k of the parent's edge table.
+    """
+    out = []
+    while mesh.parent is not None and free.size > fem.COARSE_UNKNOWNS:
+        mesh = mesh.parent[0]
+        ends = edge_table(mesh.triangles)[0]
+        n_c = int(np.searchsorted(free, mesh.n_vertices))
+        if n_c == 0:
+            break
+        position = np.full(mesh.n_vertices, -1)
+        position[free[:n_c]] = np.arange(n_c)
+        cols = np.concatenate([np.arange(n_c), position[ends[free[n_c:] - mesh.n_vertices]].ravel()])
+        rows = np.concatenate([np.arange(n_c), np.repeat(np.arange(n_c, free.size), 2)])
+        vals = np.concatenate([np.ones(n_c), np.full(cols.size - n_c, 0.5)])
+        keep = cols >= 0
+        out.append(sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(free.size, n_c)))
+        free = free[:n_c]
+    return out
 
 
 def reference_load(mesh, spec):

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,15 +92,13 @@ def ref_neighbors(triangles):
 
 
 def ref_refine_regular(mesh):
-    midpoint = {}
-    new_pts = []
+    # midpoints are numbered after the parent's vertices, in sorted (lo, hi) order
+    keys = sorted(ref_edge_counts(mesh.triangles.tolist()))
+    midpoint = {key: mesh.n_vertices + k for k, key in enumerate(keys)}
+    new_pts = [0.5 * (mesh.vertices[u] + mesh.vertices[v]) for u, v in keys]
 
     def mid(u, v):
-        key = (u, v) if u < v else (v, u)
-        if key not in midpoint:
-            midpoint[key] = mesh.n_vertices + len(new_pts)
-            new_pts.append(0.5 * (mesh.vertices[u] + mesh.vertices[v]))
-        return midpoint[key]
+        return midpoint[(u, v) if u < v else (v, u)]
 
     tris, tags = [], []
     for (a, b, c), tag in zip(mesh.triangles, mesh.region):
@@ -329,16 +328,27 @@ class TestParent:
             lambda t: t[1] - t[0] < 2 * PI
         ),
         lev=st.integers(0, 5),
+        coef=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
     )
-    def test_records_refine_regular_parent(self, w, lev):
+    def test_records_refine_regular_parent(self, w, lev, coef):
         mesh = generate_nonobtuse_mesh(sector(*w, 1.0), lev)
         fine = refine_regular(mesh)
-        parent, ends = fine.parent
+        parent, P = fine.parent
         assert parent is mesh
-        v = fine.vertices
-        assert ends.shape == (fine.n_vertices - mesh.n_vertices, 2)
-        assert np.all(ends[:, 0] < ends[:, 1])
-        assert np.array_equal(v[mesh.n_vertices:], 0.5 * (v[ends[:, 0]] + v[ends[:, 1]]))
+        nv, v = mesh.n_vertices, fine.vertices
+        edges = edge_table(mesh.triangles)[0]
+        assert P.shape == (fine.n_vertices, nv) == (nv + edges.shape[0], nv)
+        assert (P[:nv] != sp.identity(nv)).nnz == 0
+        # vertex nv + e is the midpoint of edge e, and its row is 1/2 on both ends
+        assert np.array_equal(v[nv:], 0.5 * (v[edges[:, 0]] + v[edges[:, 1]]))
+        mids = P[nv:].tocoo()
+        assert np.array_equal(mids.row, np.repeat(np.arange(edges.shape[0]), 2))
+        assert np.all(mids.data == 0.5)
+        assert np.array_equal(np.sort(mids.col.reshape(-1, 2), axis=1), edges)
+        # P interpolates linear functions
+        c0, c1, c2 = coef
+        f = lambda p: c0 + c1 * p[:, 0] + c2 * p[:, 1]
+        np.testing.assert_allclose(P @ f(mesh.vertices), f(v), rtol=0.0, atol=1e-14)
 
     def test_twice_refined_polar_mesh_reaches_its_base(self):
         mesh = generate_mesh(sector(-PI / 4, 5 * PI / 4), 0.2, 0.5)

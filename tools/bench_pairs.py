@@ -6,14 +6,19 @@ Each ``WORKLOAD:PAIRS:FIRST_SEED`` runs ``PAIRS`` pairs on seeds
 ``FIRST_SEED .. FIRST_SEED + PAIRS - 1``; pair k runs the base first when k is
 even and the working tree first when k is odd.  Every run is the command of
 ``BENCHMARK.json`` with ``--workload W --seed S --seconds T --trace 0``, where
-``T`` is its ``run_seconds``, from the root of its checkout.  The base is
+``T`` is its ``run_seconds``, from the root of its checkout.  After a
+workload's pairs the working tree runs it once more with ``--trace 1`` on
+``FIRST_SEED``, so the traced gates (per-layer spans, counts that repeat
+between passes) are checked too; the script exits 1 when that run is not
+correct.  The base is
 exported with ``git archive`` into a temporary directory (honours ``TMPDIR``);
 its ``perfbench/cache`` links to the working tree's, whose entries are keyed
 by a hash of their inputs.
 
 ``BENCH_<label>.json`` gets, per workload and end-to-end metric, each side's
 raw values, median, quartiles and IQR, the pairs the change won and a verdict
-(see ``verdict``); plus the git shas, library versions, nproc and seeds.
+(see ``verdict``) and the traced run's ``traced_correct`` and
+``traced_failed``; plus the git shas, library versions, nproc and seeds.
 Nothing about the workloads, gates or bounds is changed here: bounds are
 copied from ``BENCHMARK.json``.
 """
@@ -50,8 +55,8 @@ def export(rev: str, dest: Path) -> None:
     (dest / "tree" / "perfbench" / "cache").symlink_to(cache, target_is_directory=True)
 
 
-def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2:
@@ -135,7 +140,10 @@ def main(argv=None) -> int:
                     run_s = run["result"]["metrics"]["run_s"]["value"]
                     took = time.perf_counter() - t0
                     print(f"{name} seed {seed} {side}: run_s {run_s:.3f} ({took:.0f} s)", flush=True)
+            traced = run_once(sides["change"], bench["command"], name, first, bench["run_seconds"], trace=1)["result"]
+            print(f"{name} seed {first} change traced: correct {traced['correct']}, failed {traced['failed']}")
             out = dict(seeds=seeds, first=["base" if k % 2 == 0 else "change" for k in range(pairs)], metrics={})
+            out.update(traced_correct=traced["correct"], traced_failed=traced["failed"])
             for side in runs:
                 out[f"{side}_correct"] = [r["result"]["correct"] for r in runs[side]]
                 out[f"{side}_failed"] = [r["result"]["failed"] for r in runs[side]]
@@ -168,6 +176,10 @@ def main(argv=None) -> int:
                 f"change won {m['change_wins']}/{len(out['seeds'])}: {m['verdict']}"
             )
     print(f"wrote {path}")
+    bad = [name for name, out in record["workloads"].items() if not out["traced_correct"]]
+    if bad:
+        print(f"traced run not correct on: {', '.join(bad)}")
+        return 1
     return 0
 
 
