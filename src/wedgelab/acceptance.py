@@ -263,9 +263,9 @@ def check_07_norm_estimators(bench: Workbench) -> tuple[bool, list[str]]:
             alpha=0.3 + 0.2 * (trial % 3),
             tau=-0.5 + 0.3 * (trial % 4),
         )
-        points, data, deltas, w_exp, a = _scan_args(f, par)
-        ref = _all_pairs_scan(points, data, deltas, w_exp, a)[0]
-        [(value, _)] = _pair_scan(points, [data], deltas, w_exp, a)
+        points, data, weights, a = _scan_args(f, par)
+        ref = _all_pairs_scan(points, data, weights, a)[0]
+        [(value, _)] = _pair_scan(points, [data], weights, a)
         worst_agree = max(worst_agree, abs(value - ref) / ref)
 
     # pure powers against ray-computed references on a 1e4-point cloud

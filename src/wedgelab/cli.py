@@ -6,8 +6,8 @@ write CSV artifacts with a single header row and 17-significant-digit
 floats; ``solve``, ``convergence`` and ``fit`` also write a JSON run
 manifest listing the produced files, and they, ``exact --field-csv`` and
 ``norms --output`` overwrite nothing without ``--force``.  Exit codes: 0 success, 1
-verification failure, 2 usage/config error, 3 numerical failure (running out
-of memory included).
+verification failure, 2 usage/config error (an output path that cannot be
+written included), 3 numerical failure (running out of memory included).
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ _SCHEMA = {
 
 def load_case_config(path) -> CaseConfig:
     text = Path(path).read_text(encoding="utf-8")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no header can name the section "", so [DEFAULT] is an ordinary section, and an unknown one
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
     parser.optionxform = str  # lambda and Lambda are distinct keys
     try:
         parser.read_string(text)
@@ -241,8 +242,10 @@ MANIFEST = "manifest.json"
 
 
 def _unclaimed(path, force: bool) -> Path:
-    """``path``, unless a file is there already and ``force`` is off: then a ``ConfigError``."""
+    """``path``, unless a directory is there, or a file and ``force`` is off: then a ``ConfigError``."""
     path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"refusing to write {path}: it is a directory")
     if path.exists() and not force:
         raise ConfigError(f"refusing to overwrite {path} (pass --force)")
     return path
@@ -262,6 +265,8 @@ class OutputGuard:
         self._taken = {_unclaimed(directory / MANIFEST, force).resolve()}
 
     def path(self, name: str) -> Path:
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ConfigError(f"output name {name!r} is not a plain file name")
         self.directory.mkdir(parents=True, exist_ok=True)
         p = self.directory / name
         if p.resolve() in self._taken:
@@ -422,7 +427,7 @@ def _open_case(args):
 def cmd_solve(args) -> int:
     cfg, (problem, exact, exact_grad), guard = _open_case(args)
     out = guard.path("solution.csv")
-    res = guard.path(args.residual_csv) if args.residual_csv else None
+    res = None if args.residual_csv is None else guard.path(args.residual_csv)
     fs = solve_problem(problem, cfg.h, cfg.mu)
     write_sampled_field_csv(solution_field(fs), out, value_column="u")
     steps = [("mesh", "ok"), ("assemble", "ok"), ("solve", f"iters={fs.diagnostics.iterations}")]
@@ -635,7 +640,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, DegenerateAngleError, EllipticityError, GeometryError, NormEstimateError,
-            TransmissionSignError, FileNotFoundError) as exc:
+            TransmissionSignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RootConvergenceError, SolverError, ValueError) as exc:

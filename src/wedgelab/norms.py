@@ -9,8 +9,11 @@ With delta(x) = min(|x - E|, 1) the estimated quantities are
                          * |D^k f(x) - D^k f(y)| / |x - y|^a,
     ||f||_{k,a} = sum_{i<=k} [f]_{i,0} + [f]_{k,a},
 
-with |.| the Euclidean norm of the gradient when k = 1.  The pair max is
-exact over all pairs: a dual-tree branch and bound (Gray & Moore, "N-body
+with |.| the Euclidean norm of the gradient when k = 1.  ``_weights`` alone
+raises delta to its exponent; a pair takes the smaller of its samples'
+weights, min(delta)^e itself, as x -> x^e is monotone for e >= 0.
+
+The pair max is exact over all pairs: a dual-tree branch and bound (Gray & Moore, "N-body
 problems in statistical learning", NIPS 2000) brute-forces only the node
 pairs whose quotient bound can beat the best pair found so far, and reports
 the quotients it evaluated, the node pairs it pruned and the argmax pair.
@@ -157,6 +160,11 @@ def _order_data(field: SampledField, order: int) -> np.ndarray:
     return field.gradients
 
 
+def _weights(field: SampledField, params: NormParams, exponent: float) -> np.ndarray:
+    """delta^max(exponent, 0) at each sample: the only place a distance weight is formed."""
+    return delta_dist_arr(field.points, params.edge_point) ** max(exponent, 0.0)
+
+
 def weighted_seminorm_k0(field: SampledField, params: NormParams, order: int | None = None) -> float:
     """max over samples of delta^max(order+tau, 0) * |D^order f|."""
     if field.n == 0:
@@ -164,27 +172,24 @@ def weighted_seminorm_k0(field: SampledField, params: NormParams, order: int | N
     i = params.k if order is None else int(order)
     data = _order_data(field, i)
     mags = np.linalg.norm(data, axis=1) if data.shape[1] > 1 else np.abs(data[:, 0])
-    w_exp = max(i + params.tau, 0.0)
-    if w_exp == 0.0:
-        return float(mags.max())
-    return float((delta_dist_arr(field.points, params.edge_point) ** w_exp * mags).max())
+    return float((_weights(field, params, i + params.tau) * mags).max())
 
 
 def _scan_args(field: SampledField, params: NormParams):
-    """Pair-scan inputs for [f]_{k,alpha}: points, data, deltas, weight exponent, alpha."""
-    deltas = delta_dist_arr(field.points, params.edge_point)
-    w_exp = max(params.k + params.alpha + params.tau, 0.0)
-    return field.points, _order_data(field, params.k), deltas, w_exp, params.alpha
+    """Pair-scan inputs for [f]_{k,alpha}: points, data, weights delta^max(k+alpha+tau, 0), alpha."""
+    weights = _weights(field, params, params.k + params.alpha + params.tau)
+    return field.points, _order_data(field, params.k), weights, params.alpha
 
 
-def _quotients(points, blocks, deltas, weight_exp, alpha, i, j):
+def _quotients(points, blocks, weights, alpha, i, j):
     """Each data block's quotients of the index pairs (i, j), 0 below the floor, and the mask of those above it.
 
-    The blocks share the distances, weights and mask, not the quotients.
+    A pair's weight is the smaller of its two samples' ``weights``.  The
+    blocks share the distances, weights and mask, not the quotients.
     """
     diff = points[i] - points[j]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    w = np.minimum(deltas[i], deltas[j]) ** weight_exp if weight_exp > 0.0 else 1.0
+    w = np.minimum(weights[i], weights[j])
     valid = dist >= PAIR_DIST_FLOOR
     scale = dist**alpha
     out = []
@@ -196,14 +201,14 @@ def _quotients(points, blocks, deltas, weight_exp, alpha, i, j):
     return out, valid
 
 
-def _all_pairs_scan(points, data, deltas, weight_exp, alpha) -> tuple[float, PairScanInfo]:
+def _all_pairs_scan(points, data, weights, alpha) -> tuple[float, PairScanInfo]:
     """Reference scan: every pair i < j, in blocks of rows."""
     n = points.shape[0]
     best, best_pair, evaluated = 0.0, (0, 1), 0
     for i0 in range(0, n - 1, _BLOCK):
         rows = np.arange(i0, min(i0 + _BLOCK, n - 1))[:, None]
         cols = np.arange(i0 + 1, n)[None, :]
-        (q,), valid = _quotients(points, [data], deltas, weight_exp, alpha, rows, cols)
+        (q,), valid = _quotients(points, [data], weights, alpha, rows, cols)
         upper = cols > rows
         q = np.where(upper, q, 0.0)
         evaluated += int((valid & upper).sum())
@@ -228,13 +233,13 @@ def _node_table(tree: cKDTree):
     return np.array([(node.start_idx, node.end_idx) for node in nodes]), np.array(children)
 
 
-def _pair_scan(points, blocks, deltas, weight_exp, alpha) -> list[tuple[float, PairScanInfo]]:
+def _pair_scan(points, blocks, weights, alpha) -> list[tuple[float, PairScanInfo]]:
     """Exact max of the weighted pair quotient of each data block, by dual-tree branch and bound.
 
     ``blocks`` are (n, d) data arrays over the same ``points``, sharing the
-    deltas, the weight exponent and alpha.  One ``cKDTree`` (median split
-    along the widest side, leaves of at most ``_LEAF`` points) gives the
-    neighbour seeds and the nodes for all of them.  Every node carries its
+    per-sample ``weights`` and alpha.  One ``cKDTree`` (median split along
+    the widest side, leaves of at most ``_LEAF`` points) gives the neighbour
+    seeds and the nodes for all of them.  Every node carries its
     point box, the data box of every block, its largest weight and its
     distance floor ``near``.  Each block has its own incumbent, which starts
     from seeds: each point with its ``_SEED_NEIGHBOURS`` nearest neighbours,
@@ -248,13 +253,12 @@ def _pair_scan(points, blocks, deltas, weight_exp, alpha) -> list[tuple[float, P
     bound covers every pair that no neighbour seed evaluated: were such a
     pair (i, j) shorter than that distance for i, then j would be one of i's
     nearest neighbours.  Pairs that a seed evaluated are already no larger
-    than the incumbent, and pairs below the floor are excluded.  The weight
-    exponent is >= 0.  Node pairs are walked depth first in chunks; each
-    chunk brute-forces its surviving leaf pairs for every block at once and
-    splits the others.  So each block's max is over all pairs, and equals
-    ``_all_pairs_scan`` on that block alone bit for bit.  Returns each
-    block's max and ``PairScanInfo``; the blocks share the leaf pairs and
-    the pruned count.
+    than the incumbent, and pairs below the floor are excluded.  Node pairs
+    are walked depth first in chunks; each chunk brute-forces its surviving
+    leaf pairs for every block at once and splits the others.  So each
+    block's max is over all pairs, and equals ``_all_pairs_scan`` on that
+    block alone bit for bit.  Returns each block's max and ``PairScanInfo``;
+    the blocks share the leaf pairs and the pruned count.
     """
     n = points.shape[0]
     if n < 2:
@@ -263,7 +267,7 @@ def _pair_scan(points, blocks, deltas, weight_exp, alpha) -> list[tuple[float, P
     best_pair, evaluated = [(0, 1)] * len(blocks), [0] * len(blocks)
 
     def consider(i, j, keep=True, which=range(len(blocks))):
-        qs, valid = _quotients(points, [blocks[b] for b in which], deltas, weight_exp, alpha, i, j)
+        qs, valid = _quotients(points, [blocks[b] for b in which], weights, alpha, i, j)
         count = int((valid & keep).sum())
         for b, q in zip(which, qs):
             evaluated[b] += count
@@ -285,11 +289,10 @@ def _pair_scan(points, blocks, deltas, weight_exp, alpha) -> list[tuple[float, P
     perm = tree.indices
     ranges, children = _node_table(tree)
     # reduceat reads one row past each range end, hence the extra row
-    cols = np.column_stack([points, *blocks, deltas, seed_dist[:, -1]])[np.append(perm, 0)]
+    cols = np.column_stack([points, *blocks, weights, seed_dist[:, -1]])[np.append(perm, 0)]
     lo = np.minimum.reduceat(cols, ranges.ravel())[::2]
     hi = np.maximum.reduceat(cols, ranges.ravel())[::2]
     near = np.maximum(lo[:, -1], PAIR_DIST_FLOOR)
-    wmax = hi[:, -2] ** weight_exp if weight_exp > 0.0 else np.ones(len(ranges))
     starts = np.cumsum([0] + [data.shape[1] for data in blocks[:-1]])  # each block's first data column
     size = ranges[:, 1] - ranges[:, 0]
     width = int(size[children[:, 0] < 0].max())  # the largest leaf
@@ -303,7 +306,7 @@ def _pair_scan(points, blocks, deltas, weight_exp, alpha) -> list[tuple[float, P
         span = np.maximum(hi[a, 2:-2], hi[b, 2:-2]) - np.minimum(lo[a, 2:-2], lo[b, 2:-2])
         dist = np.maximum(np.hypot(gap[:, 0], gap[:, 1]), np.maximum(near[a], near[b]))
         norms = np.sqrt(np.add.reduceat(span * span, starts, axis=1))
-        return np.minimum(wmax[a], wmax[b])[:, None] * norms / (dist**alpha)[:, None]
+        return np.minimum(hi[a, -2], hi[b, -2])[:, None] * norms / (dist**alpha)[:, None]
 
     stack = np.zeros((1, 2), dtype=np.intp)  # node pairs to visit: the root with itself
     while stack.size:
@@ -337,8 +340,8 @@ def weighted_seminorm_kalpha(field: SampledField, params: NormParams, return_inf
     Pairs closer than ``PAIR_DIST_FLOOR`` are excluded.  With ``return_info``
     the ``PairScanInfo`` (quotients evaluated, argmax pair) comes along.
     """
-    points, data, deltas, weight_exp, alpha = _scan_args(field, params)
-    [(value, info)] = _pair_scan(points, [data], deltas, weight_exp, alpha)
+    points, data, weights, alpha = _scan_args(field, params)
+    [(value, info)] = _pair_scan(points, [data], weights, alpha)
     return (value, info) if return_info else value
 
 
@@ -370,11 +373,11 @@ def plain_column_norms(points: np.ndarray, columns: np.ndarray, alpha: float) ->
     """``plain_norm(., k=0, alpha)`` of each column of ``columns`` (n, m) over ``points``, from one pair scan.
 
     Each is max|f| + [f]_{0,alpha}, summed as ``weighted_norm`` sums it; the
-    scan is unweighted, so its deltas are never read.
+    scan is unweighted: every sample's weight is 1.
     """
     NormParams(k=0, alpha=alpha)  # checks alpha
     blocks = [columns[:, [c]] for c in range(columns.shape[1])]
-    scans = _pair_scan(points, blocks, np.ones(points.shape[0]), 0.0, alpha)
+    scans = _pair_scan(points, blocks, np.ones(points.shape[0]), alpha)
     return [float(np.abs(data).max()) + value for data, (value, _) in zip(blocks, scans)]
 
 

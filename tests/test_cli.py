@@ -37,6 +37,11 @@ def write_config(tmp_path, name="case.cfg", outdir=None, text=None):
     return cfg, outdir
 
 
+def files_under(root):
+    """Every file below ``root`` with its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestExactCommand:
     def test_straight_wall_jump(self, capsys):
         code = main(
@@ -108,6 +113,14 @@ class TestExactCommand:
         fresh = tmp_path / "fresh.csv"
         assert main(["exact", "--gamma", "0.9", *angles, "--field-csv", str(fresh)]) == EXIT_OK
         assert out_csv.read_bytes() == fresh.read_bytes() != first
+
+    def test_field_csv_on_a_directory_is_a_usage_error(self, tmp_path, capsys):
+        angles = ["--theta-plus", "2.3561944901923448", "--theta-minus", "-0.7853981633974483"]
+        assert main(["exact", "--gamma", "0.8", *angles, "--field-csv", str(tmp_path), "--force"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: refusing to write {tmp_path}: it is a directory\n"
+        assert files_under(tmp_path) == {}
 
     def test_field_csv_regions_follow_wedge_angle(self, tmp_path, capsys):
         # the upper wall at 5pi/4 lies below the x-axis, so the sign of y
@@ -301,6 +314,33 @@ class TestSolveCommand:
         assert "solution.csv" in capsys.readouterr().err
         assert (outdir / "solution.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    @pytest.mark.parametrize("name", ["../escaped.csv", "sub/x.csv", "", ".", "..", "ABSOLUTE"])
+    def test_residual_csv_must_be_a_plain_file_name(self, tmp_path, capsys, name, earlier_run):
+        cfg, outdir = write_config(tmp_path)
+        name = str(tmp_path / "abs.csv") if name == "ABSOLUTE" else name
+        if earlier_run:
+            assert main(["solve", str(cfg)]) == EXIT_OK
+            capsys.readouterr()
+        before = files_under(tmp_path)
+        assert main(["solve", str(cfg), "--residual-csv", name, "--force"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output name {name!r} is not a plain file name\n"
+        assert files_under(tmp_path) == before
+
+    def test_output_directory_on_a_file_is_a_usage_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg, _ = write_config(tmp_path, outdir=taken)
+        before = files_under(tmp_path)
+        assert main(["solve", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(taken) in captured.err
+        assert files_under(tmp_path) == before
+
 
 class TestExactSolutionAttached:
     """Error lines appear only for data whose exact solution is known."""
@@ -479,6 +519,21 @@ class TestConfigValidation:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[geometry]\ntheta_plus = 1.0\ntheta_minus = -1.0\n[junk]\nx = 1\n")
         assert main(["solve", str(cfg)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "default, anchor",
+        [("radius = 2.0", "[geometry]"), ("mu = 0.5", "[data]")],
+        ids=["above_geometry", "next_to_data"],
+    )
+    def test_default_section_is_unknown(self, tmp_path, capsys, default, anchor):
+        # configparser would copy [DEFAULT] keys into every section
+        text = BASE_CONFIG.replace(anchor, f"[DEFAULT]\n{default}\n\n{anchor}")
+        cfg, outdir = write_config(tmp_path, text=text)
+        assert main(["solve", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown config section [DEFAULT]\n"
+        assert not outdir.exists()
 
     def test_corrupted_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -127,6 +127,39 @@ def data_blocks(draw, points, edge):
     return blocks
 
 
+class TestWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(*[st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))] * 2), min_size=1, max_size=64
+        ),
+        e=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 3.0)),
+    )
+    def test_min_then_power_equals_power_then_min(self, pairs, e):
+        # a pair's weight is the smaller of its samples' weights; that is
+        # min(delta)^e itself only while numpy's power is monotone in its base
+        d_i, d_j = np.array(pairs).T
+        assert np.array_equal(np.minimum(d_i, d_j) ** e, np.minimum(d_i**e, d_j**e))
+
+    @pytest.mark.parametrize("k, alpha, tau", [(1, 0.5, -2.0), (0, 0.4, -0.4)])
+    def test_clamped_exponent_is_unweighted_at_the_edge_point(self, k, alpha, tau):
+        # the origin sample has delta = 0; with every exponent clamped to 0 its
+        # weight is 1, so the estimates are the unweighted ones
+        f = power_field(0.8, n=400, include_origin=True)
+        p = NormParams(k, alpha, tau)
+        assert f.points[0].tolist() == [0.0, 0.0]
+        assert weighted_seminorm_k0(f, p, order=0) == np.abs(f.values).max()
+        if k == 1:
+            assert weighted_seminorm_k0(f, p, order=1) == np.linalg.norm(f.gradients, axis=1).max()
+        data = f.gradients if k == 1 else f.values[:, None]
+        value, info = weighted_seminorm_kalpha(f, p, return_info=True)
+        assert value == _all_pairs_scan(f.points, data, np.ones(f.n), alpha)[0]
+        if k == 1:
+            # the gradient jumps from 0 at the origin to 0.8 r^-0.2 next to it:
+            # that pair is the max only when the origin weighs 1
+            assert info.argmax == (0, 1)
+
+
 class TestSeminormK0:
     def test_constant_field(self):
         pts = np.column_stack([np.linspace(0.1, 2.0, 50), np.zeros(50)])
@@ -225,9 +258,9 @@ class TestSeminormKAlpha:
     @given(case=scan_cases())
     def test_branch_and_bound_matches_all_pairs_property(self, case):
         f, p = case
-        points, data, deltas, w_exp, alpha = _scan_args(f, p)
-        [(value, info)] = _pair_scan(points, [data], deltas, w_exp, alpha)
-        ref, _ = _all_pairs_scan(points, data, deltas, w_exp, alpha)
+        points, data, weights, alpha = _scan_args(f, p)
+        [(value, info)] = _pair_scan(points, [data], weights, alpha)
+        ref, _ = _all_pairs_scan(points, data, weights, alpha)
         assert value == ref
         if value > 0.0:
             assert quotient_at(f, p, info.argmax) == pytest.approx(value, rel=1e-12)
@@ -236,15 +269,15 @@ class TestSeminormKAlpha:
     @given(case=scan_cases(), data=st.data())
     def test_block_scan_matches_all_pairs_per_block_property(self, case, data):
         f, p = case
-        points, _, deltas, w_exp, alpha = _scan_args(f, p)
+        points, _, weights, alpha = _scan_args(f, p)
         blocks = data.draw(data_blocks(points, p.edge_point))
-        scans = _pair_scan(points, blocks, deltas, w_exp, alpha)
+        scans = _pair_scan(points, blocks, weights, alpha)
         assert len(scans) == len(blocks)
         for block, (value, info) in zip(blocks, scans):
-            assert value == _all_pairs_scan(points, block, deltas, w_exp, alpha)[0]
+            assert value == _all_pairs_scan(points, block, weights, alpha)[0]
             if value > 0.0:
                 i, j = info.argmax
-                (q,), _ = _quotients(points, [block], deltas, w_exp, alpha, i, j)
+                (q,), _ = _quotients(points, [block], weights, alpha, i, j)
                 assert q == pytest.approx(value, rel=1e-12)
         assert len({info.pruned for _, info in scans}) == 1
 
@@ -258,8 +291,8 @@ class TestSeminormKAlpha:
             (NormParams(0, 0.4, tau=-1.0), "0x1.14f09ece23031p+1", 48335, (156, 543), 2877),
         ]
         for p, value, n_pairs, argmax, pruned in pinned:
-            points, data, deltas, w_exp, alpha = _scan_args(f, p)
-            [(got, info)] = _pair_scan(points, [data], deltas, w_exp, alpha)
+            points, data, weights, alpha = _scan_args(f, p)
+            [(got, info)] = _pair_scan(points, [data], weights, alpha)
             assert got == float.fromhex(value)
             assert (info.n_pairs, info.argmax, info.pruned) == (n_pairs, argmax, pruned)
             assert weighted_seminorm_kalpha(f, p, return_info=True) == (got, info)
@@ -273,14 +306,14 @@ class TestSeminormKAlpha:
         pts = disk_cloud(n, seed=3)
         linear = (0.7 * pts[:, 0] - 0.3 * pts[:, 1] + 0.2)[:, None]
         constant = np.full((n, 1), 1.7)
-        deltas = np.ones(n)
-        [alone] = _pair_scan(pts, [linear], deltas, 0.0, 0.4)
-        scans = _pair_scan(pts, [constant, linear] if constant_first else [linear, constant], deltas, 0.0, 0.4)
+        weights = np.ones(n)
+        [alone] = _pair_scan(pts, [linear], weights, 0.4)
+        scans = _pair_scan(pts, [constant, linear] if constant_first else [linear, constant], weights, 0.4)
         (value, info), together = scans if constant_first else scans[::-1]
         assert together == alone
-        assert alone[0] == _all_pairs_scan(pts, linear, deltas, 0.0, 0.4)[0]
+        assert alone[0] == _all_pairs_scan(pts, linear, weights, 0.4)[0]
         assert alone[1].pruned > 0 and alone[1].n_pairs <= 0.03 * n * (n - 1) / 2
-        assert value == _all_pairs_scan(pts, constant, deltas, 0.0, 0.4)[0] == 0.0
+        assert value == _all_pairs_scan(pts, constant, weights, 0.4)[0] == 0.0
         assert info.pruned == alone[1].pruned
 
     def test_unseeded_pair_just_beyond_seed_distances(self):
@@ -301,9 +334,9 @@ class TestSeminormKAlpha:
         vals[[2, 9]] = 0.99
         f = SampledField(pts, vals)
         p = NormParams(0, 0.5, tau=0.5)
-        points, data, deltas, w_exp, alpha = _scan_args(f, p)
-        [(value, info)] = _pair_scan(points, [data], deltas, w_exp, alpha)
-        assert value == _all_pairs_scan(points, data, deltas, w_exp, alpha)[0] == 1.0
+        points, data, weights, alpha = _scan_args(f, p)
+        [(value, info)] = _pair_scan(points, [data], weights, alpha)
+        assert value == _all_pairs_scan(points, data, weights, alpha)[0] == 1.0
         assert info.argmax == (0, 1)
         assert info.n_pairs < 36 * 35 // 2
 
