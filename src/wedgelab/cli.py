@@ -426,8 +426,8 @@ def _open_case(args):
 
 def cmd_solve(args) -> int:
     cfg, (problem, exact, exact_grad), guard = _open_case(args)
-    out = guard.path("solution.csv")
     res = None if args.residual_csv is None else guard.path(args.residual_csv)
+    out = guard.path("solution.csv")
     fs = solve_problem(problem, cfg.h, cfg.mu)
     write_sampled_field_csv(solution_field(fs), out, value_column="u")
     steps = [("mesh", "ok"), ("assemble", "ok"), ("solve", f"iters={fs.diagnostics.iterations}")]

@@ -328,6 +328,7 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == f"error: output name {name!r} is not a plain file name\n"
         assert files_under(tmp_path) == before
+        assert earlier_run or not outdir.exists()
 
     def test_output_directory_on_a_file_is_a_usage_error(self, tmp_path, capsys):
         taken = tmp_path / "taken"
