@@ -88,13 +88,13 @@ class P1Evaluator:
     barycenter.  So one ball query on the barycenters yields every candidate,
     and each point takes the candidate whose smallest barycentric coordinate
     is largest.  A point with no candidate, or whose best coordinate is
-    <= -LOCATE_TOL, lies outside the mesh.
+    <= -LOCATE_TOL, lies outside the mesh.  Each call indexes only the
+    barycenters in the box about its points widened by ``reach``.
     """
 
     def __init__(self, fs: FemSolution):
         self.mesh = fs.mesh
         self.values = fs.values
-        self.tree = cKDTree(fs.mesh.barycenters)
         spokes = fs.mesh.vertices[fs.mesh.triangles] - fs.mesh.barycenters[:, None, :]
         far = float(np.hypot(spokes[..., 0], spokes[..., 1]).max())
         self.reach = far * (1.0 + 4.0 * LOCATE_TOL)
@@ -105,14 +105,19 @@ class P1Evaluator:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         pts = np.column_stack([x, y])
-        cands = self.tree.query_ball_point(pts, self.reach)
+        mesh = self.mesh
+        bary = mesh.barycenters
+        box = (bary >= pts.min(axis=0) - self.reach) & (bary <= pts.max(axis=0) + self.reach)
+        near = np.flatnonzero(box.all(axis=1))
+        # a multi-point query lists each point's indices sorted, and near is
+        # ascending, so the candidates come in the order of a tree over all barycenters
+        cands = cKDTree(bary[near]).query_ball_point(pts, self.reach)
         counts = np.array([len(c) for c in cands], dtype=np.intp)
         if not counts.all():
             raise FitError(f"query point {pts[np.argmin(counts)].tolist()} lies outside the mesh")
-        t = np.concatenate(cands).astype(np.intp)
+        t = near[np.concatenate(cands).astype(np.intp)]
         q = np.repeat(np.arange(pts.shape[0]), counts)
         # lambda_i(p) = 1/3 + grad(lambda_i) . (p - barycenter)
-        mesh = self.mesh
         lam = 1.0 / 3.0 + np.einsum("nij,nj->ni", mesh.basis_gradients[t], pts[q] - mesh.barycenters[t])
         worst = lam.min(axis=1)
         best = np.lexsort((-worst, q))[np.cumsum(counts) - counts]  # first of each point's group

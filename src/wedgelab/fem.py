@@ -10,12 +10,15 @@ its own side of the jump; loads use 3-point edge-midpoint quadrature.
 Dirichlet data is imposed by node elimination (known columns moved to the
 right-hand side), which keeps the reduced system symmetric positive
 definite for the preconditioned conjugate-gradient solve.  On a mesh that
-records a parent (``Mesh.parent``, set by ``geometry.refine_regular`` on
-the non-obtuse meshes) with more than ``COARSE_UNKNOWNS`` unknowns, the
-preconditioner is a symmetric V(1,1) multigrid cycle: the coarse levels are
-the parents, the transfer their recorded vertex prolongations on free
-vertices, the coarse operators Galerkin products, and the coarsest level is
-factored densely.  Otherwise it is read off the reduced matrix: its
+records a parent (``Mesh.parent``: set by ``geometry.refine_regular`` on
+the non-obtuse meshes, and by ``geometry.generate_mesh`` on large polar
+meshes, whose chain drops every other circular layer) with more than
+``COARSE_UNKNOWNS`` unknowns, the preconditioner is a symmetric V(1,1)
+multigrid cycle: the coarse levels are the parents, the transfer their
+recorded vertex prolongations on free vertices, the coarse operators
+Galerkin products, and the coarsest level is factored densely (the radial
+chain ends on one free layer, which is solved exactly by its tridiagonal
+part).  Otherwise it is read off the reduced matrix: its
 tridiagonal part, factored once by LAPACK, when that part carries most of
 the coupling (the graded polar meshes, whose vertices are numbered along
 each circular layer), else the diagonal (Jacobi); Jacobi is also the
@@ -210,7 +213,7 @@ class SparseSystem:
     rhs: np.ndarray
     constrained: np.ndarray  # vertex indices
     values: np.ndarray  # prescribed values at constrained vertices
-    mesh: Mesh | None = None  # the mesh assembled on; a regular refinement gets multigrid
+    mesh: Mesh | None = None  # the mesh assembled on; one that records a parent gets multigrid
 
     @property
     def n(self) -> int:
@@ -268,7 +271,10 @@ def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
     amat = coeff.evaluate(bary[:, 0], bary[:, 1], mesh.region)
     validate_ellipticity(coeff, amat)
     grads = mesh.basis_gradients
-    ke = (grads @ amat @ grads.mT) * mesh.areas[:, None, None]
+    ke = grads @ amat
+    del amat  # freed before the second product, and ke scaled in place, to lower the peak
+    ke = ke @ grads.mT
+    ke *= mesh.areas[:, None, None]
     tri = mesh.triangles.astype(np.int32)
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
@@ -321,8 +327,10 @@ def solve_cg(
     Eliminates Dirichlet nodes symmetrically, iterates until the relative
     residual drops below ``tol``, and records the residual history.  When
     ``system.mesh`` records a parent and prolongation (``Mesh.parent``, set by
-    ``refine_regular``) and has more than ``COARSE_UNKNOWNS`` unknowns, the
-    preconditioner is a V(1,1) multigrid cycle over the parents (``_vcycle``).
+    ``refine_regular`` and by ``generate_mesh`` above
+    ``geometry.RADIAL_LEVELS_VERTICES`` vertices) and has more than
+    ``COARSE_UNKNOWNS`` unknowns, the preconditioner is a V(1,1) multigrid
+    cycle over the parents (``_vcycle``).
     Otherwise it is the tridiagonal part of the reduced matrix (a line
     preconditioner on meshes numbered along lines) when its off-diagonals
     carry at least ``LINE_BAND_SHARE`` of the off-diagonal weight and

@@ -219,6 +219,36 @@ class TestP1Evaluator:
         with pytest.raises(FitError):
             ev(np.array([1.2 * math.cos(th)]), np.array([1.2 * math.sin(th)]))
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        theta_minus=st.floats(-3.1, -0.3),
+        opening=st.floats(PI + 0.05, 2 * PI - 1e-3),
+        mu=st.floats(0.5, 1.0),
+        h=st.floats(0.08, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(theta_minus=-0.3, opening=2 * PI - 1e-3, mu=0.5, h=0.08, seed=0)
+    def test_box_index_matches_full_tree(self, theta_minus, opening, mu, h, seed):
+        # a call indexes the barycenters in its points' box; adding the mesh's extreme
+        # vertices to the call widens the box over every barycenter, a full-tree evaluation
+        mesh = generate_mesh(sector(theta_minus, theta_minus + opening, 1.0), h, mu)
+        ev = P1Evaluator(interpolant_solution(mesh, lambda x, y: np.sin(3.0 * x) * np.cos(2.0 * y) + x * y))
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, mesh.n_triangles, 200)
+        pts = np.vstack([
+            np.einsum("ni,nij->nj", rng.dirichlet(np.ones(3), 200), mesh.vertices[mesh.triangles[t]]),
+            mesh.vertices[rng.integers(0, mesh.n_vertices, 50)],
+        ])
+        v = mesh.vertices
+        extremes = v[[v[:, 0].argmin(), v[:, 0].argmax(), v[:, 1].argmin(), v[:, 1].argmax()]]
+        full = ev(*np.vstack([pts, extremes]).T)[: pts.shape[0]]
+        assert np.array_equal(ev(*pts.T), full)
+        for i in range(20):  # one point at a time: the smallest boxes
+            assert ev(pts[i : i + 1, 0], pts[i : i + 1, 1]).tobytes() == full[i : i + 1].tobytes()
+        far = theta_minus + opening * rng.uniform()
+        with pytest.raises(FitError):
+            ev(np.array([1.2 * math.cos(far), 0.1]), np.array([1.2 * math.sin(far), 0.0]))
+
 
 def test_element_geometry_computed_once_per_mesh(monkeypatch):
     # assembly, gradient recovery, point evaluation, flux jumps and error

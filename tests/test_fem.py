@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wedgelab import fem
+from wedgelab import fem, geometry
 from wedgelab.fem import (
     AssemblyError,
     CgDiagnostics,
@@ -471,7 +471,8 @@ class TestLinePreconditioner:
         + [(i, h) for i in (0, 1, 40) for h in (0.12, 0.06, 0.03)],
     )
     def test_matches_jacobi_cg(self, instance, h, monkeypatch):
-        system = battery_system(instance, h)
+        # without its mesh the system has no recorded hierarchy (the 1/180 mesh records one)
+        system = dataclasses.replace(battery_system(instance, h), mesh=None)
         x, diag = solve_cg(system)
         x_ref, diag_ref = self.jacobi_reference(system, monkeypatch)
         assert (diag.preconditioner, diag_ref.preconditioner) == ("line", "jacobi")
@@ -710,6 +711,57 @@ def reference_load(mesh, spec):
     rhs = np.zeros(mesh.n_vertices)
     np.add.at(rhs, mesh.triangles.ravel(), (load_h + load_g).ravel())
     return rhs
+
+
+class TestRadialMultigrid:
+    """CG preconditioned by a V-cycle over ``generate_mesh``'s radial chain, against line-CG."""
+
+    def test_fine_witness_level_gets_multigrid(self):
+        diag, ref = assert_matches_single_level(battery_system(None, 1 / 180))
+        assert (diag.preconditioner, diag.levels, ref.preconditioner) == ("multigrid", 8, "line")
+        assert diag.iterations <= 12 < ref.iterations and diag.true_residual <= 1e-10
+
+    @pytest.mark.parametrize("instance, h", [(None, 1 / 45), (None, 1 / 90)] + [(i, 0.03) for i in (0, 1, 40)])
+    def test_smaller_meshes_keep_line_cg(self, instance, h):
+        system = battery_system(instance, h)
+        assert system.mesh.parent is None
+        _, diag = solve_cg(system)
+        _, ref = solve_cg(dataclasses.replace(system, mesh=None))
+        assert (diag.preconditioner, diag.levels, diag.iterations) == ("line", 1, ref.iterations)
+
+    @pytest.mark.parametrize(
+        "instance, h", [(None, 1 / 45), (None, 1 / 90)] + [(i, h) for i in (0, 1, 40) for h in (0.12, 0.06, 0.03)]
+    )
+    def test_forced_chain_matches_line_cg(self, instance, h, monkeypatch):
+        monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+        system = battery_system(instance, h)
+        diag, ref = assert_matches_single_level(system)
+        if system.n_free > fem.COARSE_UNKNOWNS:
+            assert diag.preconditioner == "multigrid" and diag.iterations <= 12 < ref.iterations
+        else:
+            assert (diag.preconditioner, diag.iterations) == ("line", ref.iterations)
+
+    def test_iterations_stay_flat_on_the_witness_levels(self, monkeypatch):
+        monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+        diags = [solve_cg(battery_system(None, h))[1] for h in (1 / 45, 1 / 90, 1 / 180)]
+        assert [d.levels for d in diags] == [6, 7, 8]
+        assert {d.iterations for d in diags} <= {10, 11, 12}
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=polar_cases(), h=st.floats(0.03, 0.1))
+    def test_forced_chain_matches_line_cg_on_sectors(self, case, h):
+        # finer than the cases' own h, so that most meshes have more than COARSE_UNKNOWNS unknowns
+        domain, _, mu, a0 = case
+        spec = ProblemSpec(
+            domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x - 0.5 * y * y, h=1.0
+        )
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+            system = assemble(generate_mesh(domain, h, mu), spec)
+        # as on the refined sectors, the 1e-8 bound needs a tolerance well below 1e-10
+        diag, _ = assert_matches_single_level(system, tol=1e-12)
+        assert diag.converged and diag.true_residual <= 1e-9
+        assert (diag.preconditioner == "multigrid") == (system.n_free > fem.COARSE_UNKNOWNS)
 
 
 class TestLoad:

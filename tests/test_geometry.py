@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wedgelab import geometry
 from wedgelab.geometry import (
     GeometryError,
     Mesh,
@@ -381,6 +382,78 @@ class TestParent:
             Mesh(mesh.vertices, mesh.triangles, mesh.region, mesh.boundary, parent=(mesh, None))
         with pytest.raises(ValueError):
             dataclasses.replace(refine_regular(mesh), parent=None)
+
+
+def radial_chain(mesh):
+    """The mesh and its parents, finest first."""
+    chain = [mesh]
+    while chain[-1].parent is not None:
+        chain.append(chain[-1].parent[0])
+    return chain
+
+
+class TestRadialLevels:
+    """``generate_mesh``'s radial chain: each parent keeps every other layer, counting from the outer one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.sampled_from([
+            (-3 * PI / 4, 2 * PI / 3),  # reflex
+            (-0.05, 0.1),  # thin
+            (-0.3, 2 * PI - 1e-3 - 0.3),  # opening near 2 pi
+        ]) | st.tuples(st.floats(-2 * PI + 0.2, -0.01), st.floats(0.01, 2 * PI)).filter(
+            lambda t: t[1] - t[0] < 2 * PI
+        ),
+        h=st.floats(0.03, 0.45),
+        mu=st.floats(0.3, 1.0),
+        coef=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    def test_levels_and_prolongations(self, w, h, mu, coef):
+        dom = sector(*w, 1.0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+            chain = radial_chain(generate_mesh(dom, h, mu))
+        n_layers = math.ceil(1.0 / h)
+        n_rays = (chain[0].n_vertices - 1) // n_layers
+        for fine, coarse in zip(chain, chain[1:]):
+            validate_mesh(coarse, dom)
+            n_fine = (fine.n_vertices - 1) // n_rays
+            assert coarse.n_vertices == 1 + (n_fine + 1) // 2 * n_rays
+            P = fine.parent[1].tocsr()
+            assert P.shape == (fine.n_vertices, coarse.n_vertices)
+            # a kept vertex is a fine vertex at the same point, and its row is 1 on it alone
+            kept = np.arange(n_fine - 1, -1, -2)[::-1]
+            rows = np.concatenate([[0], (1 + kept[:, None] * n_rays + np.arange(n_rays)).ravel()])
+            assert np.array_equal(fine.vertices[rows], coarse.vertices)
+            assert (P[rows] != sp.identity(coarse.n_vertices)).nnz == 0
+            # P reproduces every function linear in r, on every ray
+            c0, c1 = coef
+            r_fine = np.hypot(*fine.vertices.T)
+            r_coarse = np.hypot(*coarse.vertices.T)
+            np.testing.assert_allclose(P @ (c0 + c1 * r_coarse), c0 + c1 * r_fine, rtol=0.0, atol=1e-14)
+        assert chain[-1].n_vertices == 1 + min(n_layers, 2) * n_rays and chain[-1].parent is None
+
+    @pytest.mark.parametrize("h, chained", [(1 / 45, False), (1 / 90, False), (1 / 180, True)])
+    def test_recorded_only_above_the_size_constant(self, h, chained):
+        mesh = generate_mesh(sector(-PI / 4, 3 * PI / 4), h, 0.8)
+        assert (mesh.parent is not None) == chained == (mesh.n_vertices > geometry.RADIAL_LEVELS_VERTICES)
+        if chained:  # 180 layers: 90, 45, 23, 12, 6, 3, 2
+            assert len(radial_chain(mesh)) == 8
+
+    def test_size_constant_is_a_strict_bound(self, monkeypatch):
+        dom = sector(-PI / 4, 3 * PI / 4)
+        nv = generate_mesh(dom, 0.1, 0.8).n_vertices
+        monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", nv)
+        assert generate_mesh(dom, 0.1, 0.8).parent is None
+        monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", nv - 1)
+        assert generate_mesh(dom, 0.1, 0.8).parent is not None
+
+    def test_nonobtuse_base_records_none(self, monkeypatch):
+        monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+        mesh = generate_nonobtuse_mesh(sector(-PI / 4, 3 * PI / 4), 3)
+        chain = radial_chain(mesh)
+        # three refinements above the one-layer fan, every vertex of which is on the boundary
+        assert len(chain) == 4 and chain[-1].boundary.all()
 
 
 class TestEdgeTable:
