@@ -95,8 +95,9 @@ class P1Evaluator:
     def __init__(self, fs: FemSolution):
         self.mesh = fs.mesh
         self.values = fs.values
-        spokes = fs.mesh.vertices[fs.mesh.triangles] - fs.mesh.barycenters[:, None, :]
-        far = float(np.hypot(spokes[..., 0], spokes[..., 1]).max())
+        x, y = fs.mesh.vertex_columns()
+        bary = fs.mesh.barycenters
+        far = float(np.hypot(x - bary[:, 0], y - bary[:, 1]).max())
         self.reach = far * (1.0 + 4.0 * LOCATE_TOL)
         corner = np.argmin(np.hypot(self.mesh.vertices[:, 0], self.mesh.vertices[:, 1]))
         self.corner_value = float(self.values[corner])

@@ -288,32 +288,26 @@ def _load(mesh: Mesh, spec: ProblemSpec) -> np.ndarray:
     has_g = spec.g_plus is not None or spec.g_minus is not None
     if spec.h is None and not has_g:
         return rhs
-    mids = _edge_midpoints(mesh)
+    mx, my = _edge_midpoints(mesh)
     areas = mesh.areas[:, None]
     terms = []
     if spec.h is not None:
-        hx = spec.h_at(mids[..., 0], mids[..., 1])  # (m, 3)
+        hx = spec.h_at(mx, my)  # (m, 3)
         # basis i is 1/2 on its two adjacent midpoints: vertex 0 touches 01 and 20
         # (indices 0 and 2), etc.
         adj = np.array([[0, 2], [1, 0], [2, 1]])
         terms.append(-(areas / 3.0) * 0.5 * (hx[:, adj[:, 0]] + hx[:, adj[:, 1]]))
     if has_g:
-        gx = spec.g_at(
-            mids[..., 0].ravel(), mids[..., 1].ravel(), np.repeat(mesh.region, 3)
-        ).reshape(mids.shape)
-        gbar = gx.mean(axis=1)  # (m, 2)
+        gx = spec.g_at(mx.ravel(), my.ravel(), np.repeat(mesh.region, 3)).reshape(*mx.shape, 2)
+        gbar = (gx[:, 0] + gx[:, 1] + gx[:, 2]) / 3  # (m, 2), the mean over the midpoints
         terms.append(areas * np.einsum("mid,md->mi", mesh.basis_gradients, gbar))
     np.add.at(rhs, mesh.triangles.ravel(), sum(terms).ravel())
     return rhs
 
 
-def _edge_midpoints(mesh: Mesh) -> np.ndarray:
-    """(m, 3, 2) midpoints of the edges 01, 12, 20 of each element."""
-    v, tri = mesh.vertices, mesh.triangles
-    mids = v[tri]
-    mids += v[tri[:, [1, 2, 0]]]
-    mids *= 0.5
-    return mids
+def _edge_midpoints(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """x and y, each (m, 3), of the midpoints of the edges 01, 12, 20 of each element."""
+    return tuple(np.ascontiguousarray(((c + c[[1, 2, 0]]) * 0.5).T) for c in mesh.vertex_columns())
 
 
 def solve_cg(
@@ -529,7 +523,8 @@ def solution_field(fs: FemSolution) -> SampledField:
     The points are the mesh's own read-only barycenters, not a copy.
     """
     if "cloud" not in fs._memo:
-        vals = fs.values[fs.mesh.triangles].mean(axis=1)
+        u = fs.values[fs.mesh.triangles.T]
+        vals = (u[0] + u[1] + u[2]) / 3
         arrays = (fs.mesh.barycenters, vals, fs.element_gradients.copy(), fs.mesh.region.astype(np.int8))
         for a in arrays:
             a.setflags(write=False)
@@ -556,21 +551,27 @@ def error_report(fs: FemSolution, exact, exact_grad) -> ErrorReport:
     areas = mesh.areas
     # the reference functions allocate many midpoint-sized temporaries, so
     # around their calls only flat midpoint coordinates and one error per
-    # midpoint stay alive
-    mx, my = (c.ravel() for c in np.moveaxis(_edge_midpoints(mesh), -1, 0))
-    uh_v = fs.values[mesh.triangles]
-    err = 0.5 * (uh_v + uh_v[:, [1, 2, 0]]) - exact(mx, my).reshape(uh_v.shape)
-    del uh_v
-    l2 = math.sqrt(float((areas / 3.0 * (err**2).sum(axis=1)).sum()))
+    # midpoint stay alive; they see the midpoints element by element, while
+    # row i of err (3, m) holds each element's midpoint i
+    mx, my = (c.ravel() for c in _edge_midpoints(mesh))
+    u = fs.values[mesh.triangles.T]
+    err = 0.5 * (u + u[[1, 2, 0]])
+    del u
+    err -= exact(mx, my).reshape(-1, 3).T
+    l2 = _midpoint_rule(areas, err**2)
 
     gx, gy = exact_grad(mx, my, np.repeat(mesh.region, 3))
     gh = fs.element_gradients
-    gd2 = (gh[:, None, 0] - gx.reshape(err.shape)) ** 2 + (gh[:, None, 1] - gy.reshape(err.shape)) ** 2
-    broken = math.sqrt(float((areas / 3.0 * gd2.sum(axis=1)).sum()))
+    broken = _midpoint_rule(areas, (gh[:, 0] - gx.reshape(-1, 3).T) ** 2 + (gh[:, 1] - gy.reshape(-1, 3).T) ** 2)
 
     ue_vert = exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
     linf = float(max(np.abs(fs.values - ue_vert).max(), np.abs(err).max()))
     return ErrorReport(l2=l2, broken_h1=broken, linf=linf)
+
+
+def _midpoint_rule(areas: np.ndarray, sq: np.ndarray) -> float:
+    """Square root of the edge-midpoint rule over the mesh; ``sq`` (3, m) holds row i at midpoint i."""
+    return math.sqrt(float((areas / 3.0 * (sq[0] + sq[1] + sq[2])).sum()))
 
 
 def fit_rate(hs, errs) -> float:

@@ -142,27 +142,45 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    def vertex_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of each element's vertices, each (3, nt): row i holds vertex i.
+
+        The element kernels do their arithmetic on these rows; their sums run in
+        the order of a reduction over the (nt, 3, 2) gather ``vertices[triangles]``,
+        so their arrays equal its formulas bit for bit, except that a sum of three
+        negative zeros keeps its sign.
+        """
+        tri = self.triangles.T
+        return self.vertices[:, 0][tri], self.vertices[:, 1][tri]
+
     @cached_property
     def areas(self) -> np.ndarray:
         """(nt,) signed areas, positive for positively oriented triangles."""
-        pts = self.vertices[self.triangles]
-        e1 = pts[:, 1] - pts[:, 0]
-        e2 = pts[:, 2] - pts[:, 0]
-        return _read_only(0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
+        x, y = self.vertex_columns()
+        return _read_only(0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])))
 
     @cached_property
     def barycenters(self) -> np.ndarray:
-        return _read_only(self.vertices[self.triangles].mean(axis=1))
+        x, y = self.vertex_columns()
+        for c in (x, y):  # row 0 becomes the mean, in place, to keep the peak at the gather's
+            c[0] += c[1]
+            c[0] += c[2]
+            c[0] /= 3
+        return _read_only(np.column_stack([x[0], y[0]]))
 
     @cached_property
     def basis_gradients(self) -> np.ndarray:
         """(nt, 3, 2) constant gradients of each element's three barycentric basis functions."""
         # basis i: the edge vector from vertex i + 1 to vertex i + 2, turned a quarter
         # counterclockwise, over twice the area
-        tri = self.triangles
-        nxt, prv = self.vertices[tri[:, [1, 2, 0]]], self.vertices[tri[:, [2, 0, 1]]]
-        grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
-        return _read_only(grads / (2 * self.areas)[:, None, None])
+        x, y = self.vertex_columns()
+        twice = 2 * self.areas
+        grads = np.empty((self.n_triangles, 3, 2))
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            np.divide(y[j] - y[k], twice, out=grads[:, i, 0])
+            np.divide(x[k] - x[j], twice, out=grads[:, i, 1])
+        return _read_only(grads)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -222,7 +240,8 @@ def interface_edges(mesh: Mesh):
     sides = np.zeros((2, mesh.n_vertices), dtype=bool)
     sides[0, tri[region > 0]] = True
     sides[1, tri[region < 0]] = True
-    near = np.flatnonzero((sides[0] & sides[1])[tri].any(axis=1))
+    both = (sides[0] & sides[1])[tri.T]
+    near = np.flatnonzero(both[0] | both[1] | both[2])
     if near.size == 0:
         return np.zeros((0, 2), dtype=np.int64), near, near
     edges, tri_edges, _, neighbors = edge_table(tri[near])
@@ -251,13 +270,7 @@ def validate_mesh(mesh: Mesh, domain: DomainSpec) -> None:
         u, v = unflagged[0]
         raise GeometryError(f"boundary edge ({u},{v}) has unflagged endpoint")
 
-    # interface fit: no triangle straddles theta = 0 (the positive x-axis)
-    scale = float(np.max(np.abs(mesh.vertices))) or 1.0
-    eps = 1e-12 * scale
-    y = mesh.vertices[:, 1][mesh.triangles]
-    x = mesh.vertices[:, 0][mesh.triangles]
-    crosses_axis = np.any(y > eps, axis=1) & np.any(y < -eps, axis=1)
-    straddles = crosses_axis & np.any(x > eps, axis=1)
+    straddles = _straddling(mesh)
     if np.any(straddles):
         raise GeometryError(f"{int(straddles.sum())} triangles straddle the interface")
 
@@ -268,19 +281,27 @@ def validate_mesh(mesh: Mesh, domain: DomainSpec) -> None:
         raise GeometryError("region tags disagree with barycenter side")
 
 
+def _straddling(mesh: Mesh) -> np.ndarray:
+    """(nt,) mask of the triangles that straddle theta = 0, the positive x-axis.
+
+    Such a triangle has a vertex above the axis, one below it and one right of
+    the corner, each by more than 1e-12 of the mesh's largest coordinate.
+    """
+    eps = 1e-12 * (float(np.max(np.abs(mesh.vertices))) or 1.0)
+    x, y = mesh.vertex_columns()
+    above = (y[0] > eps) | (y[1] > eps) | (y[2] > eps)
+    below = (y[0] < -eps) | (y[1] < -eps) | (y[2] < -eps)
+    return above & below & ((x[0] > eps) | (x[1] > eps) | (x[2] > eps))
+
+
 def max_interior_angle(mesh: Mesh) -> float:
     """Largest interior angle over all triangles, in radians."""
-    pts = mesh.vertices[mesh.triangles]
+    x, y = mesh.vertex_columns()
     worst = 0.0
-    for i in range(3):
-        a = pts[:, i]
-        b = pts[:, (i + 1) % 3]
-        c = pts[:, (i + 2) % 3]
-        u = b - a
-        v = c - a
-        cosang = (u * v).sum(axis=1) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-        )
+    for i in range(3):  # one vertex at a time, to keep the peak at the gather's
+        j, k = (i + 1) % 3, (i + 2) % 3
+        ux, uy, vx, vy = x[j] - x[i], y[j] - y[i], x[k] - x[i], y[k] - y[i]
+        cosang = (ux * vx + uy * vy) / (np.sqrt(ux * ux + uy * uy) * np.sqrt(vx * vx + vy * vy))
         worst = max(worst, float(np.arccos(np.clip(cosang, -1.0, 1.0)).max()))
     return worst
 

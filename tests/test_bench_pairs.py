@@ -47,16 +47,25 @@ def test_wide_base_spread_is_unresolved_unless_every_change_run_is_better():
     assert judge(skewed, [0.99] * 10) == "within bound"
 
 
-def fake_run(calls, traced_correct=True):
-    """A ``subprocess.run`` stand-in that records each command and prints a passing result."""
+def fake_run(calls, traced_correct=True, untraced=None):
+    """A ``subprocess.run`` stand-in that records each command and prints a result.
+
+    The traced run is correct when ``traced_correct``.  Every untraced run
+    passes, except on the side ``untraced = (side, correct, failed)`` names,
+    whose runs report that ``correct`` and ``failed``; the working tree, at
+    ``bench_pairs.ROOT``, is the change side.
+    """
 
     def run(args, **kwargs):
         calls.append(args)
-        trace = args[args.index("--trace") + 1]
-        correct = traced_correct or trace == "0"
+        if args[args.index("--trace") + 1] == "1":
+            correct, failed = traced_correct, 0 if traced_correct else 1
+        else:
+            side = "change" if Path(kwargs["cwd"]) == bench_pairs.ROOT else "base"
+            correct, failed = untraced[1:] if untraced and untraced[0] == side else (True, 0)
         meta = dict(python="3", numpy="2", scipy="1", nproc=2, env={})
         metrics = {m: dict(value=1.0) for m in ("run_s", "setup_s", "peak_rss_mb")}
-        result = dict(correct=correct, attempted=1, failed=0 if correct else 1, metrics=metrics)
+        result = dict(correct=correct, attempted=1, failed=failed, metrics=metrics)
         return SimpleNamespace(stdout=json.dumps(dict(meta=meta)) + "\n" + json.dumps(result) + "\n", stderr="")
 
     return run
@@ -88,3 +97,26 @@ def test_traced_run_decides_the_exit_code(monkeypatch, tmp_path, traced_correct,
     ]
     out = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["maxprinciple"]
     assert (out["traced_correct"], out["traced_failed"]) == (traced_correct, 0 if traced_correct else 1)
+
+
+@pytest.mark.parametrize(
+    "untraced, code",
+    [(None, 0), (("base", False, 1), 1), (("change", False, 0), 1), (("change", True, 2), 1), (("base", True, 3), 1)],
+)
+def test_untraced_runs_on_either_side_decide_the_exit_code(monkeypatch, tmp_path, capsys, untraced, code):
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run([], untraced=untraced))
+    assert bench_pairs.main(["--label", "t", "--base", "HEAD", "witness:2:5"]) == code
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["witness"]
+    assert out["traced_correct"]
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    if code:
+        side, correct, failed = untraced
+        assert out[f"{side}_correct"] == [correct] * 2 and out[f"{side}_failed"] == [failed] * 2
+        assert last == f"runs not correct or with failed operations: witness {side}"
+    else:
+        assert last.startswith("wrote ")

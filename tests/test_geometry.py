@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedgelab import geometry
+from wedgelab import acceptance, analysis, fem, geometry
 from wedgelab.geometry import (
     GeometryError,
     Mesh,
@@ -114,6 +114,17 @@ def ref_refine_regular(mesh):
         boundary[idx] = key in bedges
     triangles = np.asarray(tris, dtype=np.int64)
     return vertices, triangles, np.asarray(tags, dtype=np.int8), boundary
+
+
+def ref_max_interior_angle(pts):
+    """The loop over the (nt, 3, 2) gather ``vertices[triangles]`` that max_interior_angle replaced."""
+    worst = 0.0
+    for i in range(3):
+        a, b, c = pts[:, i], pts[:, (i + 1) % 3], pts[:, (i + 2) % 3]
+        u, v = b - a, c - a
+        cosang = (u * v).sum(axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        worst = max(worst, float(np.arccos(np.clip(cosang, -1.0, 1.0)).max()))
+    return worst
 
 
 def ref_polar_topology(n_layers, n_rays, iface_col):
@@ -309,6 +320,21 @@ class TestNonObtuse:
         dom = sector(-3 * PI / 4, 2 * PI / 3, 1.0)
         mesh = generate_nonobtuse_mesh(dom, levels=2)
         assert max_interior_angle(mesh) <= PI / 2 + 1e-12
+
+    @pytest.mark.parametrize("case", range(len(acceptance._MAXPRINCIPLE_CASES)))
+    @pytest.mark.parametrize(
+        "levels, angles",
+        [
+            (4, ["0x1.2d97c7f3321dap+0", "0x1.2d97c7f3321d9p+0", "0x1.2d97c7f3321dap+0"]),
+            (7, ["0x1.2d97c7f33221bp+0", "0x1.2d97c7f33221bp+0", "0x1.2d97c7f332218p+0"]),
+        ],
+    )
+    def test_max_interior_angle_on_criterion_10_meshes(self, case, levels, angles):
+        # criterion 10 solves at level 4 and its benchmark at level 7; the values
+        # are those of the (nt, 3, 2) loop, ref_max_interior_angle
+        tp, tm, _ = acceptance._MAXPRINCIPLE_CASES[case]
+        mesh = generate_nonobtuse_mesh(sector(tm, tp, 1.0), levels)
+        assert max_interior_angle(mesh).hex() == angles[case]
 
     def test_refinement_quarters_triangles(self):
         dom = sector(-PI / 3, PI / 3, 1.0)
@@ -603,6 +629,40 @@ class TestInterfaceEdges:
         assert pairs.shape == (0, 2) and upper.size == 0 and lower.size == 0
 
 
+@st.composite
+def element_meshes(draw):
+    """Generated, refined and non-obtuse meshes, some turned off the interface.
+
+    The wedges include reflex ones, openings near 2 pi and sides near +-pi; the
+    radius is 1, 1e-6 (so h is tiny) or 1e3, and mu grades the polar meshes.  A
+    turned copy has triangles that straddle the positive x-axis.
+    """
+    tm, tp = draw(st.one_of(
+        st.tuples(st.floats(-PI + 1e-9, -1e-3), st.floats(1e-3, PI - 1e-9)),
+        st.sampled_from([
+            (-3 * PI / 4, 2 * PI / 3),
+            (-PI / 4, 3 * PI / 2),
+            (-1e-3, 2 * PI - 2e-3),
+            (-(2 * PI - 2e-3), 1e-3),
+            (-(PI - 1e-9), PI - 1e-9),
+        ]),
+    ))
+    radius = draw(st.sampled_from([1.0, 1e-6, 1e3]))
+    domain = sector(tm, tp, radius)
+    kind = draw(st.sampled_from(["polar", "refined", "nonobtuse"]))
+    if kind == "nonobtuse":
+        mesh = generate_nonobtuse_mesh(domain, draw(st.integers(0, 3)))
+    else:
+        mesh = generate_mesh(domain, radius * draw(st.floats(0.06, 0.5)), draw(st.floats(0.2, 1.0)))
+        if kind == "refined":
+            mesh = refine_regular(mesh)
+    turn = draw(st.sampled_from([0.0, 1e-3, 0.4]))
+    if turn:
+        c, s = math.cos(turn), math.sin(turn)
+        mesh = Mesh(mesh.vertices @ np.array([[c, s], [-s, c]]), mesh.triangles, mesh.region, mesh.boundary)
+    return mesh
+
+
 class TestMeshRecord:
     def test_fields_cannot_be_assigned(self):
         mesh = generate_mesh(sector(-PI / 4, PI / 2, 1.0), 0.3)
@@ -620,15 +680,39 @@ class TestMeshRecord:
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
-    def test_derived_arrays_match_direct_formulas(self):
-        mesh = generate_mesh(sector(-3 * PI / 4, 2 * PI / 3, 1.0), 0.2, 0.7)
-        pts = mesh.vertices[mesh.triangles]
+    @settings(max_examples=60, deadline=None)
+    @given(mesh=element_meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_derived_arrays_match_direct_formulas(self, mesh, seed):
+        """The vertex-column kernels equal the (nt, 3, 2) gather formulas they replaced."""
+        v, tri = mesh.vertices, mesh.triangles
+        pts = v[tri]
         e1, e2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
-        assert np.array_equal(mesh.areas, 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]))
+        areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        assert np.array_equal(mesh.areas, areas)
         assert np.array_equal(mesh.barycenters, pts.mean(axis=1))
-        # grad(lambda_0): the edge from vertex 1 to vertex 2 turned a quarter counterclockwise, over 2 * area
-        g0 = np.column_stack([pts[:, 1, 1] - pts[:, 2, 1], pts[:, 2, 0] - pts[:, 1, 0]])
-        assert np.array_equal(mesh.basis_gradients[:, 0], g0 / (2 * mesh.areas)[:, None])
+        # grad(lambda_i): the edge from vertex i + 1 to vertex i + 2 turned a quarter
+        # counterclockwise, over 2 * area
+        nxt, prv = v[tri[:, [1, 2, 0]]], v[tri[:, [2, 0, 1]]]
+        grads = np.stack([nxt[..., 1] - prv[..., 1], prv[..., 0] - nxt[..., 0]], axis=-1)
+        assert np.array_equal(mesh.basis_gradients, grads / (2 * areas)[:, None, None])
+
+        mids = pts + nxt  # the midpoints of the edges 01, 12, 20
+        mids *= 0.5
+        mx, my = fem._edge_midpoints(mesh)
+        assert np.array_equal(mx, mids[..., 0]) and np.array_equal(my, mids[..., 1])
+
+        values = np.random.default_rng(seed).standard_normal(mesh.n_vertices)
+        fs = fem.FemSolution(mesh, values, fem.element_gradients(mesh, values), diagnostics=None)
+        assert np.array_equal(fem.solution_field(fs).values, values[tri].mean(axis=1))
+        spokes = pts - pts.mean(axis=1)[:, None, :]
+        far = float(np.hypot(spokes[..., 0], spokes[..., 1]).max())
+        assert analysis.P1Evaluator(fs).reach == far * (1.0 + 4.0 * analysis.LOCATE_TOL)
+
+        eps = 1e-12 * (float(np.max(np.abs(v))) or 1.0)
+        x, y = v[:, 0][tri], v[:, 1][tri]
+        straddles = np.any(y > eps, axis=1) & np.any(y < -eps, axis=1) & np.any(x > eps, axis=1)
+        assert np.array_equal(geometry._straddling(mesh), straddles)
+        assert max_interior_angle(mesh) == ref_max_interior_angle(pts)
 
 
 _NEAR_AXIS = st.floats(-1e-9, 1e-9)

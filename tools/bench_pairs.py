@@ -9,8 +9,9 @@ even and the working tree first when k is odd.  Every run is the command of
 ``T`` is its ``run_seconds``, from the root of its checkout.  After a
 workload's pairs the working tree runs it once more with ``--trace 1`` on
 ``FIRST_SEED``, so the traced gates (per-layer spans, counts that repeat
-between passes) are checked too; the script exits 1 when that run is not
-correct.  The base is
+between passes) are checked too.  The script exits 1, naming the workload and
+side, when any run, traced or not, on either side is not correct or reports
+failed operations.  The base is
 exported with ``git archive`` into a temporary directory (honours ``TMPDIR``);
 its ``perfbench/cache`` links to the working tree's, whose entries are keyed
 by a hash of their inputs.
@@ -176,9 +177,15 @@ def main(argv=None) -> int:
                 f"change won {m['change_wins']}/{len(out['seeds'])}: {m['verdict']}"
             )
     print(f"wrote {path}")
-    bad = [name for name, out in record["workloads"].items() if not out["traced_correct"]]
+    bad = []
+    for name, out in record["workloads"].items():
+        for side in ("base", "change"):
+            if not all(out[f"{side}_correct"]) or any(out[f"{side}_failed"]):
+                bad.append(f"{name} {side}")
+        if not out["traced_correct"] or out["traced_failed"]:
+            bad.append(f"{name} change traced")
     if bad:
-        print(f"traced run not correct on: {', '.join(bad)}")
+        print(f"runs not correct or with failed operations: {', '.join(bad)}")
         return 1
     return 0
 
