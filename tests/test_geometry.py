@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedgelab import acceptance, analysis, fem, geometry
@@ -682,6 +682,7 @@ class TestMeshRecord:
 
     @settings(max_examples=60, deadline=None)
     @given(mesh=element_meshes(), seed=st.integers(0, 2**32 - 1))
+    @example(mesh=generate_mesh(sector(-3 * PI / 4, 2 * PI / 3, 1.0), 0.2, 0.7), seed=0)
     def test_derived_arrays_match_direct_formulas(self, mesh, seed):
         """The vertex-column kernels equal the (nt, 3, 2) gather formulas they replaced."""
         v, tri = mesh.vertices, mesh.triangles
