@@ -56,6 +56,10 @@ LINE_BAND_SHARE = 0.5
 COARSE_UNKNOWNS = 200
 # Damping of each multigrid level's smoother.
 SMOOTHER_DAMPING = 0.8
+# error_report evaluates the reference functions on this many elements'
+# midpoints at a time (and as many vertices), so its temporaries stay small
+# on fine meshes; chunks of 16k-64k points evaluated fastest.
+QUADRATURE_BLOCK = 1 << 14
 
 
 class AssemblyError(ValueError):
@@ -267,6 +271,15 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> SparseSystem:
 
 
 def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
+    """The sum of the element matrices, built from their diagonals and strictly upper entries.
+
+    Entry (i, j) of an element lands on its edge's (min, max) vertex pair, so
+    the strictly upper part U sums the two triangles of each interior edge in
+    a COO matrix of 3 nt entries; each CSR row is then U^T's row, the
+    diagonal, and U's row.  The pattern is that of all nine entries per
+    element summed, explicit zeros included, and the matrix is exactly
+    symmetric.
+    """
     bary = mesh.barycenters
     amat = coeff.evaluate(bary[:, 0], bary[:, 1], mesh.region)
     validate_ellipticity(coeff, amat)
@@ -275,11 +288,34 @@ def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
     del amat  # freed before the second product, and ke scaled in place, to lower the peak
     ke = ke @ grads.mT
     ke *= mesh.areas[:, None, None]
+    n = mesh.n_vertices
     tri = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    shape = (mesh.n_vertices, mesh.n_vertices)
-    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=shape).tocsr()
+    diag = np.bincount(tri[:, 0], ke[:, 0, 0], n)
+    diag += np.bincount(tri[:, 1], ke[:, 1, 1], n)
+    diag += np.bincount(tri[:, 2], ke[:, 2, 2], n)
+    a, b = tri.T, tri.T[[1, 2, 0]]  # the local edges 01, 12, 20
+    upper_vals = np.concatenate([ke[:, 0, 1], ke[:, 1, 2], ke[:, 2, 0]])
+    del ke
+    upper = sp.coo_matrix(
+        (upper_vals, (np.minimum(a, b).ravel(), np.maximum(a, b).ravel())), shape=(n, n)
+    ).tocsr()
+    del upper_vals, a, b, tri
+    lower = upper.tocsc()  # its arrays are U^T's in CSR, column indices sorted
+    n_lower, n_upper = np.diff(lower.indptr), np.diff(upper.indptr)
+    indptr = np.zeros(n + 1, dtype=upper.indptr.dtype)
+    np.cumsum(n_lower + n_upper + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=upper.indices.dtype)
+    data = np.empty(indptr[-1])
+    at_diag = indptr[:-1] + n_lower
+    indices[at_diag] = np.arange(n)
+    data[at_diag] = diag
+    for part, start in ((lower, indptr[:-1]), (upper, at_diag + 1)):
+        # the k-th entry of the part's row r goes to start[r] + k
+        at = np.arange(part.nnz, dtype=indptr.dtype)
+        at += np.repeat(start - part.indptr[:-1], np.diff(part.indptr))
+        indices[at] = part.indices
+        data[at] = part.data
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _load(mesh: Mesh, spec: ProblemSpec) -> np.ndarray:
@@ -288,7 +324,7 @@ def _load(mesh: Mesh, spec: ProblemSpec) -> np.ndarray:
     has_g = spec.g_plus is not None or spec.g_minus is not None
     if spec.h is None and not has_g:
         return rhs
-    mx, my = _edge_midpoints(mesh)
+    mx, my = _edge_midpoints(mesh.vertices, mesh.triangles)
     areas = mesh.areas[:, None]
     terms = []
     if spec.h is not None:
@@ -305,9 +341,11 @@ def _load(mesh: Mesh, spec: ProblemSpec) -> np.ndarray:
     return rhs
 
 
-def _edge_midpoints(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """x and y, each (m, 3), of the midpoints of the edges 01, 12, 20 of each element."""
-    return tuple(np.ascontiguousarray(((c + c[[1, 2, 0]]) * 0.5).T) for c in mesh.vertex_columns())
+def _edge_midpoints(vertices: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y, each (m, 3), of the midpoints of the edges 01, 12, 20 of each of the (m, 3) ``triangles``."""
+    tri = triangles.T
+    columns = (vertices[:, 0][tri], vertices[:, 1][tri])  # as Mesh.vertex_columns, for these elements
+    return tuple(np.ascontiguousarray(((c + c[[1, 2, 0]]) * 0.5).T) for c in columns)
 
 
 def solve_cg(
@@ -548,30 +586,48 @@ def error_report(fs: FemSolution, exact, exact_grad) -> ErrorReport:
     element's side of the interface, making the H1 error a broken norm.
     """
     mesh = fs.mesh
-    areas = mesh.areas
-    # the reference functions allocate many midpoint-sized temporaries, so
-    # around their calls only flat midpoint coordinates and one error per
-    # midpoint stay alive; they see the midpoints element by element, while
-    # row i of err (3, m) holds each element's midpoint i
-    mx, my = (c.ravel() for c in _edge_midpoints(mesh))
-    u = fs.values[mesh.triangles.T]
+    # each element's midpoint-rule terms, summed once at the end, so the sums
+    # do not depend on the block size
+    l2_terms, h1_terms = np.empty(mesh.n_triangles), np.empty(mesh.n_triangles)
+    maxima = []
+    for start in range(0, mesh.n_triangles, QUADRATURE_BLOCK):
+        block = slice(start, start + QUADRATURE_BLOCK)
+        l2_terms[block], h1_terms[block], top = _quadrature_block(fs, block, exact, exact_grad)
+        maxima.append(top)
+    for start in range(0, mesh.n_vertices, QUADRATURE_BLOCK):
+        block = slice(start, start + QUADRATURE_BLOCK)
+        ue_vert = exact(mesh.vertices[block, 0], mesh.vertices[block, 1])
+        maxima.append(np.abs(fs.values[block] - ue_vert).max())
+    return ErrorReport(
+        l2=math.sqrt(float(l2_terms.sum())), broken_h1=math.sqrt(float(h1_terms.sum())), linf=float(np.max(maxima))
+    )
+
+
+def _quadrature_block(fs: FemSolution, block: slice, exact, exact_grad) -> tuple[np.ndarray, np.ndarray, float]:
+    """The L2 and H1 midpoint-rule terms of the elements in ``block``, and their largest midpoint error.
+
+    One call per block, so the block's temporaries are freed before the next block's are made.
+    """
+    mesh = fs.mesh
+    areas, tri = mesh.areas[block], mesh.triangles[block]
+    # the reference functions see the midpoints element by element, while
+    # row i of err (3, b) holds each element's midpoint i
+    mx, my = (c.ravel() for c in _edge_midpoints(mesh.vertices, tri))
+    u = fs.values[tri.T]
     err = 0.5 * (u + u[[1, 2, 0]])
     del u
     err -= exact(mx, my).reshape(-1, 3).T
-    l2 = _midpoint_rule(areas, err**2)
-
-    gx, gy = exact_grad(mx, my, np.repeat(mesh.region, 3))
-    gh = fs.element_gradients
-    broken = _midpoint_rule(areas, (gh[:, 0] - gx.reshape(-1, 3).T) ** 2 + (gh[:, 1] - gy.reshape(-1, 3).T) ** 2)
-
-    ue_vert = exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    linf = float(max(np.abs(fs.values - ue_vert).max(), np.abs(err).max()))
-    return ErrorReport(l2=l2, broken_h1=broken, linf=linf)
+    l2 = _midpoint_terms(areas, err**2)
+    top = np.abs(err).max()
+    del err
+    gx, gy = (g.reshape(-1, 3).T for g in exact_grad(mx, my, np.repeat(mesh.region[block], 3)))
+    gh = fs.element_gradients[block]
+    return l2, _midpoint_terms(areas, (gh[:, 0] - gx) ** 2 + (gh[:, 1] - gy) ** 2), top
 
 
-def _midpoint_rule(areas: np.ndarray, sq: np.ndarray) -> float:
-    """Square root of the edge-midpoint rule over the mesh; ``sq`` (3, m) holds row i at midpoint i."""
-    return math.sqrt(float((areas / 3.0 * (sq[0] + sq[1] + sq[2])).sum()))
+def _midpoint_terms(areas: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Each element's edge-midpoint rule of ``sq`` (3, m), whose row i holds midpoint i."""
+    return areas / 3.0 * (sq[0] + sq[1] + sq[2])
 
 
 def fit_rate(hs, errs) -> float:

@@ -82,18 +82,23 @@ def wedge_angles(w: Wedge, x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # the shifts update theta and dist in place and reuse one candidate pair,
-    # so at most five point-sized arrays are alive at once
     theta = np.arctan2(y, x, out=np.empty(np.broadcast_shapes(x.shape, y.shape)))
     np.copyto(theta, 0.0, where=(x == 0.0) & (y == 0.0))
-    dist = _interval_dist(theta, w.theta_minus, w.theta_plus, np.empty_like(theta))
-    cand, cand_dist = np.empty_like(theta), np.empty_like(theta)
-    for shift in (-_TWO_PI, _TWO_PI):
-        np.add(theta, shift, out=cand)
-        _interval_dist(cand, w.theta_minus, w.theta_plus, cand_dist)
-        closer = cand_dist < dist
-        np.copyto(theta, cand, where=closer)
-        np.copyto(dist, cand_dist, where=closer)
+    # a point inside [theta_minus, theta_plus] is at distance 0, so no shift
+    # is strictly closer: only the points outside are tried
+    flat = theta.reshape(-1)
+    outside = np.flatnonzero((flat < w.theta_minus) | (flat > w.theta_plus))
+    if outside.size:
+        t = flat[outside]
+        dist = _interval_dist(t, w.theta_minus, w.theta_plus, np.empty_like(t))
+        cand, cand_dist = np.empty_like(t), np.empty_like(t)
+        for shift in (-_TWO_PI, _TWO_PI):
+            np.add(t, shift, out=cand)
+            _interval_dist(cand, w.theta_minus, w.theta_plus, cand_dist)
+            closer = cand_dist < dist
+            np.copyto(t, cand, where=closer)
+            np.copyto(dist, cand_dist, where=closer)
+        flat[outside] = t
     return theta
 
 

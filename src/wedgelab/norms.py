@@ -83,7 +83,10 @@ class SampledField:
         checked = (self.points, self.values) + (() if self.gradients is None else (self.gradients,))
         if not all(np.isfinite(a).all() for a in checked):
             raise NormEstimateError("points, values and gradients must be finite")
-        if n > 0 and np.unique(self.points, axis=0).shape[0] != n:
+        # sorted by x, then y, equal rows are adjacent
+        order = np.lexsort((self.points[:, 1], self.points[:, 0]))
+        x, y = self.points[order, 0], self.points[order, 1]
+        if np.any((x[1:] == x[:-1]) & (y[1:] == y[:-1])):
             raise NormEstimateError("sample points must be distinct")
 
     @property

@@ -961,3 +961,142 @@ class TestSolutionField:
         assert "_memo" not in repr(fs)
         other = solve_problem(spec, 0.3)
         assert solution_field(other) is not fld
+
+
+def coo_stiffness(mesh, coeff):
+    """The stiffness as all nine entries of each element matrix summed by one COO -> CSR conversion."""
+    bary = mesh.barycenters
+    amat = coeff.evaluate(bary[:, 0], bary[:, 1], mesh.region)
+    grads = mesh.basis_gradients
+    ke = grads @ amat
+    del amat
+    ke = ke @ grads.mT
+    ke *= mesh.areas[:, None, None]
+    tri = mesh.triangles.astype(np.int32)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    shape = (mesh.n_vertices, mesh.n_vertices)
+    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
+@st.composite
+def stiffness_meshes(draw):
+    """Polar meshes (reflex, near-2 pi, graded), regularly refined ones, and non-obtuse ones."""
+    domain, h, mu, _ = draw(polar_cases())
+    kind = draw(st.sampled_from(["polar", "refined", "nonobtuse"]))
+    if kind == "polar":
+        return generate_mesh(domain, h, mu)
+    if kind == "refined":
+        return refine_regular(generate_mesh(domain, max(h, 0.15), mu))
+    return generate_nonobtuse_mesh(domain, draw(st.integers(1, 4)))
+
+
+class TestSymmetricStiffness:
+    """``_stiffness`` assembles the diagonal and the upper triangle only."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mesh=stiffness_meshes(), coeff=st.sampled_from(list(STIFFNESS_COEFFS.values())))
+    def test_matches_coo_assembly(self, mesh, coeff):
+        A, ref = fem._stiffness(mesh, coeff), coo_stiffness(mesh, coeff)
+        # the same pattern, explicit zeros included, and the same index dtypes
+        assert A.indptr.dtype == ref.indptr.dtype and A.indices.dtype == ref.indices.dtype
+        assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+        assert A.data.dtype == ref.data.dtype
+        assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+        assert (A != A.T).nnz == 0
+
+
+def full_array_error_report(fs, exact, exact_grad):
+    """``error_report`` with the reference functions called once on all midpoints and all vertices."""
+    mesh = fs.mesh
+    areas = mesh.areas
+    cx, cy = mesh.vertex_columns()
+    mx = np.ascontiguousarray(((cx + cx[[1, 2, 0]]) * 0.5).T).ravel()
+    my = np.ascontiguousarray(((cy + cy[[1, 2, 0]]) * 0.5).T).ravel()
+    del cx, cy
+    u = fs.values[mesh.triangles.T]
+    err = 0.5 * (u + u[[1, 2, 0]])
+    del u
+    err -= exact(mx, my).reshape(-1, 3).T
+
+    def rule(sq):
+        return math.sqrt(float((areas / 3.0 * (sq[0] + sq[1] + sq[2])).sum()))
+
+    l2 = rule(err**2)
+    gx, gy = exact_grad(mx, my, np.repeat(mesh.region, 3))
+    gh = fs.element_gradients
+    broken = rule((gh[:, 0] - gx.reshape(-1, 3).T) ** 2 + (gh[:, 1] - gy.reshape(-1, 3).T) ** 2)
+    ue_vert = exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    linf = float(max(np.abs(fs.values - ue_vert).max(), np.abs(err).max()))
+    return fem.ErrorReport(l2=l2, broken_h1=broken, linf=linf)
+
+
+@pytest.fixture(scope="module")
+def witness_levels():
+    """The witness problem's exact functions and its solutions at the three witness levels."""
+    from wedgelab.acceptance import WITNESS_LEVELS, WITNESS_MU, Workbench
+    from wedgelab.exact_solutions import eval_separable_xy, grad_separable_xy
+
+    bench = Workbench()
+    exact = lambda x, y: eval_separable_xy(bench.solution, x, y)  # noqa: E731
+    exact_grad = lambda x, y, s: grad_separable_xy(bench.solution, x, y, s)  # noqa: E731
+    return bench, exact, exact_grad, [solve_problem(bench.problem, h, WITNESS_MU) for h in WITNESS_LEVELS]
+
+
+def as_hex(report):
+    return tuple(float(v).hex() for v in dataclasses.astuple(report))
+
+
+class TestBlockedErrorReport:
+    """``error_report`` walks the elements and vertices in blocks of ``QUADRATURE_BLOCK``."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("blocks", ["default", "one partial", "exactly one", "several"])
+    def test_equals_full_array_version(self, witness_levels, level, blocks, monkeypatch):
+        _, exact, exact_grad, solutions = witness_levels
+        fs = solutions[level]
+        nt, nv = fs.mesh.n_triangles, fs.mesh.n_vertices
+        # "several": four element blocks and two vertex blocks, each set with a remainder
+        size = {"default": fem.QUADRATURE_BLOCK, "one partial": nt + 7, "exactly one": nt, "several": nt // 4 + 3}[blocks]
+        if blocks == "several":
+            assert nt % size and nv % size and nv > size
+        monkeypatch.setattr(fem, "QUADRATURE_BLOCK", size)
+        assert as_hex(error_report(fs, exact, exact_grad)) == as_hex(full_array_error_report(fs, exact, exact_grad))
+
+    def test_reference_functions_see_only_blocks(self, witness_levels, monkeypatch):
+        _, exact, exact_grad, solutions = witness_levels
+        monkeypatch.setattr(fem, "QUADRATURE_BLOCK", 1000)
+        sizes = []
+
+        def counted(x, y):
+            sizes.append(np.size(x))
+            return exact(x, y)
+
+        error_report(solutions[0], counted, exact_grad)
+        assert max(sizes) == 3000 and sum(sizes) == 3 * solutions[0].mesh.n_triangles + solutions[0].mesh.n_vertices
+
+
+def traced_peak(fn, *args):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryPeaks:
+    """tracemalloc peaks on the h = 1/90 witness mesh against the full-array versions."""
+
+    def test_stiffness_peak(self, witness_levels):
+        bench, _, _, solutions = witness_levels
+        mesh = solutions[1].mesh
+        fem._stiffness(mesh, bench.coeff)  # the mesh's cached element arrays exist before tracing
+        assert traced_peak(fem._stiffness, mesh, bench.coeff) <= 0.6 * traced_peak(coo_stiffness, mesh, bench.coeff)
+
+    def test_error_report_peak(self, witness_levels):
+        _, exact, exact_grad, solutions = witness_levels
+        fs = solutions[1]
+        peak = traced_peak(error_report, fs, exact, exact_grad)
+        assert peak <= 0.5 * traced_peak(full_array_error_report, fs, exact, exact_grad)

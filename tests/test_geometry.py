@@ -699,7 +699,7 @@ class TestMeshRecord:
 
         mids = pts + nxt  # the midpoints of the edges 01, 12, 20
         mids *= 0.5
-        mx, my = fem._edge_midpoints(mesh)
+        mx, my = fem._edge_midpoints(v, tri)
         assert np.array_equal(mx, mids[..., 0]) and np.array_equal(my, mids[..., 1])
 
         values = np.random.default_rng(seed).standard_normal(mesh.n_vertices)
@@ -753,6 +753,34 @@ WEDGES = st.one_of(
 )
 
 
+def in_place_wedge_angles(w, x, y):
+    """``wedge_angles`` trying both 2 pi shifts on every point, in place (the version before the inside skip)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    theta = np.arctan2(y, x, out=np.empty(np.broadcast_shapes(x.shape, y.shape)))
+    np.copyto(theta, 0.0, where=(x == 0.0) & (y == 0.0))
+    dist = geometry._interval_dist(theta, w.theta_minus, w.theta_plus, np.empty_like(theta))
+    cand, cand_dist = np.empty_like(theta), np.empty_like(theta)
+    for shift in (-2 * PI, 2 * PI):
+        np.add(theta, shift, out=cand)
+        geometry._interval_dist(cand, w.theta_minus, w.theta_plus, cand_dist)
+        closer = cand_dist < dist
+        np.copyto(theta, cand, where=closer)
+        np.copyto(dist, cand_dist, where=closer)
+    return theta
+
+
+@st.composite
+def wedge_point_sets(draw):
+    """A wedge (reflex and near-2 pi ones included) and points anywhere: inside, outside, on its walls, near them."""
+    w = draw(WEDGES)
+    wall = st.sampled_from([w.theta_minus, w.theta_plus])
+    near_wall = st.tuples(wall, st.floats(-1e-6, 1e-6)).map(sum)
+    angle = st.one_of(ANGLES, wall, near_wall)
+    on_ray = st.tuples(st.floats(1e-6, 10.0), angle).map(lambda p: (p[0] * math.cos(p[1]), p[0] * math.sin(p[1])))
+    return w, draw(st.lists(st.one_of(POINTS, on_ray), min_size=1, max_size=30))
+
+
 class TestWedgeAngles:
     @settings(max_examples=300, deadline=None)
     @given(w=WEDGES, pts=st.lists(POINTS, min_size=1, max_size=20))
@@ -761,4 +789,18 @@ class TestWedgeAngles:
         y = np.array([p[1] for p in pts])
         ref = np.array([ref_wedge_angle(w, a, b) for a, b in pts])
         np.testing.assert_allclose(wedge_angles(w, x, y), ref, rtol=0.0, atol=4e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=wedge_point_sets())
+    @example(case=(make_wedge(-PI / 4, 5 * PI / 4), [(0.0, 0.0), (-0.0, -0.0), (-1.0, -0.0), (-1.0, -1e-9)]))
+    def test_matches_in_place_version_bit_for_bit(self, case):
+        # int64 views, so a signed zero that changes sign is a difference
+        w, pts = case
+        x, y = np.array(pts).T
+        for shape in (x.shape, (len(pts), 1)):
+            got, ref = wedge_angles(w, x.reshape(shape), y.reshape(shape)), in_place_wedge_angles(w, x, y)
+            assert got.shape == shape
+            assert np.array_equal(got.reshape(-1).view(np.int64), ref.view(np.int64))
+        got = wedge_angles(w, *pts[0])
+        assert got.shape == () and got.view(np.int64) == ref[0].view(np.int64)
 

@@ -528,6 +528,37 @@ class TestSampledFieldValidation:
         with pytest.raises(NormEstimateError):
             SampledField(pts, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ((0.3, -0.2), (0.3, -0.2)),
+            ((0.0, 0.5), (-0.0, 0.5)),  # a signed-zero pair is one point
+            ((0.5, -0.0), (0.5, 0.0)),
+            ((0.0, 0.0), (-0.0, -0.0)),
+        ],
+    )
+    def test_repeated_row_among_distinct_ones_rejected(self, pair):
+        pts = np.vstack([disk_cloud(40, seed=3), pair])
+        pts = pts[np.random.default_rng(4).permutation(len(pts))]
+        with pytest.raises(NormEstimateError, match="distinct"):
+            SampledField(pts, np.zeros(len(pts)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, 1.0 + 2.0**-52])] * 2), min_size=0, max_size=12
+        )
+    )
+    def test_distinctness_matches_np_unique(self, rows):
+        # the check np.unique(points, axis=0) made before the sort-based one
+        pts = np.array(rows, dtype=float).reshape(-1, 2)
+        repeated = len(pts) > 0 and np.unique(pts, axis=0).shape[0] != len(pts)
+        if repeated:
+            with pytest.raises(NormEstimateError, match="distinct"):
+                SampledField(pts, np.zeros(len(pts)))
+        else:
+            assert SampledField(pts, np.zeros(len(pts))).n == len(pts)
+
     def test_shape_mismatch(self):
         with pytest.raises(NormEstimateError):
             SampledField(np.zeros((3, 2)), np.zeros(2))
