@@ -16,14 +16,9 @@ meshes, whose chain drops every other circular layer) with more than
 ``COARSE_UNKNOWNS`` unknowns, the preconditioner is a symmetric V(1,1)
 multigrid cycle: the coarse levels are the parents, the transfer their
 recorded vertex prolongations on free vertices, the coarse operators
-Galerkin products, and the coarsest level is factored densely (the radial
-chain ends on one free layer, which is solved exactly by its tridiagonal
-part).  Otherwise it is read off the reduced matrix: its
-tridiagonal part, factored once by LAPACK, when that part carries most of
-the coupling (the graded polar meshes, whose vertices are numbered along
-each circular layer), else the diagonal (Jacobi); Jacobi is also the
-fallback when the tridiagonal part is not positive definite.  The same rule
-gives each multigrid level its smoother.
+Galerkin products, and a small coarsest level is factored densely.
+Otherwise, and on each multigrid level, the preconditioner follows that
+level's mesh: ``solve_cg`` states the rule.
 """
 
 from __future__ import annotations
@@ -41,15 +36,6 @@ from .norms import SampledField
 
 DEGENERATE_AREA = 1e-14
 ELLIPTICITY_SLACK = 1e-10
-# CG preconditions with the tridiagonal part of the reduced matrix when its
-# two off-diagonals hold at least this share of the off-diagonal weight
-# sum |A_ij|, i != j.  Measured: 0.85-0.98 on generate_mesh's polar meshes
-# (witness mu = 0.5, 0.8, 1; criterion-8 instances at h = 0.12 and 0.03),
-# where it cuts the fine witness solve from 1,989 to 179 iterations;
-# 0.17-0.24 on generate_nonobtuse_mesh's meshes (levels 3-7), where it is
-# 1.4x slower than Jacobi.  The rule also picks each multigrid level's
-# smoother, and it picks Jacobi on every level of the non-obtuse meshes.
-LINE_BAND_SHARE = 0.5
 # The V-cycle coarsens until a level has at most this many unknowns and
 # factors that level densely (a level that cannot be coarsened further and is
 # larger gets one application of its single-level preconditioner instead).
@@ -362,16 +348,18 @@ def solve_cg(
     ``refine_regular`` and by ``generate_mesh`` above
     ``geometry.RADIAL_LEVELS_VERTICES`` vertices) and has more than
     ``COARSE_UNKNOWNS`` unknowns, the preconditioner is a V(1,1) multigrid
-    cycle over the parents (``_vcycle``).
-    Otherwise it is the tridiagonal part of the reduced matrix (a line
-    preconditioner on meshes numbered along lines) when its off-diagonals
-    carry at least ``LINE_BAND_SHARE`` of the off-diagonal weight and
-    LAPACK's ``dpttrf`` finds it positive definite, else the diagonal.
-    ``CgDiagnostics`` names the preconditioner and its levels and
-    gives the true relative residual; a zero right-hand side returns at once
-    and reads "jacobi".  Raises ``ValueError`` for a ``tol`` outside (0, 1) or
-    a ``max_iter`` below 1, and ``SolverError`` on stagnation past
-    ``max_iter`` (default 20 sqrt(n)) or on loss of positive definiteness.
+    cycle over the parents (``_vcycle``).  A level (the only one, or one of the
+    cycle's) gets the tridiagonal part of its matrix, factored once by
+    LAPACK's ``dpttrf``, exactly when its mesh (``system.mesh``, or a parent
+    down its chain) is ``Mesh.layered``: a polar mesh, numbered along the
+    circular layers that carry the strong coupling.  Any other level, a
+    system without a mesh, and a tridiagonal part that ``dpttrf`` rejects
+    get the diagonal (Jacobi).  ``CgDiagnostics`` names the preconditioner
+    and its levels and gives the true relative residual; a zero right-hand
+    side returns at once and reads "jacobi".  Raises ``ValueError`` for a
+    ``tol`` outside (0, 1) or a ``max_iter`` below 1, and ``SolverError`` on
+    stagnation past ``max_iter`` (default 20 sqrt(n)) or on loss of positive
+    definiteness.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
@@ -400,11 +388,11 @@ def solve_cg(
     diag_entries = Aff.diagonal()
     if np.any(diag_entries <= 0.0):
         raise SolverError("reduced matrix has nonpositive diagonal entries")
-    prolongations = _prolongations(system.mesh, free_idx)
+    prolongations, lines = _prolongations(system.mesh, free_idx)
     if prolongations:
-        kind, precond = "multigrid", _vcycle(Aff, diag_entries, prolongations)
+        kind, precond = "multigrid", _vcycle(Aff, diag_entries, prolongations, lines)
     else:
-        kind, precond = _preconditioner(Aff, diag_entries)
+        kind, precond = _preconditioner(Aff, diag_entries, lines[0])
 
     r = bf.copy()
     z = precond(r)
@@ -447,33 +435,28 @@ def solve_cg(
     return _expand(system, x, free_idx), diagn
 
 
-def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray):
-    """("line", tridiagonal solve) or ("jacobi", diagonal scaling) for ``Aff``.
-
-    The choice follows LINE_BAND_SHARE; a tridiagonal part that ``dpttrf``
-    does not find positive definite falls back to Jacobi.
-    """
-    band = Aff.diagonal(1)
-    off_weight = float(np.abs(Aff.data).sum() - np.abs(diag_entries).sum())
-    if off_weight > 0.0 and 2.0 * float(np.abs(band).sum()) >= LINE_BAND_SHARE * off_weight:
-        d, e, info = dpttrf(diag_entries, band)
+def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray, line: bool):
+    """("line", tridiagonal solve) when ``line`` and ``dpttrf`` accepts the band, else ("jacobi", diagonal)."""
+    if line:
+        d, e, info = dpttrf(diag_entries, Aff.diagonal(1))
         if info == 0:
             return "line", lambda r: dpttrs(d, e, r)[0]
     minv = 1.0 / diag_entries
     return "jacobi", lambda r: minv * r
 
 
-def _prolongations(mesh: Mesh | None, free_idx: np.ndarray) -> list[sp.csr_matrix]:
-    """Prolongations from each coarser level's unknowns to the next finer level's, finest first.
+def _prolongations(mesh: Mesh | None, free_idx: np.ndarray) -> tuple[list[sp.csr_matrix], list[bool]]:
+    """Prolongations from each coarser level's unknowns to the next finer level's, finest first,
+    and each level's ``Mesh.layered`` (False without a mesh), the fine level first.
 
     The levels follow ``Mesh.parent``, and each is the recorded vertex
     prolongation restricted to the fine level's free rows and the coarse
     level's free (non-boundary) columns, so a Dirichlet end gives a zero
     correction.  Coarsening stops at ``COARSE_UNKNOWNS`` unknowns or at a
     mesh without a parent, so no mesh, a mesh without a parent and a small
-    mesh all give ``[]``.
+    mesh all give no prolongation.
     """
-    out = []
+    out, lines = [], [mesh is not None and mesh.layered]
     free = free_idx
     while mesh is not None and mesh.parent is not None and free.size > COARSE_UNKNOWNS:
         mesh, P = mesh.parent
@@ -481,30 +464,32 @@ def _prolongations(mesh: Mesh | None, free_idx: np.ndarray) -> list[sp.csr_matri
         if coarse.size == 0:
             break
         out.append(P[free][:, coarse])
+        lines.append(mesh.layered)
         free = coarse
-    return out
+    return out, lines
 
 
-def _vcycle(Aff: sp.csr_matrix, diag_entries: np.ndarray, prolongations: list):
+def _vcycle(Aff: sp.csr_matrix, diag_entries: np.ndarray, prolongations: list, lines: list):
     """Symmetric V(1,1) cycle over Galerkin levels ``P^T A P``, as a map r -> z.
 
-    Each level above the coarsest smooths with its ``_preconditioner`` damped
-    by ``SMOOTHER_DAMPING``; the coarsest level is solved by a dense Cholesky
+    Each level above the coarsest smooths with its ``_preconditioner``, given
+    its entry of ``lines`` (``_prolongations``), damped by
+    ``SMOOTHER_DAMPING``; the coarsest level is solved by a dense Cholesky
     factor when it has at most ``COARSE_UNKNOWNS`` unknowns, else by its own
     ``_preconditioner``.  The cycle is a loop down the levels and back up, so
     the map holds no reference to itself and its levels are freed with it.
     """
     ops, smoothers = [Aff], []
     diag = diag_entries
-    for P in prolongations:
-        smoothers.append(_preconditioner(ops[-1], diag)[1])
+    for P, line in zip(prolongations, lines):
+        smoothers.append(_preconditioner(ops[-1], diag, line)[1])
         ops.append((P.T @ ops[-1] @ P).tocsr())
         diag = ops[-1].diagonal()
     if ops[-1].shape[0] <= COARSE_UNKNOWNS:
         factor = cho_factor(ops[-1].toarray())
         coarse_solve = lambda r: cho_solve(factor, r)
     else:
-        coarse_solve = _preconditioner(ops[-1], diag)[1]
+        coarse_solve = _preconditioner(ops[-1], diag, lines[-1])[1]
     levels = list(zip(ops, prolongations, smoothers))
 
     def vcycle(r):

@@ -130,7 +130,8 @@ class Mesh:
     edges follow from the tags (``interface_edges``).  ``parent`` is (coarse
     mesh, vertex prolongation) on a mesh that ``refine_regular`` builds and on a
     ``generate_mesh`` mesh above ``RADIAL_LEVELS_VERTICES`` vertices (its radial
-    chain); any other mesh has ``None``.
+    chain); any other mesh has ``None``.  ``layered`` is True on the polar meshes
+    (``_polar_mesh``), numbered along each circular layer; ``fem.solve_cg`` uses it.
     """
 
     vertices: np.ndarray  # (nv, 2) float64
@@ -138,6 +139,7 @@ class Mesh:
     region: np.ndarray  # (nt,) int8, +1 / -1
     boundary: np.ndarray  # (nv,) bool
     parent: tuple[Mesh, sp.csr_matrix] | None = field(default=None, init=False, repr=False, compare=False)
+    layered: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -388,7 +390,7 @@ def _polar_mesh(w: Wedge, layers: np.ndarray, n_minus: int, n_plus: int) -> Mesh
     the corner and vertex 1 + i * n_rays + j lies on layer i, ray j; the
     first layer is a fan about the corner, each further layer a band of
     quadrilaterals, each cut along the diagonal from its inner vertex on
-    ray j to its outer vertex on ray j + 1.
+    ray j to its outer vertex on ray j + 1.  The mesh is ``layered``.
     """
     thetas = np.concatenate(
         [
@@ -414,12 +416,14 @@ def _polar_mesh(w: Wedge, layers: np.ndarray, n_minus: int, n_plus: int) -> Mesh
     boundary[ids[:, [0, -1]]] = True
     boundary[ids[-1]] = True
 
-    return Mesh(
+    mesh = Mesh(
         vertices=vertices,
         triangles=np.vstack([fan, bands]),
         region=np.concatenate([tag, np.tile(np.repeat(tag, 2), layers.size - 1)]),
         boundary=boundary,
     )
+    object.__setattr__(mesh, "layered", True)
+    return mesh
 
 
 def refine_regular(mesh: Mesh) -> Mesh:

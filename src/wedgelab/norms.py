@@ -101,9 +101,9 @@ class SampledField:
         return field
 
     def restrict(self, mask: np.ndarray) -> "SampledField":
-        """The samples where the boolean ``mask`` is true."""
-        if np.asarray(mask).dtype != bool:
-            raise NormEstimateError("restrict takes a boolean mask")
+        """The samples where the boolean ``mask`` of shape (n,) is true."""
+        if np.asarray(mask).dtype != bool or np.shape(mask) != (self.n,):
+            raise NormEstimateError(f"restrict takes a boolean mask of shape ({self.n},)")
         return SampledField._subset(
             self.points[mask], self.values[mask],
             None if self.gradients is None else self.gradients[mask],
@@ -173,6 +173,8 @@ def weighted_seminorm_k0(field: SampledField, params: NormParams, order: int | N
     if field.n == 0:
         raise NormEstimateError("empty sample set")
     i = params.k if order is None else int(order)
+    if i not in (0, 1):
+        raise NormEstimateError(f"derivative order must be 0 or 1, got {order}")
     data = _order_data(field, i)
     mags = np.linalg.norm(data, axis=1) if data.shape[1] > 1 else np.abs(data[:, 0])
     return float((_weights(field, params, i + params.tau) * mags).max())

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpttrf
 
 from wedgelab import fem, geometry
 from wedgelab.fem import (
@@ -427,15 +428,34 @@ def dense_system(A):
     return SparseSystem(sp.csr_matrix(A), rhs, np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
-def battery_system(instance, h):
-    """The witness system (instance None) or a criterion-8 instance's, at mesh size h."""
+def unchained_mesh(domain, h, mu):
+    """generate_mesh's polar mesh without a radial chain, so that a solve on it is line-CG at any size."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "RADIAL_LEVELS_VERTICES", math.inf)
+        return generate_mesh(domain, h, mu)
+
+
+def battery_case(instance):
+    """(domain, mu, problem) of the witness (instance None) or of a criterion-8 instance."""
     from wedgelab.acceptance import WITNESS_MU, Workbench, _random_instance
 
     if instance is None:
         bench = Workbench()
-        return assemble(generate_mesh(bench.domain, h, WITNESS_MU), bench.problem)
+        return bench.domain, WITNESS_MU, bench.problem
     spec = _random_instance(instance)[2]
-    return assemble(generate_mesh(spec.domain, h, 1.0), spec)
+    return spec.domain, 1.0, spec
+
+
+def battery_system(instance, h):
+    """The witness system (instance None) or a criterion-8 instance's, at mesh size h."""
+    domain, mu, spec = battery_case(instance)
+    return assemble(generate_mesh(domain, h, mu), spec)
+
+
+def line_reference(system, instance, h):
+    """``battery_system(instance, h)``'s matrix on its polar mesh without a radial chain: the line-CG reference."""
+    domain, mu, _ = battery_case(instance)
+    return dataclasses.replace(system, mesh=unchained_mesh(domain, h, mu))
 
 
 @st.composite
@@ -456,25 +476,19 @@ def polar_cases(draw):
 
 
 class TestLinePreconditioner:
-    """CG preconditioned by the tridiagonal part of the reduced matrix."""
-
-    @staticmethod
-    def jacobi_reference(system, monkeypatch):
-        # a share no matrix reaches forces the Jacobi path of the same loop
-        with monkeypatch.context() as m:
-            m.setattr(fem, "LINE_BAND_SHARE", math.inf)
-            return solve_cg(system)
+    """CG preconditioned by the tridiagonal part of the reduced matrix on a layered mesh."""
 
     @pytest.mark.parametrize(
         "instance, h",
         [(None, h) for h in (1 / 45, 1 / 90, 1 / 180)]
         + [(i, h) for i in (0, 1, 40) for h in (0.12, 0.06, 0.03)],
     )
-    def test_matches_jacobi_cg(self, instance, h, monkeypatch):
-        # without its mesh the system has no recorded hierarchy (the 1/180 mesh records one)
-        system = dataclasses.replace(battery_system(instance, h), mesh=None)
+    def test_matches_jacobi_cg(self, instance, h):
+        # the polar mesh without a chain (the 1/180 mesh records one) gives line-CG;
+        # the system without a mesh gives Jacobi-CG
+        system = line_reference(battery_system(instance, h), instance, h)
         x, diag = solve_cg(system)
-        x_ref, diag_ref = self.jacobi_reference(system, monkeypatch)
+        x_ref, diag_ref = solve_cg(dataclasses.replace(system, mesh=None))
         assert (diag.preconditioner, diag_ref.preconditioner) == ("line", "jacobi")
         assert diag.iterations < diag_ref.iterations
         assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
@@ -491,14 +505,13 @@ class TestLinePreconditioner:
 
     @pytest.mark.parametrize("levels", [3, 5])
     def test_nonobtuse_meshes_pick_jacobi(self, levels):
-        # the single-level rule picks Jacobi; given the mesh, a refinement with more than
-        # COARSE_UNKNOWNS unknowns (level 5, not level 3) gets multigrid instead
+        # a refined fan is not layered, so a single level is Jacobi; a refinement with more
+        # than COARSE_UNKNOWNS unknowns (level 5, not level 3) gets multigrid instead
         dom = sector(-PI / 4, 3 * PI / 4)
         spec = ProblemSpec(domain=dom, coeff=coefficient_jump(4.0), phi=lambda x, y: x)
         system = assemble(generate_nonobtuse_mesh(dom, levels), spec)
         _, diag = solve_cg(system)
-        _, single = solve_cg(dataclasses.replace(system, mesh=None))
-        assert single.preconditioner == "jacobi"
+        assert not system.mesh.layered
         assert diag.preconditioner == ("multigrid" if levels == 5 else "jacobi")
 
     def test_diagonal_system_picks_jacobi(self):
@@ -507,13 +520,12 @@ class TestLinePreconditioner:
         assert np.allclose(x, np.linspace(1.0, 2.0, 7) / np.linspace(1.0, 5.0, 7), rtol=1e-12)
 
     def test_indefinite_band_falls_back_to_jacobi(self):
-        # SPD (eigenvalues 0.1, 0.1, 2.8), band share 0.67, but the
-        # tridiagonal part has eigenvalue 1 - 0.9 sqrt(2) < 0
+        # SPD (eigenvalues 0.1, 0.1, 2.8), but the tridiagonal part has
+        # eigenvalue 1 - 0.9 sqrt(2) < 0, so dpttrf rejects it on a line level
         A = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
-        system = dense_system(A)
-        x, diag = solve_cg(system, tol=1e-13)
-        assert diag.preconditioner == "jacobi"
-        assert np.allclose(x, np.linalg.solve(A, system.rhs), rtol=1e-10)
+        kind, precond = fem._preconditioner(sp.csr_matrix(A), np.diag(A), True)
+        assert kind == "jacobi"
+        np.testing.assert_array_equal(precond(np.ones(3)), 1.0 / np.diag(A))
 
     @settings(max_examples=100, deadline=None)
     @given(case=polar_cases())
@@ -543,10 +555,14 @@ def maxprinciple_system(case, levels):
     return assemble(generate_nonobtuse_mesh(dom, levels), spec)
 
 
-def assert_matches_single_level(system, tol=1e-10, rel=1e-8):
-    """Multigrid-CG on ``system`` agrees with the single-level path; returns both diagnostics."""
+def assert_matches_single_level(system, tol=1e-10, rel=1e-8, reference=None):
+    """Multigrid-CG on ``system`` agrees with a single-level solve; returns both diagnostics.
+
+    The single level is ``reference``, by default the system without its mesh (Jacobi-CG).
+    """
     u, diag = solve_cg(system, tol=tol, max_iter=20000)
-    u_ref, ref = solve_cg(dataclasses.replace(system, mesh=None), tol=tol, max_iter=20000)
+    reference = dataclasses.replace(system, mesh=None) if reference is None else reference
+    u_ref, ref = solve_cg(reference, tol=tol, max_iter=20000)
     assert ref.levels == 1 and ref.preconditioner != "multigrid"
     assert np.linalg.norm(u - u_ref) <= rel * np.linalg.norm(u_ref)
     return diag, ref
@@ -597,28 +613,31 @@ class TestMultigrid:
 
     def test_polar_meshes_stay_single_level(self):
         system = battery_system(None, 1 / 45)
+        _, _, free = reduced_system(system)
+        assert fem._prolongations(system.mesh, free) == ([], [True])
         _, diag = solve_cg(system)
-        _, ref = solve_cg(dataclasses.replace(system, mesh=None))
-        assert (diag.preconditioner, diag.levels, diag.iterations) == ("line", 1, ref.iterations)
+        assert (diag.preconditioner, diag.levels) == ("line", 1)
 
-    def test_vcycle_is_symmetric_positive(self):
-        system = maxprinciple_system(2, 5)
-        A_ff, _, free = reduced_system(system)
-        A_ff = A_ff.tocsr()
-        prolongations = fem._prolongations(system.mesh, free)
-        assert len(prolongations) == 2
-        vcycle = fem._vcycle(A_ff, A_ff.diagonal(), prolongations)
-        rng = np.random.default_rng(3)
-        r1, r2 = rng.normal(size=(2, free.size))
-        lhs, rhs = float(vcycle(r1) @ r2), float(r1 @ vcycle(r2))
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-        assert float(r1 @ vcycle(r1)) > 0.0
+    def test_vcycle_is_symmetric_positive(self, monkeypatch):
+        # Jacobi smoothers on a refined fan, line smoothers on a radial chain
+        monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+        for system, lines in [(maxprinciple_system(2, 5), [False] * 3), (battery_system(None, 1 / 45), [True] * 6)]:
+            A_ff, _, free = reduced_system(system)
+            A_ff = A_ff.tocsr()
+            prolongations, got = fem._prolongations(system.mesh, free)
+            assert got == lines and len(prolongations) == len(lines) - 1
+            vcycle = fem._vcycle(A_ff, A_ff.diagonal(), prolongations, lines)
+            rng = np.random.default_rng(3)
+            r1, r2 = rng.normal(size=(2, free.size))
+            lhs, rhs = float(vcycle(r1) @ r2), float(r1 @ vcycle(r2))
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+            assert float(r1 @ vcycle(r1)) > 0.0
 
     def test_prolongation_interpolates_linear_functions(self):
         # P maps the parent's nodal values of a linear function to the child's, on free vertices
         system = maxprinciple_system(0, 5)
         free = np.setdiff1d(np.arange(system.n), system.constrained)
-        P = fem._prolongations(system.mesh, free)[0]
+        P = fem._prolongations(system.mesh, free)[0][0]
         v = system.mesh.vertices
         lin = 0.3 + v[:, 0] - 2.0 * v[:, 1]
         # a midpoint row drops the half of a Dirichlet end, so compare only the rows summing to 1
@@ -632,9 +651,9 @@ class TestMultigrid:
     def test_prolongations_match_index_reference(self, case, levels):
         system = maxprinciple_system(case, levels)
         free = np.setdiff1d(np.arange(system.n), system.constrained)
-        got = fem._prolongations(system.mesh, free)
+        got, lines = fem._prolongations(system.mesh, free)
         want = reference_prolongations(system.mesh, free)
-        assert len(got) == len(want) == levels - 3
+        assert len(got) == len(want) == levels - 3 and lines == [False] * (levels - 2)
         for P, R in zip(got, want):
             assert P.shape == R.shape and (P != R).nnz == 0
 
@@ -718,17 +737,17 @@ class TestRadialMultigrid:
     """CG preconditioned by a V-cycle over ``generate_mesh``'s radial chain, against line-CG."""
 
     def test_fine_witness_level_gets_multigrid(self):
-        diag, ref = assert_matches_single_level(battery_system(None, 1 / 180))
+        system = battery_system(None, 1 / 180)
+        diag, ref = assert_matches_single_level(system, reference=line_reference(system, None, 1 / 180))
         assert (diag.preconditioner, diag.levels, ref.preconditioner) == ("multigrid", 8, "line")
         assert diag.iterations <= 12 < ref.iterations and diag.true_residual <= 1e-10
 
     @pytest.mark.parametrize("instance, h", [(None, 1 / 45), (None, 1 / 90)] + [(i, 0.03) for i in (0, 1, 40)])
     def test_smaller_meshes_keep_line_cg(self, instance, h):
         system = battery_system(instance, h)
-        assert system.mesh.parent is None
+        assert system.mesh.parent is None and system.mesh.layered
         _, diag = solve_cg(system)
-        _, ref = solve_cg(dataclasses.replace(system, mesh=None))
-        assert (diag.preconditioner, diag.levels, diag.iterations) == ("line", 1, ref.iterations)
+        assert (diag.preconditioner, diag.levels) == ("line", 1)
 
     @pytest.mark.parametrize(
         "instance, h", [(None, 1 / 45), (None, 1 / 90)] + [(i, h) for i in (0, 1, 40) for h in (0.12, 0.06, 0.03)]
@@ -736,7 +755,7 @@ class TestRadialMultigrid:
     def test_forced_chain_matches_line_cg(self, instance, h, monkeypatch):
         monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
         system = battery_system(instance, h)
-        diag, ref = assert_matches_single_level(system)
+        diag, ref = assert_matches_single_level(system, reference=line_reference(system, instance, h))
         if system.n_free > fem.COARSE_UNKNOWNS:
             assert diag.preconditioner == "multigrid" and diag.iterations <= 12 < ref.iterations
         else:
@@ -760,9 +779,127 @@ class TestRadialMultigrid:
             m.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
             system = assemble(generate_mesh(domain, h, mu), spec)
         # as on the refined sectors, the 1e-8 bound needs a tolerance well below 1e-10
-        diag, _ = assert_matches_single_level(system, tol=1e-12)
+        reference = dataclasses.replace(system, mesh=unchained_mesh(domain, h, mu))
+        diag, ref = assert_matches_single_level(system, tol=1e-12, reference=reference)
+        assert ref.preconditioner == "line"
         assert diag.converged and diag.true_residual <= 1e-9
         assert (diag.preconditioner == "multigrid") == (system.n_free > fem.COARSE_UNKNOWNS)
+
+
+# the share of the off-diagonal weight that the rule below compares the band's against
+BAND_SHARE = 0.5
+
+
+def band_share_kind(A, diag):
+    """The single-level rule that read the line structure off the matrix, kept as the reference.
+
+    "line" when the two off-diagonals of ``A`` hold at least BAND_SHARE of its
+    off-diagonal weight sum |A_ij|, i != j, and ``dpttrf`` accepts the band,
+    else "jacobi".
+    """
+    band = A.diagonal(1)
+    off = float(np.abs(A.data).sum() - np.abs(diag).sum())
+    if off > 0.0 and 2.0 * float(np.abs(band).sum()) >= BAND_SHARE * off and dpttrf(diag, band)[2] == 0:
+        return "line"
+    return "jacobi"
+
+
+def level_kinds(system):
+    """(kind the recorded lines give, kind the band-share rule gives) of each level a solve preconditions.
+
+    The levels are the single level, or each smoothed level of the V-cycle and
+    its coarsest level unless that is factored densely.
+    """
+    A, _, free = reduced_system(system)
+    ops = [A.tocsr()]
+    prolongations, lines = fem._prolongations(system.mesh, free)
+    for P in prolongations:
+        ops.append((P.T @ ops[-1] @ P).tocsr())
+    if prolongations and ops[-1].shape[0] <= fem.COARSE_UNKNOWNS:
+        ops.pop()
+    return [(fem._preconditioner(op, op.diagonal(), line)[0], band_share_kind(op, op.diagonal()))
+            for op, line in zip(ops, lines)]
+
+
+def band_share_iterations(system, kinds):
+    """CG iterations on ``system`` when each level in ``kinds`` takes the band-share rule's kind."""
+    prolongations = fem._prolongations
+
+    def reference_levels(mesh, free):
+        out, lines = prolongations(mesh, free)
+        return out, [want == "line" for _, want in kinds] + lines[len(kinds):]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fem, "_prolongations", reference_levels)
+        return solve_cg(system)[1].iterations
+
+
+def chain_system(domain, h, mu, a0):
+    """A problem with jump a0 on generate_mesh's polar mesh with its radial chain forced."""
+    spec = ProblemSpec(domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x, h=1.0)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+        return assemble(generate_mesh(domain, h, mu), spec)
+
+
+class TestRecordedLines:
+    """The preconditioner follows ``Mesh.layered``; the band-share rule it replaced is the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=polar_cases(), family=st.sampled_from(["polar", "chain", "refined"]), chain_h=st.floats(0.025, 0.08))
+    @example(case=(sector(-0.001953125, 3.140625), 0.125, 1.0, 0.1), family="chain", chain_h=0.0625)
+    def test_matches_band_share_rule_on_polar_meshes(self, case, family, chain_h):
+        domain, h, mu, a0 = case
+        if family == "chain":  # finer than the case's h, so that most chains have a coarse level
+            system = chain_system(domain, chain_h, mu, a0)
+        else:
+            mesh = generate_mesh(domain, h, mu)
+            mesh = refine_regular(refine_regular(mesh)) if family == "refined" else mesh
+            spec = ProblemSpec(domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x, h=1.0)
+            system = assemble(mesh, spec)
+        kinds = level_kinds(system)
+        fine = "jacobi" if family == "refined" else "line"
+        assert kinds[0] == (fine, fine)
+        differ = [level for level, (got, want) in enumerate(kinds) if got != want]
+        if differ:
+            # only coarse levels of a chain on a wedge with a thin side differ (a side of at
+            # most 0.007 rad in the cases seen): the band-share rule gave them Jacobi, and
+            # their recorded lines take no more iterations
+            assert family == "chain" and all(kinds[level] == ("line", "jacobi") for level in differ)
+            assert solve_cg(system)[1].iterations <= band_share_iterations(system, kinds)
+
+    def test_thin_side_chain_smooths_coarse_levels_by_lines(self):
+        # a side of 0.001 rad: the band-share rule gave levels 1-3 Jacobi, and 28 iterations
+        system = chain_system(sector(-0.001, 5.034), 0.0361, 0.99, 0.0367)
+        kinds = level_kinds(system)
+        assert kinds == [("line", "line")] + [("line", "jacobi")] * 3
+        assert solve_cg(system)[1].iterations <= 9 and band_share_iterations(system, kinds) == 28
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=polar_cases(), levels=st.integers(3, 7))
+    def test_matches_band_share_rule_on_nonobtuse_meshes(self, case, levels):
+        domain, _, _, a0 = case
+        spec = ProblemSpec(domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x)
+        kinds = level_kinds(assemble(generate_nonobtuse_mesh(domain, levels), spec))
+        assert kinds == [("jacobi", "jacobi")] * len(kinds)
+
+    @pytest.mark.parametrize(
+        "instance, size, kind, levels, most",
+        [(None, 1 / 45, "line", 1, 53), (None, 1 / 90, "line", 1, 89), (None, 1 / 180, "multigrid", 8, 11),
+         (0, 0.12, "line", 1, 26), (0, 0.06, "line", 1, 48), (0, 0.03, "line", 1, 93),
+         ("criterion 10", 7, "multigrid", 5, 12)],
+    )
+    def test_benchmark_meshes(self, instance, size, kind, levels, most):
+        # the witness levels and criterion-8 instance 0 at mesh size h = size, and
+        # criterion-10 case 0 at refinement level size = 7; most is each one's count before
+        # the band-share rule was deleted
+        if instance == "criterion 10":
+            system = maxprinciple_system(0, size)
+        else:
+            system = battery_system(instance, size)
+        _, diag = solve_cg(system, tol=1e-10)
+        assert (diag.preconditioner, diag.levels) == (kind, levels)
+        assert diag.iterations <= most
 
 
 class TestLoad:

@@ -482,6 +482,31 @@ class TestRadialLevels:
         assert len(chain) == 4 and chain[-1].boundary.all()
 
 
+class TestLayered:
+    """``Mesh.layered``: set by ``_polar_mesh`` alone, the way its builders set ``parent``."""
+
+    def test_polar_meshes_and_their_chains_are_layered(self, monkeypatch):
+        monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+        chain = radial_chain(generate_mesh(sector(-PI / 4, 3 * PI / 4), 0.1, 0.8))
+        assert len(chain) == 4 and all(mesh.layered for mesh in chain)  # 10, 5, 3 and 2 layers
+
+    def test_other_meshes_are_not(self):
+        base = generate_mesh(sector(-PI / 4, 5 * PI / 4), 0.2, 0.5)
+        refined = refine_regular(base)
+        assert base.layered and refined.parent[0].layered and not refined.layered
+        assert not generate_nonobtuse_mesh(REFLEX, 2).layered
+        assert not one_triangle([(0.0, 0.0), (1.0, 0.1), (0.5, 1.0)]).layered
+        assert not dataclasses.replace(base).layered
+
+    def test_layered_is_not_a_constructor_argument(self):
+        mesh = generate_nonobtuse_mesh(REFLEX, 0)
+        assert mesh.layered and "layered" not in repr(mesh)
+        with pytest.raises(TypeError):
+            Mesh(mesh.vertices, mesh.triangles, mesh.region, mesh.boundary, layered=True)
+        with pytest.raises(ValueError):
+            dataclasses.replace(mesh, layered=True)
+
+
 class TestEdgeTable:
     @pytest.mark.parametrize("name,build", TOPOLOGY_MESHES, ids=[m[0] for m in TOPOLOGY_MESHES])
     def test_matches_loop_references(self, name, build):

@@ -23,7 +23,13 @@ def test_level_45_prints_each_stage_with_growing_peak():
     assert tuple(r[1] for r in rows) == STAGES
     peaks = [float(r[3]) for r in rows]
     assert peaks == sorted(peaks) and peaks[0] > 0.0
-    assert lines[-1].startswith("nv 6481, nt 12727, line ")
+    summary = re.fullmatch(
+        r"nv 6481, nt 12727, line (\d+) levels (\d+) iterations, true_residual (\S+), linf (\S+)", lines[-1]
+    )
+    assert summary, lines[-1]
+    levels, iterations, true_residual, linf = summary.groups()
+    assert (int(levels), int(iterations)) == (1, 53)
+    assert 0.0 < float(true_residual) <= 1e-10 and float(linf) > 0.0
 
 
 def test_nonpositive_level_rejected():

@@ -191,6 +191,13 @@ class TestSeminormK0:
         with pytest.raises(NormEstimateError):
             weighted_seminorm_k0(f, NormParams(0, 0.5), order=0)
 
+    @pytest.mark.parametrize("order", [2, -1])
+    def test_order_outside_0_1_rejected(self, order):
+        pts = np.column_stack([np.linspace(0.1, 1.0, 10), np.zeros(10)])
+        f = SampledField(pts, np.ones(10), np.ones((10, 2)))
+        with pytest.raises(NormEstimateError, match="order must be 0 or 1"):
+            weighted_seminorm_k0(f, NormParams(1, 0.5), order=order)
+
 
 class TestSeminormKAlpha:
     def test_linear_field_gradient_seminorm_vanishes(self):
@@ -562,6 +569,12 @@ class TestSampledFieldValidation:
     def test_shape_mismatch(self):
         with pytest.raises(NormEstimateError):
             SampledField(np.zeros((3, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(39,), (40, 1)])
+    def test_restrict_mask_of_wrong_shape_rejected(self, shape):
+        f = SampledField(disk_cloud(40, seed=5), np.zeros(40))
+        with pytest.raises(NormEstimateError, match=r"shape \(40,\)"):
+            f.restrict(np.ones(shape, dtype=bool))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["points", "values", "gradients"])

@@ -9,6 +9,8 @@ stage it prints the stage, its seconds and the process's ``ru_maxrss`` in MB
 (KiB / 1024, the unit of perfbench's ``peak_rss_mb``).  The stages are
 ``mesh`` (``generate_mesh``, validation included), ``assemble``,
 ``solve_cg``, ``gradients`` (``element_gradients``) and ``error_report``.
+The last line gives the mesh size, the solver's preconditioner, levels,
+iterations and true relative residual, and the L-infinity error.
 ``ru_maxrss`` never falls within a process, so run one level per process.
 Uses only the standard library and wedgelab.
 """
@@ -65,7 +67,8 @@ def main() -> None:
     )
     print(
         f"nv {mesh.n_vertices}, nt {mesh.n_triangles}, {diagnostics.preconditioner} "
-        f"{diagnostics.iterations} iterations, linf {report.linf:.6g}"
+        f"{diagnostics.levels} levels {diagnostics.iterations} iterations, "
+        f"true_residual {diagnostics.true_residual:.3g}, linf {report.linf:.6g}"
     )
 
 
