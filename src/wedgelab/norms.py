@@ -172,7 +172,7 @@ def weighted_seminorm_k0(field: SampledField, params: NormParams, order: int | N
     """max over samples of delta^max(order+tau, 0) * |D^order f|."""
     if field.n == 0:
         raise NormEstimateError("empty sample set")
-    i = params.k if order is None else int(order)
+    i = params.k if order is None else order
     if i not in (0, 1):
         raise NormEstimateError(f"derivative order must be 0 or 1, got {order}")
     data = _order_data(field, i)

@@ -191,7 +191,7 @@ class TestSeminormK0:
         with pytest.raises(NormEstimateError):
             weighted_seminorm_k0(f, NormParams(0, 0.5), order=0)
 
-    @pytest.mark.parametrize("order", [2, -1])
+    @pytest.mark.parametrize("order", [2, -1, 0.5])
     def test_order_outside_0_1_rejected(self, order):
         pts = np.column_stack([np.linspace(0.1, 1.0, 10), np.zeros(10)])
         f = SampledField(pts, np.ones(10), np.ones((10, 2)))
