@@ -557,6 +557,13 @@ def positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r}: not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wedgelab",
@@ -588,8 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "corrector", help="piecewise-linear plane matching tangential wall derivatives"
     )
-    p.add_argument("--c-plus", type=float, required=True)
-    p.add_argument("--c-minus", type=float, required=True)
+    p.add_argument("--c-plus", type=finite_float, required=True)
+    p.add_argument("--c-minus", type=finite_float, required=True)
     p.add_argument("--a0", type=positive_float, required=True)
     add_angles(p)
     p.set_defaults(fn=cmd_corrector)

@@ -296,10 +296,13 @@ def corrector_solve(c_plus: float, c_minus: float, a0: float, wedge: Wedge) -> C
         cos(t-) a*            + sin(t-) b- = c-
                      a0 b+    -        b-  = 0
     and verifies the residual to 1e-12 relative.  Raises
-    ``TransmissionSignError`` unless a0 > 0.
+    ``TransmissionSignError`` unless a0 > 0, and ``ValueError`` for a
+    non-finite c+ or c-.
     """
     if not a0 > 0.0:
         raise TransmissionSignError(f"coefficient jump must be positive, got {a0}")
+    if not (math.isfinite(c_plus) and math.isfinite(c_minus)):
+        raise ValueError(f"wall derivatives must be finite, got c+ = {c_plus}, c- = {c_minus}")
     det = corrector_determinant(a0, wedge)
     if abs(det) < _DEGENERACY_TOL:
         raise SingularSystemError(
@@ -317,7 +320,7 @@ def corrector_solve(c_plus: float, c_minus: float, a0: float, wedge: Wedge) -> C
     rhs = np.array([c_plus, c_minus, 0.0])
     sol = np.linalg.solve(M, rhs)
     residual = np.linalg.norm(M @ sol - rhs) / max(np.linalg.norm(rhs), 1.0)
-    if residual > 1e-12:
+    if not residual <= 1e-12:  # NaN fails too
         raise SingularSystemError(f"corrector solve residual {residual:.3g} exceeds 1e-12")
     return Corrector(
         a_star=float(sol[0]), b_plus=float(sol[1]), b_minus=float(sol[2]), wedge=wedge

@@ -9,16 +9,9 @@ element barycenters, so on an interface-fitted mesh each element sees only
 its own side of the jump; loads use 3-point edge-midpoint quadrature.
 Dirichlet data is imposed by node elimination (known columns moved to the
 right-hand side), which keeps the reduced system symmetric positive
-definite for the preconditioned conjugate-gradient solve.  On a mesh that
-records a parent (``Mesh.parent``: set by ``geometry.refine_regular`` on
-the non-obtuse meshes, and by ``geometry.generate_mesh`` on large polar
-meshes, whose chain drops every other circular layer) with more than
-``COARSE_UNKNOWNS`` unknowns, the preconditioner is a symmetric V(1,1)
-multigrid cycle: the coarse levels are the parents, the transfer their
-recorded vertex prolongations on free vertices, the coarse operators
-Galerkin products, and a small coarsest level is factored densely.
-Otherwise, and on each multigrid level, the preconditioner follows that
-level's mesh: ``solve_cg`` states the rule.
+definite for the preconditioned conjugate-gradient solve.  Its
+preconditioner follows the mesh and the parents it records
+(``Mesh.parent``): ``_preconditioner`` states the rule.
 """
 
 from __future__ import annotations
@@ -37,8 +30,7 @@ from .norms import SampledField
 DEGENERATE_AREA = 1e-14
 ELLIPTICITY_SLACK = 1e-10
 # The V-cycle coarsens until a level has at most this many unknowns and
-# factors that level densely (a level that cannot be coarsened further and is
-# larger gets one application of its single-level preconditioner instead).
+# factors that level densely (``_preconditioner`` states the rule).
 COARSE_UNKNOWNS = 200
 # Damping of each multigrid level's smoother.
 SMOOTHER_DAMPING = 0.8
@@ -129,8 +121,8 @@ def coefficient_jump(a0: float, lam: float | None = None, Lam: float | None = No
 
     Given bounds ``lam``/``Lam`` are checked against both values here.
     """
-    if not a0 > 0.0:
-        raise EllipticityError(f"jump value must be positive, got {a0}")
+    if not 0.0 < a0 < math.inf:
+        raise EllipticityError(f"jump value must be positive and finite, got {a0}")
     coeff = PiecewiseCoefficient(
         a_plus=a0,
         a_minus=1.0,
@@ -145,10 +137,12 @@ def validate_ellipticity(coeff: PiecewiseCoefficient, mats: np.ndarray) -> None:
     """Check lam |xi|^2 <= xi . a xi <= Lam |xi|^2 for every direction xi and
     each of the (m, 2, 2) matrices ``mats`` sampled from ``coeff``.
 
-    The off-diagonals must agree, and the closed-form eigenvalues
-    (a + c)/2 -+ hypot((a - c)/2, b) of each symmetric matrix must lie in
-    [lam, Lam]; both bounds allow ELLIPTICITY_SLACK for rounding.
+    The entries must be finite, the off-diagonals must agree, and the
+    closed-form eigenvalues (a + c)/2 -+ hypot((a - c)/2, b) of each symmetric
+    matrix must lie in [lam, Lam]; both bounds allow ELLIPTICITY_SLACK for rounding.
     """
+    if not np.isfinite(mats).all():
+        raise EllipticityError("coefficient matrices must be finite (a sample is NaN or infinite)")
     a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
     if not np.allclose(b, mats[..., 1, 0], atol=1e-12):
         raise EllipticityError("coefficient matrices must be symmetric")
@@ -203,7 +197,7 @@ class SparseSystem:
     rhs: np.ndarray
     constrained: np.ndarray  # vertex indices
     values: np.ndarray  # prescribed values at constrained vertices
-    mesh: Mesh | None = None  # the mesh assembled on; one that records a parent gets multigrid
+    mesh: Mesh | None = None  # the mesh assembled on, which the preconditioner follows
 
     @property
     def n(self) -> int:
@@ -343,23 +337,13 @@ def solve_cg(
     """Preconditioned conjugate gradients on the constrained system.
 
     Eliminates Dirichlet nodes symmetrically, iterates until the relative
-    residual drops below ``tol``, and records the residual history.  When
-    ``system.mesh`` records a parent and prolongation (``Mesh.parent``, set by
-    ``refine_regular`` and by ``generate_mesh`` above
-    ``geometry.RADIAL_LEVELS_VERTICES`` vertices) and has more than
-    ``COARSE_UNKNOWNS`` unknowns, the preconditioner is a V(1,1) multigrid
-    cycle over the parents (``_vcycle``).  A level (the only one, or one of the
-    cycle's) gets the tridiagonal part of its matrix, factored once by
-    LAPACK's ``dpttrf``, exactly when its mesh (``system.mesh``, or a parent
-    down its chain) is ``Mesh.layered``: a polar mesh, numbered along the
-    circular layers that carry the strong coupling.  Any other level, a
-    system without a mesh, and a tridiagonal part that ``dpttrf`` rejects
-    get the diagonal (Jacobi).  ``CgDiagnostics`` names the preconditioner
-    and its levels and gives the true relative residual; a zero right-hand
-    side returns at once and reads "jacobi".  Raises ``ValueError`` for a
-    ``tol`` outside (0, 1) or a ``max_iter`` below 1, and ``SolverError`` on
-    stagnation past ``max_iter`` (default 20 sqrt(n)) or on loss of positive
-    definiteness.
+    residual drops below ``tol``, and records the residual history.  The
+    preconditioner follows ``system.mesh`` (``_preconditioner`` states the
+    rule); ``CgDiagnostics`` names it and its levels and gives the true
+    relative residual, and a zero right-hand side returns at once and reads
+    "jacobi".  Raises ``ValueError`` for a ``tol`` outside (0, 1) or a
+    ``max_iter`` below 1, and ``SolverError`` on stagnation past ``max_iter``
+    (default 20 sqrt(n)) or on loss of positive definiteness.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
@@ -388,11 +372,7 @@ def solve_cg(
     diag_entries = Aff.diagonal()
     if np.any(diag_entries <= 0.0):
         raise SolverError("reduced matrix has nonpositive diagonal entries")
-    prolongations, lines = _prolongations(system.mesh, free_idx)
-    if prolongations:
-        kind, precond = "multigrid", _vcycle(Aff, diag_entries, prolongations, lines)
-    else:
-        kind, precond = _preconditioner(Aff, diag_entries, lines[0])
+    kind, levels, precond = _preconditioner(Aff, diag_entries, system.mesh, free_idx)
 
     r = bf.copy()
     z = precond(r)
@@ -430,67 +410,50 @@ def solve_cg(
         )
     true_res = float(np.linalg.norm(bf - Aff @ x)) / bnorm
     diagn = CgDiagnostics(
-        it, history[-1], np.asarray(history), m, True, kind, len(prolongations) + 1, true_res
+        it, history[-1], np.asarray(history), m, True, kind, len(levels) + 1, true_res
     )
     return _expand(system, x, free_idx), diagn
 
 
-def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray, line: bool):
-    """("line", tridiagonal solve) when ``line`` and ``dpttrf`` accepts the band, else ("jacobi", diagonal)."""
-    if line:
-        d, e, info = dpttrf(diag_entries, Aff.diagonal(1))
-        if info == 0:
-            return "line", lambda r: dpttrs(d, e, r)[0]
-    minv = 1.0 / diag_entries
-    return "jacobi", lambda r: minv * r
+def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray, mesh: Mesh | None, free_idx: np.ndarray):
+    """CG's preconditioner for ``Aff``, the matrix on ``mesh``'s free vertices ``free_idx``: (kind, levels, map).
 
-
-def _prolongations(mesh: Mesh | None, free_idx: np.ndarray) -> tuple[list[sp.csr_matrix], list[bool]]:
-    """Prolongations from each coarser level's unknowns to the next finer level's, finest first,
-    and each level's ``Mesh.layered`` (False without a mesh), the fine level first.
-
-    The levels follow ``Mesh.parent``, and each is the recorded vertex
-    prolongation restricted to the fine level's free rows and the coarse
-    level's free (non-boundary) columns, so a Dirichlet end gives a zero
-    correction.  Coarsening stops at ``COARSE_UNKNOWNS`` unknowns or at a
-    mesh without a parent, so no mesh, a mesh without a parent and a small
-    mesh all give no prolongation.
+    The levels are ``mesh`` and its parents down ``Mesh.parent``, while a level
+    has more than ``COARSE_UNKNOWNS`` unknowns and its parent a free vertex.
+    Each step restricts the recorded prolongation P to the finer level's free
+    rows and the parent's non-boundary columns (so a Dirichlet end gives a
+    zero correction) and forms the Galerkin operator ``P^T A P``.  A level's
+    own solve (``_level_solve``) is the tridiagonal part of its matrix,
+    factored once by LAPACK's ``dpttrf``, when its mesh is ``Mesh.layered``
+    (a polar mesh, numbered along the circular layers that carry the strong
+    coupling); any other level, no mesh, and a band that ``dpttrf`` rejects
+    get the diagonal.  With one level the map is that solve ("line" or
+    "jacobi").  Otherwise it is a symmetric V(1,1) cycle ("multigrid"): each
+    level above the coarsest smooths with its own solve damped by
+    ``SMOOTHER_DAMPING``, and the coarsest is factored by dense Cholesky when
+    it has at most ``COARSE_UNKNOWNS`` unknowns, else takes its own solve.
+    ``levels`` holds (A, P, smoother) of each level above the coarsest.  The
+    cycle is a loop down the levels and back up, so the map holds no
+    reference to itself.
     """
-    out, lines = [], [mesh is not None and mesh.layered]
-    free = free_idx
+    levels, A, diag, free = [], Aff, diag_entries, free_idx
+    line = mesh is not None and mesh.layered
     while mesh is not None and mesh.parent is not None and free.size > COARSE_UNKNOWNS:
         mesh, P = mesh.parent
         coarse = np.flatnonzero(~mesh.boundary)
         if coarse.size == 0:
             break
-        out.append(P[free][:, coarse])
-        lines.append(mesh.layered)
-        free = coarse
-    return out, lines
-
-
-def _vcycle(Aff: sp.csr_matrix, diag_entries: np.ndarray, prolongations: list, lines: list):
-    """Symmetric V(1,1) cycle over Galerkin levels ``P^T A P``, as a map r -> z.
-
-    Each level above the coarsest smooths with its ``_preconditioner``, given
-    its entry of ``lines`` (``_prolongations``), damped by
-    ``SMOOTHER_DAMPING``; the coarsest level is solved by a dense Cholesky
-    factor when it has at most ``COARSE_UNKNOWNS`` unknowns, else by its own
-    ``_preconditioner``.  The cycle is a loop down the levels and back up, so
-    the map holds no reference to itself and its levels are freed with it.
-    """
-    ops, smoothers = [Aff], []
-    diag = diag_entries
-    for P, line in zip(prolongations, lines):
-        smoothers.append(_preconditioner(ops[-1], diag, line)[1])
-        ops.append((P.T @ ops[-1] @ P).tocsr())
-        diag = ops[-1].diagonal()
-    if ops[-1].shape[0] <= COARSE_UNKNOWNS:
-        factor = cho_factor(ops[-1].toarray())
-        coarse_solve = lambda r: cho_solve(factor, r)
+        P = P[free][:, coarse]
+        levels.append((A, P, _level_solve(A, diag, line)[1]))
+        A = (P.T @ A @ P).tocsr()
+        diag, free, line = A.diagonal(), coarse, mesh.layered
+    if levels and A.shape[0] <= COARSE_UNKNOWNS:
+        factor = cho_factor(A.toarray())
+        solve = lambda r: cho_solve(factor, r)
     else:
-        coarse_solve = _preconditioner(ops[-1], diag, lines[-1])[1]
-    levels = list(zip(ops, prolongations, smoothers))
+        kind, solve = _level_solve(A, diag, line)
+    if not levels:
+        return kind, levels, solve
 
     def vcycle(r):
         residuals, corrections = [], []
@@ -499,13 +462,23 @@ def _vcycle(Aff: sp.csr_matrix, diag_entries: np.ndarray, prolongations: list, l
             residuals.append(r)
             corrections.append(x)
             r = P.T @ (r - A @ x)
-        x = coarse_solve(r)
+        x = solve(r)
         for (A, P, smooth), r, x_fine in zip(levels[::-1], residuals[::-1], corrections[::-1]):
             x = x_fine + P @ x  # up: prolong the correction, post-smooth
             x += SMOOTHER_DAMPING * smooth(r - A @ x)
         return x
 
-    return vcycle
+    return "multigrid", levels, vcycle
+
+
+def _level_solve(A: sp.csr_matrix, diag_entries: np.ndarray, line: bool):
+    """("line", tridiagonal solve) when ``line`` and ``dpttrf`` accepts the band, else ("jacobi", diagonal)."""
+    if line:
+        d, e, info = dpttrf(diag_entries, A.diagonal(1))
+        if info == 0:
+            return "line", lambda r: dpttrs(d, e, r)[0]
+    minv = 1.0 / diag_entries
+    return "jacobi", lambda r: minv * r
 
 
 def _expand(system: SparseSystem, x_free: np.ndarray, free_idx: np.ndarray) -> np.ndarray:

@@ -131,7 +131,8 @@ class Mesh:
     mesh, vertex prolongation) on a mesh that ``refine_regular`` builds and on a
     ``generate_mesh`` mesh above ``RADIAL_LEVELS_VERTICES`` vertices (its radial
     chain); any other mesh has ``None``.  ``layered`` is True on the polar meshes
-    (``_polar_mesh``), numbered along each circular layer; ``fem.solve_cg`` states its use.
+    (``_polar_mesh``), numbered along each circular layer.  ``fem._preconditioner``
+    states how a solve uses both.
     """
 
     vertices: np.ndarray  # (nv, 2) float64

@@ -53,17 +53,20 @@ def fake_run(calls, traced_correct=True, untraced=None):
     The traced run is correct when ``traced_correct``.  Every untraced run
     passes, except on the side ``untraced = (side, correct, failed)`` names,
     whose runs report that ``correct`` and ``failed``; the working tree, at
-    ``bench_pairs.ROOT``, is the change side.
+    ``bench_pairs.ROOT``, is the change side.  The k-th run's meta reads
+    ``import_s`` = 0.4 + k / 100 and builds of 0.1, 0.2 + k / 100 and 0.9 s.
     """
 
     def run(args, **kwargs):
         calls.append(args)
+        k = len(calls) - 1
         if args[args.index("--trace") + 1] == "1":
             correct, failed = traced_correct, 0 if traced_correct else 1
         else:
             side = "change" if Path(kwargs["cwd"]) == bench_pairs.ROOT else "base"
             correct, failed = untraced[1:] if untraced and untraced[0] == side else (True, 0)
-        meta = dict(python="3", numpy="2", scipy="1", nproc=2, env={})
+        meta = dict(python="3", numpy="2", scipy="1", nproc=2, env={}, import_s=0.4 + k / 100)
+        meta.update(setup_builds_s=[0.1, 0.2 + k / 100, 0.9])
         metrics = {m: dict(value=1.0) for m in ("run_s", "setup_s", "peak_rss_mb")}
         result = dict(correct=correct, attempted=1, failed=failed, metrics=metrics)
         return SimpleNamespace(stdout=json.dumps(dict(meta=meta)) + "\n" + json.dumps(result) + "\n", stderr="")
@@ -120,3 +123,23 @@ def test_untraced_runs_on_either_side_decide_the_exit_code(monkeypatch, tmp_path
         assert last == f"runs not correct or with failed operations: witness {side}"
     else:
         assert last.startswith("wrote ")
+
+
+def test_setup_split_is_recorded_and_printed(monkeypatch, tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run([]))
+    assert bench_pairs.main(["--label", "t", "--base", "HEAD", "ratio:2:5"]) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["ratio"]
+    # runs 0-3 alternate base, change, change, base; run 4 is the traced one
+    for side, ks in (("base", (0, 3)), ("change", (1, 2))):
+        split = out[f"{side}_setup"]
+        assert split["import_s"]["values"] == [0.4 + k / 100 for k in ks]
+        assert split["build_s"]["values"] == [0.2 + k / 100 for k in ks]
+        assert split["build_s"]["median"] == pytest.approx(0.2 + sum(ks) / 200)
+        assert split["import_s"]["iqr"] == pytest.approx((ks[1] - ks[0]) / 100 / 2)
+    line = next(l for l in capsys.readouterr().out.splitlines() if "setup_s =" in l)
+    assert line.startswith("ratio") and "import_s base 0.415" in line and "build_s base 0.215" in line

@@ -212,6 +212,15 @@ class TestCorrectorCommand:
         a_star = float(next(l for l in out.splitlines() if l.startswith("a_star")).split("=")[1])
         assert a_star == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("c_plus, c_minus", [("nan", "0"), ("inf", "0"), ("1", "nan"), ("1", "-inf")])
+    def test_nonfinite_wall_derivative_is_usage_error(self, capsys, c_plus, c_minus):
+        code = main(
+            ["corrector", f"--c-plus={c_plus}", f"--c-minus={c_minus}", "--a0", "2.0",
+             "--theta-plus", "0.7853981633974483", "--theta-minus", "-0.7853981633974483"]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and "finite" in err and "a_star" not in out
+
     def test_singular_system_exit(self, capsys):
         # continuous coefficient on the straight-wall wedge: tangential data
         # cannot determine the normal derivative

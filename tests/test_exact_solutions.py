@@ -411,6 +411,11 @@ class TestCorrector:
             scale = max(abs(cp), abs(cm), 1.0)
             assert np.abs(res).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("c_plus, c_minus", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, math.nan)])
+    def test_nonfinite_wall_derivatives_rejected(self, c_plus, c_minus):
+        with pytest.raises(ValueError, match="finite"):
+            corrector_solve(c_plus, c_minus, 2.0, make_wedge(-PI / 4, PI / 4))
+
     def test_jump_condition_invariant(self):
         w = make_wedge(-PI / 4, PI / 3)
         c = corrector_solve(0.3, -1.1, 2.5, w)

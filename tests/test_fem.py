@@ -2,6 +2,8 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,6 +159,23 @@ class TestAssemble:
         )
         with pytest.raises(EllipticityError):
             validate_ellipticity(asym, asym.evaluate(np.array([0.1]), np.array([0.1]), np.array([1])))
+
+    @pytest.mark.parametrize("a0", [math.inf, math.nan])
+    def test_nonfinite_jump_rejected(self, a0):
+        # inf * 0 would make the off-diagonals NaN: no warning, and the message names the value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EllipticityError, match="positive and finite"):
+                coefficient_jump(a0)
+
+    def test_nonfinite_samples_named(self):
+        coeff = PiecewiseCoefficient(lambda x, y: np.where(np.asarray(x) > 0.5, np.nan, 1.0), 1.0)
+        mats = coeff.evaluate(np.array([0.1, 0.9]), np.array([0.1, 0.1]), np.array([1, 1]))
+        with pytest.raises(EllipticityError, match="finite"):
+            validate_ellipticity(coeff, mats)
+        spec = ProblemSpec(domain=sector(-PI / 4, 3 * PI / 4), coeff=coeff, phi=0.0)
+        with pytest.raises(EllipticityError, match="finite"):
+            assemble(generate_mesh(spec.domain, 0.2, 1.0), spec)
 
     @pytest.mark.parametrize("bounds", [dict(Lam=1.5), dict(lam=1.5), dict(lam=3.0, Lam=4.0)])
     def test_jump_outside_given_bounds_rejected(self, bounds):
@@ -523,8 +542,9 @@ class TestLinePreconditioner:
         # SPD (eigenvalues 0.1, 0.1, 2.8), but the tridiagonal part has
         # eigenvalue 1 - 0.9 sqrt(2) < 0, so dpttrf rejects it on a line level
         A = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
-        kind, precond = fem._preconditioner(sp.csr_matrix(A), np.diag(A), True)
-        assert kind == "jacobi"
+        line_mesh = SimpleNamespace(layered=True, parent=None)
+        kind, levels, precond = fem._preconditioner(sp.csr_matrix(A), np.diag(A), line_mesh, np.arange(3))
+        assert (kind, levels) == ("jacobi", [])
         np.testing.assert_array_equal(precond(np.ones(3)), 1.0 / np.diag(A))
 
     @settings(max_examples=100, deadline=None)
@@ -613,31 +633,48 @@ class TestMultigrid:
 
     def test_polar_meshes_stay_single_level(self):
         system = battery_system(None, 1 / 45)
-        _, _, free = reduced_system(system)
-        assert fem._prolongations(system.mesh, free) == ([], [True])
+        kind, levels, _, calls = preconditioner_levels(system)
+        assert (kind, levels, [line for _, _, line in calls]) == ("line", [], [True])
         _, diag = solve_cg(system)
         assert (diag.preconditioner, diag.levels) == ("line", 1)
 
-    def test_vcycle_is_symmetric_positive(self, monkeypatch):
-        # Jacobi smoothers on a refined fan, line smoothers on a radial chain
-        monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
-        for system, lines in [(maxprinciple_system(2, 5), [False] * 3), (battery_system(None, 1 / 45), [True] * 6)]:
-            A_ff, _, free = reduced_system(system)
-            A_ff = A_ff.tocsr()
-            prolongations, got = fem._prolongations(system.mesh, free)
-            assert got == lines and len(prolongations) == len(lines) - 1
-            vcycle = fem._vcycle(A_ff, A_ff.diagonal(), prolongations, lines)
-            rng = np.random.default_rng(3)
-            r1, r2 = rng.normal(size=(2, free.size))
-            lhs, rhs = float(vcycle(r1) @ r2), float(r1 @ vcycle(r2))
-            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-            assert float(r1 @ vcycle(r1)) > 0.0
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=polar_cases(),
+        family=st.sampled_from(["chain", "refined", "nonobtuse"]),
+        chain_h=st.floats(0.025, 0.08),
+        levels=st.integers(3, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # line smoothers on the witness's forced radial chain, Jacobi ones on a refined fan
+    @example(case=(sector(-PI / 4, 3 * PI / 4), 0.1, 0.8, 2 + 5**0.5), family="chain", chain_h=1 / 45, levels=3, seed=3)
+    @example(case=(sector(-0.4 * PI, 0.45 * PI), 0.1, 1.0, 10.0), family="nonobtuse", chain_h=0.05, levels=5, seed=3)
+    def test_preconditioner_is_symmetric_positive(self, case, family, chain_h, levels, seed):
+        # CG needs a symmetric positive definite preconditioner, of every kind
+        domain, h, mu, a0 = case
+        if family == "chain":
+            system = chain_system(domain, chain_h, mu, a0)
+        else:
+            spec = ProblemSpec(domain=domain, coeff=coefficient_jump(a0), phi=lambda x, y: x, h=1.0)
+            polar = refine_regular(refine_regular(generate_mesh(domain, h, mu)))
+            system = assemble(generate_nonobtuse_mesh(domain, levels) if family == "nonobtuse" else polar, spec)
+        kind, levels, precond, calls = preconditioner_levels(system)
+        # each level's own solve reads its mesh's recorded lines; a densely factored coarsest level has none
+        lines = [line for _, _, line in calls]
+        assert lines == {"chain": [True] * 8, "refined": [False, False, True], "nonobtuse": [False] * 8}[family][: len(lines)]
+        assert len(lines) - len(levels) in ((1,) if not levels else (0, 1))
+        assert (kind == "multigrid") == bool(levels)
+        rng = np.random.default_rng(seed)
+        r1, r2 = rng.normal(size=(2, system.n_free))
+        lhs, rhs = float(precond(r1) @ r2), float(r1 @ precond(r2))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+        assert float(r1 @ precond(r1)) > 0.0
 
     def test_prolongation_interpolates_linear_functions(self):
         # P maps the parent's nodal values of a linear function to the child's, on free vertices
         system = maxprinciple_system(0, 5)
         free = np.setdiff1d(np.arange(system.n), system.constrained)
-        P = fem._prolongations(system.mesh, free)[0][0]
+        P = preconditioner_levels(system)[1][0][1]
         v = system.mesh.vertices
         lin = 0.3 + v[:, 0] - 2.0 * v[:, 1]
         # a midpoint row drops the half of a Dirichlet end, so compare only the rows summing to 1
@@ -651,9 +688,12 @@ class TestMultigrid:
     def test_prolongations_match_index_reference(self, case, levels):
         system = maxprinciple_system(case, levels)
         free = np.setdiff1d(np.arange(system.n), system.constrained)
-        got, lines = fem._prolongations(system.mesh, free)
-        want = reference_prolongations(system.mesh, free)
-        assert len(got) == len(want) == levels - 3 and lines == [False] * (levels - 2)
+        kind, hierarchy, _, calls = preconditioner_levels(system)
+        got = [P for _, P, _ in hierarchy]
+        want = reference_transfers(system.mesh, free)
+        # the coarsest level (refinement level 3) is factored densely, so only the others take a line flag
+        assert kind == "multigrid" and [line for _, _, line in calls] == [False] * (levels - 3)
+        assert len(got) == len(want) == levels - 3
         for P, R in zip(got, want):
             assert P.shape == R.shape and (P != R).nnz == 0
 
@@ -692,7 +732,26 @@ class TestMultigrid:
         assert diag.true_residual <= 1e-10
 
 
-def reference_prolongations(mesh, free):
+def preconditioner_levels(system):
+    """``fem._preconditioner`` on ``system``'s reduced matrix, and the (A, diag, line) of each ``_level_solve`` call.
+
+    The calls are the single level's, or each smoothed level's of the V-cycle
+    and its coarsest level's unless that is factored densely.
+    """
+    A, _, free = reduced_system(system)
+    A = A.tocsr()
+    calls, level_solve = [], fem._level_solve
+
+    def recording(A, diag, line):
+        calls.append((A, diag, line))
+        return level_solve(A, diag, line)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fem, "_level_solve", recording)
+        return (*fem._preconditioner(A, A.diagonal(), system.mesh, free), calls)
+
+
+def reference_transfers(mesh, free):
     """The prolongations rebuilt by index arithmetic from the refinement layout.
 
     The parent's free vertices lead the child's, and vertex ``nv + k`` is the
@@ -807,30 +866,16 @@ def band_share_kind(A, diag):
 def level_kinds(system):
     """(kind the recorded lines give, kind the band-share rule gives) of each level a solve preconditions.
 
-    The levels are the single level, or each smoothed level of the V-cycle and
-    its coarsest level unless that is factored densely.
+    The levels are those ``preconditioner_levels`` sees take their own solve.
     """
-    A, _, free = reduced_system(system)
-    ops = [A.tocsr()]
-    prolongations, lines = fem._prolongations(system.mesh, free)
-    for P in prolongations:
-        ops.append((P.T @ ops[-1] @ P).tocsr())
-    if prolongations and ops[-1].shape[0] <= fem.COARSE_UNKNOWNS:
-        ops.pop()
-    return [(fem._preconditioner(op, op.diagonal(), line)[0], band_share_kind(op, op.diagonal()))
-            for op, line in zip(ops, lines)]
+    return [(fem._level_solve(A, diag, line)[0], band_share_kind(A, diag)) for A, diag, line in preconditioner_levels(system)[3]]
 
 
-def band_share_iterations(system, kinds):
-    """CG iterations on ``system`` when each level in ``kinds`` takes the band-share rule's kind."""
-    prolongations = fem._prolongations
-
-    def reference_levels(mesh, free):
-        out, lines = prolongations(mesh, free)
-        return out, [want == "line" for _, want in kinds] + lines[len(kinds):]
-
+def band_share_iterations(system):
+    """CG iterations on ``system`` when each level takes the band-share rule's kind."""
+    level_solve = fem._level_solve
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(fem, "_prolongations", reference_levels)
+        m.setattr(fem, "_level_solve", lambda A, diag, line: level_solve(A, diag, band_share_kind(A, diag) == "line"))
         return solve_cg(system)[1].iterations
 
 
@@ -866,14 +911,14 @@ class TestRecordedLines:
             # most 0.007 rad in the cases seen): the band-share rule gave them Jacobi, and
             # their recorded lines take no more iterations
             assert family == "chain" and all(kinds[level] == ("line", "jacobi") for level in differ)
-            assert solve_cg(system)[1].iterations <= band_share_iterations(system, kinds)
+            assert solve_cg(system)[1].iterations <= band_share_iterations(system)
 
     def test_thin_side_chain_smooths_coarse_levels_by_lines(self):
         # a side of 0.001 rad: the band-share rule gave levels 1-3 Jacobi, and 28 iterations
         system = chain_system(sector(-0.001, 5.034), 0.0361, 0.99, 0.0367)
         kinds = level_kinds(system)
         assert kinds == [("line", "line")] + [("line", "jacobi")] * 3
-        assert solve_cg(system)[1].iterations <= 9 and band_share_iterations(system, kinds) == 28
+        assert solve_cg(system)[1].iterations <= 9 and band_share_iterations(system) == 28
 
     @settings(max_examples=15, deadline=None)
     @given(case=polar_cases(), levels=st.integers(3, 7))

@@ -19,7 +19,10 @@ by a hash of their inputs.
 ``BENCH_<label>.json`` gets, per workload and end-to-end metric, each side's
 raw values, median, quartiles and IQR, the pairs the change won and a verdict
 (see ``verdict``) and the traced run's ``traced_correct`` and
-``traced_failed``; plus the git shas, library versions, nproc and seeds.
+``traced_failed``; per workload and side, ``<side>_setup`` splits ``setup_s``
+(import time plus the median of the workload's builds) into the summaries of
+each run's ``import_s`` and of each run's median build time ``build_s``; plus
+the git shas, library versions, nproc and seeds.
 Nothing about the workloads, gates or bounds is changed here: bounds are
 copied from ``BENCHMARK.json``.
 """
@@ -149,6 +152,10 @@ def main(argv=None) -> int:
                 out[f"{side}_correct"] = [r["result"]["correct"] for r in runs[side]]
                 out[f"{side}_failed"] = [r["result"]["failed"] for r in runs[side]]
                 out[f"{side}_attempted"] = [r["result"]["attempted"] for r in runs[side]]
+                out[f"{side}_setup"] = dict(
+                    import_s=summary([r["meta"]["import_s"] for r in runs[side]]),
+                    build_s=summary([statistics.median(r["meta"]["setup_builds_s"]) for r in runs[side]]),
+                )
             for metric, spec in metrics.items():
                 vals = {s: [r["result"]["metrics"][metric]["value"] for r in runs[s]] for s in runs}
                 sign = 1.0 if spec["better"] == "lower" else -1.0
@@ -176,6 +183,12 @@ def main(argv=None) -> int:
                 f"change {m['change']['median']:.4g} ({m['rel_change_of_median']:+.1%}), "
                 f"change won {m['change_wins']}/{len(out['seeds'])}: {m['verdict']}"
             )
+        parts = [
+            f"{part} base {out['base_setup'][part]['median']:.4g} (IQR {out['base_setup'][part]['iqr']:.3g}) -> "
+            f"change {out['change_setup'][part]['median']:.4g} (IQR {out['change_setup'][part]['iqr']:.3g})"
+            for part in ("import_s", "build_s")
+        ]
+        print(f"{name:12s} setup_s = " + " + ".join(parts))
     print(f"wrote {path}")
     bad = []
     for name, out in record["workloads"].items():
