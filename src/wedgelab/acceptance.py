@@ -349,26 +349,33 @@ def _random_instance(i: int):
     return domain, coeff, spec
 
 
+def _instance_ratios(i: int):
+    """Criterion 8's estimate ratios of instance ``i``: (h, kind, ``EstimateRatio``) per level, in solve order."""
+    _, _, spec = _random_instance(i)
+    for h in (0.12, 0.06, 0.03):
+        fs = solve_problem(spec, h, 1.0)
+        yield h, "interior", estimate_ratio_interior(fs, spec, center=(0.55, 0.0), r_inner=0.18, alpha=0.4)
+        yield h, "corner", estimate_ratio_corner(fs, spec, beta=0.5, alpha=0.4)
+        yield h, "global", estimate_ratio_global(fs, spec, beta=0.5, alpha=0.4)
+
+
+def _zero_data_ratios():
+    """Criterion 8's degenerate cases: the corner ratio of zero data on the first two battery wedges."""
+    for tp, tm in _BATTERY_WEDGES[:2]:
+        spec0 = ProblemSpec(domain=sector(tm, tp, 1.0), coeff=coefficient_jump(2.0), phi=0.0)
+        yield estimate_ratio_corner(solve_problem(spec0, 0.08, 1.0), spec0, beta=0.5, alpha=0.4)
+
+
 def check_08_ratio_stability(bench: Workbench) -> tuple[bool, list[str]]:
     worst_factor = 1.0
     n_ratios = 0
     for i in range(RATIO_INSTANCES):
-        _, _, spec = _random_instance(i)
         series: dict[str, list[float]] = {"interior": [], "corner": [], "global": []}
-        for h in (0.12, 0.06, 0.03):
-            fs = solve_problem(spec, h, 1.0)
-            ratios = {
-                "interior": estimate_ratio_interior(
-                    fs, spec, center=(0.55, 0.0), r_inner=0.18, alpha=0.4
-                ),
-                "corner": estimate_ratio_corner(fs, spec, beta=0.5, alpha=0.4),
-                "global": estimate_ratio_global(fs, spec, beta=0.5, alpha=0.4),
-            }
-            for kind, r in ratios.items():
-                if r.status != "ok" or not math.isfinite(r.ratio):
-                    return False, [f"instance {i} {kind} at h={h}: status={r.status}"]
-                series[kind].append(r.ratio)
-                n_ratios += 1
+        for h, kind, r in _instance_ratios(i):
+            if r.status != "ok" or not math.isfinite(r.ratio):
+                return False, [f"instance {i} {kind} at h={h}: status={r.status}"]
+            series[kind].append(r.ratio)
+            n_ratios += 1
         for kind, vals in series.items():
             for a, b in zip(vals, vals[1:]):
                 f = b / a
@@ -376,13 +383,7 @@ def check_08_ratio_stability(bench: Workbench) -> tuple[bool, list[str]]:
                 if not (0.5 < f < 2.0):
                     return False, [f"instance {i} {kind}: factor {f:.3f} outside (0.5, 2)"]
     # degenerate zero-data cases must be flagged, never reported as ratios
-    for tp, tm in _BATTERY_WEDGES[:2]:
-        domain = sector(tm, tp, 1.0)
-        spec0 = ProblemSpec(
-            domain=domain, coeff=coefficient_jump(2.0), phi=0.0
-        )
-        fs0 = solve_problem(spec0, 0.08, 1.0)
-        r0 = estimate_ratio_corner(fs0, spec0, beta=0.5, alpha=0.4)
+    for r0 in _zero_data_ratios():
         if r0.status != "degenerate" or r0.ratio is not None:
             return False, ["zero-data case not flagged degenerate"]
     return True, [

@@ -253,31 +253,14 @@ def grad_separable_xy(s: SeparableSolution, x, y, side=None):
     if np.any((r == 0.0) & (s.gamma < 1.0)):
         raise ValueError("gradient is unbounded at the corner for gamma < 1")
     theta = wedge_angles(s.wedge, x, y)
-    # error_report passes every edge midpoint of a mesh: the products are
-    # formed in place and each factor is freed after its last use
     with np.errstate(divide="ignore", invalid="ignore"):
         rg1 = np.where(r > 0.0, r ** (s.gamma - 1.0), 0.0 if s.gamma > 1.0 else 1.0)
-    del r
     a, b = _branch(s, theta, side)
     sg, cg = np.sin(s.gamma * theta), np.cos(s.gamma * theta)
-    ur = a * sg
-    ur += b * cg  # a sin + b cos
-    ut = a * cg
-    del a, cg
-    ut -= b * sg  # a cos - b sin
-    del b, sg
-    ur *= s.gamma * rg1
-    ut *= s.gamma
-    ut *= rg1
-    del rg1
+    ur = (a * sg + b * cg) * (s.gamma * rg1)
+    ut = (a * cg - b * sg) * s.gamma * rg1
     ct, st = np.cos(theta), np.sin(theta)
-    del theta
-    gx = ur * ct
-    gx -= ut * st
-    ur *= st
-    ut *= ct
-    ur += ut
-    return gx, ur
+    return ur * ct - ut * st, ur * st + ut * ct
 
 
 def corrector_determinant(a0: float, wedge: Wedge) -> float:

@@ -342,8 +342,9 @@ def solve_cg(
     rule); ``CgDiagnostics`` names it and its levels and gives the true
     relative residual, and a zero right-hand side returns at once and reads
     "jacobi".  Raises ``ValueError`` for a ``tol`` outside (0, 1) or a
-    ``max_iter`` below 1, and ``SolverError`` on stagnation past ``max_iter``
-    (default 20 sqrt(n)) or on loss of positive definiteness.
+    ``max_iter`` below 1, and ``SolverError`` for a right-hand side that is
+    not finite, on stagnation past ``max_iter`` (default 20 sqrt(n)) or on
+    loss of positive definiteness.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
@@ -365,6 +366,8 @@ def solve_cg(
     x = np.zeros(m)
     bnorm = float(np.linalg.norm(bf))
     history: list[float] = []
+    if not math.isfinite(bnorm):
+        raise SolverError(f"the load or boundary data is not finite (right-hand side norm {bnorm})")
     if bnorm == 0.0:
         diag = CgDiagnostics(0, 0.0, np.zeros(0), m, True, true_residual=0.0)
         return _expand(system, x, free_idx), diag

@@ -9,7 +9,9 @@ With delta(x) = min(|x - E|, 1) the estimated quantities are
                          * |D^k f(x) - D^k f(y)| / |x - y|^a,
     ||f||_{k,a} = sum_{i<=k} [f]_{i,0} + [f]_{k,a},
 
-with |.| the Euclidean norm of the gradient when k = 1.  ``_weights`` alone
+with |.| the Euclidean norm of the gradient when k = 1.  ``_magnitude`` alone
+forms |.|: the k0 max, the pair quotients and the scan's bound all call it,
+so bound and quotient agree even where a square would underflow.  ``_weights`` alone
 raises delta to its exponent; a pair takes the smaller of its samples'
 weights, min(delta)^e itself, as x -> x^e is monotone for e >= 0.
 
@@ -163,6 +165,17 @@ def _order_data(field: SampledField, order: int) -> np.ndarray:
     return field.gradients
 
 
+def _magnitude(columns):
+    """Euclidean length of vectors given by a list of components, or by the rows of a (d, ...) array.
+
+    |c0| for one, sqrt(c0*c0 + c1*c1) for two: the sum of ``np.linalg.norm(axis=-1)``, in its order.
+    """
+    if len(columns) == 1:
+        return np.abs(columns[0])
+    c0, c1 = columns
+    return np.sqrt(c0 * c0 + c1 * c1)
+
+
 def _weights(field: SampledField, params: NormParams, exponent: float) -> np.ndarray:
     """delta^max(exponent, 0) at each sample: the only place a distance weight is formed."""
     return delta_dist_arr(field.points, params.edge_point) ** max(exponent, 0.0)
@@ -175,8 +188,7 @@ def weighted_seminorm_k0(field: SampledField, params: NormParams, order: int | N
     i = params.k if order is None else order
     if i not in (0, 1):
         raise NormEstimateError(f"derivative order must be 0 or 1, got {order}")
-    data = _order_data(field, i)
-    mags = np.linalg.norm(data, axis=1) if data.shape[1] > 1 else np.abs(data[:, 0])
+    mags = _magnitude(_order_data(field, i).T)
     return float((_weights(field, params, i + params.tau) * mags).max())
 
 
@@ -192,16 +204,15 @@ def _quotients(points, blocks, weights, alpha, i, j):
     A pair's weight is the smaller of its two samples' ``weights``.  The
     blocks share the distances, weights and mask, not the quotients.
     """
-    diff = points[i] - points[j]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
+    x, y = points.T
+    dist = np.hypot(x[i] - x[j], y[i] - y[j])
     w = np.minimum(weights[i], weights[j])
     valid = dist >= PAIR_DIST_FLOOR
     scale = dist**alpha
     out = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for data in blocks:
-            dvec = data[i] - data[j]
-            num = np.linalg.norm(dvec, axis=-1) if data.shape[1] > 1 else np.abs(dvec[..., 0])
+            num = _magnitude([c[i] - c[j] for c in data.T])
             out.append(np.where(valid, w * num / scale, 0.0))
     return out, valid
 
@@ -298,7 +309,7 @@ def _pair_scan(points, blocks, weights, alpha) -> list[tuple[float, PairScanInfo
     lo = np.minimum.reduceat(cols, ranges.ravel())[::2]
     hi = np.maximum.reduceat(cols, ranges.ravel())[::2]
     near = np.maximum(lo[:, -1], PAIR_DIST_FLOOR)
-    starts = np.cumsum([0] + [data.shape[1] for data in blocks[:-1]])  # each block's first data column
+    offsets = np.cumsum([0] + [data.shape[1] for data in blocks])  # block b's data columns: offsets[b]:offsets[b + 1]
     size = ranges[:, 1] - ranges[:, 0]
     width = int(size[children[:, 0] < 0].max())  # the largest leaf
     slot = ranges[:, :1] + np.arange(width)
@@ -310,8 +321,8 @@ def _pair_scan(points, blocks, weights, alpha) -> list[tuple[float, PairScanInfo
         gap = np.maximum(np.maximum(lo[b, :2] - hi[a, :2], lo[a, :2] - hi[b, :2]), 0.0)
         span = np.maximum(hi[a, 2:-2], hi[b, 2:-2]) - np.minimum(lo[a, 2:-2], lo[b, 2:-2])
         dist = np.maximum(np.hypot(gap[:, 0], gap[:, 1]), np.maximum(near[a], near[b]))
-        norms = np.sqrt(np.add.reduceat(span * span, starts, axis=1))
-        return np.minimum(hi[a, -2], hi[b, -2])[:, None] * norms / (dist**alpha)[:, None]
+        w, scale = np.minimum(hi[a, -2], hi[b, -2]), dist**alpha
+        return np.column_stack([w * _magnitude(span[:, s:e].T) / scale for s, e in zip(offsets, offsets[1:])])
 
     stack = np.zeros((1, 2), dtype=np.intp)  # node pairs to visit: the root with itself
     while stack.size:
@@ -383,7 +394,7 @@ def plain_column_norms(points: np.ndarray, columns: np.ndarray, alpha: float) ->
     NormParams(k=0, alpha=alpha)  # checks alpha
     blocks = [columns[:, [c]] for c in range(columns.shape[1])]
     scans = _pair_scan(points, blocks, np.ones(points.shape[0]), alpha)
-    return [float(np.abs(data).max()) + value for data, (value, _) in zip(blocks, scans)]
+    return [float(_magnitude(data.T).max()) + value for data, (value, _) in zip(blocks, scans)]
 
 
 # ---------------------------------------------------------------------------

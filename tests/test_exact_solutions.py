@@ -26,6 +26,7 @@ from wedgelab.exact_solutions import (
     singular_exponent,
     singular_exponents,
     transmission_coeffs,
+    _branch,
 )
 from wedgelab.geometry import make_wedge, wedge_angles
 
@@ -243,6 +244,39 @@ def both_branch_field(s, x, y, side=None):
     return r**g * T, (ur * ct - ut * st, ur * st + ut * ct)
 
 
+def in_place_gradient(s, x, y, side=None):
+    """``grad_separable_xy`` as it was written with in-place products: the bit-for-bit reference."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = np.hypot(x, y)
+    if np.any((r == 0.0) & (s.gamma < 1.0)):
+        raise ValueError("gradient is unbounded at the corner for gamma < 1")
+    theta = wedge_angles(s.wedge, x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rg1 = np.where(r > 0.0, r ** (s.gamma - 1.0), 0.0 if s.gamma > 1.0 else 1.0)
+    del r
+    a, b = _branch(s, theta, side)
+    sg, cg = np.sin(s.gamma * theta), np.cos(s.gamma * theta)
+    ur = a * sg
+    ur += b * cg
+    ut = a * cg
+    del a, cg
+    ut -= b * sg
+    del b, sg
+    ur *= s.gamma * rg1
+    ut *= s.gamma
+    ut *= rg1
+    del rg1
+    ct, st = np.cos(theta), np.sin(theta)
+    del theta
+    gx = ur * ct
+    gx -= ut * st
+    ur *= st
+    ut *= ct
+    ur += ut
+    return gx, ur
+
+
 class TestSeparableField:
     @pytest.fixture
     def example(self):
@@ -353,6 +387,29 @@ class TestSeparableField:
             assert np.array_equal(got, ref)
         # the lower branch differs from the default (upper) one there
         assert np.array_equal(grad_separable_xy(sol, x, y)[1], want[1]) == (side == 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        u_minus=st.floats(1e-3, 1.0 - 1e-3),
+        u_plus=st.floats(1e-3, 1.0 - 1e-3),
+        gamma=st.floats(0.2, 3.0),
+        coeffs=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+        side_kind=st.sampled_from(["none", "scalar", "array"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradient_equals_in_place_reference(self, u_minus, u_plus, gamma, coeffs, side_kind, seed):
+        tm = -2 * PI * u_minus
+        sol = SeparableSolution(gamma, *coeffs, wedge=make_wedge(tm, u_plus * (2 * PI + tm)))
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        r = rng.uniform(0.0, 1.0, n) ** 3
+        if gamma >= 1.0:
+            r[0] = 0.0  # the corner, where the gradient is bounded
+        th = rng.uniform(-PI, PI, n)
+        x, y = r * np.cos(th), r * np.sin(th)
+        side = {"none": None, "scalar": int(rng.choice([-1, 1])), "array": rng.choice([-1, 1], n)}[side_kind]
+        for got, want in zip(grad_separable_xy(sol, x, y, side), in_place_gradient(sol, x, y, side)):
+            assert np.array_equal(got, want)
 
     def test_grad_side_selection_on_interface(self, example):
         sol, jump = example

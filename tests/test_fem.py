@@ -1009,6 +1009,16 @@ class TestSolveProblem:
         assert np.linalg.norm(residual) <= tol * np.linalg.norm(bf)
         assert diag.final_residual <= tol
 
+    @pytest.mark.parametrize(
+        "data", [dict(h=math.nan), dict(phi=lambda x, y: (np.asarray(x) + 2.0) * math.inf)], ids=["nan_load", "inf_boundary"]
+    )
+    def test_nonfinite_data_raises_before_iterating(self, data):
+        dom = sector(-PI / 4, 3 * PI / 4, 1.0)
+        spec = ProblemSpec(domain=dom, coeff=coefficient_jump(2.0), **{"phi": 0.0, **data})
+        with pytest.raises(SolverError, match="load or boundary data is not finite") as err:
+            solve_problem(spec, 0.05)
+        assert err.value.history == []
+
     def test_manufactured_smooth_rates(self):
         dom = sector(-PI / 4, 3 * PI / 4, 1.0)
 

@@ -105,6 +105,47 @@ def scan_cases(draw):
     return SampledField(pts, vals, grads), NormParams(k, alpha, tau, edge)
 
 
+def unseeded_pair_cloud(scale=1.0):
+    """The cloud of ``test_unseeded_pair_just_beyond_seed_distances``, its values times ``scale``."""
+    fan = np.linspace(-PI / 2, PI / 2, 8)
+    arc = 0.9 * np.column_stack([np.cos(fan), np.sin(fan)])
+    ring_th = np.arange(16) * PI / 8
+    ring = 0.2 * np.column_stack([np.cos(ring_th), np.sin(ring_th)])
+    pts = np.vstack([[3.0, 0.0], [4.0, 0.0], [3.0, 0.0] - arc * [1, -1], [4.0, 0.0] + arc])
+    pts = np.vstack([pts, [[0.0, 0.0], [1e-3, 0.0]], ring])
+    vals = np.concatenate([[1.0, 0.0], np.ones(8), np.zeros(8), [-5.0, 5.0], np.full(16, 0.5)])
+    vals[[2, 9]] = 0.99
+    return SampledField(pts, vals * scale)
+
+
+def gather_quotients(points, blocks, weights, alpha, i, j):
+    """``_quotients`` as it was written with (..., 2) gathers and a width fork: the bit-for-bit reference."""
+    diff = points[i] - points[j]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    w = np.minimum(weights[i], weights[j])
+    valid = dist >= PAIR_DIST_FLOOR
+    scale = dist**alpha
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for data in blocks:
+            dvec = data[i] - data[j]
+            num = np.linalg.norm(dvec, axis=-1) if data.shape[1] > 1 else np.abs(dvec[..., 0])
+            out.append(np.where(valid, w * num / scale, 0.0))
+    return out, valid
+
+
+@st.composite
+def scaled_scan_cases(draw):
+    """2-300 random points, per-sample weights in [0, 1), alpha, and 1-3 random blocks of width 1 or 2 times 10^s."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    blocks = [
+        rng.standard_normal((n, draw(st.integers(1, 2)))) * 10.0 ** draw(st.integers(-300, 150))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return rng.uniform(-1.0, 1.0, (n, 2)), blocks, rng.uniform(0.0, 1.0, n), draw(st.floats(0.05, 0.95))
+
+
 @st.composite
 def data_blocks(draw, points, edge):
     """1-3 data blocks over ``points``: constant, linear or corner-singular, one or two columns."""
@@ -346,6 +387,38 @@ class TestSeminormKAlpha:
         assert value == _all_pairs_scan(points, data, weights, alpha)[0] == 1.0
         assert info.argmax == (0, 1)
         assert info.n_pairs < 36 * 35 // 2
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-300])
+    def test_unseeded_pair_found_when_squares_underflow(self, scale):
+        # the span of a one-column block squares to 0 below 2^-511: a bound
+        # formed as sqrt(span^2) read 0 there and pruned the maximal pair
+        f = unseeded_pair_cloud(scale)
+        points, data, weights, alpha = _scan_args(f, NormParams(0, 0.5, tau=0.5))
+        [(value, info)] = _pair_scan(points, [data], weights, alpha)
+        assert value == _all_pairs_scan(points, data, weights, alpha)[0] == scale
+        assert info.argmax == (0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scaled_scan_cases())
+    def test_block_scan_matches_all_pairs_at_any_scale_property(self, case):
+        points, blocks, weights, alpha = case
+        for block, (value, info) in zip(blocks, _pair_scan(points, blocks, weights, alpha)):
+            ref, ref_info = _all_pairs_scan(points, block, weights, alpha)
+            assert (value, info.argmax) == (ref, ref_info.argmax)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=scaled_scan_cases())
+    def test_quotients_equal_gather_reference_property(self, case):
+        # the blocks' differences span 1e-300 to 1e150 and beyond
+        points, blocks, weights, alpha = case
+        n = len(points)
+        rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+        flat = (np.repeat(np.arange(n), 2), np.roll(np.arange(n), 1).repeat(2))
+        for i, j in [(rows, cols), flat]:
+            got, valid = _quotients(points, blocks, weights, alpha, i, j)
+            want, want_valid = gather_quotients(points, blocks, weights, alpha, i, j)
+            assert np.array_equal(valid, want_valid)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_constant_field_prunes_the_root(self):
         n = 500
