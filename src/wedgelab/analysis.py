@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from .exact_solutions import Barrier, barrier_eval_xy
 from .fem import FemSolution, ProblemSpec, solution_field
 from .geometry import interface_edges
-from .norms import NormParams, SampledField, plain_column_norms, plain_norm, weighted_norm
+from .norms import NormParams, SampledField, plain_column_norms, plain_norm, weighted_norm, with_pair_index
 
 DEGENERATE_RHS = 1e-13
 RAY_INSET = 0.02  # fraction of the opening kept clear of each wall by default_rays
@@ -258,16 +258,28 @@ def interface_flux_jump(
     )
 
 
-def _sides(regions: np.ndarray) -> list[np.ndarray]:
-    """The masks of the sides (upper, then lower) of ``regions`` with at least 2 samples."""
-    return [m for m in (regions == 1, regions == -1) if np.count_nonzero(m) >= 2]
+def _sides(cloud: SampledField) -> list[tuple[np.ndarray, SampledField]]:
+    """Each side (upper, then lower) of ``cloud`` with at least 2 samples: its mask and its samples."""
+    masks = (cloud.regions == 1, cloud.regions == -1)
+    return [(m, cloud.restrict(m)) for m in masks if np.count_nonzero(m) >= 2]
 
 
-def _side_max(cloud: SampledField, norm) -> float:
-    """Largest ``norm`` over the sides of ``cloud`` with at least 2 samples, 0 if none has."""
+def _solution_sides(fs: FemSolution) -> list[tuple[np.ndarray, SampledField]]:
+    """``_sides`` of the solution cloud, once per solve, each side carrying its pair index.
+
+    The global lhs and ``_g_norm`` scan the same side points, so they walk
+    one index; it lives in the solve's memo and dies with the solve.
+    """
+    if "sides" not in fs._memo:
+        fs._memo["sides"] = [(m, with_pair_index(side)) for m, side in _sides(solution_field(fs))]
+    return fs._memo["sides"]
+
+
+def _side_max(sides, norm) -> float:
+    """Largest ``norm`` over the ``sides`` (see ``_sides``), 0 if there are none."""
     best = 0.0
-    for mask in _sides(cloud.regions):
-        best = max(best, norm(cloud.restrict(mask)))
+    for _, side in sides:
+        best = max(best, norm(side))
     return best
 
 
@@ -284,15 +296,16 @@ def _ratio(kind, desc, lhs, spec, cloud, sup_u, trace_norms, g_norm) -> Estimate
     return EstimateRatio(lhs, rhs, kind, desc, status=status)
 
 
-def _g_norm(spec: ProblemSpec, alpha: float, cloud: SampledField) -> float:
+def _g_norm(spec: ProblemSpec, alpha: float, cloud: SampledField, sides) -> float:
     """Largest per-side Holder norm of a component of g over the samples of ``cloud``, 0 if none.
 
-    Both components of a side come from one pair scan.
+    ``sides`` are the ``_sides`` of ``cloud``.  Both components of a side
+    come from one pair scan.
     """
     gvals = spec.g_at(cloud.points[:, 0], cloud.points[:, 1], cloud.regions)
     best = 0.0
-    for mask in _sides(cloud.regions):
-        best = max(best, *plain_column_norms(cloud.points[mask], gvals[mask], alpha))
+    for mask, side in sides:
+        best = max(best, *plain_column_norms(side, gvals[mask], alpha))
     return best
 
 
@@ -351,10 +364,10 @@ def estimate_ratio_interior(
     outer = fld.restrict(d <= 2.0 * r_inner)
     if inner.n < 4 or outer.n < 4:
         raise FitError("too few samples in the ball pair; refine the mesh")
-    lhs = _side_max(inner, lambda f: plain_norm(f, k=1, alpha=alpha))
+    lhs = _side_max(_sides(inner), lambda f: plain_norm(f, k=1, alpha=alpha))
     desc = f"interior ball r={r_inner:.3g} at ({center[0]:.3g},{center[1]:.3g})"
     sup_u = float(np.abs(outer.values).max())
-    return _ratio("interior", desc, lhs, spec, outer, sup_u, [], _g_norm(spec, alpha, outer))
+    return _ratio("interior", desc, lhs, spec, outer, sup_u, [], _g_norm(spec, alpha, outer, _sides(outer)))
 
 
 def estimate_ratio_corner(
@@ -377,10 +390,11 @@ def estimate_ratio_corner(
     if inner.n < 4:
         raise FitError("too few samples in the inner sector; refine the mesh")
     params = NormParams(k=1, alpha=alpha, tau=-beta)
-    lhs = _side_max(inner, lambda f: weighted_norm(f, params).total)
+    lhs = _side_max(_sides(inner), lambda f: weighted_norm(f, params).total)
     desc = f"corner sectors {CORNER_INNER_FRACTION:.2g}R in R, beta={beta:.3g}"
     sup_u = float(np.abs(fld.values).max())
-    walls, g_norm = _per_solve(fs, spec, alpha, _wall_norms), _per_solve(fs, spec, alpha, _g_norm, fld)
+    walls = _per_solve(fs, spec, alpha, _wall_norms)
+    g_norm = _per_solve(fs, spec, alpha, _g_norm, fld, _solution_sides(fs))
     return _ratio("corner", desc, lhs, spec, fld, sup_u, walls, g_norm)
 
 
@@ -396,9 +410,10 @@ def estimate_ratio_global(
     ``pair_budget`` is ignored: every pair scan is exact."""
     fld = solution_field(fs)
     params = NormParams(k=1, alpha=alpha, tau=-beta)
-    lhs = _side_max(fld, lambda f: weighted_norm(f, params).total)
+    sides = _solution_sides(fs)
+    lhs = _side_max(sides, lambda f: weighted_norm(f, params).total)
     traces = _per_solve(fs, spec, alpha, _wall_norms) + _per_solve(fs, spec, alpha, _arc_norms)
-    g_norm = _per_solve(fs, spec, alpha, _g_norm, fld)
+    g_norm = _per_solve(fs, spec, alpha, _g_norm, fld, sides)
     return _ratio("global", "full sector", lhs, spec, fld, 0.0, traces, g_norm)
 
 

@@ -48,6 +48,7 @@ _LEAF = 8  # most points in a kd-tree leaf
 _CHUNK = 1024  # most node pairs per step of the tree walk: at most 1024 * _LEAF^2 = 65,536 quotients at once
 _SEED_NEIGHBOURS = 8  # neighbours per point that seed the incumbent and set the distance floor
 _SLACK = 1.0 + 1e-12  # bounds are inflated by this against rounding before pruning
+_TINY = 2.0**-486  # squares of components below this may be subnormal: _magnitude recomputes such lengths
 
 
 class NormEstimateError(ValueError):
@@ -65,6 +66,8 @@ class SampledField:
     values: np.ndarray
     gradients: np.ndarray | None = None
     regions: np.ndarray | None = None
+
+    _pair_index = None  # the _PairIndex of points, set only by with_pair_index
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -169,11 +172,19 @@ def _magnitude(columns):
     """Euclidean length of vectors given by a list of components, or by the rows of a (d, ...) array.
 
     |c0| for one, sqrt(c0*c0 + c1*c1) for two: the sum of ``np.linalg.norm(axis=-1)``, in its order.
+    Where that sum lost digits to subnormal squares (a length below ``_TINY``)
+    or overflowed, ``np.hypot`` recomputes the length, so it stays within
+    rounding at any scale and every other entry is unchanged.
     """
     if len(columns) == 1:
         return np.abs(columns[0])
     c0, c1 = columns
-    return np.sqrt(c0 * c0 + c1 * c1)
+    with np.errstate(over="ignore"):
+        out = np.sqrt(c0 * c0 + c1 * c1)
+    bad = (out < _TINY) | (out == np.inf)
+    if bad.any():
+        out[bad] = np.hypot(c0[bad], c1[bad])
+    return out
 
 
 def _weights(field: SampledField, params: NormParams, exponent: float) -> np.ndarray:
@@ -235,50 +246,110 @@ def _all_pairs_scan(points, data, weights, alpha) -> tuple[float, PairScanInfo]:
 
 
 def _node_table(tree: cKDTree):
-    """Each node's (start, end) range of ``tree.indices`` and its two children (-1 for a leaf).
+    """Each node's (start, end) range of ``tree.indices``, its two children (-1 for a leaf) and its depth.
 
     Nodes are numbered breadth first, the root as node 0.
     """
-    nodes, children = [tree.tree], []
-    for node in nodes:  # the list grows while it is walked
+    nodes, children, depth = [tree.tree], [], [0]
+    for k, node in enumerate(nodes):  # the lists grow while they are walked
         if node.lesser is None:
             children.append((-1, -1))
         else:
             children.append((len(nodes), len(nodes) + 1))
             nodes += [node.lesser, node.greater]
-    return np.array([(node.start_idx, node.end_idx) for node in nodes]), np.array(children)
+            depth += [depth[k] + 1] * 2
+    return np.array([(node.start_idx, node.end_idx) for node in nodes]), np.array(children), np.array(depth)
 
 
-def _pair_scan(points, blocks, weights, alpha) -> list[tuple[float, PairScanInfo]]:
+class _PairIndex:
+    """What a pair scan reads of its points alone: built once per point set, walked by every scan over it.
+
+    One ``cKDTree`` (median split along the widest side, leaves of at most
+    ``_LEAF`` points) gives each point's ``_SEED_NEIGHBOURS`` nearest
+    neighbours, kept as the index pairs ``seeds``, and the nodes of the walk,
+    numbered breadth first: each node's ``ranges`` of ``perm``, its
+    ``children`` (-1 for a leaf), ``size``, point box ``lo`` to ``hi``, its
+    leaf ``slots`` (the points of a leaf, then -1) and its distance floor
+    ``near``, the smallest distance from a point of the node to its farthest
+    seeded neighbour.  ``start`` holds the node pairs the walk starts from:
+    every pair, a node with itself included, of the deepest breadth-first cut
+    (the nodes at one depth and the leaves above it) whose pairs fit in one
+    ``_CHUNK``.  When every leaf pair fits, that cut is the leaves.
+    """
+
+    def __init__(self, points: np.ndarray):
+        n = points.shape[0]
+        if n < 2:
+            raise NormEstimateError("at least two distinct samples required for a pair scan")
+        self.points = points
+        tree = cKDTree(points, leafsize=_LEAF)
+        dist, nbrs = tree.query(points, k=min(_SEED_NEIGHBOURS + 1, n))
+        # column 0 is at distance 0: the point itself, a pair below the floor
+        self.seeds = np.repeat(np.arange(n), nbrs.shape[1] - 1), nbrs[:, 1:].ravel()
+        self.perm = perm = tree.indices
+        self.ranges, self.children, depth = _node_table(tree)
+        # reduceat reads one row past each range end, hence the extra row
+        cols = np.column_stack([points, dist[:, -1]])[np.append(perm, 0)]
+        self.lo = np.minimum.reduceat(cols, self.ranges.ravel())[::2]
+        self.hi = np.maximum.reduceat(cols[:, :2], self.ranges.ravel())[::2]
+        self.near = np.maximum(self.lo[:, 2], PAIR_DIST_FLOOR)
+        self.size = self.ranges[:, 1] - self.ranges[:, 0]
+        leaf = self.children[:, 0] < 0
+        width = int(self.size[leaf].max())  # the largest leaf
+        slot = self.ranges[:, :1] + np.arange(width)
+        self.slots = np.where(slot < self.ranges[:, 1:], perm[np.minimum(slot, n - 1)], -1)
+        # cut d: the nodes at depth d and the leaves above it; cuts grow with d
+        leaves = np.bincount(depth[leaf], minlength=depth[-1] + 1)
+        count = np.bincount(depth) + np.cumsum(leaves) - leaves
+        d = int(np.flatnonzero(count * (count + 1) // 2 <= _CHUNK)[-1])
+        cut = np.flatnonzero((depth == d) | (leaf & (depth < d)))
+        a, b = np.triu_indices(len(cut))
+        self.start = np.column_stack([cut[a], cut[b]])
+
+
+def with_pair_index(field: SampledField) -> SampledField:
+    """The samples of ``field``, carrying the pair index of their points: every scan over them walks it.
+
+    Any other field's scans build their own index, so an index lives as long
+    as the copy that carries it; ``analysis`` keeps one per side of a solve's
+    cloud in the solve's memo.
+    """
+    out = SampledField._subset(field.points, field.values, field.gradients, field.regions)
+    out._pair_index = _PairIndex(field.points)
+    return out
+
+
+def _index_of(field: SampledField) -> _PairIndex:
+    """The pair index ``field`` carries, else a new one over its points."""
+    return _PairIndex(field.points) if field._pair_index is None else field._pair_index
+
+
+def _pair_scan(index: _PairIndex, blocks, weights, alpha) -> list[tuple[float, PairScanInfo]]:
     """Exact max of the weighted pair quotient of each data block, by dual-tree branch and bound.
 
-    ``blocks`` are (n, d) data arrays over the same ``points``, sharing the
-    per-sample ``weights`` and alpha.  One ``cKDTree`` (median split along
-    the widest side, leaves of at most ``_LEAF`` points) gives the neighbour
-    seeds and the nodes for all of them.  Every node carries its
-    point box, the data box of every block, its largest weight and its
-    distance floor ``near``.  Each block has its own incumbent, which starts
-    from seeds: each point with its ``_SEED_NEIGHBOURS`` nearest neighbours,
-    then each point with the argmin and the argmax point of every column of
-    that block, which finds the far pairs where smooth data peaks.  A node
-    pair (A, B) is pruned when, for every block,
+    ``blocks`` are (n, d) data arrays over the points of ``index``, sharing
+    the per-sample ``weights`` and alpha.  Every node of the index gets the
+    data box of every block and its largest weight, next to its point box
+    and distance floor ``near``.  Each block has its own incumbent, which
+    starts from seeds: each point with its ``_SEED_NEIGHBOURS`` nearest
+    neighbours, then each point with the argmin and the argmax point of
+    every column of that block, which finds the far pairs where smooth data
+    peaks.  A node pair (A, B) is pruned when, for every block,
         min(max_A w, max_B w) * |data span of A u B|
             / max(gap(A, B), near_A, near_B, floor)^alpha
-    is no larger than that block's incumbent.  ``near`` is the smallest
-    distance from a point of the node to its farthest seeded neighbour.  The
-    bound covers every pair that no neighbour seed evaluated: were such a
-    pair (i, j) shorter than that distance for i, then j would be one of i's
-    nearest neighbours.  Pairs that a seed evaluated are already no larger
-    than the incumbent, and pairs below the floor are excluded.  Node pairs
-    are walked depth first in chunks; each chunk brute-forces its surviving
-    leaf pairs for every block at once and splits the others.  So each
-    block's max is over all pairs, and equals ``_all_pairs_scan`` on that
-    block alone bit for bit.  Returns each block's max and ``PairScanInfo``;
-    the blocks share the leaf pairs and the pruned count.
+    is no larger than that block's incumbent.  The bound covers every pair
+    that no neighbour seed evaluated: were such a pair (i, j) shorter than
+    the distance from i to its farthest seeded neighbour, then j would be one
+    of i's nearest neighbours.  Pairs that a seed evaluated are already no
+    larger than the incumbent, and pairs below the floor are excluded.  The
+    walk starts from the index's ``start`` pairs, which fill at most one
+    chunk, and goes on depth first in chunks; each chunk brute-forces its
+    surviving leaf pairs for every block at once and splits the others.  So
+    each block's max is over all pairs, and equals ``_all_pairs_scan`` on
+    that block alone bit for bit.  Returns each block's max and
+    ``PairScanInfo``; the blocks share the leaf pairs and the pruned count.
     """
-    n = points.shape[0]
-    if n < 2:
-        raise NormEstimateError("at least two distinct samples required for a pair scan")
+    points, n = index.points, index.points.shape[0]
     best, pruned = np.zeros(len(blocks)), 0
     best_pair, evaluated = [(0, 1)] * len(blocks), [0] * len(blocks)
 
@@ -293,38 +364,29 @@ def _pair_scan(points, blocks, weights, alpha) -> list[tuple[float, PairScanInfo
                 ii, jj = np.broadcast_arrays(i, j)
                 best[b], best_pair[b] = float(q[k]), (int(min(ii[k], jj[k])), int(max(ii[k], jj[k])))
 
-    tree = cKDTree(points, leafsize=_LEAF)
-    seed_dist, nbrs = tree.query(points, k=min(_SEED_NEIGHBOURS + 1, n))
-    # column 0 is at distance 0: the point itself, a pair below the floor
-    consider(np.repeat(np.arange(n), nbrs.shape[1] - 1), nbrs[:, 1:].ravel())
+    consider(*index.seeds)
     for b, data in enumerate(blocks):
         ends = np.array(sorted({*data.argmin(axis=0).tolist(), *data.argmax(axis=0).tolist()}))
         i, j = np.arange(n)[:, None], ends[None, :]
         consider(i, j, i != j, [b])
 
-    perm = tree.indices
-    ranges, children = _node_table(tree)
-    # reduceat reads one row past each range end, hence the extra row
-    cols = np.column_stack([points, *blocks, weights, seed_dist[:, -1]])[np.append(perm, 0)]
-    lo = np.minimum.reduceat(cols, ranges.ravel())[::2]
-    hi = np.maximum.reduceat(cols, ranges.ravel())[::2]
-    near = np.maximum(lo[:, -1], PAIR_DIST_FLOOR)
+    children, size, slots, near, plo, phi = index.children, index.size, index.slots, index.near, index.lo, index.hi
+    cols = np.column_stack([*blocks, weights])[np.append(index.perm, 0)]
+    lo = np.minimum.reduceat(cols, index.ranges.ravel())[::2]
+    hi = np.maximum.reduceat(cols, index.ranges.ravel())[::2]
     offsets = np.cumsum([0] + [data.shape[1] for data in blocks])  # block b's data columns: offsets[b]:offsets[b + 1]
-    size = ranges[:, 1] - ranges[:, 0]
-    width = int(size[children[:, 0] < 0].max())  # the largest leaf
-    slot = ranges[:, :1] + np.arange(width)
-    slots = np.where(slot < ranges[:, 1:], perm[np.minimum(slot, n - 1)], -1)
+    width = slots.shape[1]
     upper = np.triu(np.ones((width, width), dtype=bool), 1)
 
     def bound(a, b):
         """Each block's bound (columns) of each node pair (rows)."""
-        gap = np.maximum(np.maximum(lo[b, :2] - hi[a, :2], lo[a, :2] - hi[b, :2]), 0.0)
-        span = np.maximum(hi[a, 2:-2], hi[b, 2:-2]) - np.minimum(lo[a, 2:-2], lo[b, 2:-2])
+        gap = np.maximum(np.maximum(plo[b, :2] - phi[a], plo[a, :2] - phi[b]), 0.0)
+        span = np.maximum(hi[a, :-1], hi[b, :-1]) - np.minimum(lo[a, :-1], lo[b, :-1])
         dist = np.maximum(np.hypot(gap[:, 0], gap[:, 1]), np.maximum(near[a], near[b]))
-        w, scale = np.minimum(hi[a, -2], hi[b, -2]), dist**alpha
+        w, scale = np.minimum(hi[a, -1], hi[b, -1]), dist**alpha
         return np.column_stack([w * _magnitude(span[:, s:e].T) / scale for s, e in zip(offsets, offsets[1:])])
 
-    stack = np.zeros((1, 2), dtype=np.intp)  # node pairs to visit: the root with itself
+    stack = index.start
     while stack.size:
         pairs, stack = stack[-_CHUNK:], stack[:-_CHUNK]
         keep = (bound(pairs[:, 0], pairs[:, 1]) * _SLACK > best).any(axis=1)
@@ -356,8 +418,8 @@ def weighted_seminorm_kalpha(field: SampledField, params: NormParams, return_inf
     Pairs closer than ``PAIR_DIST_FLOOR`` are excluded.  With ``return_info``
     the ``PairScanInfo`` (quotients evaluated, argmax pair) comes along.
     """
-    points, data, weights, alpha = _scan_args(field, params)
-    [(value, info)] = _pair_scan(points, [data], weights, alpha)
+    _, data, weights, alpha = _scan_args(field, params)
+    [(value, info)] = _pair_scan(_index_of(field), [data], weights, alpha)
     return (value, info) if return_info else value
 
 
@@ -385,15 +447,16 @@ def plain_norm(field: SampledField, k: int, alpha: float) -> float:
     return weighted_norm(field, NormParams(k=k, alpha=alpha, tau=-(k + 1.0))).total
 
 
-def plain_column_norms(points: np.ndarray, columns: np.ndarray, alpha: float) -> list[float]:
-    """``plain_norm(., k=0, alpha)`` of each column of ``columns`` (n, m) over ``points``, from one pair scan.
+def plain_column_norms(field: SampledField, columns: np.ndarray, alpha: float) -> list[float]:
+    """``plain_norm(., k=0, alpha)`` of each column of ``columns`` (n, m) over the points of ``field``, from one pair scan.
 
     Each is max|f| + [f]_{0,alpha}, summed as ``weighted_norm`` sums it; the
-    scan is unweighted: every sample's weight is 1.
+    scan is unweighted: every sample's weight is 1.  The field's values are
+    not read; its points' pair index is, when it carries one.
     """
     NormParams(k=0, alpha=alpha)  # checks alpha
     blocks = [columns[:, [c]] for c in range(columns.shape[1])]
-    scans = _pair_scan(points, blocks, np.ones(points.shape[0]), alpha)
+    scans = _pair_scan(_index_of(field), blocks, np.ones(field.n), alpha)
     return [float(_magnitude(data.T).max()) + value for data, (value, _) in zip(blocks, scans)]
 
 

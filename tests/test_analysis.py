@@ -577,6 +577,38 @@ def test_corner_then_global_scan_each_data_norm_once(monkeypatch):
     assert scans(["interior"], fs) == interior_alone
 
 
+def test_solution_cloud_sides_are_indexed_once_per_solve(monkeypatch):
+    # the corner ratio's g norm and the global ratio's lhs and g norm scan the
+    # sides of the full solution cloud: one pair index per side and solve; a
+    # field the caller holds gets a new index for each scan
+    import wedgelab.norms as norms
+    from wedgelab.acceptance import _random_instance
+    from wedgelab.fem import solution_field
+
+    built, real = [], norms.cKDTree
+
+    def counted(points, *args, **kwargs):
+        built.append(np.asarray(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "cKDTree", counted)
+    spec = _random_instance(0)[2]
+    for _ in range(2):  # a second solve builds its own
+        fs = solve_problem(spec, 0.12, 1.0)
+        cloud = solution_field(fs)
+        sides = [cloud.points[cloud.regions == s] for s in (1, -1)]
+        built.clear()
+        RATIOS["corner"](fs, spec, 0.4)
+        RATIOS["global"](fs, spec, 0.4)
+        assert [sum(np.array_equal(p, side) for p in built) for side in sides] == [1, 1]
+
+    upper, params = cloud.restrict(cloud.regions == 1), norms.NormParams(1, 0.4, tau=-0.5)
+    built.clear()
+    norms.weighted_norm(upper, params)
+    norms.weighted_norm(upper, params)
+    assert len(built) == 2 and all(np.array_equal(p, upper.points) for p in built)
+
+
 class TestComparisonCheck:
     @pytest.fixture
     def quarter_case(self):

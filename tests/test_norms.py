@@ -19,7 +19,9 @@ from wedgelab.norms import (
     weighted_seminorm_k0,
     weighted_seminorm_kalpha,
     write_sampled_field_csv,
+    _CHUNK,
     _SEED_NEIGHBOURS,
+    _PairIndex,
     _all_pairs_scan,
     _pair_scan,
     _quotients,
@@ -119,7 +121,11 @@ def unseeded_pair_cloud(scale=1.0):
 
 
 def gather_quotients(points, blocks, weights, alpha, i, j):
-    """``_quotients`` as it was written with (..., 2) gathers and a width fork: the bit-for-bit reference."""
+    """``_quotients`` as it was written with (..., 2) gathers and a width fork: the bit-for-bit reference.
+
+    A two-column length below 2^-486 or overflowed, where the squares leave the
+    normal range, is taken from ``np.hypot`` instead.
+    """
     diff = points[i] - points[j]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     w = np.minimum(weights[i], weights[j])
@@ -130,6 +136,9 @@ def gather_quotients(points, blocks, weights, alpha, i, j):
         for data in blocks:
             dvec = data[i] - data[j]
             num = np.linalg.norm(dvec, axis=-1) if data.shape[1] > 1 else np.abs(dvec[..., 0])
+            if data.shape[1] > 1:
+                off = (num < 2.0**-486) | (num == np.inf)
+                num[off] = np.hypot(dvec[..., 0], dvec[..., 1])[off]
             out.append(np.where(valid, w * num / scale, 0.0))
     return out, valid
 
@@ -307,7 +316,7 @@ class TestSeminormKAlpha:
     def test_branch_and_bound_matches_all_pairs_property(self, case):
         f, p = case
         points, data, weights, alpha = _scan_args(f, p)
-        [(value, info)] = _pair_scan(points, [data], weights, alpha)
+        [(value, info)] = _pair_scan(_PairIndex(points), [data], weights, alpha)
         ref, _ = _all_pairs_scan(points, data, weights, alpha)
         assert value == ref
         if value > 0.0:
@@ -319,7 +328,7 @@ class TestSeminormKAlpha:
         f, p = case
         points, _, weights, alpha = _scan_args(f, p)
         blocks = data.draw(data_blocks(points, p.edge_point))
-        scans = _pair_scan(points, blocks, weights, alpha)
+        scans = _pair_scan(_PairIndex(points), blocks, weights, alpha)
         assert len(scans) == len(blocks)
         for block, (value, info) in zip(blocks, scans):
             assert value == _all_pairs_scan(points, block, weights, alpha)[0]
@@ -330,20 +339,48 @@ class TestSeminormKAlpha:
         assert len({info.pruned for _, info in scans}) == 1
 
     def test_one_block_scan_is_pinned(self):
-        # value, counts and argmax of the single-block scan before blocks existed
+        # value and argmax of the single-block scan before blocks existed; the
+        # counts of the walk that starts from the one-chunk cut
         pts = disk_cloud(1500, seed=21)
         kvec = np.array([1.3, -2.1])
         f = SampledField(pts, np.sin(pts @ kvec) + np.hypot(*pts.T) ** 0.8, np.cos(pts @ kvec)[:, None] * kvec)
         pinned = [
-            (NormParams(1, 0.5, tau=-0.3), "0x1.f119045ef697ap+1", 27528, (12, 186), 2063),
-            (NormParams(0, 0.4, tau=-1.0), "0x1.14f09ece23031p+1", 48335, (156, 543), 2877),
+            (NormParams(1, 0.5, tau=-0.3), "0x1.f119045ef697ap+1", 30003, (12, 186), 2232),
+            (NormParams(0, 0.4, tau=-1.0), "0x1.14f09ece23031p+1", 48335, (156, 543), 3079),
         ]
         for p, value, n_pairs, argmax, pruned in pinned:
             points, data, weights, alpha = _scan_args(f, p)
-            [(got, info)] = _pair_scan(points, [data], weights, alpha)
+            [(got, info)] = _pair_scan(_PairIndex(points), [data], weights, alpha)
             assert got == float.fromhex(value)
             assert (info.n_pairs, info.argmax, info.pruned) == (n_pairs, argmax, pruned)
             assert weighted_seminorm_kalpha(f, p, return_info=True) == (got, info)
+
+    @pytest.mark.parametrize(
+        "n, start",
+        [(5, "leaves"), (8, "leaves"), (264, "leaves"), (272, "inner"), (3000, "inner")],
+    )
+    def test_scan_equals_all_pairs_around_the_one_chunk_cut(self, n, start):
+        # one leaf; 40 and 48 leaves, whose 820 and 1,176 node pairs fall
+        # either side of one chunk; and a cut five levels above the leaves
+        index = _PairIndex(disk_cloud(n, seed=n))
+        leaf = index.children[:, 0] < 0
+        cut = np.unique(index.start)
+        # every pair of the cut's nodes, a node with itself included, in one chunk
+        assert index.start.shape[0] == len(cut) * (len(cut) + 1) // 2 <= _CHUNK
+        assert leaf[cut].all() == (start == "leaves")
+        if start == "leaves":
+            assert len(cut) == leaf.sum()
+        else:
+            # the next cut down would not fit
+            deeper = np.concatenate([index.children[cut[~leaf[cut]]].ravel(), cut[leaf[cut]]])
+            assert len(deeper) * (len(deeper) + 1) // 2 > _CHUNK
+        pts = index.points
+        kvec = np.array([2.3, -1.4])
+        weights = np.minimum(np.hypot(*pts.T), 1.0) ** 0.6
+        blocks = [np.column_stack([np.cos(pts @ kvec), pts[:, 1] ** 2]), np.sin(pts @ kvec)[:, None]]
+        for block, (value, info) in zip(blocks, _pair_scan(index, blocks, weights, 0.45)):
+            ref, ref_info = _all_pairs_scan(pts, block, weights, 0.45)
+            assert (value, info.argmax) == (ref, ref_info.argmax)
 
     @pytest.mark.parametrize("constant_first", [True, False])
     def test_constant_block_leaves_linear_block_scan_unchanged(self, constant_first):
@@ -355,8 +392,8 @@ class TestSeminormKAlpha:
         linear = (0.7 * pts[:, 0] - 0.3 * pts[:, 1] + 0.2)[:, None]
         constant = np.full((n, 1), 1.7)
         weights = np.ones(n)
-        [alone] = _pair_scan(pts, [linear], weights, 0.4)
-        scans = _pair_scan(pts, [constant, linear] if constant_first else [linear, constant], weights, 0.4)
+        [alone] = _pair_scan(_PairIndex(pts), [linear], weights, 0.4)
+        scans = _pair_scan(_PairIndex(pts), [constant, linear] if constant_first else [linear, constant], weights, 0.4)
         (value, info), together = scans if constant_first else scans[::-1]
         assert together == alone
         assert alone[0] == _all_pairs_scan(pts, linear, weights, 0.4)[0]
@@ -383,7 +420,7 @@ class TestSeminormKAlpha:
         f = SampledField(pts, vals)
         p = NormParams(0, 0.5, tau=0.5)
         points, data, weights, alpha = _scan_args(f, p)
-        [(value, info)] = _pair_scan(points, [data], weights, alpha)
+        [(value, info)] = _pair_scan(_PairIndex(points), [data], weights, alpha)
         assert value == _all_pairs_scan(points, data, weights, alpha)[0] == 1.0
         assert info.argmax == (0, 1)
         assert info.n_pairs < 36 * 35 // 2
@@ -394,15 +431,28 @@ class TestSeminormKAlpha:
         # formed as sqrt(span^2) read 0 there and pruned the maximal pair
         f = unseeded_pair_cloud(scale)
         points, data, weights, alpha = _scan_args(f, NormParams(0, 0.5, tau=0.5))
-        [(value, info)] = _pair_scan(points, [data], weights, alpha)
+        [(value, info)] = _pair_scan(_PairIndex(points), [data], weights, alpha)
         assert value == _all_pairs_scan(points, data, weights, alpha)[0] == scale
         assert info.argmax == (0, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e160])
+    def test_first_order_norms_scale_with_tiny_and_huge_gradients(self, scale):
+        # sqrt(gx*gx + gy*gy) loses digits below about 1e-154, reads 0 below
+        # about 1e-162 and overflows above about 1e154
+        pts = disk_cloud(200, seed=5)
+        grads = np.column_stack([pts[:, 0], pts[:, 1] ** 2])
+        p = NormParams(1, 0.5, tau=-0.7)
+        one, scaled = SampledField(pts, pts[:, 0], grads), SampledField(pts, pts[:, 0], grads * scale)
+        for norm in (lambda f: weighted_seminorm_k0(f, p, order=1), lambda f: weighted_seminorm_kalpha(f, p)):
+            assert norm(one) > 0.0
+            assert math.isclose(norm(scaled), scale * norm(one), rel_tol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(case=scaled_scan_cases())
     def test_block_scan_matches_all_pairs_at_any_scale_property(self, case):
         points, blocks, weights, alpha = case
-        for block, (value, info) in zip(blocks, _pair_scan(points, blocks, weights, alpha)):
+        for block, (value, info) in zip(blocks, _pair_scan(_PairIndex(points), blocks, weights, alpha)):
             ref, ref_info = _all_pairs_scan(points, block, weights, alpha)
             assert (value, info.argmax) == (ref, ref_info.argmax)
 
@@ -425,7 +475,8 @@ class TestSeminormKAlpha:
         f = SampledField(disk_cloud(n, seed=2), np.full(n, 1.7))
         value, info = weighted_seminorm_kalpha(f, NormParams(0, 0.4, tau=-1.0), return_info=True)
         assert value == 0.0
-        assert info.pruned == 1
+        # every node pair the walk starts from is pruned, so nothing is split
+        assert info.pruned == len(_PairIndex(f.points).start) > 1
         # only the seeds: 8 neighbours per point, then every point with the one
         # extreme point of the constant data column
         assert info.n_pairs == n * _SEED_NEIGHBOURS + n - 1
@@ -521,7 +572,7 @@ class TestWeightedNorm:
     def test_column_norms_equal_plain_norm_per_column(self, seed):
         pts = disk_cloud(700, seed=seed)
         columns = np.column_stack([np.sin(3 * pts[:, 0]) * pts[:, 1], 0.4 * pts[:, 0] - pts[:, 1], np.full(700, -2.0)])
-        got = plain_column_norms(pts, columns, 0.35)
+        got = plain_column_norms(SampledField(pts, columns[:, 0]), columns, 0.35)
         assert got == [plain_norm(SampledField(pts, c), k=0, alpha=0.35) for c in columns.T]
 
     def test_report_fields(self):

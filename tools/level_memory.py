@@ -8,7 +8,10 @@ thread: the thread variables are set before numpy is loaded.  After each
 stage it prints the stage, its seconds and the process's ``ru_maxrss`` in MB
 (KiB / 1024, the unit of perfbench's ``peak_rss_mb``).  The stages are
 ``mesh`` (``generate_mesh``, validation included), ``assemble``,
-``solve_cg``, ``gradients`` (``element_gradients``) and ``error_report``.
+``solve_cg``, ``gradients`` (``element_gradients``), ``error_report`` and
+``scan``: the exact k = 1 weighted pair scan (alpha = 0.5, tau = -0.8) of
+each side of the solution cloud, ``weighted_seminorm_kalpha`` on the
+upper, then the lower barycenters.
 The last line gives the mesh size, the solver's preconditioner, levels,
 iterations and true relative residual, and the L-infinity error.
 ``ru_maxrss`` never falls within a process, so run one level per process.
@@ -40,7 +43,7 @@ def main() -> None:
         parser.error("LEVEL must be a positive integer")
     os.environ.update(ONE_THREAD)
     sys.path.insert(0, str(ROOT / "src"))
-    from wedgelab import acceptance, exact_solutions, fem, geometry
+    from wedgelab import acceptance, exact_solutions, fem, geometry, norms
 
     bench = acceptance.Workbench()
     h = 1.0 / level
@@ -65,6 +68,9 @@ def main() -> None:
         lambda x, y: exact_solutions.eval_separable_xy(bench.solution, x, y),
         lambda x, y, side: exact_solutions.grad_separable_xy(bench.solution, x, y, side),
     )
+    cloud = fem.solution_field(fs)
+    params = norms.NormParams(k=1, alpha=0.5, tau=-0.8)
+    stage("scan", lambda: [norms.weighted_seminorm_kalpha(cloud.restrict(cloud.regions == s), params) for s in (1, -1)])
     print(
         f"nv {mesh.n_vertices}, nt {mesh.n_triangles}, {diagnostics.preconditioner} "
         f"{diagnostics.levels} levels {diagnostics.iterations} iterations, "
