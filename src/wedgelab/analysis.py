@@ -258,27 +258,27 @@ def interface_flux_jump(
     )
 
 
-def _sides(cloud: SampledField) -> list[tuple[np.ndarray, SampledField]]:
-    """Each side (upper, then lower) of ``cloud`` with at least 2 samples: its mask and its samples."""
+def _sides(cloud: SampledField) -> list[SampledField]:
+    """The sides (upper, then lower) of ``cloud`` with at least 2 samples."""
     masks = (cloud.regions == 1, cloud.regions == -1)
-    return [(m, cloud.restrict(m)) for m in masks if np.count_nonzero(m) >= 2]
+    return [cloud.restrict(m) for m in masks if np.count_nonzero(m) >= 2]
 
 
-def _solution_sides(fs: FemSolution) -> list[tuple[np.ndarray, SampledField]]:
+def _solution_sides(fs: FemSolution) -> list[SampledField]:
     """``_sides`` of the solution cloud, once per solve, each side carrying its pair index.
 
     The global lhs and ``_g_norm`` scan the same side points, so they walk
     one index; it lives in the solve's memo and dies with the solve.
     """
     if "sides" not in fs._memo:
-        fs._memo["sides"] = [(m, with_pair_index(side)) for m, side in _sides(solution_field(fs))]
+        fs._memo["sides"] = [with_pair_index(side) for side in _sides(solution_field(fs))]
     return fs._memo["sides"]
 
 
-def _side_max(sides, norm) -> float:
-    """Largest ``norm`` over the ``sides`` (see ``_sides``), 0 if there are none."""
+def _side_max(sides: list[SampledField], norm) -> float:
+    """Largest ``norm`` over ``sides``, 0 if there are none."""
     best = 0.0
-    for _, side in sides:
+    for side in sides:
         best = max(best, norm(side))
     return best
 
@@ -296,16 +296,15 @@ def _ratio(kind, desc, lhs, spec, cloud, sup_u, trace_norms, g_norm) -> Estimate
     return EstimateRatio(lhs, rhs, kind, desc, status=status)
 
 
-def _g_norm(spec: ProblemSpec, alpha: float, cloud: SampledField, sides) -> float:
-    """Largest per-side Holder norm of a component of g over the samples of ``cloud``, 0 if none.
+def _g_norm(spec: ProblemSpec, alpha: float, sides: list[SampledField]) -> float:
+    """Largest Holder norm of a component of g over the samples of one of ``sides``, 0 if none.
 
-    ``sides`` are the ``_sides`` of ``cloud``.  Both components of a side
-    come from one pair scan.
+    Both components of a side come from one pair scan.
     """
-    gvals = spec.g_at(cloud.points[:, 0], cloud.points[:, 1], cloud.regions)
     best = 0.0
-    for mask, side in sides:
-        best = max(best, *plain_column_norms(side, gvals[mask], alpha))
+    for side in sides:
+        gvals = spec.g_at(side.points[:, 0], side.points[:, 1], side.regions)
+        best = max(best, *plain_column_norms(side, gvals, alpha))
     return best
 
 
@@ -367,7 +366,7 @@ def estimate_ratio_interior(
     lhs = _side_max(_sides(inner), lambda f: plain_norm(f, k=1, alpha=alpha))
     desc = f"interior ball r={r_inner:.3g} at ({center[0]:.3g},{center[1]:.3g})"
     sup_u = float(np.abs(outer.values).max())
-    return _ratio("interior", desc, lhs, spec, outer, sup_u, [], _g_norm(spec, alpha, outer, _sides(outer)))
+    return _ratio("interior", desc, lhs, spec, outer, sup_u, [], _g_norm(spec, alpha, _sides(outer)))
 
 
 def estimate_ratio_corner(
@@ -394,7 +393,7 @@ def estimate_ratio_corner(
     desc = f"corner sectors {CORNER_INNER_FRACTION:.2g}R in R, beta={beta:.3g}"
     sup_u = float(np.abs(fld.values).max())
     walls = _per_solve(fs, spec, alpha, _wall_norms)
-    g_norm = _per_solve(fs, spec, alpha, _g_norm, fld, _solution_sides(fs))
+    g_norm = _per_solve(fs, spec, alpha, _g_norm, _solution_sides(fs))
     return _ratio("corner", desc, lhs, spec, fld, sup_u, walls, g_norm)
 
 
@@ -413,7 +412,7 @@ def estimate_ratio_global(
     sides = _solution_sides(fs)
     lhs = _side_max(sides, lambda f: weighted_norm(f, params).total)
     traces = _per_solve(fs, spec, alpha, _wall_norms) + _per_solve(fs, spec, alpha, _arc_norms)
-    g_norm = _per_solve(fs, spec, alpha, _g_norm, fld, sides)
+    g_norm = _per_solve(fs, spec, alpha, _g_norm, sides)
     return _ratio("global", "full sector", lhs, spec, fld, 0.0, traces, g_norm)
 
 

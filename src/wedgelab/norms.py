@@ -11,25 +11,32 @@ With delta(x) = min(|x - E|, 1) the estimated quantities are
 
 with |.| the Euclidean norm of the gradient when k = 1.  ``_magnitude`` alone
 forms |.|: the k0 max, the pair quotients and the scan's bound all call it,
-so bound and quotient agree even where a square would underflow.  ``_weights`` alone
-raises delta to its exponent; a pair takes the smaller of its samples'
-weights, min(delta)^e itself, as x -> x^e is monotone for e >= 0.
+so bound and quotient agree, and stay within rounding where a square would
+underflow or overflow.  ``_weights`` alone raises delta to its exponent; a
+pair takes the smaller of its samples' weights, min(delta)^e itself, as
+x -> x^e is monotone for e >= 0.
 
 The pair max is exact over all pairs: a dual-tree branch and bound (Gray & Moore, "N-body
 problems in statistical learning", NIPS 2000) brute-forces only the node
 pairs whose quotient bound can beat the best pair found so far, and reports
 the quotients it evaluated, the node pairs it pruned and the argmax pair.
-The best pair starts from seeds: each point with its nearest neighbours and
-with the extreme points of every data column.  A pair that no neighbour seed
-covered is at least as long as either point's farthest seeded neighbour, so
-that distance floors the bound of every node pair, including a node paired
-with itself or with a touching node.
+It walks an index over the points (``_PairIndex``): a kd-tree, each point's
+nearest neighbours and the tree's node table.  The best pair starts from
+seeds: each point with its nearest neighbours and with the extreme points of
+every data column.  A pair that no neighbour seed covered is at least as
+long as either point's farthest seeded neighbour, so that distance floors
+the bound of every node pair, including a node paired with itself or with a
+touching node.  The walk starts from every node pair of the deepest
+breadth-first cut of the tree that fits in one chunk, at every cloud size.
 
-One scan serves several data blocks over the same points, such as the two
-components of a vector field: it builds one tree, one neighbour query and one
-node table, gives each block its own best pair and its own far seeds, and
-prunes a node pair only when every block's bound allows it.  Each block's
-max is then still over all pairs, the same value its own scan finds.
+An index serves every scan over its points.  One scan serves several data
+blocks, such as the two components of a vector field: it gives each block
+its own best pair and its own far seeds, and prunes a node pair only when
+every block's bound allows it, so each block's max is still over all pairs,
+the same value its own scan finds.  A field made by ``with_pair_index``
+carries its index to each scan over it, which is how ``analysis`` builds one
+index per side of a solve's cloud; a scan over any other field builds its
+own index, so no index outlives the field that holds it.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ PAIR_DIST_FLOOR = 1e-9
 _BLOCK = 256  # rows per step of the all-pairs reference scan
 _LEAF = 8  # most points in a kd-tree leaf
 _CHUNK = 1024  # most node pairs per step of the tree walk: at most 1024 * _LEAF^2 = 65,536 quotients at once
-_SEED_NEIGHBOURS = 8  # neighbours per point that seed the incumbent and set the distance floor
+_SEED_NEIGHBOURS = 4  # neighbours per point that seed the incumbent and set the distance floor; 6 and 8 were slower
 _SLACK = 1.0 + 1e-12  # bounds are inflated by this against rounding before pruning
 _TINY = 2.0**-486  # squares of components below this may be subnormal: _magnitude recomputes such lengths
 
@@ -290,9 +297,9 @@ class _PairIndex:
         self.ranges, self.children, depth = _node_table(tree)
         # reduceat reads one row past each range end, hence the extra row
         cols = np.column_stack([points, dist[:, -1]])[np.append(perm, 0)]
-        self.lo = np.minimum.reduceat(cols, self.ranges.ravel())[::2]
+        lo = np.minimum.reduceat(cols, self.ranges.ravel())[::2]
+        self.lo, self.near = lo[:, :2], np.maximum(lo[:, 2], PAIR_DIST_FLOOR)
         self.hi = np.maximum.reduceat(cols[:, :2], self.ranges.ravel())[::2]
-        self.near = np.maximum(self.lo[:, 2], PAIR_DIST_FLOOR)
         self.size = self.ranges[:, 1] - self.ranges[:, 0]
         leaf = self.children[:, 0] < 0
         width = int(self.size[leaf].max())  # the largest leaf
@@ -380,7 +387,7 @@ def _pair_scan(index: _PairIndex, blocks, weights, alpha) -> list[tuple[float, P
 
     def bound(a, b):
         """Each block's bound (columns) of each node pair (rows)."""
-        gap = np.maximum(np.maximum(plo[b, :2] - phi[a], plo[a, :2] - phi[b]), 0.0)
+        gap = np.maximum(np.maximum(plo[b] - phi[a], plo[a] - phi[b]), 0.0)
         span = np.maximum(hi[a, :-1], hi[b, :-1]) - np.minimum(lo[a, :-1], lo[b, :-1])
         dist = np.maximum(np.hypot(gap[:, 0], gap[:, 1]), np.maximum(near[a], near[b]))
         w, scale = np.minimum(hi[a, -1], hi[b, -1]), dist**alpha

@@ -340,13 +340,13 @@ class TestSeminormKAlpha:
 
     def test_one_block_scan_is_pinned(self):
         # value and argmax of the single-block scan before blocks existed; the
-        # counts of the walk that starts from the one-chunk cut
+        # counts of the walk that starts from the one-chunk cut, with 4 seed neighbours
         pts = disk_cloud(1500, seed=21)
         kvec = np.array([1.3, -2.1])
         f = SampledField(pts, np.sin(pts @ kvec) + np.hypot(*pts.T) ** 0.8, np.cos(pts @ kvec)[:, None] * kvec)
         pinned = [
-            (NormParams(1, 0.5, tau=-0.3), "0x1.f119045ef697ap+1", 30003, (12, 186), 2232),
-            (NormParams(0, 0.4, tau=-1.0), "0x1.14f09ece23031p+1", 48335, (156, 543), 3079),
+            (NormParams(1, 0.5, tau=-0.3), "0x1.f119045ef697ap+1", 26631, (12, 186), 2387),
+            (NormParams(0, 0.4, tau=-1.0), "0x1.14f09ece23031p+1", 43079, (156, 543), 3208),
         ]
         for p, value, n_pairs, argmax, pruned in pinned:
             points, data, weights, alpha = _scan_args(f, p)
@@ -402,8 +402,8 @@ class TestSeminormKAlpha:
         assert info.pruned == alone[1].pruned
 
     def test_unseeded_pair_just_beyond_seed_distances(self):
-        # P = (3, 0) and Q = (4, 0) each have their 8 nearest neighbours on a
-        # radius-0.9 arc facing away from the other, so the maximum pair (P, Q)
+        # P = (3, 0) and Q = (4, 0) each have their 8 nearest neighbours, so all
+        # their seeded ones, on a radius-0.9 arc facing away from the other, so the maximum pair (P, Q)
         # at distance 1 is no neighbour seed and lies just beyond both points'
         # farthest seeded neighbour.  The data extremes sit at and next to the
         # edge point, with weights 0 and 1e-3, so no far-pair seed finds it.  The
@@ -477,7 +477,7 @@ class TestSeminormKAlpha:
         assert value == 0.0
         # every node pair the walk starts from is pruned, so nothing is split
         assert info.pruned == len(_PairIndex(f.points).start) > 1
-        # only the seeds: 8 neighbours per point, then every point with the one
+        # only the seeds: _SEED_NEIGHBOURS per point, then every point with the one
         # extreme point of the constant data column
         assert info.n_pairs == n * _SEED_NEIGHBOURS + n - 1
 
