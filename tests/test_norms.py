@@ -403,12 +403,13 @@ class TestSeminormKAlpha:
 
     def test_unseeded_pair_just_beyond_seed_distances(self):
         # P = (3, 0) and Q = (4, 0) each have their 8 nearest neighbours, so all
-        # their seeded ones, on a radius-0.9 arc facing away from the other, so the maximum pair (P, Q)
-        # at distance 1 is no neighbour seed and lies just beyond both points'
-        # farthest seeded neighbour.  The data extremes sit at and next to the
-        # edge point, with weights 0 and 1e-3, so no far-pair seed finds it.  The
-        # arc ends (3, -+0.9) and (4, -+0.9) are seeded decoys with quotient
-        # 0.99: a distance floor 1.25 times too large would prune (P, Q).
+        # their seeded ones, on a radius-0.9 arc facing away from the other, so
+        # the maximum pair (P, Q) at distance 1 is no neighbour seed and lies
+        # just beyond both points' farthest seeded neighbour.  The data
+        # extremes sit at and next to the edge point, with weights 0 and 1e-3,
+        # so no far-pair seed finds it.  The arc ends (3, -+0.9) and (4, -+0.9)
+        # are seeded decoys with quotient 0.99: a distance floor 1.25 times too
+        # large would prune (P, Q).
         fan = np.linspace(-PI / 2, PI / 2, 8)
         arc = 0.9 * np.column_stack([np.cos(fan), np.sin(fan)])
         ring_th = np.arange(16) * PI / 8
