@@ -455,7 +455,7 @@ def comparison_check(
         raise BoundaryHypothesisError("barrier not positive at a boundary sample")
     rb = vb / wb
     worst_b = float(rb.max())
-    if worst_b > 1.0 + BOUNDARY_SLACK:
+    if not np.all(rb <= 1.0 + BOUNDARY_SLACK):  # a NaN ratio fails too
         raise BoundaryHypothesisError(
             f"|v| <= w fails on the boundary: worst ratio {worst_b:.6g}"
         )

@@ -20,14 +20,14 @@ The pair max is exact over all pairs: a dual-tree branch and bound (Gray & Moore
 problems in statistical learning", NIPS 2000) brute-forces only the node
 pairs whose quotient bound can beat the best pair found so far, and reports
 the quotients it evaluated, the node pairs it pruned and the argmax pair.
-It walks an index over the points (``_PairIndex``): a kd-tree, each point's
-nearest neighbours and the tree's node table.  The best pair starts from
-seeds: each point with its nearest neighbours and with the extreme points of
-every data column.  A pair that no neighbour seed covered is at least as
-long as either point's farthest seeded neighbour, so that distance floors
-the bound of every node pair, including a node paired with itself or with a
-touching node.  The walk starts from every node pair of the deepest
-breadth-first cut of the tree that fits in one chunk, at every cloud size.
+It walks an index over the points (``_PairIndex``): each point's nearest
+neighbours and a complete binary tree that halves a kd-tree's point order.
+The best pair starts from seeds: each point with its nearest neighbours and
+with the extreme points of every data column.  A pair that no neighbour seed
+covered is at least as long as either point's farthest seeded neighbour, so
+that distance floors the bound of every node pair, including a node paired
+with itself or with a touching node.  The walk starts from every node pair of
+the deepest depth of the tree that fits in one chunk, at every cloud size.
 
 An index serves every scan over its points.  One scan serves several data
 blocks, such as the two components of a vector field: it gives each block
@@ -92,6 +92,8 @@ class SampledField:
             self.regions = np.asarray(self.regions)
             if self.regions.shape != (n,):
                 raise NormEstimateError("regions must be an (n,) array")
+            if not np.isin(self.regions, list(_REGION_CODE)).all():
+                raise NormEstimateError("regions must be +1, -1 or 0")
         checked = (self.points, self.values) + (() if self.gradients is None else (self.gradients,))
         if not all(np.isfinite(a).all() for a in checked):
             raise NormEstimateError("points, values and gradients must be finite")
@@ -252,36 +254,22 @@ def _all_pairs_scan(points, data, weights, alpha) -> tuple[float, PairScanInfo]:
     return best, PairScanInfo(evaluated, best_pair, 0)
 
 
-def _node_table(tree: cKDTree):
-    """Each node's (start, end) range of ``tree.indices``, its two children (-1 for a leaf) and its depth.
-
-    Nodes are numbered breadth first, the root as node 0.
-    """
-    nodes, children, depth = [tree.tree], [], [0]
-    for k, node in enumerate(nodes):  # the lists grow while they are walked
-        if node.lesser is None:
-            children.append((-1, -1))
-        else:
-            children.append((len(nodes), len(nodes) + 1))
-            nodes += [node.lesser, node.greater]
-            depth += [depth[k] + 1] * 2
-    return np.array([(node.start_idx, node.end_idx) for node in nodes]), np.array(children), np.array(depth)
-
-
 class _PairIndex:
     """What a pair scan reads of its points alone: built once per point set, walked by every scan over it.
 
-    One ``cKDTree`` (median split along the widest side, leaves of at most
-    ``_LEAF`` points) gives each point's ``_SEED_NEIGHBOURS`` nearest
-    neighbours, kept as the index pairs ``seeds``, and the nodes of the walk,
-    numbered breadth first: each node's ``ranges`` of ``perm``, its
-    ``children`` (-1 for a leaf), ``size``, point box ``lo`` to ``hi``, its
-    leaf ``slots`` (the points of a leaf, then -1) and its distance floor
-    ``near``, the smallest distance from a point of the node to its farthest
-    seeded neighbour.  ``start`` holds the node pairs the walk starts from:
-    every pair, a node with itself included, of the deepest breadth-first cut
-    (the nodes at one depth and the leaves above it) whose pairs fit in one
-    ``_CHUNK``.  When every leaf pair fits, that cut is the leaves.
+    One ``cKDTree`` (median split along the widest side) gives each point's
+    ``_SEED_NEIGHBOURS`` nearest neighbours, kept as the index pairs
+    ``seeds``, and its kd order ``perm``.  The nodes of the walk are a
+    complete binary tree over that order, numbered breadth first: node i
+    halves its range of ``perm`` at the middle into nodes 2i + 1 and 2i + 2,
+    down to the depth at which no leaf holds more than ``_LEAF`` points, so
+    the nodes from ``inner`` on are the leaves.  Each node has its
+    ``ranges`` of ``perm``, ``size``, point box ``lo`` to ``hi`` and distance
+    floor ``near``, the smallest distance from a point of the node to its
+    farthest seeded neighbour; each leaf has its ``slots`` (its points, then
+    -1).  ``start`` holds the node pairs the walk starts from: every pair, a
+    node with itself included, of the nodes at the deepest depth whose pairs
+    fit in one ``_CHUNK``, or of the leaves when all their pairs fit.
     """
 
     def __init__(self, points: np.ndarray):
@@ -294,24 +282,25 @@ class _PairIndex:
         # column 0 is at distance 0: the point itself, a pair below the floor
         self.seeds = np.repeat(np.arange(n), nbrs.shape[1] - 1), nbrs[:, 1:].ravel()
         self.perm = perm = tree.indices
-        self.ranges, self.children, depth = _node_table(tree)
+        depth = ((n - 1) // _LEAF).bit_length()
+        levels = [np.array([[0, n]])]
+        for _ in range(depth):
+            s, e = levels[-1].T
+            m = s + (e - s) // 2
+            levels.append(np.column_stack([s, m, m, e]).reshape(-1, 2))
+        self.ranges, self.inner = np.concatenate(levels), 2**depth - 1
         # reduceat reads one row past each range end, hence the extra row
         cols = np.column_stack([points, dist[:, -1]])[np.append(perm, 0)]
         lo = np.minimum.reduceat(cols, self.ranges.ravel())[::2]
         self.lo, self.near = lo[:, :2], np.maximum(lo[:, 2], PAIR_DIST_FLOOR)
         self.hi = np.maximum.reduceat(cols[:, :2], self.ranges.ravel())[::2]
         self.size = self.ranges[:, 1] - self.ranges[:, 0]
-        leaf = self.children[:, 0] < 0
-        width = int(self.size[leaf].max())  # the largest leaf
-        slot = self.ranges[:, :1] + np.arange(width)
-        self.slots = np.where(slot < self.ranges[:, 1:], perm[np.minimum(slot, n - 1)], -1)
-        # cut d: the nodes at depth d and the leaves above it; cuts grow with d
-        leaves = np.bincount(depth[leaf], minlength=depth[-1] + 1)
-        count = np.bincount(depth) + np.cumsum(leaves) - leaves
+        leaves = levels[-1]
+        slot = leaves[:, :1] + np.arange(self.size[self.inner:].max())
+        self.slots = np.where(slot < leaves[:, 1:], perm[np.minimum(slot, n - 1)], -1)
+        count = 2 ** np.arange(depth + 1)  # nodes at each depth
         d = int(np.flatnonzero(count * (count + 1) // 2 <= _CHUNK)[-1])
-        cut = np.flatnonzero((depth == d) | (leaf & (depth < d)))
-        a, b = np.triu_indices(len(cut))
-        self.start = np.column_stack([cut[a], cut[b]])
+        self.start = np.column_stack(np.triu_indices(2**d)) + 2**d - 1
 
 
 def with_pair_index(field: SampledField) -> SampledField:
@@ -377,7 +366,7 @@ def _pair_scan(index: _PairIndex, blocks, weights, alpha) -> list[tuple[float, P
         i, j = np.arange(n)[:, None], ends[None, :]
         consider(i, j, i != j, [b])
 
-    children, size, slots, near, plo, phi = index.children, index.size, index.slots, index.near, index.lo, index.hi
+    inner, size, slots, near, plo, phi = index.inner, index.size, index.slots, index.near, index.lo, index.hi
     cols = np.column_stack([*blocks, weights])[np.append(index.perm, 0)]
     lo = np.minimum.reduceat(cols, index.ranges.ravel())[::2]
     hi = np.maximum.reduceat(cols, index.ranges.ravel())[::2]
@@ -399,17 +388,17 @@ def _pair_scan(index: _PairIndex, blocks, weights, alpha) -> list[tuple[float, P
         keep = (bound(pairs[:, 0], pairs[:, 1]) * _SLACK > best).any(axis=1)
         pruned += len(pairs) - int(keep.sum())
         a, b = pairs[keep].T
-        leaf = (children[a, 0] < 0) & (children[b, 0] < 0)
+        leaf = np.minimum(a, b) >= inner
         if leaf.any():
             ia, ib = a[leaf], b[leaf]
-            i, j = slots[ia][:, :, None], slots[ib][:, None, :]
+            i, j = slots[ia - inner][:, :, None], slots[ib - inner][:, None, :]
             consider(i, j, (i >= 0) & (j >= 0) & ((ia != ib)[:, None, None] | upper))
-        # split the larger node of each pair (a node paired with itself gives
-        # three pairs)
+        # split the larger node of each pair, never a leaf, as every inner node
+        # outsizes every leaf (a node paired with itself gives three pairs)
         a, b = a[~leaf], b[~leaf]
         big = np.where(size[a] >= size[b], a, b)
         small = a + b - big
-        c0, c1 = children[big].T
+        c0, c1 = 2 * big + 1, 2 * big + 2
         same = a == b
         kids = np.column_stack(
             [c0, np.where(same, c0, small), c1, np.where(same, c1, small), c0, c1]
@@ -459,9 +448,12 @@ def plain_column_norms(field: SampledField, columns: np.ndarray, alpha: float) -
 
     Each is max|f| + [f]_{0,alpha}, summed as ``weighted_norm`` sums it; the
     scan is unweighted: every sample's weight is 1.  The field's values are
-    not read; its points' pair index is, when it carries one.
+    not read; its points' pair index is, when it carries one.  Non-finite
+    columns raise ``NormEstimateError``: a NaN norm would drop out of a max.
     """
     NormParams(k=0, alpha=alpha)  # checks alpha
+    if not np.isfinite(columns).all():
+        raise NormEstimateError("columns must be finite")
     blocks = [columns[:, [c]] for c in range(columns.shape[1])]
     scans = _pair_scan(_index_of(field), blocks, np.ones(field.n), alpha)
     return [float(_magnitude(data.T).max()) + value for data, (value, _) in zip(blocks, scans)]
@@ -498,7 +490,7 @@ def write_sampled_field_csv(field: SampledField, path, value_column: str = "valu
     columns = [
         field.points[:, 0].tolist(),
         field.points[:, 1].tolist(),
-        [_REGION_CODE.get(r, "0") for r in regions.tolist()],
+        [_REGION_CODE[r] for r in regions.tolist()],
         field.values.tolist(),
     ]
     if field.gradients is not None:

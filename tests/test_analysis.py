@@ -669,6 +669,19 @@ class TestComparisonCheck:
         with pytest.raises(BoundaryHypothesisError):
             comparison_check(v, barrier, boundary, interior)
 
+    def test_nan_boundary_sample_fails_the_hypothesis(self, quarter_case):
+        # NaN compares false with any bound, so it must not read as within it
+        w, gamma, v, boundary, interior = quarter_case
+        barrier = calibrate_barrier(v, min(0.3, 0.8 * (gamma - 1.0)), 0.1, w, boundary)
+
+        def v_nan(x, y):
+            out = v(x, y)
+            out[7] = np.nan
+            return out
+
+        with pytest.raises(BoundaryHypothesisError, match="nan"):
+            comparison_check(v_nan, barrier, boundary, interior)
+
     def test_corrector_recovery_in_pipeline(self):
         # separable-plus-plane field: the corrector rebuilt from tangential
         # derivatives at the corner must match the plane that was added

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "level_memory.py"
-STAGES = ("mesh", "assemble", "solve_cg", "gradients", "error_report", "scan")
+STAGES = ("mesh", "assemble", "solve_cg", "gradients", "error_report", "index", "scan")
 
 
 def run(*args):

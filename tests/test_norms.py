@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from wedgelab.analysis import default_rays
 from wedgelab.exact_solutions import build_dirichlet_example, eval_separable_xy, grad_separable_xy
 from wedgelab.geometry import make_wedge
 from wedgelab.norms import (
@@ -20,6 +22,7 @@ from wedgelab.norms import (
     weighted_seminorm_kalpha,
     write_sampled_field_csv,
     _CHUNK,
+    _LEAF,
     _SEED_NEIGHBOURS,
     _PairIndex,
     _all_pairs_scan,
@@ -52,6 +55,35 @@ def disk_cloud(n, seed=0, radius=1.0):
     r = radius * np.sqrt(rng.uniform(0, 1, n))
     th = rng.uniform(-PI, PI, n)
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+
+def kdtree_node_table(tree):
+    """Each node's (start, end) range of ``tree.indices``, breadth first, read from ``cKDTree``'s node objects.
+
+    The reference the pair index's nodes are checked against.
+    """
+    nodes = [tree.tree]
+    for node in nodes:  # the list grows while it is walked
+        if node.lesser is not None:
+            nodes += [node.lesser, node.greater]
+    return np.array([(node.start_idx, node.end_idx) for node in nodes])
+
+
+def polar_grid():
+    """The 24 x 33 polar grid that ``wedgelab exact --field-csv`` samples for the wedge (-pi/4, pi/4)."""
+    R, T = np.meshgrid(np.linspace(0.05, 1.0, 24), default_rays(make_wedge(-PI / 4, PI / 4), 33), indexing="ij")
+    return np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
+
+
+def scan_equals_all_pairs(index):
+    """Value and argmax of a two- and a one-column block's scan over ``index``, each against ``_all_pairs_scan``."""
+    pts = index.points
+    kvec = np.array([2.3, -1.4])
+    weights = np.minimum(np.hypot(*pts.T), 1.0) ** 0.6
+    blocks = [np.column_stack([np.cos(pts @ kvec), pts[:, 1] ** 2]), np.sin(pts @ kvec)[:, None]]
+    for block, (value, info) in zip(blocks, _pair_scan(index, blocks, weights, 0.45)):
+        ref, ref_info = _all_pairs_scan(pts, block, weights, 0.45)
+        assert (value, info.argmax) == (ref, ref_info.argmax)
 
 
 def quotient_at(field, params, pair):
@@ -357,30 +389,63 @@ class TestSeminormKAlpha:
 
     @pytest.mark.parametrize(
         "n, start",
-        [(5, "leaves"), (8, "leaves"), (264, "leaves"), (272, "inner"), (3000, "inner")],
+        [(5, "leaves"), (8, "leaves"), (256, "leaves"), (257, "inner"), (3000, "inner")],
     )
     def test_scan_equals_all_pairs_around_the_one_chunk_cut(self, n, start):
-        # one leaf; 40 and 48 leaves, whose 820 and 1,176 node pairs fall
-        # either side of one chunk; and a cut five levels above the leaves
+        # one leaf; 32 leaves of 8 points, whose 528 node pairs fit in one
+        # chunk, and 64 leaves of 4 or 5, whose 2,080 do not; and a start four
+        # levels above the leaves
         index = _PairIndex(disk_cloud(n, seed=n))
-        leaf = index.children[:, 0] < 0
+        ranges, inner = index.ranges, index.inner
+        assert len(ranges) == 2 * inner + 1 and tuple(ranges[0]) == (0, n)
+        # node i's halves 2i + 1 and 2i + 2 partition its range at the middle
+        node = np.arange(inner)
+        assert np.array_equal(ranges[2 * node + 1, 0], ranges[node, 0])
+        assert np.array_equal(ranges[2 * node + 1, 1], ranges[2 * node + 2, 0])
+        assert np.array_equal(ranges[2 * node + 2, 1], ranges[node, 1])
+        assert np.array_equal(index.size[2 * node + 2] - index.size[2 * node + 1], index.size[node] % 2)
+        # the leaves hold at most _LEAF points, and their parents more
+        assert 1 <= index.size[inner:].min() and index.size[inner:].max() <= _LEAF
+        assert inner == 0 or index.size[(inner - 1) // 2 : inner].max() > _LEAF
+        for slots, (lo, hi) in zip(index.slots, ranges[inner:]):
+            assert np.array_equal(slots[slots >= 0], index.perm[lo:hi])
+        # start: every pair of the nodes at one depth, a node with itself
+        # included, in one chunk
         cut = np.unique(index.start)
-        # every pair of the cut's nodes, a node with itself included, in one chunk
-        assert index.start.shape[0] == len(cut) * (len(cut) + 1) // 2 <= _CHUNK
-        assert leaf[cut].all() == (start == "leaves")
-        if start == "leaves":
-            assert len(cut) == leaf.sum()
-        else:
-            # the next cut down would not fit
-            deeper = np.concatenate([index.children[cut[~leaf[cut]]].ravel(), cut[leaf[cut]]])
-            assert len(deeper) * (len(deeper) + 1) // 2 > _CHUNK
-        pts = index.points
-        kvec = np.array([2.3, -1.4])
-        weights = np.minimum(np.hypot(*pts.T), 1.0) ** 0.6
-        blocks = [np.column_stack([np.cos(pts @ kvec), pts[:, 1] ** 2]), np.sin(pts @ kvec)[:, None]]
-        for block, (value, info) in zip(blocks, _pair_scan(index, blocks, weights, 0.45)):
-            ref, ref_info = _all_pairs_scan(pts, block, weights, 0.45)
-            assert (value, info.argmax) == (ref, ref_info.argmax)
+        assert np.array_equal(cut, np.arange(len(cut) - 1, 2 * len(cut) - 1))
+        a, b = np.triu_indices(len(cut))
+        assert np.array_equal(index.start, np.column_stack([cut[a], cut[b]]))
+        assert len(index.start) <= _CHUNK
+        assert (cut[0] == inner) == (start == "leaves")
+        if start == "inner":
+            # the next depth would not fit
+            assert 2 * len(cut) * (2 * len(cut) + 1) // 2 > _CHUNK
+        scan_equals_all_pairs(index)
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 100, 255, 256, 288, 600, 1000, 3000, 20000])
+    def test_nodes_equal_kdtree_nodes_on_tie_free_clouds(self, n):
+        # outside the bands [8 * 2^k + 1, 9 * 2^k) and without tied
+        # coordinates, cKDTree's nodes are the same halves of its kd order
+        pts = disk_cloud(n, seed=n + 1)
+        assert np.array_equal(_PairIndex(pts).ranges, kdtree_node_table(cKDTree(pts, leafsize=_LEAF)))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.stack(np.meshgrid(np.arange(24.0), np.arange(25.0)), axis=-1).reshape(-1, 2) / 24,
+            polar_grid(),
+            disk_cloud(17, seed=17),
+            disk_cloud(140, seed=140),
+            disk_cloud(1100, seed=1100),
+        ],
+        ids=["lattice", "polar_grid", "17", "140", "1100"],
+    )
+    def test_scan_equals_all_pairs_where_the_nodes_are_not_kdtree_nodes(self, points):
+        # tied coordinates, where cKDTree's nodes are not halves, and clouds
+        # in the bands, where cKDTree keeps some 8-point nodes as leaves
+        index = _PairIndex(points)
+        assert not np.array_equal(index.ranges, kdtree_node_table(cKDTree(points, leafsize=_LEAF)))
+        scan_equals_all_pairs(index)
 
     @pytest.mark.parametrize("constant_first", [True, False])
     def test_constant_block_leaves_linear_block_scan_unchanged(self, constant_first):
@@ -576,6 +641,15 @@ class TestWeightedNorm:
         got = plain_column_norms(SampledField(pts, columns[:, 0]), columns, 0.35)
         assert got == [plain_norm(SampledField(pts, c), k=0, alpha=0.35) for c in columns.T]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_column_norms_reject_non_finite_columns(self, bad):
+        # a NaN norm would drop out of the caller's max, and with it the column
+        pts = disk_cloud(50, seed=4)
+        columns = np.column_stack([pts[:, 0], pts[:, 1]])
+        columns[9, 1] = bad
+        with pytest.raises(NormEstimateError, match="finite"):
+            plain_column_norms(SampledField(pts, columns[:, 0]), columns, 0.35)
+
     def test_report_fields(self):
         pts = disk_cloud(100, seed=12)
         grads = np.column_stack([np.ones(100), np.zeros(100)])
@@ -622,6 +696,14 @@ class TestCsvRoundTrip:
         assert np.array_equal(g.values, f.values)
         # untagged samples are written and read back as interface samples
         assert np.array_equal(g.regions, np.zeros(10))
+
+    def test_region_tags_read_back(self, tmp_path):
+        regions = np.array([1, -1, 0, 1, 0], dtype=np.int8)
+        f = SampledField(disk_cloud(5, seed=6), np.arange(5.0), None, regions)
+        path = tmp_path / "tags.csv"
+        write_sampled_field_csv(f, path)
+        assert [line.split(",")[2] for line in path.read_text().splitlines()[1:]] == ["+", "-", "0", "+", "0"]
+        assert np.array_equal(read_sampled_field_csv(path).regions, regions)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -740,6 +822,13 @@ class TestSampledFieldValidation:
                 assert sub.gradients is None
         empty = f.restrict(np.zeros(60, dtype=bool))
         assert empty.n == 0 and empty.regions.shape == (0,)
+
+    @pytest.mark.parametrize("tag", [2, -2, 0.5])
+    def test_region_tag_outside_plus_minus_one_and_zero_rejected(self, tag):
+        # the CSV has no code for such a tag, so writing it would change the data
+        regions = np.array([1, -1, tag, 0])
+        with pytest.raises(NormEstimateError, match="regions"):
+            SampledField(disk_cloud(4, seed=1), np.ones(4), None, regions)
 
     def test_restrict_takes_only_a_boolean_mask(self):
         # an index array could repeat a point, and restrict does not re-check distinctness

@@ -8,10 +8,11 @@ thread: the thread variables are set before numpy is loaded.  After each
 stage it prints the stage, its seconds and the process's ``ru_maxrss`` in MB
 (KiB / 1024, the unit of perfbench's ``peak_rss_mb``).  The stages are
 ``mesh`` (``generate_mesh``, validation included), ``assemble``,
-``solve_cg``, ``gradients`` (``element_gradients``), ``error_report`` and
-``scan``: the exact k = 1 weighted pair scan (alpha = 0.5, tau = -0.8) of
-each side of the solution cloud, ``weighted_seminorm_kalpha`` on the
-upper, then the lower barycenters.
+``solve_cg``, ``gradients`` (``element_gradients``), ``error_report``,
+``index``: ``with_pair_index`` of each side of the solution cloud, the upper,
+then the lower barycenters, and ``scan``: the exact k = 1 weighted pair scan
+(alpha = 0.5, tau = -0.8) of each side, ``weighted_seminorm_kalpha``
+walking that side's index.
 The last line gives the mesh size, the solver's preconditioner, levels,
 iterations and true relative residual, and the L-infinity error.
 ``ru_maxrss`` never falls within a process, so run one level per process.
@@ -70,7 +71,8 @@ def main() -> None:
     )
     cloud = fem.solution_field(fs)
     params = norms.NormParams(k=1, alpha=0.5, tau=-0.8)
-    stage("scan", lambda: [norms.weighted_seminorm_kalpha(cloud.restrict(cloud.regions == s), params) for s in (1, -1)])
+    sides = stage("index", lambda: [norms.with_pair_index(cloud.restrict(cloud.regions == s)) for s in (1, -1)])
+    stage("scan", lambda: [norms.weighted_seminorm_kalpha(side, params) for side in sides])
     print(
         f"nv {mesh.n_vertices}, nt {mesh.n_triangles}, {diagnostics.preconditioner} "
         f"{diagnostics.levels} levels {diagnostics.iterations} iterations, "
