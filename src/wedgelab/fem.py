@@ -9,7 +9,8 @@ element barycenters, so on an interface-fitted mesh each element sees only
 its own side of the jump; loads use 3-point edge-midpoint quadrature.
 Dirichlet data is imposed by node elimination (known columns moved to the
 right-hand side), which keeps the reduced system symmetric positive
-definite for the preconditioned conjugate-gradient solve.  Its
+definite for the preconditioned conjugate-gradient solve; the reduced
+matrix is read in place from the assembled one, never copied.  Its
 preconditioner follows the mesh and the parents it records
 (``Mesh.parent``): ``_preconditioner`` states the rule.
 """
@@ -336,11 +337,15 @@ def solve_cg(
 ) -> tuple[np.ndarray, CgDiagnostics]:
     """Preconditioned conjugate gradients on the constrained system.
 
-    Eliminates Dirichlet nodes symmetrically, iterates until the relative
-    residual drops below ``tol``, and records the residual history.  The
-    preconditioner follows ``system.mesh`` (``_preconditioner`` states the
-    rule); ``CgDiagnostics`` names it and its levels and gives the true
-    relative residual, and a zero right-hand side returns at once and reads
+    Iterates on the free unknowns with the Dirichlet values moved to the
+    right-hand side, b_f = (rhs - A lift)[free], where ``lift`` holds the
+    prescribed values at the constrained vertices and 0 elsewhere.  The free
+    block A_ff is read in place (``_FreeBlock``), so the assembled matrix is
+    the only copy of it held.  Iterates until the relative residual drops
+    below ``tol``, and records the residual history.  The preconditioner
+    follows ``system.mesh`` (``_preconditioner`` states the rule);
+    ``CgDiagnostics`` names it and its levels and gives the true relative
+    residual, and a zero right-hand side returns at once and reads
     "jacobi".  Raises ``ValueError`` for a ``tol`` outside (0, 1) or a
     ``max_iter`` below 1, and ``SolverError`` for a right-hand side that is
     not finite, on stagnation past ``max_iter`` (default 20 sqrt(n)) or on
@@ -350,33 +355,30 @@ def solve_cg(
         raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"iteration limit must be at least 1, got {max_iter}")
-    n = system.n
-    free = np.ones(n, dtype=bool)
+    free = np.ones(system.n, dtype=bool)
     free[system.constrained] = False
     free_idx = np.flatnonzero(free)
-    rows = system.matrix[free_idx]  # sliced once; freed before the iteration
-    Aff = rows[:, free_idx].tocsr()
-    bf = system.rhs[free_idx] - rows[:, system.constrained] @ system.values
-    del rows
+    Aff = _FreeBlock(system.matrix, free_idx)
+    lift = np.zeros(system.n)
+    lift[system.constrained] = system.values
+    bf = (system.rhs - system.matrix @ lift)[free_idx]
+    del lift
 
     m = free_idx.size
     if max_iter is None:
         max_iter = max(64, int(20.0 * math.sqrt(max(m, 1))))
 
-    x = np.zeros(m)
     bnorm = float(np.linalg.norm(bf))
     history: list[float] = []
     if not math.isfinite(bnorm):
         raise SolverError(f"the load or boundary data is not finite (right-hand side norm {bnorm})")
     if bnorm == 0.0:
         diag = CgDiagnostics(0, 0.0, np.zeros(0), m, True, true_residual=0.0)
-        return _expand(system, x, free_idx), diag
+        return _expand(system, np.zeros(m), free_idx), diag
 
-    diag_entries = Aff.diagonal()
-    if np.any(diag_entries <= 0.0):
-        raise SolverError("reduced matrix has nonpositive diagonal entries")
-    kind, levels, precond = _preconditioner(Aff, diag_entries, system.mesh, free_idx)
+    kind, levels, precond = _preconditioner(Aff, system.mesh, free_idx)
 
+    x = np.zeros(m)
     r = bf.copy()
     z = precond(r)
     p = z.copy()
@@ -418,10 +420,50 @@ def solve_cg(
     return _expand(system, x, free_idx), diagn
 
 
-def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray, mesh: Mesh | None, free_idx: np.ndarray):
+class _FreeBlock:
+    """The block A_ff of ``matrix`` on the ``free`` rows and columns, read in place: no entry is copied.
+
+    A product writes x into a full-length vector whose constrained entries
+    stay 0, multiplies it by ``matrix`` and returns the free rows, so each
+    row sums the terms of the sliced block in the same order (the zero terms
+    leave each sum unchanged).
+    """
+
+    def __init__(self, matrix: sp.csr_matrix, free: np.ndarray):
+        self.matrix, self.free = matrix, free
+        self.shape = (free.size, free.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.matrix.shape[0])
+        full[self.free] = x
+        return (self.matrix @ full)[self.free]
+
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        """The entries (i, i + k) of the block, k >= 0, read by index."""
+        f = self.free
+        return np.asarray(self.matrix[f[: f.size - k], f[k:]]).ravel()
+
+    def galerkin(self, P: sp.csr_matrix) -> sp.csr_matrix:
+        """P^T A_ff P, with the sums and their order of ``P.T @ A_ff @ P`` on a sliced copy of the block.
+
+        Row k of ``P`` moves to row free[k] of an otherwise empty matrix by
+        its row pointers alone, so P^T A reads ``matrix`` itself; the
+        constrained rows of P^T A then meet empty rows of P.
+        """
+        starts = np.zeros(self.matrix.shape[0] + 1, dtype=P.indptr.dtype)
+        starts[self.free + 1] = np.diff(P.indptr)
+        np.cumsum(starts, out=starts)
+        full = sp.csr_matrix((P.data, P.indices, starts), shape=(self.matrix.shape[0], P.shape[1]))
+        return (full.T @ self.matrix @ full).tocsr()
+
+
+def _preconditioner(Aff, mesh: Mesh | None, free_idx: np.ndarray):
     """CG's preconditioner for ``Aff``, the matrix on ``mesh``'s free vertices ``free_idx``: (kind, levels, map).
 
-    The levels are ``mesh`` and its parents down ``Mesh.parent``, while a level
+    In a solve ``Aff`` is the ``_FreeBlock`` of the assembled matrix, read in
+    place, down to the first Galerkin product; a CSR ``Aff`` is multiplied
+    as a coarse level is.  A diagonal entry of ``Aff`` that is not positive
+    raises ``SolverError``.  The levels are ``mesh`` and its parents down ``Mesh.parent``, while a level
     has more than ``COARSE_UNKNOWNS`` unknowns and its parent a free vertex.
     Each step restricts the recorded prolongation P to the finer level's free
     rows and the parent's non-boundary columns (so a Dirichlet end gives a
@@ -439,7 +481,9 @@ def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray, mesh: Mesh | N
     cycle is a loop down the levels and back up, so the map holds no
     reference to itself.
     """
-    levels, A, diag, free = [], Aff, diag_entries, free_idx
+    levels, A, diag, free = [], Aff, Aff.diagonal(), free_idx
+    if np.any(diag <= 0.0):
+        raise SolverError("reduced matrix has nonpositive diagonal entries")
     line = mesh is not None and mesh.layered
     while mesh is not None and mesh.parent is not None and free.size > COARSE_UNKNOWNS:
         mesh, P = mesh.parent
@@ -448,7 +492,7 @@ def _preconditioner(Aff: sp.csr_matrix, diag_entries: np.ndarray, mesh: Mesh | N
             break
         P = P[free][:, coarse]
         levels.append((A, P, _level_solve(A, diag, line)[1]))
-        A = (P.T @ A @ P).tocsr()
+        A = A.galerkin(P) if isinstance(A, _FreeBlock) else (P.T @ A @ P).tocsr()
         diag, free, line = A.diagonal(), coarse, mesh.layered
     if levels and A.shape[0] <= COARSE_UNKNOWNS:
         factor = cho_factor(A.toarray())

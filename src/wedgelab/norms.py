@@ -21,13 +21,13 @@ problems in statistical learning", NIPS 2000) brute-forces only the node
 pairs whose quotient bound can beat the best pair found so far, and reports
 the quotients it evaluated, the node pairs it pruned and the argmax pair.
 It walks an index over the points (``_PairIndex``): each point's nearest
-neighbours and a complete binary tree that halves a kd-tree's point order.
-The best pair starts from seeds: each point with its nearest neighbours and
-with the extreme points of every data column.  A pair that no neighbour seed
-covered is at least as long as either point's farthest seeded neighbour, so
-that distance floors the bound of every node pair, including a node paired
-with itself or with a touching node.  The walk starts from every node pair of
-the deepest depth of the tree that fits in one chunk, at every cloud size.
+neighbour distance and a complete binary tree that halves a kd-tree's point
+order.  The best pair starts from seeds: each point with the extreme points
+of every data column.  No pair is shorter than either point's nearest
+neighbour distance, so that distance floors the bound of every node pair,
+including a node paired with itself or with a touching node, and no pair
+has to be seeded for it.  The walk starts from every node pair of the
+deepest depth of the tree that fits in one chunk, at every cloud size.
 
 An index serves every scan over its points.  One scan serves several data
 blocks, such as the two components of a vector field: it gives each block
@@ -53,7 +53,6 @@ PAIR_DIST_FLOOR = 1e-9
 _BLOCK = 256  # rows per step of the all-pairs reference scan
 _LEAF = 8  # most points in a kd-tree leaf
 _CHUNK = 1024  # most node pairs per step of the tree walk: at most 1024 * _LEAF^2 = 65,536 quotients at once
-_SEED_NEIGHBOURS = 4  # neighbours per point that seed the incumbent and set the distance floor; 6 and 8 were slower
 _SLACK = 1.0 + 1e-12  # bounds are inflated by this against rounding before pruning
 _TINY = 2.0**-486  # squares of components below this may be subnormal: _magnitude recomputes such lengths
 
@@ -139,6 +138,12 @@ class NormParams:
             raise NormEstimateError(f"Holder exponent must lie in (0, 1), got {self.alpha}")
         if not np.isfinite(self.tau):
             raise NormEstimateError(f"weight exponent tau must be finite, got {self.tau}")
+        try:
+            edge = np.asarray(self.edge_point, dtype=float)
+        except (TypeError, ValueError):
+            edge = None
+        if edge is None or edge.shape != (2,) or not np.isfinite(edge).all():
+            raise NormEstimateError(f"edge point must be two finite numbers, got {self.edge_point!r}")
 
 
 @dataclass
@@ -258,18 +263,17 @@ class _PairIndex:
     """What a pair scan reads of its points alone: built once per point set, walked by every scan over it.
 
     One ``cKDTree`` (median split along the widest side) gives each point's
-    ``_SEED_NEIGHBOURS`` nearest neighbours, kept as the index pairs
-    ``seeds``, and its kd order ``perm``.  The nodes of the walk are a
-    complete binary tree over that order, numbered breadth first: node i
-    halves its range of ``perm`` at the middle into nodes 2i + 1 and 2i + 2,
-    down to the depth at which no leaf holds more than ``_LEAF`` points, so
-    the nodes from ``inner`` on are the leaves.  Each node has its
+    nearest neighbour distance and its kd order ``perm``.  The nodes of the
+    walk are a complete binary tree over that order, numbered breadth first:
+    node i halves its range of ``perm`` at the middle into nodes 2i + 1 and
+    2i + 2, down to the depth at which no leaf holds more than ``_LEAF``
+    points, so the nodes from ``inner`` on are the leaves.  Each node has its
     ``ranges`` of ``perm``, ``size``, point box ``lo`` to ``hi`` and distance
-    floor ``near``, the smallest distance from a point of the node to its
-    farthest seeded neighbour; each leaf has its ``slots`` (its points, then
-    -1).  ``start`` holds the node pairs the walk starts from: every pair, a
-    node with itself included, of the nodes at the deepest depth whose pairs
-    fit in one ``_CHUNK``, or of the leaves when all their pairs fit.
+    floor ``near``, the smallest nearest neighbour distance of its points;
+    each leaf has its ``slots`` (its points, then -1).  ``start`` holds the
+    node pairs the walk starts from: every pair, a node with itself
+    included, of the nodes at the deepest depth whose pairs fit in one
+    ``_CHUNK``, or of the leaves when all their pairs fit.
     """
 
     def __init__(self, points: np.ndarray):
@@ -278,9 +282,8 @@ class _PairIndex:
             raise NormEstimateError("at least two distinct samples required for a pair scan")
         self.points = points
         tree = cKDTree(points, leafsize=_LEAF)
-        dist, nbrs = tree.query(points, k=min(_SEED_NEIGHBOURS + 1, n))
-        # column 0 is at distance 0: the point itself, a pair below the floor
-        self.seeds = np.repeat(np.arange(n), nbrs.shape[1] - 1), nbrs[:, 1:].ravel()
+        # column 0 is at distance 0, the point itself; column 1 its nearest neighbour
+        dist = tree.query(points, k=2)[0][:, 1]
         self.perm = perm = tree.indices
         depth = ((n - 1) // _LEAF).bit_length()
         levels = [np.array([[0, n]])]
@@ -290,7 +293,7 @@ class _PairIndex:
             levels.append(np.column_stack([s, m, m, e]).reshape(-1, 2))
         self.ranges, self.inner = np.concatenate(levels), 2**depth - 1
         # reduceat reads one row past each range end, hence the extra row
-        cols = np.column_stack([points, dist[:, -1]])[np.append(perm, 0)]
+        cols = np.column_stack([points, dist])[np.append(perm, 0)]
         lo = np.minimum.reduceat(cols, self.ranges.ravel())[::2]
         self.lo, self.near = lo[:, :2], np.maximum(lo[:, 2], PAIR_DIST_FLOOR)
         self.hi = np.maximum.reduceat(cols[:, :2], self.ranges.ravel())[::2]
@@ -327,18 +330,15 @@ def _pair_scan(index: _PairIndex, blocks, weights, alpha) -> list[tuple[float, P
     the per-sample ``weights`` and alpha.  Every node of the index gets the
     data box of every block and its largest weight, next to its point box
     and distance floor ``near``.  Each block has its own incumbent, which
-    starts from seeds: each point with its ``_SEED_NEIGHBOURS`` nearest
-    neighbours, then each point with the argmin and the argmax point of
+    starts from seeds: each point with the argmin and the argmax point of
     every column of that block, which finds the far pairs where smooth data
     peaks.  A node pair (A, B) is pruned when, for every block,
         min(max_A w, max_B w) * |data span of A u B|
             / max(gap(A, B), near_A, near_B, floor)^alpha
     is no larger than that block's incumbent.  The bound covers every pair
-    that no neighbour seed evaluated: were such a pair (i, j) shorter than
-    the distance from i to its farthest seeded neighbour, then j would be one
-    of i's nearest neighbours.  Pairs that a seed evaluated are already no
-    larger than the incumbent, and pairs below the floor are excluded.  The
-    walk starts from the index's ``start`` pairs, which fill at most one
+    (i, j) of A x B, as |x_i - x_j| is at least the gap and at least the
+    nearest neighbour distance of i and of j, and pairs below the floor are
+    excluded.  The walk starts from the index's ``start`` pairs, which fill at most one
     chunk, and goes on depth first in chunks; each chunk brute-forces its
     surviving leaf pairs for every block at once and splits the others.  So
     each block's max is over all pairs, and equals ``_all_pairs_scan`` on
@@ -360,7 +360,6 @@ def _pair_scan(index: _PairIndex, blocks, weights, alpha) -> list[tuple[float, P
                 ii, jj = np.broadcast_arrays(i, j)
                 best[b], best_pair[b] = float(q[k]), (int(min(ii[k], jj[k])), int(max(ii[k], jj[k])))
 
-    consider(*index.seeds)
     for b, data in enumerate(blocks):
         ends = np.array(sorted({*data.argmin(axis=0).tolist(), *data.argmax(axis=0).tolist()}))
         i, j = np.arange(n)[:, None], ends[None, :]

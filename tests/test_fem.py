@@ -441,6 +441,41 @@ def reduced_system(system):
     return rows[:, free], system.rhs[free] - rows[:, system.constrained] @ system.values, free
 
 
+def sliced_solve_cg(system, tol=1e-10):
+    """``solve_cg`` on a sliced copy of the free block, ``reduced_system``'s: the elimination the in-place reads replaced.
+
+    Returns the solution and (iterations, residual history, true relative residual).
+    """
+    A_ff, b_f, free = reduced_system(system)
+    m = free.size
+    max_iter = max(64, int(20.0 * math.sqrt(max(m, 1))))
+    bnorm = float(np.linalg.norm(b_f))
+    _, _, precond = fem._preconditioner(A_ff, system.mesh, free)
+    x = np.zeros(m)
+    r = b_f.copy()
+    z = precond(r)
+    p = z.copy()
+    rz = float(r @ z)
+    history = []
+    for _ in range(max_iter):
+        Ap = A_ff @ p
+        step = rz / float(p @ Ap)
+        x += step * p
+        r -= step * Ap
+        history.append(float(np.linalg.norm(r)) / bnorm)
+        if history[-1] <= tol:
+            break
+        z = precond(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    assert history[-1] <= tol
+    u = np.zeros(system.n)
+    u[free] = x
+    u[system.constrained] = system.values
+    return u, (len(history), np.asarray(history), float(np.linalg.norm(b_f - A_ff @ x)) / bnorm)
+
+
 def dense_system(A):
     n = A.shape[0]
     rhs = np.linspace(1.0, 2.0, n)
@@ -543,7 +578,7 @@ class TestLinePreconditioner:
         # eigenvalue 1 - 0.9 sqrt(2) < 0, so dpttrf rejects it on a line level
         A = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
         line_mesh = SimpleNamespace(layered=True, parent=None)
-        kind, levels, precond = fem._preconditioner(sp.csr_matrix(A), np.diag(A), line_mesh, np.arange(3))
+        kind, levels, precond = fem._preconditioner(sp.csr_matrix(A), line_mesh, np.arange(3))
         assert (kind, levels) == ("jacobi", [])
         np.testing.assert_array_equal(precond(np.ones(3)), 1.0 / np.diag(A))
 
@@ -737,13 +772,12 @@ class TestMultigrid:
 
 
 def preconditioner_levels(system):
-    """``fem._preconditioner`` on ``system``'s reduced matrix, and the (A, diag, line) of each ``_level_solve`` call.
+    """``fem._preconditioner`` on ``system``'s free block, as ``solve_cg`` reads it, and the (A, diag, line) of each ``_level_solve`` call.
 
     The calls are the single level's, or each smoothed level's of the V-cycle
     and its coarsest level's unless that is factored densely.
     """
-    A, _, free = reduced_system(system)
-    A = A.tocsr()
+    free = np.setdiff1d(np.arange(system.n), system.constrained)
     calls, level_solve = [], fem._level_solve
 
     def recording(A, diag, line):
@@ -752,7 +786,7 @@ def preconditioner_levels(system):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fem, "_level_solve", recording)
-        return (*fem._preconditioner(A, A.diagonal(), system.mesh, free), calls)
+        return (*fem._preconditioner(fem._FreeBlock(system.matrix, free), system.mesh, free), calls)
 
 
 def reference_transfers(mesh, free):
@@ -849,6 +883,69 @@ class TestRadialMultigrid:
         assert (diag.preconditioner == "multigrid") == (system.n_free > fem.COARSE_UNKNOWNS)
 
 
+class TestFreeBlock:
+    """``solve_cg`` reads the free block in place (``fem._FreeBlock``); a sliced copy of it is the reference."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["witness 1/45", "witness 1/90", "witness 1/180", "forced chain 1/90", "criterion 10", "criterion 8"],
+    )
+    def test_solve_equals_sliced_elimination_bit_for_bit(self, case, monkeypatch):
+        tol = 1e-10
+        if case == "criterion 10":  # case 0 at refinement level 5, at criterion 10's tolerance
+            system, tol = maxprinciple_system(0, 5), 1e-13
+        elif case == "criterion 8":  # instance 0
+            system = battery_system(0, 0.03)
+        else:
+            if case.startswith("forced"):
+                monkeypatch.setattr(geometry, "RADIAL_LEVELS_VERTICES", 0)
+            system = battery_system(None, 1 / int(case.rsplit("/", 1)[1]))
+        u, diag = solve_cg(system, tol=tol)
+        u_ref, (iterations, history, true_residual) = sliced_solve_cg(system, tol=tol)
+        assert diag.levels > 1 if case in ("witness 1/180", "forced chain 1/90", "criterion 10") else diag.levels == 1
+        assert np.array_equal(u, u_ref)
+        assert diag.iterations == iterations and np.array_equal(diag.history, history)
+        assert diag.true_residual == true_residual
+
+    def test_reads_equal_the_sliced_block(self):
+        # products, the diagonal and first superdiagonal, and the first Galerkin operator
+        system = maxprinciple_system(2, 5)
+        A_ff, _, free = reduced_system(system)
+        block = fem._FreeBlock(system.matrix, free)
+        x = np.random.default_rng(5).normal(size=free.size)
+        assert block.shape == A_ff.shape
+        assert np.array_equal(block @ x, A_ff @ x)
+        for k in (0, 1):
+            assert np.array_equal(block.diagonal(k), A_ff.diagonal(k))
+        P = preconditioner_levels(system)[1][0][1]
+        got, want = block.galerkin(P), (P.T @ A_ff @ P).tocsr()
+        for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+            assert np.array_equal(a, b)
+
+    def test_solve_holds_no_copy_of_the_matrix(self, monkeypatch):
+        # when the preconditioner is built, the solve holds the free indices and b_f, about
+        # 0.18 of the matrix's CSR bytes on this mesh; a sliced copy of the block adds about 1.0
+        system = battery_system(None, 1 / 180)
+        A = system.matrix
+        csr_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        at_call, build = [], fem._preconditioner
+
+        def traced(*args):
+            at_call.append(tracemalloc.get_traced_memory()[0])
+            return build(*args)
+
+        monkeypatch.setattr(fem, "_preconditioner", traced)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, diag = solve_cg(system)
+        finally:
+            tracemalloc.stop()
+        assert diag.levels == 8 and len(at_call) == 1
+        assert at_call[0] - start < 0.25 * csr_bytes
+
+
 # the share of the off-diagonal weight that the rule below compares the band's against
 BAND_SHARE = 0.5
 
@@ -858,8 +955,11 @@ def band_share_kind(A, diag):
 
     "line" when the two off-diagonals of ``A`` hold at least BAND_SHARE of its
     off-diagonal weight sum |A_ij|, i != j, and ``dpttrf`` accepts the band,
-    else "jacobi".
+    else "jacobi".  The finest level's ``fem._FreeBlock`` is read as the
+    reduced CSR matrix that ``reduced_system`` slices out of the matrix it views.
     """
+    if isinstance(A, fem._FreeBlock):
+        A = A.matrix[A.free][:, A.free]
     band = A.diagonal(1)
     off = float(np.abs(A.data).sum() - np.abs(diag).sum())
     if off > 0.0 and 2.0 * float(np.abs(band).sum()) >= BAND_SHARE * off and dpttrf(diag, band)[2] == 0:

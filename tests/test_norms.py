@@ -23,7 +23,6 @@ from wedgelab.norms import (
     write_sampled_field_csv,
     _CHUNK,
     _LEAF,
-    _SEED_NEIGHBOURS,
     _PairIndex,
     _all_pairs_scan,
     _pair_scan,
@@ -372,13 +371,14 @@ class TestSeminormKAlpha:
 
     def test_one_block_scan_is_pinned(self):
         # value and argmax of the single-block scan before blocks existed; the
-        # counts of the walk that starts from the one-chunk cut, with 4 seed neighbours
+        # counts of the walk that starts from the one-chunk cut, floored by the
+        # nearest neighbour distances with no neighbour seeds
         pts = disk_cloud(1500, seed=21)
         kvec = np.array([1.3, -2.1])
         f = SampledField(pts, np.sin(pts @ kvec) + np.hypot(*pts.T) ** 0.8, np.cos(pts @ kvec)[:, None] * kvec)
         pinned = [
-            (NormParams(1, 0.5, tau=-0.3), "0x1.f119045ef697ap+1", 26631, (12, 186), 2387),
-            (NormParams(0, 0.4, tau=-1.0), "0x1.14f09ece23031p+1", 43079, (156, 543), 3208),
+            (NormParams(1, 0.5, tau=-0.3), "0x1.f119045ef697ap+1", 25640, (12, 186), 2500),
+            (NormParams(0, 0.4, tau=-1.0), "0x1.14f09ece23031p+1", 39534, (156, 543), 3509),
         ]
         for p, value, n_pairs, argmax, pruned in pinned:
             points, data, weights, alpha = _scan_args(f, p)
@@ -543,9 +543,8 @@ class TestSeminormKAlpha:
         assert value == 0.0
         # every node pair the walk starts from is pruned, so nothing is split
         assert info.pruned == len(_PairIndex(f.points).start) > 1
-        # only the seeds: _SEED_NEIGHBOURS per point, then every point with the one
-        # extreme point of the constant data column
-        assert info.n_pairs == n * _SEED_NEIGHBOURS + n - 1
+        # only the seeds: every point with the one extreme point of the constant data column
+        assert info.n_pairs == n - 1
 
     def test_linear_disk_evaluates_few_pairs(self):
         n = 2000
@@ -844,3 +843,17 @@ class TestSampledFieldValidation:
         for tau in (math.nan, math.inf):
             with pytest.raises(NormEstimateError, match="tau"):
                 NormParams(1, 0.5, tau=tau)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [(math.nan, 0.0), (0.0, math.inf), (1.0,), (0.0, 0.0, 0.0), ("a", 0.0), None, ((0.0, 0.0), (1.0, 1.0))],
+    )
+    def test_edge_point_must_be_two_finite_numbers(self, edge):
+        # a NaN edge point made every weight NaN: the pair scan pruned every node
+        # pair and read [f]_{k,alpha} = 0; a one-number edge point raised IndexError
+        with pytest.raises(NormEstimateError, match="edge point"):
+            NormParams(1, 0.5, edge_point=edge)
+
+    def test_edge_point_accepts_a_pair_of_numbers(self):
+        assert NormParams(0, 0.5, edge_point=[0.4, -0.3]).edge_point == [0.4, -0.3]
+        assert NormParams(0, 0.5, edge_point=np.array([1, 2])).k == 0
