@@ -457,14 +457,15 @@ class _FreeBlock:
         return (full.T @ self.matrix @ full).tocsr()
 
 
-def _preconditioner(Aff, mesh: Mesh | None, free_idx: np.ndarray):
+def _preconditioner(Aff: "_FreeBlock | sp.csr_matrix", mesh: Mesh | None, free_idx: np.ndarray):
     """CG's preconditioner for ``Aff``, the matrix on ``mesh``'s free vertices ``free_idx``: (kind, levels, map).
 
     In a solve ``Aff`` is the ``_FreeBlock`` of the assembled matrix, read in
     place, down to the first Galerkin product; a CSR ``Aff`` is multiplied
     as a coarse level is.  A diagonal entry of ``Aff`` that is not positive
-    raises ``SolverError``.  The levels are ``mesh`` and its parents down ``Mesh.parent``, while a level
-    has more than ``COARSE_UNKNOWNS`` unknowns and its parent a free vertex.
+    raises ``SolverError``.  The levels are ``mesh`` and its parents down
+    ``Mesh.parent``, while a level has more than ``COARSE_UNKNOWNS``
+    unknowns and its parent a free vertex.
     Each step restricts the recorded prolongation P to the finer level's free
     rows and the parent's non-boundary columns (so a Dirichlet end gives a
     zero correction) and forms the Galerkin operator ``P^T A P``.  A level's

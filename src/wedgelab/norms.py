@@ -338,18 +338,18 @@ def _pair_scan(index: _PairIndex, blocks, weights, alpha) -> list[tuple[float, P
     is no larger than that block's incumbent.  The bound covers every pair
     (i, j) of A x B, as |x_i - x_j| is at least the gap and at least the
     nearest neighbour distance of i and of j, and pairs below the floor are
-    excluded.  The walk starts from the index's ``start`` pairs, which fill at most one
-    chunk, and goes on depth first in chunks; each chunk brute-forces its
-    surviving leaf pairs for every block at once and splits the others.  So
-    each block's max is over all pairs, and equals ``_all_pairs_scan`` on
-    that block alone bit for bit.  Returns each block's max and
+    excluded.  The walk starts from the index's ``start`` pairs, which fill
+    at most one chunk, and goes on depth first in chunks; each chunk
+    brute-forces its surviving leaf pairs for every block at once and splits
+    the others.  So each block's max is over all pairs, and equals
+    ``_all_pairs_scan`` on that block alone bit for bit.  Returns each block's max and
     ``PairScanInfo``; the blocks share the leaf pairs and the pruned count.
     """
     points, n = index.points, index.points.shape[0]
     best, pruned = np.zeros(len(blocks)), 0
     best_pair, evaluated = [(0, 1)] * len(blocks), [0] * len(blocks)
 
-    def consider(i, j, keep=True, which=range(len(blocks))):
+    def consider(i, j, keep, which=range(len(blocks))):
         qs, valid = _quotients(points, [blocks[b] for b in which], weights, alpha, i, j)
         count = int((valid & keep).sum())
         for b, q in zip(which, qs):
