@@ -139,15 +139,22 @@ def scan_cases(draw):
 
 
 def unseeded_pair_cloud(scale=1.0):
-    """The cloud of ``test_unseeded_pair_just_beyond_seed_distances``, its values times ``scale``."""
-    fan = np.linspace(-PI / 2, PI / 2, 8)
+    """The cloud of ``test_unseeded_pair_just_beyond_seed_distances``, its values times ``scale``.
+
+    P = (3, 0) with value 1 and Q = (4, 0) with value 0 each have 4 points on
+    a radius-0.9 arc facing away from the other, spaced 0.9 apart, with the
+    value 0 around Q and 1 around P but 0.99 at the ends (3, -+0.9), so the
+    end pairs 1 apart stay below (P, Q).  A 2 x 5 unit grid of values 0.5 far
+    to the left holds the data extremes: -0.49 at (-12, 0), 0.99 from its
+    two grid neighbours, and 1.2 at (-8, 1).
+    """
+    fan = np.linspace(-PI / 2, PI / 2, 4)
     arc = 0.9 * np.column_stack([np.cos(fan), np.sin(fan)])
-    ring_th = np.arange(16) * PI / 8
-    ring = 0.2 * np.column_stack([np.cos(ring_th), np.sin(ring_th)])
+    gx, gy = np.meshgrid(np.arange(-12.0, -7.0), [0.0, 1.0])
     pts = np.vstack([[3.0, 0.0], [4.0, 0.0], [3.0, 0.0] - arc * [1, -1], [4.0, 0.0] + arc])
-    pts = np.vstack([pts, [[0.0, 0.0], [1e-3, 0.0]], ring])
-    vals = np.concatenate([[1.0, 0.0], np.ones(8), np.zeros(8), [-5.0, 5.0], np.full(16, 0.5)])
-    vals[[2, 9]] = 0.99
+    pts = np.vstack([pts, np.column_stack([gx.ravel(), gy.ravel()])])
+    vals = np.concatenate([[1.0, 0.0], np.ones(4), np.zeros(4), np.full(10, 0.5)])
+    vals[[2, 5, 10, 19]] = 0.99, 0.99, -0.49, 1.2
     return SampledField(pts, vals * scale)
 
 
@@ -467,29 +474,23 @@ class TestSeminormKAlpha:
         assert info.pruned == alone[1].pruned
 
     def test_unseeded_pair_just_beyond_seed_distances(self):
-        # P = (3, 0) and Q = (4, 0) each have their 8 nearest neighbours on a
-        # radius-0.9 arc facing away from the other, so the maximum pair (P, Q)
-        # at distance 1 lies just beyond both points' nearest-neighbour
-        # distance, the floor of their nodes' bounds.  The data extremes sit at
-        # and next to the edge point, with weights 0 and 1e-3, so no far-pair
-        # seed finds it.  The arc ends (3, -+0.9) and (4, -+0.9) are decoys
-        # with quotient 0.99: a distance floor 1.25 times too large would
-        # prune (P, Q).
-        fan = np.linspace(-PI / 2, PI / 2, 8)
-        arc = 0.9 * np.column_stack([np.cos(fan), np.sin(fan)])
-        ring_th = np.arange(16) * PI / 8
-        ring = 0.2 * np.column_stack([np.cos(ring_th), np.sin(ring_th)])
-        pts = np.vstack([[3.0, 0.0], [4.0, 0.0], [3.0, 0.0] - arc * [1, -1], [4.0, 0.0] + arc])
-        pts = np.vstack([pts, [[0.0, 0.0], [1e-3, 0.0]], ring])
-        vals = np.concatenate([[1.0, 0.0], np.ones(8), np.zeros(8), [-5.0, 5.0], np.full(16, 0.5)])
-        vals[[2, 9]] = 0.99
-        f = SampledField(pts, vals)
-        p = NormParams(0, 0.5, tau=0.5)
-        points, data, weights, alpha = _scan_args(f, p)
-        [(value, info)] = _pair_scan(_PairIndex(points), [data], weights, alpha)
+        # the maximum pair (P, Q) = (0, 1) at distance 1 lies just beyond both
+        # points' nearest neighbour distance 0.9, the floor of their nodes'
+        # bounds.  The 10 pairs of the 4 leaves fill the start chunk, so every
+        # leaf pair is judged against the far seeds' best, 0.99 on the grid,
+        # and P's and Q's leaves, 1 apart, each hold one arc: a distance
+        # floor 1.25 times too large prunes (P, Q).
+        f = unseeded_pair_cloud()
+        points, data, weights, alpha = _scan_args(f, NormParams(0, 0.5, tau=0.5))
+        index = _PairIndex(points)
+        assert len(index.start) == 10
+        [(value, info)] = _pair_scan(index, [data], weights, alpha)
         assert value == _all_pairs_scan(points, data, weights, alpha)[0] == 1.0
         assert info.argmax == (0, 1)
-        assert info.n_pairs < 36 * 35 // 2
+        assert info.n_pairs < 20 * 19 // 2
+        index.near = 1.25 * index.near
+        [(value, info)] = _pair_scan(index, [data], weights, alpha)
+        assert value < 1.0 and info.argmax != (0, 1)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-300])
     def test_unseeded_pair_found_when_squares_underflow(self, scale):
