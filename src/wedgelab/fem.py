@@ -9,10 +9,11 @@ element barycenters, so on an interface-fitted mesh each element sees only
 its own side of the jump; loads use 3-point edge-midpoint quadrature.
 Dirichlet data is imposed by node elimination (known columns moved to the
 right-hand side), which keeps the reduced system symmetric positive
-definite for the preconditioned conjugate-gradient solve; the reduced
-matrix is read in place from the assembled one, never copied.  Its
-preconditioner follows the mesh and the parents it records
-(``Mesh.parent``): ``_preconditioner`` states the rule.
+definite for the preconditioned conjugate-gradient solve.  The solve runs
+on all vertices with the Dirichlet ones held at 0, so the reduced matrix is
+read in place from the assembled one, never copied.  Its preconditioner
+follows the mesh and the parents it records (``Mesh.parent``), holding each
+level's boundary vertices at 0: ``_preconditioner`` states the rule.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class SparseSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    constrained: np.ndarray  # vertex indices
+    constrained: np.ndarray  # distinct vertex indices
     values: np.ndarray  # prescribed values at constrained vertices
     mesh: Mesh | None = None  # the mesh assembled on, which the preconditioner follows
 
@@ -337,49 +338,56 @@ def solve_cg(
 ) -> tuple[np.ndarray, CgDiagnostics]:
     """Preconditioned conjugate gradients on the constrained system.
 
-    Iterates on the free unknowns with the Dirichlet values moved to the
-    right-hand side, b_f = (rhs - A lift)[free], where ``lift`` holds the
-    prescribed values at the constrained vertices and 0 elsewhere.  The free
-    block A_ff is read in place (``_FreeBlock``), so the assembled matrix is
-    the only copy of it held.  Iterates until the relative residual drops
-    below ``tol``, and records the residual history.  The preconditioner
-    follows ``system.mesh`` (``_preconditioner`` states the rule);
-    ``CgDiagnostics`` names it and its levels and gives the true relative
-    residual, and a zero right-hand side returns at once and reads
-    "jacobi".  Raises ``ValueError`` for a ``tol`` outside (0, 1) or a
-    ``max_iter`` below 1, and ``SolverError`` for a right-hand side that is
-    not finite, on stagnation past ``max_iter`` (default 20 sqrt(n)) or on
+    Iterates on all vertices with the constrained ones held at 0, so CG runs
+    on the free unknowns' block of the assembled matrix, read in place: the
+    right-hand side is b = rhs - A lift with its constrained entries set to
+    0, where ``lift`` holds the prescribed values at the constrained vertices
+    and 0 elsewhere, and each product A p has its constrained entries set to
+    0.  The solution, and each iterate passed to ``callback``, carries the
+    prescribed values.  Iterates until the relative residual drops below
+    ``tol``, and records the residual history.  The preconditioner follows
+    ``system.mesh`` (``_preconditioner`` states the rule); ``CgDiagnostics``
+    names it and its levels and gives the true relative residual, and a zero
+    right-hand side returns at once and reads "jacobi".  Raises
+    ``ValueError`` for a ``tol`` outside (0, 1), a ``max_iter`` below 1 or
+    constrained vertices that are not distinct indices in [0, n), and
+    ``SolverError`` for a matrix or right-hand side that is not finite, on
+    stagnation past ``max_iter`` (default 20 sqrt of the free unknowns) or on
     loss of positive definiteness.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError(f"relative tolerance must lie in (0, 1), got {tol}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"iteration limit must be at least 1, got {max_iter}")
-    free = np.ones(system.n, dtype=bool)
-    free[system.constrained] = False
-    free_idx = np.flatnonzero(free)
-    Aff = _FreeBlock(system.matrix, free_idx)
-    lift = np.zeros(system.n)
-    lift[system.constrained] = system.values
-    bf = (system.rhs - system.matrix @ lift)[free_idx]
+    A, pinned, n = system.matrix, system.constrained, system.n
+    order = np.sort(pinned)
+    if order.dtype.kind not in "iu" or order.size and (order[0] < 0 or order[-1] >= n or np.any(order[1:] == order[:-1])):
+        raise ValueError(f"constrained vertices must be distinct indices in [0, {n})")
+    if not np.isfinite(A.data).all():
+        raise SolverError("the matrix is not finite (an entry is NaN or infinite)")
+    lift = np.zeros(n)
+    lift[pinned] = system.values
+    b = system.rhs - A @ lift
     del lift
+    b[pinned] = 0.0
 
-    m = free_idx.size
+    m = system.n_free
     if max_iter is None:
         max_iter = max(64, int(20.0 * math.sqrt(max(m, 1))))
 
-    bnorm = float(np.linalg.norm(bf))
+    bnorm = float(np.linalg.norm(b))
     history: list[float] = []
     if not math.isfinite(bnorm):
         raise SolverError(f"the load or boundary data is not finite (right-hand side norm {bnorm})")
     if bnorm == 0.0:
-        diag = CgDiagnostics(0, 0.0, np.zeros(0), m, True, true_residual=0.0)
-        return _expand(system, np.zeros(m), free_idx), diag
+        x = np.zeros(n)
+        x[pinned] = system.values
+        return x, CgDiagnostics(0, 0.0, np.zeros(0), m, True, true_residual=0.0)
 
-    kind, levels, precond = _preconditioner(Aff, system.mesh, free_idx)
+    kind, levels, precond = _preconditioner(A, system.mesh, pinned)
 
-    x = np.zeros(m)
-    r = bf.copy()
+    x = np.zeros(n)
+    r = b.copy()
     z = precond(r)
     p = z.copy()
     rz = float(r @ z)
@@ -387,7 +395,8 @@ def solve_cg(
     it = 0
     while it < max_iter:
         it += 1
-        Ap = Aff @ p
+        Ap = A @ p
+        Ap[pinned] = 0.0
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             raise SolverError(
@@ -399,7 +408,9 @@ def solve_cg(
         res = float(np.linalg.norm(r)) / bnorm
         history.append(res)
         if callback is not None:
-            callback(x.copy())
+            u = x.copy()
+            u[pinned] = system.values
+            callback(u)
         if res <= tol:
             converged = True
             break
@@ -413,93 +424,62 @@ def solve_cg(
             f"(residual {history[-1]:.3g})",
             history,
         )
-    true_res = float(np.linalg.norm(bf - Aff @ x)) / bnorm
+    r = b - A @ x
+    r[pinned] = 0.0
+    true_res = float(np.linalg.norm(r)) / bnorm
     diagn = CgDiagnostics(
         it, history[-1], np.asarray(history), m, True, kind, len(levels) + 1, true_res
     )
-    return _expand(system, x, free_idx), diagn
+    x[pinned] = system.values
+    return x, diagn
 
 
-class _FreeBlock:
-    """The block A_ff of ``matrix`` on the ``free`` rows and columns, read in place: no entry is copied.
+def _preconditioner(A: sp.csr_matrix, mesh: Mesh | None, pinned: np.ndarray):
+    """CG's preconditioner for ``A`` on ``mesh``'s vertices, ``pinned`` held at 0: (kind, levels, map).
 
-    A product writes x into a full-length vector whose constrained entries
-    stay 0, multiplies it by ``matrix`` and returns the free rows, so each
-    row sums the terms of the sliced block in the same order (the zero terms
-    leave each sum unchanged).
-    """
-
-    def __init__(self, matrix: sp.csr_matrix, free: np.ndarray):
-        self.matrix, self.free = matrix, free
-        self.shape = (free.size, free.size)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.matrix.shape[0])
-        full[self.free] = x
-        return (self.matrix @ full)[self.free]
-
-    def diagonal(self, k: int = 0) -> np.ndarray:
-        """The entries (i, i + k) of the block, k >= 0, read by index."""
-        f = self.free
-        return np.asarray(self.matrix[f[: f.size - k], f[k:]]).ravel()
-
-    def galerkin(self, P: sp.csr_matrix) -> sp.csr_matrix:
-        """P^T A_ff P, with the sums and their order of ``P.T @ A_ff @ P`` on a sliced copy of the block.
-
-        Row k of ``P`` moves to row free[k] of an otherwise empty matrix by
-        its row pointers alone, so P^T A reads ``matrix`` itself; the
-        constrained rows of P^T A then meet empty rows of P.
-        """
-        starts = np.zeros(self.matrix.shape[0] + 1, dtype=P.indptr.dtype)
-        starts[self.free + 1] = np.diff(P.indptr)
-        np.cumsum(starts, out=starts)
-        full = sp.csr_matrix((P.data, P.indices, starts), shape=(self.matrix.shape[0], P.shape[1]))
-        return (full.T @ self.matrix @ full).tocsr()
-
-
-def _preconditioner(Aff: "_FreeBlock | sp.csr_matrix", mesh: Mesh | None, free_idx: np.ndarray):
-    """CG's preconditioner for ``Aff``, the matrix on ``mesh``'s free vertices ``free_idx``: (kind, levels, map).
-
-    In a solve ``Aff`` is the ``_FreeBlock`` of the assembled matrix, read in
-    place, down to the first Galerkin product; a CSR ``Aff`` is multiplied
-    as a coarse level is.  A diagonal entry of ``Aff`` that is not positive
-    raises ``SolverError``.  The levels are ``mesh`` and its parents down
-    ``Mesh.parent``, while a level has more than ``COARSE_UNKNOWNS``
-    unknowns and its parent a free vertex.
-    Each step restricts the recorded prolongation P to the finer level's free
-    rows and the parent's non-boundary columns (so a Dirichlet end gives a
-    zero correction) and forms the Galerkin operator ``P^T A P``.  A level's
-    own solve (``_level_solve``) is the tridiagonal part of its matrix,
-    factored once by LAPACK's ``dpttrf``, when its mesh is ``Mesh.layered``
-    (a polar mesh, numbered along the circular layers that carry the strong
-    coupling); any other level, no mesh, and a band that ``dpttrf`` rejects
-    get the diagonal.  With one level the map is that solve ("line" or
-    "jacobi").  Otherwise it is a symmetric V(1,1) cycle ("multigrid"): each
-    level above the coarsest smooths with its own solve damped by
-    ``SMOOTHER_DAMPING``, and the coarsest is factored by dense Cholesky when
-    it has at most ``COARSE_UNKNOWNS`` unknowns, else takes its own solve.
+    The map sends a vector that is 0 at the held vertices to one that is 0
+    there; on the free vertices it preconditions the free block of ``A``,
+    and a diagonal entry of that block that is not positive raises
+    ``SolverError``.  The levels are ``mesh`` and its parents down
+    ``Mesh.parent``, while a level has more than ``COARSE_UNKNOWNS`` free
+    vertices and its parent a free vertex; a parent holds its boundary
+    vertices.  Each step empties the rows of the recorded prolongation P at
+    the finer level's held vertices and its columns at the parent's (so a
+    Dirichlet end gives a zero correction), and forms the Galerkin operator
+    ``P^T A P``.  A level's own solve (``_level_solve``) is the tridiagonal
+    part of its free block, factored once by LAPACK's ``dpttrf``, when its
+    mesh is ``Mesh.layered`` (a polar mesh, numbered along the circular
+    layers that carry the strong coupling); any other level, no mesh, and a
+    band that ``dpttrf`` rejects get the diagonal.  With one level the map
+    is that solve ("line" or "jacobi").  Otherwise it is a symmetric V(1,1)
+    cycle ("multigrid"): each level above the coarsest smooths with its own
+    solve damped by ``SMOOTHER_DAMPING``, and the coarsest is factored by
+    dense Cholesky, with 1 on the diagonal at its held vertices, when it has
+    at most ``COARSE_UNKNOWNS`` free vertices, else takes its own solve.
     ``levels`` holds (A, P, smoother) of each level above the coarsest.  The
     cycle is a loop down the levels and back up, so the map holds no
     reference to itself.
     """
-    levels, A, diag, free = [], Aff, Aff.diagonal(), free_idx
-    if np.any(diag <= 0.0):
+    levels, diag = [], A.diagonal()
+    free = np.ones(A.shape[0], dtype=bool)
+    free[pinned] = False
+    if np.any(diag[free] <= 0.0):
         raise SolverError("reduced matrix has nonpositive diagonal entries")
     line = mesh is not None and mesh.layered
-    while mesh is not None and mesh.parent is not None and free.size > COARSE_UNKNOWNS:
+    while mesh is not None and mesh.parent is not None and np.count_nonzero(free) > COARSE_UNKNOWNS:
         mesh, P = mesh.parent
-        coarse = np.flatnonzero(~mesh.boundary)
-        if coarse.size == 0:
+        coarse = ~mesh.boundary
+        if not coarse.any():
             break
-        P = P[free][:, coarse]
-        levels.append((A, P, _level_solve(A, diag, line)[1]))
-        A = A.galerkin(P) if isinstance(A, _FreeBlock) else (P.T @ A @ P).tocsr()
+        P = (sp.diags(free * 1.0) @ P @ sp.diags(coarse * 1.0)).tocsr()
+        levels.append((A, P, _level_solve(A, diag, free, line)[1]))
+        A = (P.T @ A @ P).tocsr()
         diag, free, line = A.diagonal(), coarse, mesh.layered
-    if levels and A.shape[0] <= COARSE_UNKNOWNS:
-        factor = cho_factor(A.toarray())
+    if levels and np.count_nonzero(free) <= COARSE_UNKNOWNS:
+        factor = cho_factor(A.toarray() + np.diag(~free * 1.0))
         solve = lambda r: cho_solve(factor, r)
     else:
-        kind, solve = _level_solve(A, diag, line)
+        kind, solve = _level_solve(A, diag, free, line)
     if not levels:
         return kind, levels, solve
 
@@ -519,21 +499,26 @@ def _preconditioner(Aff: "_FreeBlock | sp.csr_matrix", mesh: Mesh | None, free_i
     return "multigrid", levels, vcycle
 
 
-def _level_solve(A: sp.csr_matrix, diag_entries: np.ndarray, line: bool):
-    """("line", tridiagonal solve) when ``line`` and ``dpttrf`` accepts the band, else ("jacobi", diagonal)."""
+def _level_solve(A: sp.csr_matrix, diag: np.ndarray, free: np.ndarray, line: bool):
+    """("line", tridiagonal solve) when ``line`` and ``dpttrf`` accepts the band, else ("jacobi", diagonal).
+
+    Either acts on the block of ``A`` on the ``free`` vertices and returns 0
+    at the others: there the band is 1 on the diagonal and 0 off it, and the
+    diagonal's inverse is 0.
+    """
     if line:
-        d, e, info = dpttrf(diag_entries, A.diagonal(1))
+        d, e, info = dpttrf(np.where(free, diag, 1.0), np.where(free[:-1] & free[1:], A.diagonal(1), 0.0))
         if info == 0:
-            return "line", lambda r: dpttrs(d, e, r)[0]
-    minv = 1.0 / diag_entries
+            held = np.flatnonzero(~free)
+
+            def solve(r):
+                x = dpttrs(d, e, r)[0]
+                x[held] = 0.0
+                return x
+
+            return "line", solve
+    minv = np.divide(1.0, diag, out=np.zeros(diag.size), where=free)
     return "jacobi", lambda r: minv * r
-
-
-def _expand(system: SparseSystem, x_free: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
-    u = np.zeros(system.n)
-    u[free_idx] = x_free
-    u[system.constrained] = system.values
-    return u
 
 
 def element_gradients(mesh: Mesh, values: np.ndarray) -> np.ndarray:
