@@ -139,14 +139,16 @@ def validate_ellipticity(coeff: PiecewiseCoefficient, mats: np.ndarray) -> None:
     """Check lam |xi|^2 <= xi . a xi <= Lam |xi|^2 for every direction xi and
     each of the (m, 2, 2) matrices ``mats`` sampled from ``coeff``.
 
-    The entries must be finite, the off-diagonals must agree, and the
-    closed-form eigenvalues (a + c)/2 -+ hypot((a - c)/2, b) of each symmetric
-    matrix must lie in [lam, Lam]; both bounds allow ELLIPTICITY_SLACK for rounding.
+    The entries must be finite, the off-diagonals must agree to
+    1e-12 max(1, |a|, |c|) for the diagonal a, c, and the closed-form
+    eigenvalues (a + c)/2 -+ hypot((a - c)/2, b) of each symmetric matrix must
+    lie in [lam, Lam]; both bounds allow ELLIPTICITY_SLACK for rounding.
     """
     if not np.isfinite(mats).all():
         raise EllipticityError("coefficient matrices must be finite (a sample is NaN or infinite)")
     a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 1]
-    if not np.allclose(b, mats[..., 1, 0], atol=1e-12):
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(c)), 1.0)
+    if np.any(np.abs(b - mats[..., 1, 0]) > 1e-12 * scale):
         raise EllipticityError("coefficient matrices must be symmetric")
     mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
     if coeff.lam > 0.0 and np.any(mid - rad < coeff.lam - ELLIPTICITY_SLACK):
@@ -255,31 +257,36 @@ def assemble(mesh: Mesh, spec: ProblemSpec) -> SparseSystem:
 def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
     """The sum of the element matrices, built from their diagonals and strictly upper entries.
 
-    Entry (i, j) of an element lands on its edge's (min, max) vertex pair, so
-    the strictly upper part U sums the two triangles of each interior edge in
-    a COO matrix of 3 nt entries; each CSR row is then U^T's row, the
-    diagonal, and U's row.  The pattern is that of all nine entries per
-    element summed, explicit zeros included, and the matrix is exactly
-    symmetric.
+    Entry (i, j) of an element is area g_i . (A g_j), formed from the columns
+    of the coefficients A and the basis gradients g, and only for the six
+    entries stored: the diagonal and the local edges 01, 12, 20.  Entry (i, j)
+    lands on its edge's (min, max) vertex pair, so the strictly upper part U
+    sums the two triangles of each interior edge in a COO matrix of 3 nt
+    entries; each CSR row is then U^T's row, the diagonal, and U's row.  The
+    pattern is that of all nine entries per element summed, explicit zeros
+    included, and the matrix is exactly symmetric.
     """
     bary = mesh.barycenters
     amat = coeff.evaluate(bary[:, 0], bary[:, 1], mesh.region)
     validate_ellipticity(coeff, amat)
-    grads = mesh.basis_gradients
-    ke = grads @ amat
-    del amat  # freed before the second product, and ke scaled in place, to lower the peak
-    ke = ke @ grads.mT
-    ke *= mesh.areas[:, None, None]
+    grads, areas = mesh.basis_gradients, mesh.areas
     n = mesh.n_vertices
     tri = mesh.triangles.astype(np.int32)
-    diag = np.bincount(tri[:, 0], ke[:, 0, 0], n)
-    diag += np.bincount(tri[:, 1], ke[:, 1, 1], n)
-    diag += np.bincount(tri[:, 2], ke[:, 2, 2], n)
-    a, b = tri.T, tri.T[[1, 2, 0]]  # the local edges 01, 12, 20
-    upper_vals = np.concatenate([ke[:, 0, 1], ke[:, 1, 2], ke[:, 2, 0]])
-    del ke
+    diag = np.zeros(n)
+    upper_vals = np.empty((3, mesh.n_triangles))  # rows: the local edges 01, 12, 20
+    for j in range(3):
+        gx, gy = grads[:, j, 0], grads[:, j, 1]
+        ax = amat[:, 0, 0] * gx + amat[:, 0, 1] * gy  # A g_j, scaled by the area
+        ax *= areas
+        ay = amat[:, 1, 0] * gx + amat[:, 1, 1] * gy
+        ay *= areas
+        diag += np.bincount(tri[:, j], gx * ax + gy * ay, n)
+        i = (j + 2) % 3  # the edge (i, j) is row i of upper_vals
+        np.add(grads[:, i, 0] * ax, grads[:, i, 1] * ay, out=upper_vals[i])
+    del amat, gx, gy, ax, ay
+    a, b = tri.T, tri.T[[1, 2, 0]]
     upper = sp.coo_matrix(
-        (upper_vals, (np.minimum(a, b).ravel(), np.maximum(a, b).ravel())), shape=(n, n)
+        (upper_vals.ravel(), (np.minimum(a, b).ravel(), np.maximum(a, b).ravel())), shape=(n, n)
     ).tocsr()
     del upper_vals, a, b, tri
     lower = upper.tocsc()  # its arrays are U^T's in CSR, column indices sorted
@@ -456,9 +463,10 @@ def _preconditioner(A: sp.csr_matrix, mesh: Mesh | None, pinned: np.ndarray):
     solve damped by ``SMOOTHER_DAMPING``, and the coarsest is factored by
     dense Cholesky, with 1 on the diagonal at its held vertices, when it has
     at most ``COARSE_UNKNOWNS`` free vertices, else takes its own solve.
-    ``levels`` holds (A, P, smoother) of each level above the coarsest.  The
-    cycle is a loop down the levels and back up, so the map holds no
-    reference to itself.
+    ``levels`` holds (A, P, P^T, smoother) of each level above the coarsest;
+    P^T is a CSC view of P's arrays, so the restriction is built once and
+    copies nothing.  The cycle is a loop down the levels and back up, so the
+    map holds no reference to itself.
     """
     levels, diag = [], A.diagonal()
     free = np.ones(A.shape[0], dtype=bool)
@@ -472,8 +480,9 @@ def _preconditioner(A: sp.csr_matrix, mesh: Mesh | None, pinned: np.ndarray):
         if not coarse.any():
             break
         P = (sp.diags(free * 1.0) @ P @ sp.diags(coarse * 1.0)).tocsr()
-        levels.append((A, P, _level_solve(A, diag, free, line)[1]))
-        A = (P.T @ A @ P).tocsr()
+        R = P.T
+        levels.append((A, P, R, _level_solve(A, diag, free, line)[1]))
+        A = (R @ A @ P).tocsr()
         diag, free, line = A.diagonal(), coarse, mesh.layered
     if levels and np.count_nonzero(free) <= COARSE_UNKNOWNS:
         factor = cho_factor(A.toarray() + np.diag(~free * 1.0))
@@ -485,13 +494,13 @@ def _preconditioner(A: sp.csr_matrix, mesh: Mesh | None, pinned: np.ndarray):
 
     def vcycle(r):
         residuals, corrections = [], []
-        for A, P, smooth in levels:  # down: pre-smooth, restrict the residual
+        for A, _, R, smooth in levels:  # down: pre-smooth, restrict the residual
             x = SMOOTHER_DAMPING * smooth(r)
             residuals.append(r)
             corrections.append(x)
-            r = P.T @ (r - A @ x)
+            r = R @ (r - A @ x)
         x = solve(r)
-        for (A, P, smooth), r, x_fine in zip(levels[::-1], residuals[::-1], corrections[::-1]):
+        for (A, P, _, smooth), r, x_fine in zip(levels[::-1], residuals[::-1], corrections[::-1]):
             x = x_fine + P @ x  # up: prolong the correction, post-smooth
             x += SMOOTHER_DAMPING * smooth(r - A @ x)
         return x

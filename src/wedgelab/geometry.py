@@ -208,14 +208,7 @@ def edge_table(triangles: np.ndarray):
     - ``neighbors`` (nt, 3): the triangle across edge i, or -1 when that edge
       does not have exactly two triangles.
     """
-    tri = np.asarray(triangles, dtype=np.int64)
-    nv = int(tri.max()) + 1
-    # slot 3t + i holds edge i of triangle t, keyed lo * nv + hi
-    u, v = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
-    key = (np.minimum(u, v) * nv + np.maximum(u, v)).ravel()
-    # u, v and the unsorted and sorted keys are freed once used; kept alive,
-    # any of them would set the peak memory
-    del u, v
+    key, nv = _edge_keys(triangles)
     # after one stable sort the slots of each edge are adjacent, in slot order
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -231,6 +224,24 @@ def edge_table(triangles: np.ndarray):
     neighbors[order[pair]] = order[pair + 1] // 3
     neighbors[order[pair + 1]] = order[pair] // 3
     return edges, tri_edges.reshape(-1, 3), counts, neighbors.reshape(-1, 3)
+
+
+def _edge_keys(triangles: np.ndarray) -> tuple[np.ndarray, int]:
+    """(3 nt,) int64 key of each slot and the vertex count nv: slot 3t + i holds edge i of triangle t.
+
+    Edge i is the one opposite vertex i (the local edges 12, 20, 01), keyed
+    lo * nv + hi for its vertices lo < hi, so the keys sort as the edges do
+    lexicographically.
+    """
+    tri = np.asarray(triangles, dtype=np.int64)
+    nv = int(tri.max()) + 1
+    key = np.empty_like(tri)
+    for i in range(3):  # one column at a time: no (nt, 3) copies of the ends
+        u, v = tri[:, (i + 1) % 3], tri[:, (i + 2) % 3]
+        np.minimum(u, v, out=key[:, i])
+        key[:, i] *= nv
+        key[:, i] += np.maximum(u, v)
+    return key.ravel(), nv
 
 
 def interface_edges(mesh: Mesh):
@@ -266,16 +277,27 @@ def validate_mesh(mesh: Mesh, domain: DomainSpec) -> None:
     if not np.all(mesh.areas > 0.0):
         raise GeometryError("mesh contains non-positively-oriented or degenerate triangles")
 
-    edges, _, counts, _ = edge_table(mesh.triangles)
-    if np.any(counts > 2):
+    # conformity from the runs of the sorted edge keys: a run's length is its
+    # edge's triangle count, and the keys sort as the edges do lexicographically
+    key, nv = _edge_keys(mesh.triangles)
+    key.sort()
+    new = np.empty(key.size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    counts = np.diff(starts, append=key.size)
+    shared = key[starts[counts > 2][:5]]
+    if shared.size:
         raise GeometryError(
             "non-conforming mesh: edges shared by >2 triangles: "
-            f"{edges[counts > 2][:5].tolist()}"
+            f"{np.column_stack(np.divmod(shared, nv)).tolist()}"
         )
-    outer = edges[counts == 1]
-    unflagged = outer[~(mesh.boundary[outer[:, 0]] & mesh.boundary[outer[:, 1]])]
+    lo, hi = np.divmod(key[starts[counts == 1]], nv)
+    del key, starts, counts  # freed before the straddling check's temporaries
+    unflagged = np.flatnonzero(~(mesh.boundary[lo] & mesh.boundary[hi]))
     if unflagged.size:
-        u, v = unflagged[0]
+        u, v = lo[unflagged[0]], hi[unflagged[0]]
         raise GeometryError(f"boundary edge ({u},{v}) has unflagged endpoint")
 
     straddles = _straddling(mesh)

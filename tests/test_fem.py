@@ -161,6 +161,21 @@ class TestAssemble:
         with pytest.raises(EllipticityError):
             validate_ellipticity(asym, asym.evaluate(np.array([0.1]), np.array([0.1]), np.array([1])))
 
+    def test_symmetry_is_relative_to_the_diagonal(self):
+        # the off-diagonals must agree to 1e-12 max(1, |a11|, |a22|): a relative slack of
+        # 1e-5 on the off-diagonal itself let 0.5 and 0.500004 pass
+        coeff = PiecewiseCoefficient(1.0, 1.0)
+        loose = np.array([[[1.0, 0.5], [0.500004, 1.0]]])
+        with pytest.raises(EllipticityError, match="symmetric"):
+            validate_ellipticity(coeff, loose)
+        with pytest.raises(EllipticityError, match="symmetric"):
+            validate_ellipticity(coeff, np.array([[[1.0, 0.0], [1e-11, 1.0]]]))
+        # rounding-level asymmetry at the scale 1e7 of the diagonal passes
+        for eigenvalues in [(1e7, 1e7), (1e7, 3e7)]:
+            mat = rotated(eigenvalues, 0.3)
+            mat[1, 0] = mat[0, 1] + 4 * np.spacing(1e7)
+            validate_ellipticity(coeff, mat[None])
+
     @pytest.mark.parametrize("a0", [math.inf, math.nan])
     def test_nonfinite_jump_rejected(self, a0):
         # inf * 0 would make the off-diagonals NaN: no warning, and the message names the value
@@ -736,7 +751,7 @@ class TestMultigrid:
         assert kind == "multigrid" and [line for *_, line in calls] == [False] * (levels - 3)
         assert len(hierarchy) == len(want) == levels - 3
         mesh = system.mesh
-        for (_, P, _), R in zip(hierarchy, want):
+        for (_, P, _, _), R in zip(hierarchy, want):
             # the level's P has entries only on free rows and on the parent's free columns
             held, mesh = mesh.boundary, mesh.parent[0]
             assert P.shape == (held.size, mesh.n_vertices)

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -601,6 +603,99 @@ class TestValidateMeshRejections:
 
     def test_region_tag_against_wedge_angle_rule(self):
         self.rejects(one_triangle(self.UPPER, region=-1), "region tags disagree with barycenter side")
+
+
+def edge_table_validate_mesh(mesh, domain):
+    """``validate_mesh`` with its conformity checks read from the full ``edge_table``."""
+    if not np.all(mesh.areas > 0.0):
+        raise GeometryError("mesh contains non-positively-oriented or degenerate triangles")
+    edges, _, counts, _ = edge_table(mesh.triangles)
+    if np.any(counts > 2):
+        raise GeometryError(
+            "non-conforming mesh: edges shared by >2 triangles: "
+            f"{edges[counts > 2][:5].tolist()}"
+        )
+    outer = edges[counts == 1]
+    unflagged = outer[~(mesh.boundary[outer[:, 0]] & mesh.boundary[outer[:, 1]])]
+    if unflagged.size:
+        u, v = unflagged[0]
+        raise GeometryError(f"boundary edge ({u},{v}) has unflagged endpoint")
+    straddles = geometry._straddling(mesh)
+    if np.any(straddles):
+        raise GeometryError(f"{int(straddles.sum())} triangles straddle the interface")
+    bary = mesh.barycenters
+    side = wedge_angles(domain.wedge, bary[:, 0], bary[:, 1])
+    if not np.array_equal(np.where(side >= 0.0, 1, -1).astype(np.int8), mesh.region):
+        raise GeometryError("region tags disagree with barycenter side")
+
+
+def validation_message(check, mesh, domain):
+    with pytest.raises(GeometryError) as info:
+        check(mesh, domain)
+    return str(info.value)
+
+
+@st.composite
+def valid_meshes(draw):
+    """(mesh, domain): polar meshes on reflex, near-2 pi and graded wedges, refined ones and non-obtuse ones."""
+    tm, tp = draw(st.sampled_from([
+        (-3 * PI / 4, 2 * PI / 3),  # reflex
+        (-0.3, 2 * PI - 1e-3 - 0.3),  # opening near 2 pi
+        (-PI + 5e-4, PI - 5e-4),
+        (-0.05, 0.1),  # thin
+    ]) | st.tuples(st.floats(-2 * PI + 0.2, -0.01), st.floats(0.01, 2 * PI)).filter(lambda t: t[1] - t[0] < 2 * PI))
+    domain = sector(tm, tp, draw(st.sampled_from([1.0, 1e-6, 1e3])))
+    kind = draw(st.sampled_from(["polar", "refined", "nonobtuse"]))
+    if kind == "nonobtuse":
+        return generate_nonobtuse_mesh(domain, draw(st.integers(0, 3))), domain
+    mesh = generate_mesh(domain, domain.radius * draw(st.floats(0.08, 0.5)), draw(st.floats(0.3, 1.0)))
+    return (refine_regular(mesh) if kind == "refined" else mesh), domain
+
+
+class TestConformityFromSortedKeys:
+    """``validate_mesh`` counts runs of the sorted edge keys instead of building ``edge_table``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=valid_meshes(), pick=st.integers(0, 2**31))
+    def test_same_verdicts_as_edge_table_check(self, case, pick):
+        mesh, domain = case
+        validate_mesh(mesh, domain)
+        edge_table_validate_mesh(mesh, domain)
+        t = pick % mesh.n_triangles
+        doubled = Mesh(
+            mesh.vertices, np.vstack([mesh.triangles, mesh.triangles[t]]),
+            np.append(mesh.region, mesh.region[t]), mesh.boundary,
+        )
+        on_boundary = np.flatnonzero(mesh.boundary)
+        boundary = mesh.boundary.copy()
+        boundary[on_boundary[pick % on_boundary.size]] = False
+        unflagged = Mesh(mesh.vertices, mesh.triangles, mesh.region, boundary)
+        for bad, start in [(doubled, "non-conforming mesh"), (unflagged, "boundary edge")]:
+            message = validation_message(validate_mesh, bad, domain)
+            assert message.startswith(start)
+            assert message == validation_message(edge_table_validate_mesh, bad, domain)
+
+    def test_builds_no_edge_table(self, monkeypatch):
+        mesh, calls = generate_nonobtuse_mesh(REFLEX, 3), []
+        monkeypatch.setattr(geometry, "edge_table", lambda *a: calls.append(a))
+        validate_mesh(mesh, REFLEX)
+        assert calls == []
+
+    def test_peak_below_edge_table_check(self):
+        from wedgelab.acceptance import WITNESS_MU, Workbench
+
+        domain = Workbench().problem.domain
+        mesh = generate_mesh(domain, 1 / 90, WITNESS_MU)  # its areas and barycenters are cached
+        peaks = []
+        for check in (validate_mesh, edge_table_validate_mesh):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                check(mesh, domain)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.7 * peaks[1]
 
 
 # wedges for the interface references: reflex, near-2pi and near-zero openings
