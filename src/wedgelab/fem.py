@@ -283,7 +283,7 @@ def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
         diag += np.bincount(tri[:, j], gx * ax + gy * ay, n)
         i = (j + 2) % 3  # the edge (i, j) is row i of upper_vals
         np.add(grads[:, i, 0] * ax, grads[:, i, 1] * ay, out=upper_vals[i])
-    del amat, gx, gy, ax, ay
+    del amat, ax, ay  # freed before the sparse steps
     a, b = tri.T, tri.T[[1, 2, 0]]
     upper = sp.coo_matrix(
         (upper_vals.ravel(), (np.minimum(a, b).ravel(), np.maximum(a, b).ravel())), shape=(n, n)

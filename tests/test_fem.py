@@ -162,8 +162,8 @@ class TestAssemble:
             validate_ellipticity(asym, asym.evaluate(np.array([0.1]), np.array([0.1]), np.array([1])))
 
     def test_symmetry_is_relative_to_the_diagonal(self):
-        # the off-diagonals must agree to 1e-12 max(1, |a11|, |a22|): a relative slack of
-        # 1e-5 on the off-diagonal itself let 0.5 and 0.500004 pass
+        # the off-diagonals must agree to 1e-12 max(1, |a11|, |a22|), a tolerance set by the
+        # diagonal's scale and not by the off-diagonal's own size
         coeff = PiecewiseCoefficient(1.0, 1.0)
         loose = np.array([[[1.0, 0.5], [0.500004, 1.0]]])
         with pytest.raises(EllipticityError, match="symmetric"):
@@ -751,7 +751,10 @@ class TestMultigrid:
         assert kind == "multigrid" and [line for *_, line in calls] == [False] * (levels - 3)
         assert len(hierarchy) == len(want) == levels - 3
         mesh = system.mesh
-        for (_, P, _, _), R in zip(hierarchy, want):
+        for (_, P, restriction, _), R in zip(hierarchy, want):
+            # the restriction is P^T read from P's own arrays, not a copy
+            assert restriction.format == "csc"
+            assert all(np.shares_memory(getattr(restriction, a), getattr(P, a)) for a in ("data", "indices", "indptr"))
             # the level's P has entries only on free rows and on the parent's free columns
             held, mesh = mesh.boundary, mesh.parent[0]
             assert P.shape == (held.size, mesh.n_vertices)

@@ -77,7 +77,10 @@ def main() -> int:
     n = args.n
     if n is not None and n < 1:
         parser.error("N must be a positive integer")
-    saved = args.compare.read_text().splitlines() if args.compare else None
+    try:
+        saved = args.compare.read_text().splitlines() if args.compare else None
+    except OSError as exc:
+        parser.error(f"cannot read {args.compare}: {exc.strerror}")
     os.environ.update(ONE_THREAD)
     sys.path.insert(0, str(ROOT / "src"))
     from wedgelab import acceptance
