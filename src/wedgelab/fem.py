@@ -19,6 +19,7 @@ level's boundary vertices at 0: ``_preconditioner`` states the rule.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,7 @@ def _as_field(f, shape: tuple):
     ``shape`` is (), (2,) or (2, 2).  ``None`` gives zeros, a constant of
     ``shape`` is broadcast, a callable is wrapped.  For (2, 2) a scalar
     constant, or a callable returning one value per point, is isotropic.
+    A constant's function carries it as ``value``.
     """
     if callable(f):
 
@@ -83,20 +85,28 @@ def _as_field(f, shape: tuple):
     def const_fn(x, y):
         return np.broadcast_to(val, np.shape(x) + shape)
 
+    const_fn.value = val
     return const_fn
 
 
 def _by_side(fn_plus, fn_minus, x, y, side, shape: tuple) -> np.ndarray:
-    """``fn_plus`` at points with side > 0, ``fn_minus`` elsewhere."""
+    """``fn_plus`` at points with side > 0, ``fn_minus`` elsewhere.
+
+    A constant branch (``_as_field``'s ``value``) is looked up by side, and
+    its points' coordinates are not gathered; a callable one is called on
+    its own points.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    side = np.broadcast_to(np.asarray(side), x.shape)
-    out = np.empty(x.shape + shape)
-    up = side > 0
-    if np.any(up):
-        out[up] = fn_plus(x[up], y[up])
-    if np.any(~up):
-        out[~up] = fn_minus(x[~up], y[~up])
+    up = np.broadcast_to(np.asarray(side), x.shape) > 0
+    table = np.zeros((2,) + shape)  # row 1 is the upper side's
+    for row, fn in enumerate((fn_minus, fn_plus)):
+        if hasattr(fn, "value"):
+            table[row] = fn.value
+    out = np.take(table, up.view(np.int8), axis=0)
+    for fn, on in ((fn_plus, up), (fn_minus, ~up)):
+        if not hasattr(fn, "value") and np.any(on):
+            out[on] = fn(x[on], y[on])
     return out
 
 
@@ -161,6 +171,19 @@ def validate_ellipticity(coeff: PiecewiseCoefficient, mats: np.ndarray) -> None:
         )
 
 
+def _validate_samples(coeff: PiecewiseCoefficient, mats: np.ndarray, side: np.ndarray) -> None:
+    """``validate_ellipticity`` of ``mats = coeff.evaluate(x, y, side)``.
+
+    When both branches are constant, ``mats`` holds only copies of them, so
+    each is checked once instead, if a point uses it: the same verdict and
+    message.
+    """
+    branches = ((coeff._fn_plus, np.any(side > 0)), (coeff._fn_minus, np.any(side <= 0)))
+    if all(hasattr(fn, "value") for fn, _ in branches):
+        mats = np.array([fn.value for fn, used in branches if used]).reshape(-1, 2, 2)
+    validate_ellipticity(coeff, mats)
+
+
 @dataclass(eq=False)
 class ProblemSpec:
     """Dirichlet problem data on a sector domain; equal and hashed by identity.
@@ -222,6 +245,7 @@ class CgDiagnostics:
     preconditioner: str = "jacobi"  # "multigrid" (V-cycle), "line" (tridiagonal part) or "jacobi"
     levels: int = 1  # mesh levels of the preconditioner
     true_residual: float = math.nan  # ||b_f - A_ff x|| / ||b_f||, from one matvec after the loop
+    setup_s: float = math.nan  # seconds spent building the preconditioner; NaN when none is built
 
 
 @dataclass
@@ -268,7 +292,7 @@ def _stiffness(mesh: Mesh, coeff: PiecewiseCoefficient) -> sp.csr_matrix:
     """
     bary = mesh.barycenters
     amat = coeff.evaluate(bary[:, 0], bary[:, 1], mesh.region)
-    validate_ellipticity(coeff, amat)
+    _validate_samples(coeff, amat, mesh.region)
     grads, areas = mesh.basis_gradients, mesh.areas
     n = mesh.n_vertices
     tri = mesh.triangles.astype(np.int32)
@@ -354,8 +378,9 @@ def solve_cg(
     prescribed values.  Iterates until the relative residual drops below
     ``tol``, and records the residual history.  The preconditioner follows
     ``system.mesh`` (``_preconditioner`` states the rule); ``CgDiagnostics``
-    names it and its levels and gives the true relative residual, and a zero
-    right-hand side returns at once and reads "jacobi".  Raises
+    names it and its levels, gives the seconds spent building it and the true
+    relative residual, and a zero right-hand side returns at once, builds no
+    preconditioner and reads "jacobi".  Raises
     ``ValueError`` for a ``tol`` outside (0, 1), a ``max_iter`` below 1 or
     constrained vertices that are not distinct indices in [0, n), and
     ``SolverError`` for a matrix or right-hand side that is not finite, on
@@ -391,7 +416,9 @@ def solve_cg(
         x[pinned] = system.values
         return x, CgDiagnostics(0, 0.0, np.zeros(0), m, True, true_residual=0.0)
 
+    start = time.perf_counter()
     kind, levels, precond = _preconditioner(A, system.mesh, pinned)
+    setup_s = time.perf_counter() - start
 
     x = np.zeros(n)
     r = b.copy()
@@ -435,7 +462,7 @@ def solve_cg(
     r[pinned] = 0.0
     true_res = float(np.linalg.norm(r)) / bnorm
     diagn = CgDiagnostics(
-        it, history[-1], np.asarray(history), m, True, kind, len(levels) + 1, true_res
+        it, history[-1], np.asarray(history), m, True, kind, len(levels) + 1, true_res, setup_s
     )
     x[pinned] = system.values
     return x, diagn
@@ -450,23 +477,26 @@ def _preconditioner(A: sp.csr_matrix, mesh: Mesh | None, pinned: np.ndarray):
     ``SolverError``.  The levels are ``mesh`` and its parents down
     ``Mesh.parent``, while a level has more than ``COARSE_UNKNOWNS`` free
     vertices and its parent a free vertex; a parent holds its boundary
-    vertices.  Each step empties the rows of the recorded prolongation P at
-    the finer level's held vertices and its columns at the parent's (so a
-    Dirichlet end gives a zero correction), and forms the Galerkin operator
-    ``P^T A P``.  A level's own solve (``_level_solve``) is the tridiagonal
-    part of its free block, factored once by LAPACK's ``dpttrf``, when its
-    mesh is ``Mesh.layered`` (a polar mesh, numbered along the circular
-    layers that carry the strong coupling); any other level, no mesh, and a
-    band that ``dpttrf`` rejects get the diagonal.  With one level the map
-    is that solve ("line" or "jacobi").  Otherwise it is a symmetric V(1,1)
-    cycle ("multigrid"): each level above the coarsest smooths with its own
-    solve damped by ``SMOOTHER_DAMPING``, and the coarsest is factored by
-    dense Cholesky, with 1 on the diagonal at its held vertices, when it has
-    at most ``COARSE_UNKNOWNS`` free vertices, else takes its own solve.
-    ``levels`` holds (A, P, P^T, smoother) of each level above the coarsest;
-    P^T is a CSC view of P's arrays, so the restriction is built once and
-    copies nothing.  The cycle is a loop down the levels and back up, so the
-    map holds no reference to itself.
+    vertices.  Each step keeps the entries of the recorded prolongation P
+    on the finer level's free rows and the parent's free columns (so a
+    Dirichlet end gives a zero correction), chosen by one mask over its
+    entries, and forms the Galerkin operator ``P^T A P`` as
+    ``((A P)^T P)^T``, which is equal for the symmetric A and converts only
+    P, not A, to CSC.  A level's own solve (``_level_solve``) is the
+    tridiagonal part of its free block, factored once by LAPACK's
+    ``dpttrf``, when its mesh is ``Mesh.layered`` (a polar mesh, numbered
+    along the circular layers that carry the strong coupling); any other
+    level, no mesh, and a band that ``dpttrf`` rejects get the diagonal.
+    With one level the map is that solve ("line" or "jacobi").  Otherwise
+    it is a symmetric V(1,1) cycle ("multigrid"): each level above the
+    coarsest smooths with its own solve damped by ``SMOOTHER_DAMPING``, the
+    damping folded into the solve when it is built, and the coarsest is
+    factored by dense Cholesky, with 1 on the diagonal at its held vertices,
+    when it has at most ``COARSE_UNKNOWNS`` free vertices, else takes its
+    own undamped solve.  ``levels`` holds (A, P, P^T, smoother) of each
+    level above the coarsest; P^T is a CSC view of P's arrays, so the
+    restriction is built once and copies nothing.  The cycle is a loop down
+    the levels and back up, so the map holds no reference to itself.
     """
     levels, diag = [], A.diagonal()
     free = np.ones(A.shape[0], dtype=bool)
@@ -479,44 +509,49 @@ def _preconditioner(A: sp.csr_matrix, mesh: Mesh | None, pinned: np.ndarray):
         coarse = ~mesh.boundary
         if not coarse.any():
             break
-        P = (sp.diags(free * 1.0) @ P @ sp.diags(coarse * 1.0)).tocsr()
-        R = P.T
-        levels.append((A, P, R, _level_solve(A, diag, free, line)[1]))
-        A = (R @ A @ P).tocsr()
+        keep = np.repeat(free, np.diff(P.indptr)) & coarse[P.indices]
+        kept = np.zeros(keep.size + 1, dtype=P.indptr.dtype)  # kept[k]: the entries kept before entry k
+        np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
+        P = sp.csr_matrix((P.data[keep], P.indices[keep], kept[P.indptr]), shape=P.shape)
+        levels.append((A, P, P.T, _level_solve(A, diag, free, SMOOTHER_DAMPING, line)[1]))
+        A = ((A @ P).T @ P).T
         diag, free, line = A.diagonal(), coarse, mesh.layered
     if levels and np.count_nonzero(free) <= COARSE_UNKNOWNS:
         factor = cho_factor(A.toarray() + np.diag(~free * 1.0))
         solve = lambda r: cho_solve(factor, r)
     else:
-        kind, solve = _level_solve(A, diag, free, line)
+        kind, solve = _level_solve(A, diag, free, 1.0, line)
     if not levels:
         return kind, levels, solve
 
     def vcycle(r):
         residuals, corrections = [], []
         for A, _, R, smooth in levels:  # down: pre-smooth, restrict the residual
-            x = SMOOTHER_DAMPING * smooth(r)
+            x = smooth(r)
             residuals.append(r)
             corrections.append(x)
             r = R @ (r - A @ x)
         x = solve(r)
         for (A, P, _, smooth), r, x_fine in zip(levels[::-1], residuals[::-1], corrections[::-1]):
             x = x_fine + P @ x  # up: prolong the correction, post-smooth
-            x += SMOOTHER_DAMPING * smooth(r - A @ x)
+            x += smooth(r - A @ x)
         return x
 
     return "multigrid", levels, vcycle
 
 
-def _level_solve(A: sp.csr_matrix, diag: np.ndarray, free: np.ndarray, line: bool):
+def _level_solve(A: sp.csr_matrix, diag: np.ndarray, free: np.ndarray, damping: float, line: bool):
     """("line", tridiagonal solve) when ``line`` and ``dpttrf`` accepts the band, else ("jacobi", diagonal).
 
     Either acts on the block of ``A`` on the ``free`` vertices and returns 0
     at the others: there the band is 1 on the diagonal and 0 off it, and the
-    diagonal's inverse is 0.
+    diagonal's inverse is 0.  Either is scaled by ``damping``: the band over
+    ``damping`` is factored, and ``damping`` over the diagonal applied.
     """
     if line:
-        d, e, info = dpttrf(np.where(free, diag, 1.0), np.where(free[:-1] & free[1:], A.diagonal(1), 0.0))
+        d, e, info = dpttrf(
+            np.where(free, diag, 1.0) / damping, np.where(free[:-1] & free[1:], A.diagonal(1), 0.0) / damping
+        )
         if info == 0:
             held = np.flatnonzero(~free)
 
@@ -526,7 +561,7 @@ def _level_solve(A: sp.csr_matrix, diag: np.ndarray, free: np.ndarray, line: boo
                 return x
 
             return "line", solve
-    minv = np.divide(1.0, diag, out=np.zeros(diag.size), where=free)
+    minv = np.divide(damping, diag, out=np.zeros(diag.size), where=free)
     return "jacobi", lambda r: minv * r
 
 

@@ -20,10 +20,13 @@ import scipy.sparse as sp
 _TWO_PI = 2.0 * math.pi
 # generate_mesh records its radial hierarchy (Mesh.parent), which gives the
 # solve a V-cycle, only on meshes with more vertices than this.  Measured on
-# the witness meshes (mu = 0.8; mesh plus CG, best of 5, one BLAS thread,
-# 2-core x86): line-CG against the V-cycle 17 / 29 ms at 6,481 vertices (1/45),
-# 60-63 / 64-66 ms at 25,651 (1/90), 71-75 / 68-72 ms at 28,501 (1/95),
-# 125 / 105 ms at 45,481 (1/120), 410 / 253 ms at 102,241 (1/180).
+# the witness meshes (mu = 0.8; generate_mesh plus solve_cg, best of 5, one
+# BLAS thread, 2-core x86, three runs): line-CG against the V-cycle
+# 7.0-7.1 / 14.8-15.1 ms at 6,481 vertices (1/45), 41.9-42.7 / 38.5-38.8 ms
+# at 25,651 (1/90), 48.3-49.3 / 42.6-43.3 ms at 28,501 (1/95), 95.6-97.4 /
+# 66.1-67.9 ms at 45,481 (1/120), 317-320 / 150-158 ms at 102,241 (1/180).
+# The V-cycle wins from 1/90 on; a value below 25,651 would move the 1/90
+# witness solve from line-CG to the V-cycle.
 RADIAL_LEVELS_VERTICES = 30_000
 
 
@@ -317,11 +320,12 @@ def _straddling(mesh: Mesh) -> np.ndarray:
     Such a triangle has a vertex above the axis, one below it and one right of
     the corner, each by more than 1e-12 of the mesh's largest coordinate.
     """
-    eps = 1e-12 * (float(np.max(np.abs(mesh.vertices))) or 1.0)
-    x, y = mesh.vertex_columns()
-    above = (y[0] > eps) | (y[1] > eps) | (y[2] > eps)
-    below = (y[0] < -eps) | (y[1] < -eps) | (y[2] < -eps)
-    return above & below & ((x[0] > eps) | (x[1] > eps) | (x[2] > eps))
+    v = mesh.vertices
+    eps = 1e-12 * (float(np.max(np.abs(v))) or 1.0)
+    tri = mesh.triangles.T
+    # each test as one boolean per vertex, gathered a row of tri at a time
+    above, below, right = (f[tri[0]] | f[tri[1]] | f[tri[2]] for f in (v[:, 1] > eps, v[:, 1] < -eps, v[:, 0] > eps))
+    return above & below & right
 
 
 def max_interior_angle(mesh: Mesh) -> float:
@@ -468,9 +472,10 @@ def refine_regular(mesh: Mesh) -> Mesh:
     triangles = np.stack(children, axis=1).reshape(-1, 3)
 
     child = Mesh(vertices, triangles, np.repeat(mesh.region, 4), np.concatenate([mesh.boundary, counts == 1]))
-    rows = np.concatenate([np.arange(nv), np.repeat(np.arange(nv, vertices.shape[0]), 2)])
-    cols = np.concatenate([np.arange(nv), edges.ravel()])
-    P = sp.csr_matrix((np.repeat([1.0, 0.5], [nv, edges.size]), (rows, cols)), shape=(vertices.shape[0], nv))
+    # the rows in order: one entry per parent vertex, then a midpoint's two ends, sorted as lo < hi
+    indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(edges.shape[0] + 1)])
+    indices = np.concatenate([np.arange(nv), edges.ravel()])
+    P = sp.csr_matrix((np.repeat([1.0, 0.5], [nv, edges.size]), indices, indptr), shape=(vertices.shape[0], nv))
     object.__setattr__(child, "parent", (mesh, P))
     return child
 

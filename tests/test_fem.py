@@ -788,6 +788,13 @@ class TestMultigrid:
             with pytest.raises(ValueError, match="iteration limit"):
                 solve_cg(system, max_iter=bad)
 
+    def test_records_the_setup_seconds(self):
+        _, diag = solve_cg(maxprinciple_system(1, 5))
+        assert diag.preconditioner == "multigrid" and 0.0 < diag.setup_s < 10.0
+        # a zero right-hand side builds no preconditioner
+        zero = dataclasses.replace(dense_system(np.diag([1.0, 2.0])), rhs=np.zeros(2))
+        assert math.isnan(solve_cg(zero)[1].setup_s)
+
     def test_true_residual_is_one_matvec(self):
         system = maxprinciple_system(1, 5)
         u, diag = solve_cg(system, tol=1e-11)
@@ -798,7 +805,7 @@ class TestMultigrid:
 
 
 def preconditioner_levels(system):
-    """``fem._preconditioner`` on ``system``, as ``solve_cg`` calls it, and the (A, diag, free, line) of each ``_level_solve`` call.
+    """``fem._preconditioner`` on ``system``, as ``solve_cg`` calls it, and the (A, diag, free, damping, line) of each ``_level_solve`` call.
 
     The calls are the single level's, or each smoothed level's of the V-cycle
     and its coarsest level's unless that is factored densely.
@@ -963,6 +970,111 @@ class TestFreeBlock:
         assert at_call[0] - start < 0.25 * csr_bytes
 
 
+def diagonal_product_hierarchy(system):
+    """Each step's restricted prolongation and Galerkin operator, formed by diagonal-matrix products.
+
+    The setup that the entry mask and ``((A P)^T P)^T`` replaced, kept as the
+    reference: ``diags(free) P diags(coarse)`` and ``P^T A P``, converted to CSR.
+    """
+    A, mesh = system.matrix, system.mesh
+    free = np.ones(system.n, dtype=bool)
+    free[system.constrained] = False
+    out = []
+    while mesh.parent is not None and np.count_nonzero(free) > fem.COARSE_UNKNOWNS:
+        mesh, P = mesh.parent
+        coarse = ~mesh.boundary
+        if not coarse.any():
+            break
+        P = (sp.diags(free * 1.0) @ P @ sp.diags(coarse * 1.0)).tocsr()
+        A = (P.T @ A @ P).tocsr()
+        out.append((P, A, coarse))
+        free = coarse
+    return out
+
+
+def hierarchy_operators(system):
+    """``preconditioner_levels(system)``'s levels and the coarse operator each step forms.
+
+    The coarsest is read where it is factored: as the dense array with 1 on
+    the diagonal at its held vertices, or as the matrix of its own solve.
+    """
+    dense, cho_factor = [], fem.cho_factor
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fem, "cho_factor", lambda a: dense.append(a) or cho_factor(a))
+        _, levels, _, calls = preconditioner_levels(system)
+    return levels, [A for A, *_ in levels[1:]] + [dense[0] if dense else calls[-1][0]]
+
+
+HIERARCHY_SYSTEMS = {
+    "witness 1/180": lambda: battery_system(None, 1 / 180),
+    **{f"criterion 10 case {case}": lambda case=case: maxprinciple_system(case, 7) for case in range(3)},
+}
+
+
+class TestHierarchySetup:
+    """The V-cycle's levels are built by an entry mask and ``((A P)^T P)^T``, damping folded into the smoothers."""
+
+    @pytest.mark.parametrize("name", HIERARCHY_SYSTEMS)
+    def test_matches_diagonal_products(self, name):
+        system = HIERARCHY_SYSTEMS[name]()
+        levels, operators = hierarchy_operators(system)
+        want = diagonal_product_hierarchy(system)
+        assert len(levels) == len(want) == len(operators) >= 4
+        for (_, P, _, _), (P_ref, A_ref, coarse), A_c in zip(levels, want, operators):
+            # the same arrays, so no explicit zeros either
+            for a in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(P, a), getattr(P_ref, a))
+            if isinstance(A_c, np.ndarray):  # factored densely
+                A_ref = A_ref.toarray() + np.diag(~coarse * 1.0)
+            assert abs(A_c - A_ref).max() <= 1e-14 * abs(A_ref).max()
+
+    # Jacobi smoothers on criterion 10's fan; line smoothers on the witness chain, where a
+    # tridiagonal solve of the band over the damping rounds apart from the damped solve of the
+    # band by up to about 6e-14 relative after a cycle, as its band's conditioning amplifies rounding
+    @pytest.mark.parametrize("name, bound", [("witness 1/180", 2e-13), ("criterion 10 case 0", 1e-14)])
+    def test_folded_damping_matches_explicit_damping(self, name, bound):
+        # the same levels, each smoother built undamped and its output scaled by the damping
+        system = HIERARCHY_SYSTEMS[name]()
+        level_solve = fem._level_solve
+
+        def explicitly_damped(A, diag, free, damping, line):
+            kind, solve = level_solve(A, diag, free, 1.0, line)
+            return kind, lambda r: damping * solve(r)
+
+        rng = np.random.default_rng(5)
+        r = rng.normal(size=(3, system.n))
+        r[:, system.constrained] = 0.0
+        kind, _, folded = fem._preconditioner(system.matrix, system.mesh, system.constrained)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(fem, "_level_solve", explicitly_damped)
+            _, _, explicit = fem._preconditioner(system.matrix, system.mesh, system.constrained)
+        assert kind == "multigrid"
+        for v in r:
+            want = explicit(v)
+            assert np.linalg.norm(folded(v) - want) <= bound * np.linalg.norm(want)
+
+    def test_single_levels_stay_undamped(self):
+        for system in (battery_system(None, 1 / 45), maxprinciple_system(0, 3)):
+            calls = preconditioner_levels(system)[3]
+            assert [damping for _, _, _, damping, _ in calls] == [1.0]
+
+    @pytest.mark.parametrize("name", ["witness 1/180", "criterion 10 case 0"])
+    def test_converts_only_the_prolongations_to_csc(self, name, monkeypatch):
+        system = HIERARCHY_SYSTEMS[name]()
+        converted, tocsc = [], sp.csr_matrix.tocsc
+
+        def recording(self, *args, **kwargs):
+            converted.append(self)
+            return tocsc(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "tocsc", recording)
+        levels = preconditioner_levels(system)[1]
+        assert len(converted) == len(levels)
+        for (A, P, _, _), M in zip(levels, converted):
+            assert M is P and all(A is not M for A, *_ in levels)
+        assert all(M is not system.matrix for M in converted)
+
+
 # the share of the off-diagonal weight that the rule below compares the band's against
 BAND_SHARE = 0.5
 
@@ -996,7 +1108,10 @@ def band_share_iterations(system):
     """CG iterations on ``system`` when each level takes the band-share rule's kind."""
     level_solve = fem._level_solve
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(fem, "_level_solve", lambda A, d, free, line: level_solve(A, d, free, band_share_kind(A, d, free) == "line"))
+        m.setattr(
+            fem, "_level_solve",
+            lambda A, d, free, damping, line: level_solve(A, d, free, damping, band_share_kind(A, d, free) == "line"),
+        )
         return solve_cg(system)[1].iterations
 
 
@@ -1317,6 +1432,47 @@ class TestSymmetricStiffness:
         assert A.data.dtype == ref.data.dtype
         assert np.abs(A.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
         assert (A != A.T).nnz == 0
+
+
+class TestConstantCoefficientCheck:
+    """``_stiffness`` checks a constant coefficient once per side that an element uses, not on each element."""
+
+    MESH = generate_nonobtuse_mesh(sector(-PI / 4, 3 * PI / 4, 1.0), 3)
+
+    @pytest.mark.parametrize("coeff", STIFFNESS_COEFFS.values(), ids=STIFFNESS_COEFFS.keys())
+    def test_constant_reaches_the_check_with_at_most_two_matrices(self, coeff, monkeypatch):
+        sizes, check = [], fem.validate_ellipticity
+        monkeypatch.setattr(fem, "validate_ellipticity", lambda c, mats: sizes.append(len(mats)) or check(c, mats))
+        fem._stiffness(self.MESH, coeff)
+        # a callable branch is checked at every element's barycenter
+        assert sizes == ([self.MESH.n_triangles] if callable(coeff.a_plus) else [2])
+
+    @pytest.mark.parametrize(
+        "a_plus, a_minus",
+        [(1.0, 5.0), (0.1, 1.0), (5.0, 0.1), (math.nan, 1.0), (np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0),
+         (twisted, 0.1)],
+        ids=["above Lambda", "below lambda", "both", "not finite", "asymmetric", "beside a callable"],
+    )
+    def test_invalid_branch_raises_the_per_element_message(self, a_plus, a_minus):
+        # the message of the check on every element's matrix, from assemble itself
+        coeff = PiecewiseCoefficient(a_plus, a_minus, lam=0.5, Lam=4.0)
+        bary = self.MESH.barycenters
+        with pytest.raises(EllipticityError) as want:
+            validate_ellipticity(coeff, coeff.evaluate(bary[:, 0], bary[:, 1], self.MESH.region))
+        spec = ProblemSpec(domain=sector(-PI / 4, 3 * PI / 4, 1.0), coeff=coeff, phi=0.0)
+        with pytest.raises(EllipticityError) as got:
+            assemble(self.MESH, spec)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_branch_no_element_uses_is_not_checked(self, side):
+        coeff = PiecewiseCoefficient(1.0, 5.0, lam=0.5, Lam=2.0)  # only the lower branch exceeds Lambda
+        mesh = dataclasses.replace(single_triangle_mesh(), region=np.array([side], dtype=np.int8))
+        if side > 0:
+            fem._stiffness(mesh, coeff)
+        else:
+            with pytest.raises(EllipticityError, match="exceeds Lambda = 2.0: max eigenvalue 5"):
+                fem._stiffness(mesh, coeff)
 
 
 def full_array_error_report(fs, exact, exact_grad):

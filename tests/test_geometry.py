@@ -379,6 +379,19 @@ class TestParent:
         f = lambda p: c0 + c1 * p[:, 0] + c2 * p[:, 1]
         np.testing.assert_allclose(P @ f(mesh.vertices), f(v), rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("lev", range(5))
+    def test_prolongation_arrays_match_coo_build(self, lev):
+        # P is built straight into CSR; the COO build it replaced is the reference
+        mesh = generate_nonobtuse_mesh(REFLEX, lev)
+        P = refine_regular(mesh).parent[1]
+        nv, edges = mesh.n_vertices, edge_table(mesh.triangles)[0]
+        rows = np.concatenate([np.arange(nv), np.repeat(np.arange(nv, nv + edges.shape[0]), 2)])
+        cols = np.concatenate([np.arange(nv), edges.ravel()])
+        ref = sp.csr_matrix((np.repeat([1.0, 0.5], [nv, edges.size]), (rows, cols)), shape=P.shape)
+        for a in ("indptr", "indices", "data"):
+            assert getattr(P, a).dtype == getattr(ref, a).dtype
+            assert np.array_equal(getattr(P, a), getattr(ref, a))
+
     def test_twice_refined_polar_mesh_reaches_its_base(self):
         mesh = generate_mesh(sector(-PI / 4, 5 * PI / 4), 0.2, 0.5)
         twice = refine_regular(refine_regular(mesh))
@@ -707,6 +720,21 @@ INTERFACE_WEDGES = [
     sector(-PI + 5e-4, PI - 5e-4, 1.0),
     sector(-0.05, 0.1, 1.0),
 ]
+
+
+def test_straddling_check_peak():
+    # per-vertex booleans gathered per triangle; the float vertex columns it read peaked at 10.5 MiB here
+    from wedgelab.acceptance import WITNESS_MU, Workbench
+
+    mesh = generate_mesh(Workbench().problem.domain, 1 / 180, WITNESS_MU)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert not geometry._straddling(mesh).any()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 class TestInterfaceEdges:

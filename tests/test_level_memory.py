@@ -24,12 +24,15 @@ def test_level_45_prints_each_stage_with_growing_peak():
     peaks = [float(r[3]) for r in rows]
     assert peaks == sorted(peaks) and peaks[0] > 0.0
     summary = re.fullmatch(
-        r"nv 6481, nt 12727, line (\d+) levels (\d+) iterations, true_residual (\S+), linf (\S+)", lines[-1]
+        r"nv 6481, nt 12727, line (\d+) levels (\d+) iterations, true_residual (\S+), setup_s (\S+), linf (\S+)",
+        lines[-1],
     )
     assert summary, lines[-1]
-    levels, iterations, true_residual, linf = summary.groups()
+    levels, iterations, true_residual, setup_s, linf = summary.groups()
     assert (int(levels), int(iterations)) == (1, 53)
     assert 0.0 < float(true_residual) <= 1e-10 and float(linf) > 0.0
+    # the preconditioner's build is part of the solve_cg stage, printed to 3 decimals
+    assert 0.0 <= float(setup_s) <= float(rows[STAGES.index("solve_cg")][2]) + 5e-4
 
 
 def test_nonpositive_level_rejected():

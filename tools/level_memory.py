@@ -14,7 +14,8 @@ then the lower barycenters, and ``scan``: the exact k = 1 weighted pair scan
 (alpha = 0.5, tau = -0.8) of each side, ``weighted_seminorm_kalpha``
 walking that side's index.
 The last line gives the mesh size, the solver's preconditioner, levels,
-iterations and true relative residual, and the L-infinity error.
+iterations, true relative residual and the seconds ``solve_cg`` spent
+building its preconditioner (``setup_s``), and the L-infinity error.
 ``ru_maxrss`` never falls within a process, so run one level per process.
 Uses only the standard library and wedgelab.
 """
@@ -76,7 +77,7 @@ def main() -> None:
     print(
         f"nv {mesh.n_vertices}, nt {mesh.n_triangles}, {diagnostics.preconditioner} "
         f"{diagnostics.levels} levels {diagnostics.iterations} iterations, "
-        f"true_residual {diagnostics.true_residual:.3g}, linf {report.linf:.6g}"
+        f"true_residual {diagnostics.true_residual:.3g}, setup_s {diagnostics.setup_s:.4f}, linf {report.linf:.6g}"
     )
 
 
